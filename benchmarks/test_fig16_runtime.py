@@ -87,7 +87,7 @@ def test_fig16_encode_backends(benchmark, emit, emit_json):
     speed of the same computation.  Floors, each well under the numbers a
     healthy build records (see results/fig16_encode_backends.txt) so only
     real regressions trip them: vectorized encode >= 2x, compiled encode
-    >= 5x over the per-bit reference coder.
+    >= 5x and compiled decode >= 12x over the per-bit reference coder.
     """
     from repro.codec import registry
 
@@ -143,7 +143,10 @@ def test_fig16_encode_backends(benchmark, emit, emit_json):
             f"compiled encode speedup {speedups['compiled']['encode']:.2f}x "
             f"below the 5x floor"
         )
-        assert speedups["compiled"]["decode"] >= 2.0, (
+        # On a 2-vCPU Xeon VM the fused per-plane decoder measures ~30x and
+        # the per-pass decoder it replaced (one native call per subband
+        # pass) 5-8x, so this floor catches a return to per-pass decode.
+        assert speedups["compiled"]["decode"] >= 12.0, (
             f"compiled decode speedup {speedups['compiled']['decode']:.2f}x "
-            f"below the 2x floor"
+            f"below the 12x floor"
         )

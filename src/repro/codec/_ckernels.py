@@ -7,10 +7,11 @@ kernels are plain C99 compiled on first use with the system compiler
 :mod:`ctypes`.  Every kernel is a line-for-line port of the corresponding
 Python inner loop:
 
-* the Subbotin range coder (``BatchRangeEncoder.encode_with_probs`` /
-  ``BatchRangeDecoder.decode_sig_pass`` / ``decode_ref_pass``) with the
-  same 32-bit masking discipline — state is held in ``uint64_t`` and
-  masked exactly where the Python code masks, so the unmasked
+* the bit-plane coder, one call per plane each way: the significance /
+  sign / refinement passes of ``VectorizedPlaneCoder`` fused with the
+  Subbotin range coder of ``BatchRangeEncoder`` / ``BatchRangeDecoder``
+  and the same 32-bit masking discipline — state is held in ``uint64_t``
+  and masked exactly where the Python code masks, so the unmasked
   ``low ^ (low + range)`` renormalization test is preserved verbatim;
 * the 5/3 and 9/7 DWT lifting passes, compiled with ``-ffp-contract=off``
   (no fused multiply-add, no fast-math) so every float operation rounds
@@ -56,51 +57,15 @@ _C_SOURCE = r"""
 /* Subbotin range coder                                               */
 /* ------------------------------------------------------------------ */
 
-/* Encode one plane segment (precomputed probability schedule) from a
- * fresh coder state, including the 4-byte flush.  Returns the number of
- * bytes written, or -1 if `cap` is too small (caller retries bigger). */
-int64_t rc_encode_segment(const int64_t *bits, const int64_t *probs,
-                          int64_t n, uint8_t *out, int64_t cap) {
-    uint64_t low = 0, rng = MASK32;
-    int64_t len = 0;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t split = (rng >> 16) * (uint64_t)probs[i];
-        if (bits[i]) {
-            low = (low + split) & MASK32;
-            rng -= split;
-        } else {
-            rng = split;
-        }
-        for (;;) {
-            if ((low ^ (low + rng)) < RC_TOP) {
-                /* pass: high bytes settled, emit below */
-            } else if (rng < RC_BOTTOM) {
-                rng = (0 - low) & (RC_BOTTOM - 1);
-            } else {
-                break;
-            }
-            if (len >= cap) return -1;
-            out[len++] = (uint8_t)((low >> 24) & 0xFF);
-            low = (low << 8) & MASK32;
-            rng = (rng << 8) & MASK32;
-        }
-    }
-    for (int k = 0; k < 4; k++) {
-        if (len >= cap) return -1;
-        out[len++] = (uint8_t)((low >> 24) & 0xFF);
-        low = (low << 8) & MASK32;
-    }
-    return len;
-}
-
 /* Adaptive-decode one bit under context `ctx`.  Returns 0, or 1 when the
  * decoder ran more than 64 bytes past the end of data (BitstreamError in
  * the caller).  Context counts commit before renormalization, exactly as
  * in BatchRangeDecoder. */
-static int rc_decode_bit(const uint8_t *data, int64_t n_data, int64_t limit,
-                         int64_t *pos, uint64_t *low, uint64_t *rng,
-                         uint64_t *code, int64_t *count0, int64_t *count1,
-                         int64_t ctx, int *bit_out) {
+static inline int rc_decode_bit(const uint8_t *data, int64_t n_data,
+                                int64_t limit, int64_t *pos, uint64_t *low,
+                                uint64_t *rng, uint64_t *code,
+                                int64_t *count0, int64_t *count1,
+                                int64_t ctx, int *bit_out) {
     int64_t n0 = count0[ctx];
     int64_t n1 = count1[ctx];
     uint64_t p0 = (uint64_t)((n0 << 16) / (n0 + n1));
@@ -140,92 +105,23 @@ static int rc_decode_bit(const uint8_t *data, int64_t n_data, int64_t limit,
     return 0;
 }
 
-/* Significance pass: one adaptive bit per ctxs[i]; each 1 bit is
- * followed by an adaptive sign bit under sign_ctx.  State commits to the
- * *_io scalars only on success (the Python decoder leaves its attributes
- * untouched when it raises mid-pass).  Returns 0 ok / 1 overrun. */
-int rc_decode_sig_pass(const uint8_t *data, int64_t n_data, int64_t limit,
-                       int64_t *pos_io, uint64_t *low_io, uint64_t *rng_io,
-                       uint64_t *code_io, int64_t *count0, int64_t *count1,
-                       const int64_t *ctxs, int64_t n, int64_t sign_ctx,
-                       uint8_t *bits_out, uint8_t *signs_out,
-                       int64_t *n_signs_io) {
-    int64_t pos = *pos_io;
-    uint64_t low = *low_io, rng = *rng_io, code = *code_io;
-    int64_t n_signs = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int bit;
-        if (rc_decode_bit(data, n_data, limit, &pos, &low, &rng, &code,
-                          count0, count1, ctxs[i], &bit))
-            return 1;
-        bits_out[i] = (uint8_t)bit;
-        if (bit) {
-            int sbit;
-            if (rc_decode_bit(data, n_data, limit, &pos, &low, &rng, &code,
-                              count0, count1, sign_ctx, &sbit))
-                return 1;
-            signs_out[n_signs++] = (uint8_t)sbit;
+/* Significance context bucket of position (y, x): 0 / 1-2 / 3+ of its
+ * 8 neighbours significant at the start of the plane (bit 0 of `sig`;
+ * the decoder marks coefficients that turn significant mid-plane with
+ * bit 1, which this ignores). */
+static inline int64_t sig_bucket(const uint8_t *sig, int64_t h, int64_t w,
+                                 int64_t y, int64_t x) {
+    int nb = 0;
+    for (int64_t dy = -1; dy <= 1; dy++) {
+        int64_t yy = y + dy;
+        if (yy < 0 || yy >= h) continue;
+        for (int64_t dx = -1; dx <= 1; dx++) {
+            int64_t xx = x + dx;
+            if (xx < 0 || xx >= w || (dy == 0 && dx == 0)) continue;
+            nb += sig[yy * w + xx] & 1;
         }
     }
-    *pos_io = pos;
-    *low_io = low;
-    *rng_io = rng;
-    *code_io = code;
-    *n_signs_io = n_signs;
-    return 0;
-}
-
-/* Refinement pass: `count` bits under one context.  Counts stay in
- * locals and only commit on success, mirroring decode_ref_pass. */
-int rc_decode_ref_pass(const uint8_t *data, int64_t n_data, int64_t limit,
-                       int64_t *pos_io, uint64_t *low_io, uint64_t *rng_io,
-                       uint64_t *code_io, int64_t *count0, int64_t *count1,
-                       int64_t count, int64_t ctx, uint8_t *bits_out) {
-    int64_t pos = *pos_io;
-    uint64_t low = *low_io, rng = *rng_io, code = *code_io;
-    int64_t n0 = count0[ctx];
-    int64_t n1 = count1[ctx];
-    for (int64_t i = 0; i < count; i++) {
-        uint64_t p0 = (uint64_t)((n0 << 16) / (n0 + n1));
-        uint64_t split = (rng >> 16) * p0;
-        int bit;
-        if (((code - low) & MASK32) < split) {
-            bit = 0;
-            rng = split;
-            n0 += 1;
-        } else {
-            bit = 1;
-            low = (low + split) & MASK32;
-            rng -= split;
-            n1 += 1;
-        }
-        if (n0 + n1 >= RC_MAX_TOTAL) {
-            n0 = (n0 + 1) >> 1;
-            n1 = (n1 + 1) >> 1;
-        }
-        for (;;) {
-            if ((low ^ (low + rng)) < RC_TOP) {
-            } else if (rng < RC_BOTTOM) {
-                rng = (0 - low) & (RC_BOTTOM - 1);
-            } else {
-                break;
-            }
-            uint64_t byte = (pos < n_data) ? data[pos] : 0;
-            pos += 1;
-            if (pos > limit) return 1;
-            code = ((code << 8) | byte) & MASK32;
-            low = (low << 8) & MASK32;
-            rng = (rng << 8) & MASK32;
-        }
-        bits_out[i] = (uint8_t)bit;
-    }
-    count0[ctx] = n0;
-    count1[ctx] = n1;
-    *pos_io = pos;
-    *low_io = low;
-    *rng_io = rng;
-    *code_io = code;
-    return 0;
+    return nb >= 3 ? 2 : (nb >= 1 ? 1 : 0);
 }
 
 /* One whole plane, fused: walk every band's significance and refinement
@@ -233,9 +129,8 @@ int rc_decode_ref_pass(const uint8_t *data, int64_t n_data, int64_t limit,
  * feed each decision straight through the adaptive model + range coder.
  * Bands are coded in order against one shared context table; each band's
  * significance state updates after its two passes, before the next
- * band's.  Fresh coder state + 4-byte flush per call, like
- * rc_encode_segment.  Returns bytes written, or -1 when `cap` is too
- * small (caller retries bigger). */
+ * band's.  Fresh coder state + 4-byte flush per call.  Returns bytes
+ * written, or -1 when `cap` is too small. */
 int64_t rc_encode_plane(const int64_t *mag_ptrs, const int64_t *sign_ptrs,
                         const int64_t *sig_ptrs, const int64_t *heights,
                         const int64_t *widths, const int64_t *bases,
@@ -246,7 +141,7 @@ int64_t rc_encode_plane(const int64_t *mag_ptrs, const int64_t *sign_ptrs,
     int64_t len = 0;
 
 /* Adaptive-encode one bit: model probability, count update + halving,
- * then the Subbotin renormalization (same loop as rc_encode_segment). */
+ * then the Subbotin renormalization. */
 #define RC_PUT_BIT(bit_v, ctx_v)                                          \
     do {                                                                  \
         int64_t ctx_ = (ctx_v);                                           \
@@ -296,20 +191,8 @@ int64_t rc_encode_plane(const int64_t *mag_ptrs, const int64_t *sign_ptrs,
             for (int64_t x = 0; x < w; x++) {
                 int64_t i = y * w + x;
                 if (sig[i]) continue;
-                int nb = 0;
-                for (int64_t dy = -1; dy <= 1; dy++) {
-                    int64_t yy = y + dy;
-                    if (yy < 0 || yy >= h) continue;
-                    for (int64_t dx = -1; dx <= 1; dx++) {
-                        int64_t xx = x + dx;
-                        if (xx < 0 || xx >= w || (dy == 0 && dx == 0))
-                            continue;
-                        nb += sig[yy * w + xx];
-                    }
-                }
-                int64_t ctx = base + (nb >= 3 ? 2 : (nb >= 1 ? 1 : 0));
                 int bit = (int)((mag[i] >> plane) & 1);
-                RC_PUT_BIT(bit, ctx);
+                RC_PUT_BIT(bit, base + sig_bucket(sig, h, w, y, x));
                 if (bit)
                     RC_PUT_BIT(sgn[i], sign_ctx);
             }
@@ -331,6 +214,73 @@ int64_t rc_encode_plane(const int64_t *mag_ptrs, const int64_t *sign_ptrs,
         low = (low << 8) & MASK32;
     }
     return len;
+}
+
+/* Decode one whole plane segment, the mirror of rc_encode_plane: prime a
+ * fresh decoder (four bytes, zero-filled past the end, like
+ * BatchRangeDecoder), then per band in order against the shared context
+ * table run the significance pass with its sign bits, the refinement
+ * pass, and the significance update.  Contexts and the refinement set
+ * come from the start-of-plane state, so a coefficient that turns
+ * significant mid-pass is marked 2 in `sig` (bit 0 clear) and becomes 1
+ * only in the update.  Returns 0, or 1 when the decoder ran more than 64
+ * bytes past the end of data (BitstreamError in the caller). */
+int rc_decode_plane(const uint8_t *data, int64_t n_data,
+                    const int64_t *mag_ptrs, const int64_t *sign_ptrs,
+                    const int64_t *sig_ptrs, const int64_t *heights,
+                    const int64_t *widths, const int64_t *bases,
+                    int64_t n_bands, int64_t plane,
+                    int64_t *count0, int64_t *count1) {
+    int64_t limit = n_data + 64;
+    int64_t pos = 0;
+    uint64_t low = 0, rng = MASK32, code = 0;
+    for (int k = 0; k < 4; k++, pos++)
+        code = ((code << 8) | (pos < n_data ? data[pos] : 0)) & MASK32;
+    int64_t plane_value = (int64_t)1 << plane;
+#define RC_GET_BIT(bit_out, ctx_v)                                        \
+    do {                                                                  \
+        if (rc_decode_bit(data, n_data, limit, &pos, &low, &rng, &code,   \
+                          count0, count1, (ctx_v), &(bit_out)))           \
+            return 1;                                                     \
+    } while (0)
+
+    for (int64_t b = 0; b < n_bands; b++) {
+        int64_t *mag = (int64_t *)(uintptr_t)mag_ptrs[b];
+        uint8_t *sgn = (uint8_t *)(uintptr_t)sign_ptrs[b];
+        uint8_t *sig = (uint8_t *)(uintptr_t)sig_ptrs[b];
+        int64_t h = heights[b], w = widths[b];
+        int64_t base = bases[b];
+        int64_t sign_ctx = base + 3; /* _SIGN_OFFSET */
+        int64_t ref_ctx = base + 4;  /* _REF_OFFSET */
+        for (int64_t y = 0; y < h; y++) {
+            for (int64_t x = 0; x < w; x++) {
+                int64_t i = y * w + x;
+                if (sig[i]) continue;
+                int bit, sbit;
+                RC_GET_BIT(bit, base + sig_bucket(sig, h, w, y, x));
+                if (bit) {
+                    RC_GET_BIT(sbit, sign_ctx);
+                    mag[i] += plane_value;
+                    sgn[i] = (uint8_t)sbit;
+                    sig[i] = 2;
+                }
+            }
+        }
+        /* Refinement over the start-of-plane significant set; the update
+         * of mid-plane arrivals rides along (it only touches positions
+         * this loop has already passed). */
+        for (int64_t i = 0; i < h * w; i++) {
+            if (sig[i] == 1) {
+                int bit;
+                RC_GET_BIT(bit, ref_ctx);
+                if (bit) mag[i] += plane_value;
+            } else if (sig[i] == 2) {
+                sig[i] = 1;
+            }
+        }
+    }
+#undef RC_GET_BIT
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -642,9 +592,6 @@ _cached: "CompiledKernels | None" = None
 _cached_reason: str | None = None
 _probed = False
 
-_i64p = ctypes.POINTER(ctypes.c_int64)
-_u64p = ctypes.POINTER(ctypes.c_uint64)
-
 
 def _find_compiler() -> str | None:
     """The compiler to use, or None when the toolchain is unavailable."""
@@ -708,10 +655,8 @@ class CompiledKernels:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
-        lib.rc_encode_segment.restype = ctypes.c_int64
         lib.rc_encode_plane.restype = ctypes.c_int64
-        lib.rc_decode_sig_pass.restype = ctypes.c_int
-        lib.rc_decode_ref_pass.restype = ctypes.c_int
+        lib.rc_decode_plane.restype = ctypes.c_int
         for name in (
             "dwt97_analysis",
             "dwt97_synthesis",
@@ -727,23 +672,6 @@ class CompiledKernels:
             getattr(lib, name).restype = None
 
     # -- range coder ---------------------------------------------------
-    def encode_segment(self, bits: np.ndarray, probs: np.ndarray) -> bytes:
-        """Encode one plane segment (fresh state + flush) and return it."""
-        n = int(bits.size)
-        cap = 4 * n + 64
-        while True:
-            out = np.empty(cap, dtype=np.uint8)
-            written = self._lib.rc_encode_segment(
-                ctypes.c_void_p(bits.ctypes.data),
-                ctypes.c_void_p(probs.ctypes.data),
-                ctypes.c_int64(n),
-                ctypes.c_void_p(out.ctypes.data),
-                ctypes.c_int64(cap),
-            )
-            if written >= 0:
-                return out[:written].tobytes()
-            cap *= 2
-
     def encode_plane(
         self,
         mag_ptrs: np.ndarray,
@@ -765,12 +693,12 @@ class CompiledKernels:
         shared ``count0``/``count1`` context table update in place,
         exactly as the per-decision reference coder would.
 
-        Unlike :meth:`encode_segment`, the call mutates coder state, so
-        it cannot be retried with a bigger buffer — the cap is a hard
-        bound instead: the range coder emits at most 2 bytes per decision
-        (each decision shrinks the range by at least 2^-16, each output
-        byte grows it by 2^8) and a plane codes at most 2 decisions per
-        coefficient (significance + sign, or refinement).
+        The call mutates coder state, so it cannot be retried with a
+        bigger buffer — the cap is a hard bound instead: the range coder
+        emits at most 2 bytes per decision (each decision shrinks the
+        range by at least 2^-16, each output byte grows it by 2^8) and a
+        plane codes at most 2 decisions per coefficient (significance +
+        sign, or refinement).
         """
         cap = 4 * total_size + 64
         out = np.empty(cap, dtype=np.uint8)
@@ -792,71 +720,44 @@ class CompiledKernels:
             raise RuntimeError("rc_encode_plane output exceeded hard bound")
         return out[:written].tobytes()
 
-    def decode_sig_pass(
+    def decode_plane(
         self,
-        data: np.ndarray,
-        limit: int,
-        state: np.ndarray,
+        data: bytes,
+        mag_ptrs: np.ndarray,
+        sign_ptrs: np.ndarray,
+        sig_ptrs: np.ndarray,
+        heights: np.ndarray,
+        widths: np.ndarray,
+        bases: np.ndarray,
+        plane: int,
         count0: np.ndarray,
         count1: np.ndarray,
-        ctxs: np.ndarray,
-        sign_ctx: int,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """One significance+sign pass; None signals overrun (BitstreamError)."""
-        n = int(ctxs.size)
-        bits = np.empty(n, dtype=np.uint8)
-        signs = np.empty(n, dtype=np.uint8)
-        n_signs = ctypes.c_int64(0)
-        status = self._lib.rc_decode_sig_pass(
-            ctypes.c_void_p(data.ctypes.data),
-            ctypes.c_int64(data.size),
-            ctypes.c_int64(limit),
-            state[:1].ctypes.data_as(_i64p),
-            state[1:2].ctypes.data_as(_u64p),
-            state[2:3].ctypes.data_as(_u64p),
-            state[3:4].ctypes.data_as(_u64p),
-            ctypes.c_void_p(count0.ctypes.data),
-            ctypes.c_void_p(count1.ctypes.data),
-            ctypes.c_void_p(ctxs.ctypes.data),
-            ctypes.c_int64(n),
-            ctypes.c_int64(sign_ctx),
-            ctypes.c_void_p(bits.ctypes.data),
-            ctypes.c_void_p(signs.ctypes.data),
-            ctypes.byref(n_signs),
-        )
-        if status:
-            return None
-        return bits, signs[: n_signs.value]
+    ) -> bool:
+        """Fused decode of one whole plane segment across all bands.
 
-    def decode_ref_pass(
-        self,
-        data: np.ndarray,
-        limit: int,
-        state: np.ndarray,
-        count0: np.ndarray,
-        count1: np.ndarray,
-        count: int,
-        ctx: int,
-    ) -> np.ndarray | None:
-        """`count` refinement bits under one context; None on overrun."""
-        bits = np.empty(count, dtype=np.uint8)
-        status = self._lib.rc_decode_ref_pass(
-            ctypes.c_void_p(data.ctypes.data),
-            ctypes.c_int64(data.size),
-            ctypes.c_int64(limit),
-            state[:1].ctypes.data_as(_i64p),
-            state[1:2].ctypes.data_as(_u64p),
-            state[2:3].ctypes.data_as(_u64p),
-            state[3:4].ctypes.data_as(_u64p),
+        The mirror of :meth:`encode_plane` over the same pointer/shape
+        arrays (int64 magnitudes, uint8 signs and significance maps, all
+        zeroed before the first plane): the decoded bits land in those
+        arrays and the shared ``count0``/``count1`` table in place.
+        Returns False when the decoder ran more than 64 bytes past the
+        end of ``data`` (a malformed stream).
+        """
+        buf = np.frombuffer(data, dtype=np.uint8)
+        status = self._lib.rc_decode_plane(
+            ctypes.c_void_p(buf.ctypes.data),
+            ctypes.c_int64(buf.size),
+            ctypes.c_void_p(mag_ptrs.ctypes.data),
+            ctypes.c_void_p(sign_ptrs.ctypes.data),
+            ctypes.c_void_p(sig_ptrs.ctypes.data),
+            ctypes.c_void_p(heights.ctypes.data),
+            ctypes.c_void_p(widths.ctypes.data),
+            ctypes.c_void_p(bases.ctypes.data),
+            ctypes.c_int64(mag_ptrs.size),
+            ctypes.c_int64(plane),
             ctypes.c_void_p(count0.ctypes.data),
             ctypes.c_void_p(count1.ctypes.data),
-            ctypes.c_int64(count),
-            ctypes.c_int64(ctx),
-            ctypes.c_void_p(bits.ctypes.data),
         )
-        if status:
-            return None
-        return bits
+        return status == 0
 
     # -- DWT lifting ---------------------------------------------------
     def dwt97_analysis(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

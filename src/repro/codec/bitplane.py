@@ -63,6 +63,23 @@ def check_bands(
             )
 
 
+def check_segment_plane(plane: int, expected: int) -> None:
+    """Validate one decoded segment's plane against the descending order.
+
+    Shared by every plane coder's ``decode``.
+
+    Raises:
+        BitstreamError: When ``plane`` is not ``expected`` or lies below
+            plane 0 (more segments than ``max_plane + 1``).
+    """
+    if plane < 0:
+        raise BitstreamError(f"plane segment below plane 0: got {plane}")
+    if plane != expected:
+        raise BitstreamError(
+            f"plane segments out of order: expected {expected}, got {plane}"
+        )
+
+
 def _neighbor_count(significant: np.ndarray) -> np.ndarray:
     """Number of significant 8-neighbours for every position."""
     height, width = significant.shape
@@ -200,11 +217,7 @@ class SubbandPlaneCoder:
         ]
         expected_plane = max_plane
         for segment in segments:
-            if segment.plane != expected_plane:
-                raise BitstreamError(
-                    f"plane segments out of order: expected {expected_plane}, "
-                    f"got {segment.plane}"
-                )
+            check_segment_plane(segment.plane, expected_plane)
             decoder = ArithmeticDecoder(segment.data, contexts)
             for idx, (name, level, _) in enumerate(self.band_shapes):
                 self._decode_band_plane(

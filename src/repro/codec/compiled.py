@@ -1,15 +1,16 @@
 """Compiled plane coder: native C kernels, byte-identical bitstreams.
 
-:class:`CompiledPlaneCoder` is the ``compiled`` registry backend.  The
-encode side runs entirely in one native call per plane — significance /
-refinement pass assembly, the adaptive context model, and the Subbotin
-range coder fused in C (:mod:`repro.codec._ckernels`).  The decode side
-reuses the vectorized coder's numpy context preparation and drives the
-native per-pass decoders (later contexts depend on decoded bits, so
-decode cannot fuse whole planes).  The kernels are exact ports, so the
-output is byte-identical to both the reference and vectorized coders at
-every truncation point; the differential, golden, and corruption
-harnesses enforce this for all registered backends.
+:class:`CompiledPlaneCoder` is the ``compiled`` registry backend.  Both
+directions run one native call per plane (:mod:`repro.codec._ckernels`).
+Encode fuses significance / refinement pass assembly, the adaptive
+context model, and the Subbotin range coder.  Decode is its mirror: the
+kernel primes a fresh range decoder and walks every band's passes,
+taking each significance context from the start-of-plane state in C, so
+no per-pass context preparation or marshalling happens in Python.  The
+kernels are exact ports, so the output is byte-identical to both the
+reference and vectorized coders at every truncation point; the
+differential, golden, and corruption harnesses enforce this for all
+registered backends.
 
 Construction requires the kernels: the registry's availability probe
 keeps this class from being instantiated on machines without a C
@@ -21,19 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codec import _ckernels
-from repro.codec.bitplane import PlaneSegment
-from repro.codec.fastpath import (
-    _EMPTY_I64,
-    _REF_OFFSET,
-    _SIGN_OFFSET,
-    VectorizedPlaneCoder,
-    _neighbor_count,
-    _significance_context,
-    check_bands,
-)
+from repro.codec.bitplane import PlaneSegment, check_bands, check_segment_plane
+from repro.codec.fastpath import VectorizedPlaneCoder
 from repro.errors import BitstreamError
-
-_MASK32 = 0xFFFFFFFF
 
 _OVERRUN_MSG = "arithmetic decoder ran far past end of data"
 
@@ -54,6 +45,26 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
             )
         self._kernels = kernels
 
+    def _plane_args(
+        self,
+        magnitudes: list[np.ndarray],
+        signs: list[np.ndarray],
+        significant: list[np.ndarray],
+    ) -> tuple[np.ndarray, ...]:
+        """Per-band pointer and shape arrays the plane kernels walk.
+
+        Built once per encode or decode; every array must be contiguous
+        and stay alive for the whole call.
+        """
+        ptrs = [
+            np.array([a.ctypes.data for a in arrays], dtype=np.int64)
+            for arrays in (magnitudes, signs, significant)
+        ]
+        heights = np.array([m.shape[0] for m in magnitudes], dtype=np.int64)
+        widths = np.array([m.shape[1] for m in magnitudes], dtype=np.int64)
+        bases = np.asarray(self._bases, dtype=np.int64)
+        return (*ptrs, heights, widths, bases)
+
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
@@ -67,7 +78,6 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
         is ever materialized on the Python side.
         """
         check_bands(self.band_shapes, bands)
-        kernels = self._kernels
         magnitudes = [
             np.ascontiguousarray(np.abs(band).astype(np.int64))
             for band in bands
@@ -76,27 +86,12 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
         significant = [np.zeros(band.shape, dtype=np.uint8) for band in bands]
         count0 = np.ones(self._n_contexts, dtype=np.int64)
         count1 = np.ones(self._n_contexts, dtype=np.int64)
-        as_ptrs = lambda arrays: np.fromiter(  # noqa: E731
-            (a.ctypes.data for a in arrays),
-            dtype=np.int64,
-            count=len(arrays),
-        )
-        mag_ptrs = as_ptrs(magnitudes)
-        sign_ptrs = as_ptrs(signs)
-        sig_ptrs = as_ptrs(significant)
-        heights = np.fromiter(
-            (m.shape[0] for m in magnitudes), dtype=np.int64, count=len(bands)
-        )
-        widths = np.fromiter(
-            (m.shape[1] for m in magnitudes), dtype=np.int64, count=len(bands)
-        )
-        bases = np.asarray(self._bases, dtype=np.int64)
+        args = self._plane_args(magnitudes, signs, significant)
         total_size = int(sum(m.size for m in magnitudes))
         segments: list[PlaneSegment] = []
         for plane in range(max_plane, -1, -1):
-            data = kernels.encode_plane(
-                mag_ptrs, sign_ptrs, sig_ptrs, heights, widths, bases,
-                plane, count0, count1, total_size,
+            data = self._kernels.encode_plane(
+                *args, plane, count0, count1, total_size
             )
             segments.append(PlaneSegment(plane=plane, data=data))
         return segments
@@ -107,115 +102,25 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
     def decode(
         self, segments: list[PlaneSegment], max_plane: int
     ) -> list[np.ndarray]:
-        """Decode a (possibly truncated) prefix of planes (see reference)."""
+        """Decode a (possibly truncated) prefix of planes (see reference).
+
+        One native call per segment decodes the whole plane, every band.
+        """
+        shapes = [shape for _, _, shape in self.band_shapes]
+        magnitudes = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+        signs = [np.zeros(shape, dtype=bool) for shape in shapes]
+        significant = [np.zeros(shape, dtype=np.uint8) for shape in shapes]
         count0 = np.ones(self._n_contexts, dtype=np.int64)
         count1 = np.ones(self._n_contexts, dtype=np.int64)
-        magnitudes = [
-            np.zeros(shape, dtype=np.int64) for _, _, shape in self.band_shapes
-        ]
-        signs = [
-            np.zeros(shape, dtype=bool) for _, _, shape in self.band_shapes
-        ]
-        significant = [
-            np.zeros(shape, dtype=bool) for _, _, shape in self.band_shapes
-        ]
+        args = self._plane_args(magnitudes, signs, significant)
         expected_plane = max_plane
         for segment in segments:
-            if segment.plane != expected_plane:
-                raise BitstreamError(
-                    f"plane segments out of order: expected {expected_plane}, "
-                    f"got {segment.plane}"
-                )
-            data = np.frombuffer(segment.data, dtype=np.uint8)
-            state = _init_decoder_state(segment.data)
-            limit = len(segment.data) + 64
-            for idx in range(len(self.band_shapes)):
-                self._decode_band_plane_native(
-                    data,
-                    limit,
-                    state,
-                    count0,
-                    count1,
-                    self._bases[idx],
-                    magnitudes[idx],
-                    signs[idx],
-                    significant[idx],
-                    segment.plane,
-                )
+            check_segment_plane(segment.plane, expected_plane)
+            if not self._kernels.decode_plane(
+                segment.data, *args, segment.plane, count0, count1
+            ):
+                raise BitstreamError(_OVERRUN_MSG)
             expected_plane -= 1
-        out = []
         for magnitude, sign in zip(magnitudes, signs):
-            values = magnitude.copy()
-            values[sign] = -values[sign]
-            out.append(values)
-        return out
-
-    def _decode_band_plane_native(
-        self,
-        data: np.ndarray,
-        limit: int,
-        state: np.ndarray,
-        count0: np.ndarray,
-        count1: np.ndarray,
-        base: int,
-        magnitude: np.ndarray,
-        sign: np.ndarray,
-        significant: np.ndarray,
-        plane: int,
-    ) -> None:
-        if magnitude.size == 0:
-            return
-        sig_flat = significant.ravel()
-        mag_flat = magnitude.ravel()
-        sign_flat = sign.ravel()
-        if significant.any():
-            neighbors = _neighbor_count(significant)
-            sig_ctx = _significance_context(neighbors, "")
-            insig_idx = np.flatnonzero(~sig_flat)
-            prev_idx = np.flatnonzero(sig_flat)
-            ctxs = np.ascontiguousarray(
-                sig_ctx.ravel()[insig_idx].astype(np.int64) + base
-            )
-        else:
-            insig_idx = np.arange(magnitude.size, dtype=np.int64)
-            prev_idx = _EMPTY_I64
-            ctxs = np.full(magnitude.size, base, dtype=np.int64)
-        plane_value = np.int64(1) << plane
-        result = self._kernels.decode_sig_pass(
-            data, limit, state, count0, count1, ctxs, base + _SIGN_OFFSET
-        )
-        if result is None:
-            raise BitstreamError(_OVERRUN_MSG)
-        bits, sbits = result
-        newly = insig_idx[bits.astype(bool)]
-        mag_flat[newly] += plane_value
-        sig_flat[newly] = True
-        sign_flat[newly] = sbits.astype(bool)
-        ref_bits = self._kernels.decode_ref_pass(
-            data, limit, state, count0, count1, prev_idx.size, base + _REF_OFFSET
-        )
-        if ref_bits is None:
-            raise BitstreamError(_OVERRUN_MSG)
-        mag_flat[prev_idx[ref_bits.astype(bool)]] += plane_value
-
-
-def _init_decoder_state(data: bytes) -> np.ndarray:
-    """Range-decoder state vector: [pos, low, range, code].
-
-    ``pos`` is a signed int64; ``low``/``range``/``code`` are written
-    through a uint64 view.  Priming reads four bytes (zero-filled past
-    the end), exactly like ``BatchRangeDecoder.__init__``.
-    """
-    state = np.zeros(4, dtype=np.int64)
-    unsigned = state.view(np.uint64)
-    code = 0
-    pos = 0
-    for _ in range(4):
-        byte = data[pos] if pos < len(data) else 0
-        pos += 1
-        code = ((code << 8) | byte) & _MASK32
-    state[0] = pos
-    unsigned[1] = 0
-    unsigned[2] = _MASK32
-    unsigned[3] = code
-    return state
+            np.negative(magnitude, out=magnitude, where=sign)
+        return magnitudes

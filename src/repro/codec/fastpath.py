@@ -38,6 +38,7 @@ from repro.codec.bitplane import (
     _neighbor_count,
     _significance_context,
     check_bands,
+    check_segment_plane,
 )
 from repro.errors import BitstreamError
 
@@ -561,11 +562,7 @@ class VectorizedPlaneCoder:
         ]
         expected_plane = max_plane
         for segment in segments:
-            if segment.plane != expected_plane:
-                raise BitstreamError(
-                    f"plane segments out of order: expected {expected_plane}, "
-                    f"got {segment.plane}"
-                )
+            check_segment_plane(segment.plane, expected_plane)
             decoder = BatchRangeDecoder(segment.data, table)
             for idx in range(len(self.band_shapes)):
                 self._decode_band_plane(

@@ -124,6 +124,17 @@ class TestBitReaderEntryPoint:
                 pass
 
 
+def _decode_outcome(parsed: EncodedImage, backend: str):
+    """``("ok", reconstruction)`` or ``("error", message)`` for one engine."""
+    codec = ImageCodec(
+        CodecConfig(tile_size=32, base_step=1 / 128), backend=backend
+    )
+    try:
+        return ("ok", codec.decode(parsed))
+    except BitstreamError as exc:
+        return ("error", str(exc))
+
+
 @pytest.fixture(scope="module")
 def valid_container() -> bytes:
     image = fractal_noise((64, 64), seed=31337, octaves=4, base_cells=4)
@@ -180,23 +191,27 @@ class TestContainerEntryPoint:
             EncodedImage.from_bytes(valid_container[: len(valid_container) - 1])
 
     def test_corrupt_plane_segments_decode_or_raise(self, valid_container):
-        """Garbage segment payloads stay inside the BitstreamError contract."""
-        parsed = EncodedImage.from_bytes(valid_container)
-        rng = np.random.default_rng(17)
-        for tile in parsed.tiles:
-            for segment in tile.segments:
-                segment.data = bytes(
-                    rng.integers(0, 256, len(segment.data), dtype=np.uint8)
-                )
-        for backend in BACKENDS:
-            codec = ImageCodec(
-                CodecConfig(tile_size=32, base_step=1 / 128), backend=backend
-            )
-            try:
-                out = codec.decode(parsed)
-                assert np.all(np.isfinite(out))
-            except BitstreamError:
-                pass
+        """Garbage segment payloads decode or raise exactly as the reference
+        does under every engine: the same reconstruction, or the same
+        BitstreamError."""
+        for seed in (17, 18, 19):
+            parsed = EncodedImage.from_bytes(valid_container)
+            rng = np.random.default_rng(seed)
+            for tile in parsed.tiles:
+                for segment in tile.segments:
+                    segment.data = bytes(
+                        rng.integers(0, 256, len(segment.data), dtype=np.uint8)
+                    )
+            kind_ref, value_ref = _decode_outcome(parsed, "reference")
+            if kind_ref == "ok":
+                assert np.all(np.isfinite(value_ref))
+            for backend in BACKENDS:
+                kind, value = _decode_outcome(parsed, backend)
+                assert kind == kind_ref, (seed, backend)
+                if kind == "ok":
+                    assert np.array_equal(value, value_ref), (seed, backend)
+                else:
+                    assert value == value_ref, (seed, backend)
 
 
 class TestTruncationOverrunParity:
@@ -216,15 +231,6 @@ class TestTruncationOverrunParity:
                 segment.data = segment.data[: keep(len(segment.data))]
         return parsed
 
-    def _outcome(self, parsed: EncodedImage, backend: str):
-        codec = ImageCodec(
-            CodecConfig(tile_size=32, base_step=1 / 128), backend=backend
-        )
-        try:
-            return ("ok", codec.decode(parsed))
-        except BitstreamError as exc:
-            return ("error", str(exc))
-
     @pytest.mark.parametrize(
         "backend", [b for b in BACKENDS if b != "reference"]
     )
@@ -241,8 +247,8 @@ class TestTruncationOverrunParity:
         self, valid_container, backend, keep
     ):
         parsed = self._truncate_segments(valid_container, keep)
-        kind_ref, value_ref = self._outcome(parsed, "reference")
-        kind, value = self._outcome(parsed, backend)
+        kind_ref, value_ref = _decode_outcome(parsed, "reference")
+        kind, value = _decode_outcome(parsed, backend)
         assert kind == kind_ref
         if kind == "ok":
             assert np.array_equal(value, value_ref)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.bitplane import SubbandPlaneCoder
+from repro.codec.bitplane import PlaneSegment, SubbandPlaneCoder
 from repro.codec.fastpath import (
     BatchContextTable,
     BatchRangeEncoder,
@@ -40,9 +40,15 @@ def coder_pair(shapes):
     return SubbandPlaneCoder(spec), VectorizedPlaneCoder(spec)
 
 
-def all_coders(shapes):
-    """One plane coder per available backend, reference first."""
-    spec = [(f"b{i}", 1, shape) for i, shape in enumerate(shapes)]
+def all_coders(shapes, labels=None):
+    """One plane coder per available backend, reference first.
+
+    ``labels`` names the subbands (default ``b0, b1, ...``); repeated
+    labels share adaptive contexts.
+    """
+    if labels is None:
+        labels = [f"b{i}" for i in range(len(shapes))]
+    spec = [(label, 1, shape) for label, shape in zip(labels, shapes)]
     return {name: registry.get(name).coder_factory(spec) for name in BACKENDS}
 
 
@@ -51,10 +57,10 @@ def top_plane(bands):
     return max(peak.bit_length() - 1, 0)
 
 
-def assert_bitstreams_identical(bands, max_plane=None):
+def assert_bitstreams_identical(bands, max_plane=None, labels=None):
     """Assert byte-identical segments + identical decodes at every prefix,
     for every registered backend against the reference coder."""
-    coders = all_coders([b.shape for b in bands])
+    coders = all_coders([b.shape for b in bands], labels)
     top = top_plane(bands) if max_plane is None else max_plane
     ref = coders["reference"]
     seg_ref = ref.encode(bands, top)
@@ -134,17 +140,13 @@ class TestPlaneCoderDifferential:
 
     def test_duplicate_band_labels_share_contexts(self, rng):
         """Reference keys contexts by label; duplicates must share state."""
-        spec = [("same", 1, (8, 8)), ("same", 1, (8, 8))]
-        ref = SubbandPlaneCoder(spec)
-        fast = VectorizedPlaneCoder(spec)
         bands = [rng.integers(-99, 99, (8, 8)) for _ in range(2)]
-        top = top_plane(bands)
-        seg_ref = ref.encode(bands, top)
-        seg_fast = fast.encode(bands, top)
-        for a, b in zip(seg_ref, seg_fast):
-            assert a.data == b.data
-        for r, f in zip(ref.decode(seg_ref, top), fast.decode(seg_fast, top)):
-            assert np.array_equal(r, f)
+        shared = assert_bitstreams_identical(bands, labels=["same", "same"])
+        # Sharing must change the stream, or this test pins nothing.
+        distinct = SubbandPlaneCoder(
+            [("a", 1, (8, 8)), ("b", 1, (8, 8))]
+        ).encode(bands, top_plane(bands))
+        assert [s.data for s in shared] != [s.data for s in distinct]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -174,6 +176,18 @@ class TestPlaneCoderDifferential:
         segments = fast.encode([band], 3)
         with pytest.raises(BitstreamError):
             fast.decode(list(reversed(segments)), 3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_segment_below_plane_zero_rejected(self, rng, backend):
+        """A segment past plane 0 is malformed under every engine."""
+        band = rng.integers(-8, 8, (4, 4))
+        coder = all_coders([(4, 4)])[backend]
+        segments = coder.encode([band], 0)
+        extra = PlaneSegment(plane=-1, data=segments[0].data)
+        with pytest.raises(BitstreamError, match="below plane 0"):
+            coder.decode([*segments, extra], 0)
+        with pytest.raises(BitstreamError, match="below plane 0"):
+            coder.decode([extra], -1)
 
     def test_band_mismatch_rejected(self, rng):
         _, fast = coder_pair([(4, 4)])
