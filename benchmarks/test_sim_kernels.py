@@ -1,11 +1,12 @@
 """Simulation fast-path kernel and end-to-end benchmarks.
 
 Companion to ``test_codec_kernels.py``: where that file times the entropy
-coder backends, this one times the *simulation* fast path added on top —
+coder backends, this one times the production *simulation* path —
 vectorized DWT lifting, the batched tile pipeline in the rate model, and
-the warm-state scenario caches — against the retained reference
-implementations, on the paper's Figure-13 timeseries scenario (3 policies
-over one location's schedule).
+the warm-state scenario caches — against the reference implementations
+(``tests/sim_oracle.py``, run through ``reference_path()``), on the
+paper's Figure-13 timeseries scenario (3 policies over one location's
+schedule).
 
 Besides recording timings it is a regression gate twice over:
 
@@ -29,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 from conftest import RESULTS_DIR, run_once
+from sim_oracle import reference_path
 
-from repro import perf
 from repro.analysis.scenarios import ScenarioSpec, run_scenario
 from repro.analysis.tables import format_table
 from repro.codec.dwt import Wavelet, dwt_many, forward_dwt2d, inverse_dwt2d
@@ -115,13 +116,12 @@ def _dwt_timings(rng) -> dict[str, float]:
     def roundtrip():
         inverse_dwt2d(forward_dwt2d(tile, 3, Wavelet.CDF97))
 
-    with perf.fastpath_disabled():
+    with reference_path():
         reference = _timed(roundtrip, repeats=20)
-    with perf.fastpath_enabled():
-        vectorized = _timed(roundtrip, repeats=20)
-        batched = _timed(
-            lambda: dwt_many(stack, 3, Wavelet.CDF97), repeats=20
-        ) / stack.shape[0]
+    vectorized = _timed(roundtrip, repeats=20)
+    batched = _timed(
+        lambda: dwt_many(stack, 3, Wavelet.CDF97), repeats=20
+    ) / stack.shape[0]
     return {
         "dwt_reference": reference,
         "dwt_vectorized": vectorized,
@@ -138,10 +138,9 @@ def _ratemodel_timings(rng) -> dict[str, float]:
             image, 4000, tolerance=0.08, max_iterations=14
         )
 
-    with perf.fastpath_disabled():
+    with reference_path():
         reference = _timed(search)
-    with perf.fastpath_enabled():
-        fast = _timed(search)
+    fast = _timed(search)
     return {"ratemodel_reference": reference, "ratemodel_fast": fast}
 
 
@@ -172,7 +171,7 @@ def test_sim_fastpath_end_to_end(benchmark, emit, emit_json, bench_scale):
         fast_seconds = math.inf
         reference_results = fast_results = None
         for _ in range(3):
-            with perf.fastpath_disabled():
+            with reference_path():
                 start = time.perf_counter()
                 reference_results = [
                     _snapshot(run_scenario(s)) for s in specs
@@ -181,12 +180,9 @@ def test_sim_fastpath_end_to_end(benchmark, emit, emit_json, bench_scale):
                     reference_seconds, time.perf_counter() - start
                 )
             _clear_warm_state(dataset)
-            with perf.fastpath_enabled():
-                start = time.perf_counter()
-                fast_results = [_snapshot(run_scenario(s)) for s in specs]
-                fast_seconds = min(
-                    fast_seconds, time.perf_counter() - start
-                )
+            start = time.perf_counter()
+            fast_results = [_snapshot(run_scenario(s)) for s in specs]
+            fast_seconds = min(fast_seconds, time.perf_counter() - start)
         rng = np.random.default_rng(0x51F)
         kernels = {**_dwt_timings(rng), **_ratemodel_timings(rng)}
         return (

@@ -20,9 +20,8 @@ specs sequentially.
 Warm state rides on that determinism: because :meth:`DatasetSpec.build`
 memoizes per process, every scenario of a sweep that names the same spec
 shares one set of ``EarthModel``/``CloudModel``/sensor objects — and with
-them the fast path's capture/surface caches and the schedule's memoized
-visit ordering (see :mod:`repro.perf` and docs/architecture.md,
-"Simulation fast path").  The first run of a sweep pays full imagery
+them the warm-state capture/surface caches and the schedule's memoized
+visit ordering (see docs/architecture.md, "Simulation fast path").  The first run of a sweep pays full imagery
 synthesis; subsequent policies/seeds over the same dataset re-observe
 cached captures.  The caches never change results (differential-tested);
 they only remove redundant recomputation.

@@ -12,22 +12,17 @@ Coefficients are organized pywt-style: ``[LL_n, (HL_n, LH_n, HH_n), ...,
 (HL_1, LH_1, HH_1)]`` coarsest-first.  Perfect reconstruction for every
 shape/level combination is property-tested.
 
-Two implementations of the 1-D lifting steps coexist:
+The 1-D lifting does whole-array predict/update steps with precomputed
+symmetric-extension index vectors — no Python loop touches a sample — and
+runs on the compiled kernels when a toolchain is available (see
+:mod:`repro.codec.registry`).  The original per-sample loops are the
+differential-test oracle in ``tests/sim_oracle.py``; the two agree
+bit-exactly for 5/3 and float-identically for 9/7.
 
-* the **vectorized** lifting (default) does whole-array predict/update
-  steps with precomputed symmetric-extension index vectors — no Python
-  loop touches a sample;
-* the **reference** lifting retains the original per-sample loops and is
-  kept as the differential-test oracle (``tests/codec/test_dwt.py`` pins
-  the two bit-exact against each other for 5/3 and float-identical for
-  9/7).
-
-:func:`simulation_fastpath <repro.perf.simulation_fastpath>` selects
-between them at call time.  :func:`dwt_many`/:func:`idwt_many` batch the
-transform over a stack of same-shape images (all bands/tiles of a capture
-in one call): the lifting kernels operate along one axis with arbitrary
-trailing dimensions, so the batched transform is float-identical to
-transforming each image alone.
+:func:`dwt_many`/:func:`idwt_many` batch the transform over a stack of
+same-shape images (all bands/tiles of a capture in one call): the lifting
+kernels operate along one axis with arbitrary trailing dimensions, so the
+batched transform is float-identical to transforming each image alone.
 """
 
 from __future__ import annotations
@@ -162,77 +157,7 @@ def _update_neighbor_indices(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# LeGall 5/3 — reference (per-sample loops, kept as the test oracle)
-# ----------------------------------------------------------------------
-def _analysis_53_reference(
-    signal: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """1-D LeGall 5/3 analysis along the first axis (integer, reversible)."""
-    length = signal.shape[0]
-    if length == 1:
-        return signal.copy(), signal[:0].copy()
-    even = signal[0::2].astype(np.int64)
-    odd = signal[1::2].astype(np.int64)
-    n_odd = odd.shape[0]
-    # Predict: d[i] = x[2i+1] - floor((x[2i] + x[2i+2]) / 2)
-    left = even[:n_odd]
-    right_idx = [_sym_index(2 * i + 2, length) for i in range(n_odd)]
-    right = signal[right_idx].astype(np.int64)
-    detail = odd - ((left + right) >> 1)
-    # Update: s[i] = x[2i] + floor((d[i-1] + d[i] + 2) / 4)
-    n_even = even.shape[0]
-    d_left = np.empty_like(even)
-    d_right = np.empty_like(even)
-    for i in range(n_even):
-        li = i - 1
-        ri = i
-        if li < 0:
-            li = 0 if n_odd > 0 else -1
-        if ri >= n_odd:
-            ri = n_odd - 1
-        d_left[i] = detail[li] if n_odd > 0 else 0
-        d_right[i] = detail[ri] if n_odd > 0 else 0
-    approx = even + ((d_left + d_right + 2) >> 2)
-    return approx, detail
-
-
-def _synthesis_53_reference(
-    approx: np.ndarray, detail: np.ndarray, length: int
-) -> np.ndarray:
-    """Inverse of :func:`_analysis_53_reference`; bit-exact on integers."""
-    if length == 1:
-        return approx.copy()
-    n_even = approx.shape[0]
-    n_odd = detail.shape[0]
-    d_left = np.empty_like(approx)
-    d_right = np.empty_like(approx)
-    for i in range(n_even):
-        li = i - 1
-        ri = i
-        if li < 0:
-            li = 0 if n_odd > 0 else -1
-        if ri >= n_odd:
-            ri = n_odd - 1
-        d_left[i] = detail[li] if n_odd > 0 else 0
-        d_right[i] = detail[ri] if n_odd > 0 else 0
-    even = approx - ((d_left + d_right + 2) >> 2)
-    signal = np.empty((length,) + approx.shape[1:], dtype=np.int64)
-    signal[0::2] = even
-    if n_odd:
-        left = even[:n_odd]
-        right = np.empty_like(detail)
-        for i in range(n_odd):
-            src = _sym_index(2 * i + 2, length)
-            # After reconstruction, even samples live at even indices; the
-            # mirrored index is always even for whole-point extension of an
-            # even-start signal, so it maps into `even` directly.
-            right[i] = even[src // 2] if src % 2 == 0 else 0
-        signal[1::2] = detail + ((left + right) >> 1)
-    return signal
-
-
-# ----------------------------------------------------------------------
-# LeGall 5/3 — vectorized (whole-array lifting, bit-exact vs reference)
+# LeGall 5/3 — whole-array lifting
 # ----------------------------------------------------------------------
 def _analysis_53_vectorized(
     signal: np.ndarray,
@@ -271,108 +196,7 @@ def _synthesis_53_vectorized(
 
 
 # ----------------------------------------------------------------------
-# CDF 9/7 — reference (per-sample boundary loops, kept as the test oracle)
-# ----------------------------------------------------------------------
-def _analysis_97_reference(
-    signal: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """1-D CDF 9/7 lifting analysis along the first axis (float)."""
-    length = signal.shape[0]
-    if length == 1:
-        return signal.astype(np.float64) * _KAPPA, signal[:0].astype(np.float64)
-    x = signal.astype(np.float64)
-    even = x[0::2].copy()
-    odd = x[1::2].copy()
-    n_odd = odd.shape[0]
-    n_even = even.shape[0]
-
-    def mirrored_even(position: int) -> np.ndarray:
-        src = _sym_index(position, length)
-        if src % 2 == 0:
-            return even[src // 2]
-        return odd[src // 2]
-
-    # Step 1 (predict with alpha): d += alpha * (left_even + right_even)
-    right1 = np.empty_like(odd)
-    for i in range(n_odd):
-        right1[i] = mirrored_even(2 * i + 2)
-    odd += _ALPHA * (even[:n_odd] + right1)
-    # Step 2 (update with beta): s += beta * (left_detail + right_detail)
-    if n_odd:
-        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
-        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
-            [odd, odd[-1:]]
-        )[:n_even]
-        even += _BETA * (d_pad_left + d_pad_right)
-    # Step 3 (predict with gamma)
-    if n_odd:
-        s_right = np.concatenate([even[1:], even[-1:]])[:n_odd]
-        odd += _GAMMA * (even[:n_odd] + s_right)
-    # Step 4 (update with delta)
-    if n_odd:
-        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
-        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
-            [odd, odd[-1:]]
-        )[:n_even]
-        even += _DELTA * (d_pad_left + d_pad_right)
-    # Scaling
-    even *= _KAPPA
-    odd /= _KAPPA
-    return even, odd
-
-
-def _synthesis_97_reference(
-    approx: np.ndarray, detail: np.ndarray, length: int
-) -> np.ndarray:
-    """Inverse of :func:`_analysis_97_reference` (floating point)."""
-    if length == 1:
-        return approx / _KAPPA
-    even = approx.astype(np.float64) / _KAPPA
-    odd = detail.astype(np.float64) * _KAPPA
-    n_odd = odd.shape[0]
-    n_even = even.shape[0]
-    # Undo step 4
-    if n_odd:
-        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
-        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
-            [odd, odd[-1:]]
-        )[:n_even]
-        even -= _DELTA * (d_pad_left + d_pad_right)
-    # Undo step 3
-    if n_odd:
-        s_right = np.concatenate([even[1:], even[-1:]])[:n_odd]
-        odd -= _GAMMA * (even[:n_odd] + s_right)
-    # Undo step 2
-    if n_odd:
-        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
-        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
-            [odd, odd[-1:]]
-        )[:n_even]
-        even -= _BETA * (d_pad_left + d_pad_right)
-    # Undo step 1
-    if n_odd:
-        signal = np.empty((length,) + even.shape[1:], dtype=np.float64)
-        signal[0::2] = even
-
-        def mirrored_even(position: int) -> np.ndarray:
-            src = _sym_index(position, length)
-            if src % 2 == 0:
-                return even[src // 2]
-            return odd[src // 2] - 0.0  # odd branch cannot occur (see below)
-
-        right1 = np.empty_like(odd)
-        for i in range(n_odd):
-            right1[i] = mirrored_even(2 * i + 2)
-        odd -= _ALPHA * (even[:n_odd] + right1)
-        signal[1::2] = odd
-        return signal
-    signal = np.empty((length,) + even.shape[1:], dtype=np.float64)
-    signal[0::2] = even
-    return signal
-
-
-# ----------------------------------------------------------------------
-# CDF 9/7 — vectorized (whole-array lifting, float-identical vs reference)
+# CDF 9/7 — whole-array lifting
 # ----------------------------------------------------------------------
 def _analysis_97_vectorized(
     signal: np.ndarray,
@@ -492,51 +316,43 @@ def _native_synthesis(
 
 
 def _analysis_53(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """5/3 analysis, dispatched on the simulation fast-path switch."""
-    if perf.simulation_fastpath():
-        native = _native_analysis(signal, np.int64, "dwt53_analysis")
-        if native is not None:
-            return native
-        return _analysis_53_vectorized(signal)
-    return _analysis_53_reference(signal)
+    """5/3 analysis on the compiled kernels, else the numpy lifting."""
+    native = _native_analysis(signal, np.int64, "dwt53_analysis")
+    if native is not None:
+        return native
+    return _analysis_53_vectorized(signal)
 
 
 def _synthesis_53(
     approx: np.ndarray, detail: np.ndarray, length: int
 ) -> np.ndarray:
-    """5/3 synthesis, dispatched on the simulation fast-path switch."""
-    if perf.simulation_fastpath():
-        native = _native_synthesis(
-            approx, detail, length, np.int64, "dwt53_synthesis"
-        )
-        if native is not None:
-            return native
-        return _synthesis_53_vectorized(approx, detail, length)
-    return _synthesis_53_reference(approx, detail, length)
+    """5/3 synthesis on the compiled kernels, else the numpy lifting."""
+    native = _native_synthesis(
+        approx, detail, length, np.int64, "dwt53_synthesis"
+    )
+    if native is not None:
+        return native
+    return _synthesis_53_vectorized(approx, detail, length)
 
 
 def _analysis_97(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """9/7 analysis, dispatched on the simulation fast-path switch."""
-    if perf.simulation_fastpath():
-        native = _native_analysis(signal, np.float64, "dwt97_analysis")
-        if native is not None:
-            return native
-        return _analysis_97_vectorized(signal)
-    return _analysis_97_reference(signal)
+    """9/7 analysis on the compiled kernels, else the numpy lifting."""
+    native = _native_analysis(signal, np.float64, "dwt97_analysis")
+    if native is not None:
+        return native
+    return _analysis_97_vectorized(signal)
 
 
 def _synthesis_97(
     approx: np.ndarray, detail: np.ndarray, length: int
 ) -> np.ndarray:
-    """9/7 synthesis, dispatched on the simulation fast-path switch."""
-    if perf.simulation_fastpath():
-        native = _native_synthesis(
-            approx, detail, length, np.float64, "dwt97_synthesis"
-        )
-        if native is not None:
-            return native
-        return _synthesis_97_vectorized(approx, detail, length)
-    return _synthesis_97_reference(approx, detail, length)
+    """9/7 synthesis on the compiled kernels, else the numpy lifting."""
+    native = _native_synthesis(
+        approx, detail, length, np.float64, "dwt97_synthesis"
+    )
+    if native is not None:
+        return native
+    return _synthesis_97_vectorized(approx, detail, length)
 
 
 def _transform_axis(

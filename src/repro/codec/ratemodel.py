@@ -11,14 +11,14 @@ The estimate is validated against the true coder in
 ``tests/codec/test_ratemodel.py`` (agreement within a calibrated tolerance);
 treat it as the "Kakadu throughput path" of the reproduction.
 
-When the simulation fast path is active (see :mod:`repro.perf`) the model
-runs batched: all ROI tiles of an image are transformed in one
+The model runs batched: all ROI tiles of an image are transformed in one
 :func:`~repro.codec.dwt.dwt_many` call, quantization and the per-bit-plane
 significance statistics operate on ``(tile, h, w)`` stacks, and the step
 search reuses its decompositions for the final encode.  Every batched
 stage performs the same elementwise arithmetic in the same accumulation
-order as the per-tile reference loops, so results (byte estimates AND
-reconstructions) are bit-identical — the differential tests pin this.
+order as the original per-tile loops (kept as the oracle in
+``tests/sim_oracle.py``), so results (byte estimates AND reconstructions)
+are bit-identical — the differential tests pin this.
 """
 
 from __future__ import annotations
@@ -31,21 +31,10 @@ import numpy as np
 
 from repro import perf
 from repro.codec import registry
-from repro.codec.dwt import (
-    Wavelet,
-    WaveletCoeffs,
-    dwt_many,
-    forward_dwt2d,
-    idwt_many,
-    inverse_dwt2d,
-)
+from repro.codec.dwt import Wavelet, WaveletCoeffs, dwt_many, idwt_many
 from repro.codec.jpeg2000 import CodecConfig, effective_levels
 from repro.codec.metrics import psnr as psnr_metric
-from repro.codec.quantize import (
-    QuantizerSpec,
-    dequantize_coeffs,
-    quantize_coeffs,
-)
+from repro.codec.quantize import QuantizerSpec
 from repro.errors import CodecError, RateControlError
 
 #: Container overhead per encoded tile (index, plane counts, lengths).
@@ -60,45 +49,6 @@ def _binary_entropy(p: np.ndarray | float) -> np.ndarray | float:
     """Shannon entropy of a Bernoulli(p) bit, elementwise, in bits."""
     p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
-
-
-def estimate_band_bits(band_q: np.ndarray) -> tuple[float, int]:
-    """Estimated coded bits and plane count for one quantized subband.
-
-    Walks bit-planes top-down exactly as the bit-plane coder does, charging
-    the order-0 entropy of each plane's significance decisions, one bit per
-    sign, and ~0.95 bits per refinement bit (adaptive refinement contexts
-    squeeze slightly below 1).
-
-    Args:
-        band_q: Quantized integer coefficients.
-
-    Returns:
-        ``(bits, planes)`` — the size estimate and the number of occupied
-        bit-planes.
-    """
-    if band_q.size == 0:
-        return 0.0, 0
-    magnitude = np.abs(band_q.astype(np.int64))
-    peak = int(magnitude.max())
-    if peak == 0:
-        return 0.0, 0
-    top = peak.bit_length() - 1
-    total = float(magnitude.size)
-    bits = 0.0
-    significant = np.zeros(magnitude.shape, dtype=bool)
-    for plane in range(top, -1, -1):
-        plane_bit = (magnitude >> plane) & 1
-        newly = plane_bit.astype(bool) & ~significant
-        n_insig = float((~significant).sum())
-        if n_insig > 0:
-            k = float(newly.sum())
-            bits += n_insig * float(_binary_entropy(k / n_insig))
-            bits += k  # sign bits
-        n_sig = float(significant.sum())
-        bits += 0.95 * n_sig  # refinement bits
-        significant |= newly
-    return bits, top + 1
 
 
 def _topbit_histogram(
@@ -177,12 +127,13 @@ def _plane_walk_bits(
 ) -> np.ndarray:
     """Entropy-model bit counts from top-bit histograms, batched.
 
-    Replays :func:`estimate_band_bits`'s descending plane walk for every
-    row at once: all per-plane statistics (significant / newly-significant
-    / insignificant counts) are exact integers derived from the histogram,
-    the Bernoulli entropies are computed in one elementwise call, and each
-    row's ``bits`` accumulator receives the same three additions in the
-    same plane order as the scalar walk — so each row's result is
+    Replays the scalar descending plane walk (``estimate_band_bits`` in
+    ``tests/sim_oracle.py``) for every row at once: all per-plane
+    statistics (significant / newly-significant / insignificant counts)
+    are exact integers derived from the histogram, the Bernoulli
+    entropies are computed in one elementwise call, and each row's
+    ``bits`` accumulator receives the same three additions in the same
+    plane order as the scalar walk — so each row's result is
     bit-identical to the scalar estimate for that subband.
 
     Args:
@@ -298,7 +249,7 @@ class RateModelResult:
 class _DecompBatch(list):
     """ROI tile decompositions plus their stacked-subband batch plan.
 
-    Behaves exactly like the reference list of ``(y0, y1, x0, x1, levels,
+    Behaves exactly like a plain list of ``(y0, y1, x0, x1, levels,
     coeffs)`` entries; ``plan`` additionally holds, per geometry group,
     ``(tile_indices, subband_meta, subband_stacks)`` so the step search
     quantizes prestacked subbands instead of restacking per bisection
@@ -526,44 +477,34 @@ class RateModel:
     ) -> list[tuple[int, int, int, int, int, object]]:
         """Forward-transform every ROI tile once (reused across step search).
 
-        On the fast path, same-shape tiles are transformed together in one
+        Same-shape tiles are transformed together in one
         :func:`~repro.codec.dwt.dwt_many` call (bit-identical per tile).
 
         Returns ``(y0, y1, x0, x1, levels, coeffs)`` per ROI tile,
         row-major.
         """
         bounds = self._roi_tile_blocks(image, roi)
-        if perf.simulation_fastpath():
-            # Group tiles by block shape (full-size interior tiles plus up
-            # to three edge shapes) and batch each group's transform.
-            groups: dict[tuple[int, int], list[int]] = {}
-            for idx, (y0, y1, x0, x1) in enumerate(bounds):
-                groups.setdefault((y1 - y0, x1 - x0), []).append(idx)
-            coeffs_by_idx: dict[int, tuple[int, object]] = {}
-            for shape, indices in groups.items():
-                levels = effective_levels(shape, self.config.levels)
-                # Fill the (N, h, w) batch directly: the slice assignment
-                # performs the same float64 cast as astype-then-stack,
-                # without the per-block intermediates.
-                batch = np.empty((len(indices),) + shape, dtype=np.float64)
-                for k, i in enumerate(indices):
-                    y0, y1, x0, x1 = bounds[i]
-                    batch[k] = image[y0:y1, x0:x1]
-                for i, coeffs in zip(
-                    indices, dwt_many(batch, levels, Wavelet.CDF97)
-                ):
-                    coeffs_by_idx[i] = (levels, coeffs)
-            entries = [
-                bounds[i] + coeffs_by_idx[i] for i in range(len(bounds))
-            ]
-            return _DecompBatch(entries, _plan_from_entries(entries))
-        out = []
-        for y0, y1, x0, x1 in bounds:
-            block = image[y0:y1, x0:x1].astype(np.float64)
-            levels = effective_levels(block.shape, self.config.levels)
-            coeffs = forward_dwt2d(block, levels, Wavelet.CDF97)
-            out.append((y0, y1, x0, x1, levels, coeffs))
-        return out
+        # Group tiles by block shape (full-size interior tiles plus up to
+        # three edge shapes) and batch each group's transform.
+        groups: dict[tuple[int, int], list[int]] = {}
+        for idx, (y0, y1, x0, x1) in enumerate(bounds):
+            groups.setdefault((y1 - y0, x1 - x0), []).append(idx)
+        coeffs_by_idx: dict[int, tuple[int, object]] = {}
+        for shape, indices in groups.items():
+            levels = effective_levels(shape, self.config.levels)
+            # Fill the (N, h, w) batch directly: the slice assignment
+            # performs the same float64 cast as astype-then-stack, without
+            # the per-block intermediates.
+            batch = np.empty((len(indices),) + shape, dtype=np.float64)
+            for k, i in enumerate(indices):
+                y0, y1, x0, x1 = bounds[i]
+                batch[k] = image[y0:y1, x0:x1]
+            for i, coeffs in zip(
+                indices, dwt_many(batch, levels, Wavelet.CDF97)
+            ):
+                coeffs_by_idx[i] = (levels, coeffs)
+        entries = [bounds[i] + coeffs_by_idx[i] for i in range(len(bounds))]
+        return _DecompBatch(entries, _plan_from_entries(entries))
 
     def _payload_stats(
         self, decomps, step: float, want_quantized: bool = True
@@ -572,31 +513,17 @@ class RateModel:
 
         Returns ``(payload_bits, n_plane_segments, quantized_by_tile)``
         where ``quantized_by_tile`` maps decomposition index to its
-        quantized subband arrays (fast path with ``want_quantized`` only;
-        otherwise None — the step search needs just the byte estimate,
-        and the reference path re-quantizes per tile).
+        quantized subband arrays (None unless ``want_quantized`` — the
+        step search needs just the byte estimate).
 
         ``payload_bits`` is accumulated tile-major then subband-major —
-        the exact order of the reference per-tile loop — from per-band bit
-        counts that are themselves bit-identical to
-        :func:`estimate_band_bits`.
+        the exact order of the original per-tile loop — from per-band bit
+        counts that are themselves bit-identical to the scalar plane walk.
         """
         spec = QuantizerSpec(base_step=step)
-        if not perf.simulation_fastpath():
-            payload_bits = 0.0
-            n_plane_segments = 0
-            for _, _, _, _, _, coeffs in decomps:
-                quantized = quantize_coeffs(coeffs, spec)
-                max_planes = 0
-                for _, _, band_q in quantized:
-                    bits, planes = estimate_band_bits(band_q)
-                    payload_bits += bits
-                    max_planes = max(max_planes, planes)
-                n_plane_segments += max_planes
-            return payload_bits, n_plane_segments, None
-        # Fast path: quantize + estimate each subband position on stacks
-        # spanning every same-geometry tile.  The stacks come prebuilt
-        # with the decompositions; rebuild them when handed a plain list.
+        # Quantize + estimate each subband position on stacks spanning
+        # every same-geometry tile.  The stacks come prebuilt with the
+        # decompositions; rebuild them when handed a plain list.
         plan = getattr(decomps, "plan", None)
         if plan is None:
             plan = _plan_from_entries(decomps)
@@ -710,8 +637,8 @@ class RateModel:
                 letting the step search skip a redundant forward transform.
             payload_hint: Optional ``(step, payload_bits,
                 n_plane_segments)`` from a prior
-                :meth:`estimate_with_stats` at this exact step; used
-                (fast path only) to skip recomputing payload statistics.
+                :meth:`estimate_with_stats` at this exact step; used to
+                skip recomputing payload statistics.
 
         Returns:
             A :class:`RateModelResult` with byte estimate and exact PSNR.
@@ -723,65 +650,9 @@ class RateModel:
             raise CodecError(f"base_step must be positive, got {step}")
         roi = self._resolve_roi(image, roi)
         with perf.profiled("codec"):
-            if perf.simulation_fastpath():
-                return self._encode_batched(
-                    image, step, roi, decompositions, payload_hint
-                )
-            return self._encode_reference(image, step, roi)
-
-    def _encode_reference(
-        self, image: np.ndarray, step: float, roi: np.ndarray
-    ) -> RateModelResult:
-        """The original per-tile encode loop (differential-test oracle)."""
-        tile = self.config.tile_size
-        tiles_y, tiles_x = roi.shape
-        recon = np.zeros(image.shape, dtype=np.float64)
-        payload_bits = 0.0
-        n_plane_segments = 0
-        n_tiles = 0
-        roi_mask_pixels = np.zeros(image.shape, dtype=bool)
-        for ty in range(tiles_y):
-            for tx in range(tiles_x):
-                if not roi[ty, tx]:
-                    continue
-                n_tiles += 1
-                y0, x0 = ty * tile, tx * tile
-                y1, x1 = min(y0 + tile, image.shape[0]), min(
-                    x0 + tile, image.shape[1]
-                )
-                roi_mask_pixels[y0:y1, x0:x1] = True
-                block = image[y0:y1, x0:x1].astype(np.float64)
-                levels = effective_levels(block.shape, self.config.levels)
-                coeffs = forward_dwt2d(block, levels, Wavelet.CDF97)
-                spec = QuantizerSpec(base_step=step)
-                quantized = quantize_coeffs(coeffs, spec)
-                max_planes = 0
-                for _, _, band_q in quantized:
-                    bits, planes = estimate_band_bits(band_q)
-                    payload_bits += bits
-                    max_planes = max(max_planes, planes)
-                n_plane_segments += max_planes
-                dequantized = dequantize_coeffs(quantized, spec)
-                recon_coeffs = WaveletCoeffs(
-                    approx=dequantized[0][2],
-                    details=[
-                        (
-                            dequantized[1 + 3 * i][2],
-                            dequantized[2 + 3 * i][2],
-                            dequantized[3 + 3 * i][2],
-                        )
-                        for i in range(levels)
-                    ],
-                    shape=block.shape,
-                    wavelet=Wavelet.CDF97,
-                )
-                recon[y0:y1, x0:x1] = np.clip(
-                    inverse_dwt2d(recon_coeffs), 0.0, 1.0
-                )
-        return self._assemble_result(
-            image, recon, roi_mask_pixels, payload_bits,
-            n_tiles, n_plane_segments, step,
-        )
+            return self._encode_batched(
+                image, step, roi, decompositions, payload_hint
+            )
 
     def _quantize_tiles(
         self, decomps, spec: QuantizerSpec
@@ -823,9 +694,9 @@ class RateModel:
     ) -> RateModelResult:
         """Batched encode: one transform + stacked quantize/dequantize.
 
-        Bit-identical to :meth:`_encode_reference` — the transform batch,
-        stacked (de)quantization, and payload accumulation all preserve the
-        reference's elementwise arithmetic and summation order.
+        Bit-identical to the original per-tile encode loop — the transform
+        batch, stacked (de)quantization, and payload accumulation all
+        preserve its elementwise arithmetic and summation order.
         """
         decomps = (
             decompositions
@@ -894,7 +765,7 @@ class RateModel:
         n_plane_segments: int,
         step: float,
     ) -> RateModelResult:
-        """Container accounting + PSNR shared by both encode paths."""
+        """Container accounting + PSNR for an encode."""
         payload_bytes = int(math.ceil(payload_bits / 8.0))
         coded_bytes = (
             payload_bytes
@@ -959,7 +830,6 @@ class RateModel:
             if decompositions is not None
             else self._tile_decompositions(image, roi)
         )
-        reuse = decomps if perf.simulation_fastpath() else None
         # Every candidate step's payload stats are remembered so the final
         # encode (always at an evaluated step) can skip recomputing them.
         stats_by_step: dict[float, tuple[float, int]] = {}
@@ -973,10 +843,10 @@ class RateModel:
 
         def final(step: float) -> RateModelResult:
             hint = None
-            if reuse is not None and step in stats_by_step:
+            if step in stats_by_step:
                 hint = (step,) + stats_by_step[step]
             return self.encode(
-                image, step, roi, decompositions=reuse, payload_hint=hint
+                image, step, roi, decompositions=decomps, payload_hint=hint
             )
 
         lo_step, hi_step = 1.0 / 65536.0, 1.0

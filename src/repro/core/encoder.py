@@ -33,7 +33,6 @@ from repro.codec.jpeg2000 import CodecConfig
 from repro.codec.ratemodel import QualityLayer, RateModel
 from repro.core.change_detection import (
     ChangeDetectionResult,
-    detect_changes,
     detect_changes_many,
 )
 from repro.core.cloud import CloudDetector
@@ -136,15 +135,15 @@ class RoiRateController:
     ):
         """Encode ``roi`` of ``image`` at close to ``target_bytes``.
 
-        On the fast path, backends exposing ``prepare()`` (the rate
-        model) have their ROI tiles forward-transformed once and shared
-        between the warm-step attempt and the fallback bisection search —
-        the transform does not depend on the quantizer step.
+        Backends exposing ``prepare()`` (the rate model) have their ROI
+        tiles forward-transformed once and shared between the warm-step
+        attempt and the fallback bisection search — the transform does
+        not depend on the quantizer step.
         """
         warm = self._last_step.get(key)
         decomps = None
         prepare = getattr(self.rate_model, "prepare", None)
-        if perf.simulation_fastpath() and prepare is not None:
+        if prepare is not None:
             decomps = prepare(image, roi)
         result = self._encode_roi_inner(
             image, roi, target_bytes, warm, decomps, key
@@ -402,17 +401,9 @@ class EarthPlusEncoder:
         # Guaranteed downloads additionally require a reasonably clear sky,
         # otherwise they would ship mostly zeros.
         guaranteed = guaranteed_due and coverage <= 0.05
-        if perf.simulation_fastpath():
-            band_results = self._process_bands_batched(
-                capture, cloud_pixels, cloudy_tiles, guaranteed
-            )
-        else:
-            band_results = [
-                self._process_band(
-                    capture, band, cloud_pixels, cloudy_tiles, guaranteed
-                )
-                for band in self.bands
-            ]
+        band_results = self._process_bands_batched(
+            capture, cloud_pixels, cloudy_tiles, guaranteed
+        )
         onboard_bytes = sum(b.bytes_downlinked for b in band_results)
         return CaptureEncodeResult(
             location=capture.location,
@@ -433,15 +424,16 @@ class EarthPlusEncoder:
         cloudy_tiles: np.ndarray,
         guaranteed: bool,
     ) -> list[BandEncodeResult]:
-        """All bands of a capture through the stacked fast path.
+        """All bands of a capture, processed as one stack.
 
         Cloud removal and reference-resolution downsampling run once on a
         ``(band, h, w)`` stack, the shared non-cloud validity mask is
         computed once instead of per band, and change detection for every
         reference-carrying band goes through one
         :func:`~repro.core.change_detection.detect_changes_many` call.
-        Each band's result is bit-identical to :meth:`_process_band` (the
-        per-band reference path, kept as the differential-test oracle).
+        Each band's result is bit-identical to processing that band alone
+        (``process_band`` in ``tests/sim_oracle.py``, the differential-test
+        oracle).
         """
         ratio = self.config.reference_downsample
         images = np.stack(
@@ -474,10 +466,19 @@ class EarthPlusEncoder:
                 valid_stack = []
                 for band_idx in ref_indices:
                     band = self.bands[band_idx]
+                    # Always fit illumination against the cached reference
+                    # (even for guaranteed full downloads) so the ground
+                    # can normalize every ingested tile into one
+                    # consistent reference basis.
                     _, reference_lr = self.cache.get(
                         capture.location, band.name
                     )
                     valid_lr = valid_lr_base
+                    # Reference pixels the ground marked invalid were never
+                    # filled by a download (cold start, or persistent
+                    # cloud): exclude them from the illumination fit and
+                    # force their tiles to "changed" so the ground can
+                    # fill them in.
                     unfilled_lr = ~self.cache.get_validity(
                         capture.location, band.name
                     )
@@ -520,63 +521,6 @@ class EarthPlusEncoder:
             for band_idx in range(n_bands)
         ]
 
-    # ------------------------------------------------------------------
-    def _process_band(
-        self,
-        capture: Capture,
-        band: Band,
-        cloud_pixels: np.ndarray,
-        cloudy_tiles: np.ndarray,
-        guaranteed: bool,
-    ) -> BandEncodeResult:
-        image = capture.pixels[band.name]
-        ratio = self.config.reference_downsample
-        # Cloud removal: zero out detected cloud before anything else.
-        cleaned = np.where(cloud_pixels, 0.0, image)
-        detection: ChangeDetectionResult | None = None
-        had_reference = self.cache.has(capture.location, band.name)
-        unfilled_tiles = np.zeros(self.grid.grid_shape, dtype=bool)
-        if had_reference:
-            # Always fit illumination against the cached reference (even for
-            # guaranteed full downloads) so the ground can normalize every
-            # ingested tile into one consistent reference basis.
-            _, reference_lr = self.cache.get(capture.location, band.name)
-            capture_lr = downsample_image(cleaned, ratio)
-            valid_lr = downsample_image((~cloud_pixels).astype(np.float64), ratio) > 0.5
-            # Reference pixels the ground marked invalid were never filled
-            # by a download (cold start, or persistent cloud): exclude them
-            # from the illumination fit and force their tiles to "changed"
-            # so the ground can fill them in.
-            unfilled_lr = ~self.cache.get_validity(capture.location, band.name)
-            if unfilled_lr.any():
-                valid_lr &= ~unfilled_lr
-                unfilled_px = (
-                    np.repeat(
-                        np.repeat(unfilled_lr, ratio, axis=0), ratio, axis=1
-                    )[: self.image_shape[0], : self.image_shape[1]]
-                )
-                unfilled_tiles = self.grid.reduce_any(unfilled_px)
-            with perf.profiled("scoring"):
-                detection = detect_changes(
-                    reference_lr,
-                    capture_lr,
-                    self.grid,
-                    ratio,
-                    self.config.theta,
-                    valid_lr=valid_lr,
-                )
-        return self._assemble_band_result(
-            capture,
-            band,
-            cleaned,
-            cloud_pixels,
-            cloudy_tiles,
-            guaranteed,
-            had_reference,
-            detection,
-            unfilled_tiles,
-        )
-
     def _assemble_band_result(
         self,
         capture: Capture,
@@ -589,7 +533,7 @@ class EarthPlusEncoder:
         detection: ChangeDetectionResult | None,
         unfilled_tiles: np.ndarray,
     ) -> BandEncodeResult:
-        """Download decision + ROI encode shared by both band paths."""
+        """Download decision + ROI encode for one band."""
         gain, offset = (
             (detection.gain, detection.offset)
             if detection is not None

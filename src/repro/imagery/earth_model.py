@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import perf
 from repro.errors import ImageryError
 from repro.imagery.bands import Band, BandCategory
 from repro.imagery.events import TileChangeModel
@@ -177,9 +176,9 @@ class EarthModel:
         self._change_models: dict[str, TileChangeModel] = {}
         self._class_map_cache: np.ndarray | None = None
         self._elevation_cache: np.ndarray | None = None
-        # Warm-state caches (fast path only; see ground_truth).  Composed
-        # pre-snow surfaces are keyed by the change-version grid, rendered
-        # change patches by their seed — both pure functions of their keys.
+        # Warm-state caches (see ground_truth).  Composed pre-snow surfaces
+        # are keyed by the change-version grid, rendered change patches by
+        # their seed — both pure functions of their keys.
         self._surface_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._patch_cache: OrderedDict[int, tuple[np.ndarray, float]] = (
             OrderedDict()
@@ -312,25 +311,21 @@ class EarthModel:
             raise ImageryError(f"t_days must be >= 0, got {t_days}")
         band = self._get_band(band_name)
         versions = self.change_model(band_name).version_grid(t_days)
-        if perf.simulation_fastpath():
-            # Warm state: the pre-snow composition is a pure function of
-            # the change-version grid, which only moves at jump times —
-            # consecutive captures (and repeated scenario runs over the
-            # same dataset) hit the cache instead of re-blending every
-            # historical change patch.
-            key = (band.name, versions.tobytes())
-            cached = self._surface_cache.get(key)
-            if cached is None:
-                cached = self._compose_surface(band, versions)
-                cached.setflags(write=False)
-                self._surface_cache[key] = cached
-                while len(self._surface_cache) > self._SURFACE_CACHE_MAX:
-                    self._surface_cache.popitem(last=False)
-            else:
-                self._surface_cache.move_to_end(key)
-            surface = cached.copy()
+        # Warm state: the pre-snow composition is a pure function of the
+        # change-version grid, which only moves at jump times — consecutive
+        # captures (and repeated scenario runs over the same dataset) hit
+        # the cache instead of re-blending every historical change patch.
+        key = (band.name, versions.tobytes())
+        cached = self._surface_cache.get(key)
+        if cached is None:
+            cached = self._compose_surface(band, versions)
+            cached.setflags(write=False)
+            self._surface_cache[key] = cached
+            while len(self._surface_cache) > self._SURFACE_CACHE_MAX:
+                self._surface_cache.popitem(last=False)
         else:
-            surface = self._compose_surface(band, versions)
+            self._surface_cache.move_to_end(key)
+        surface = cached.copy()
         snow = self.snow_mask(t_days)
         if snow.any():
             albedo = self._snow_albedo(t_days)
@@ -369,38 +364,25 @@ class EarthModel:
         paper's theta = 0.01 decisively while leaving global image
         statistics (and thus the illumination fit) intact.
 
-        Pure function of ``(patch_seed, patch_shape)``; memoized on the
-        fast path so recomposition after a new change event does not
-        re-render every older patch.
+        Pure function of ``(patch_seed, patch_shape)``; memoized so
+        recomposition after a new change event does not re-render every
+        older patch.
         """
-        if perf.simulation_fastpath():
-            cached = self._patch_cache.get(patch_seed)
-            if cached is not None:
-                self._patch_cache.move_to_end(patch_seed)
-                return cached
+        cached = self._patch_cache.get(patch_seed)
+        if cached is not None:
+            self._patch_cache.move_to_end(patch_seed)
+            return cached
         patch = fractal_noise(patch_shape, patch_seed, octaves=3, base_cells=3)
         rng = np.random.default_rng(patch_seed)
         amplitude = 0.10 + 0.20 * rng.random()
-        if perf.simulation_fastpath():
-            patch.setflags(write=False)
-            self._patch_cache[patch_seed] = (patch, amplitude)
-            while len(self._patch_cache) > self._PATCH_CACHE_MAX:
-                self._patch_cache.popitem(last=False)
+        patch.setflags(write=False)
+        self._patch_cache[patch_seed] = (patch, amplitude)
+        while len(self._patch_cache) > self._PATCH_CACHE_MAX:
+            self._patch_cache.popitem(last=False)
         return patch, amplitude
 
     def _snow_texture(self, band_name: str) -> np.ndarray:
-        """Static per-band snow texture (pure function of seeds).
-
-        Cached on the fast path; re-rendered per call on the reference
-        path, as the original code did.
-        """
-        if not perf.simulation_fastpath():
-            return fractal_noise(
-                self.spec.shape,
-                stable_hash(self.spec.seed, "snowtex", band_name),
-                octaves=3,
-                base_cells=8,
-            )
+        """Static per-band snow texture (pure function of seeds), cached."""
         cached = self._snow_texture_cache.get(band_name)
         if cached is None:
             cached = fractal_noise(

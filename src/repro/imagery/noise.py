@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro import perf
 from repro.codec import registry
 
 
@@ -82,34 +81,19 @@ def value_noise(shape: tuple[int, int], cells: int, seed: int) -> np.ndarray:
     cells_y = max(1, round(cells * height / longer))
     cells_x = max(1, round(cells * width / longer))
     lattice = _lattice_values(seed, cells_y, cells_x)
-
-    if perf.simulation_fastpath():
-        # Flat-index gathers of the four cell corners, with the index
-        # geometry memoized per (shape, cells): the same lattice elements
-        # the reference np.ix_ path selects, without rebuilding the open
-        # mesh per call.
-        corners, ty, tx = _interp_geometry(height, width, cells_y, cells_x)
-        kernels = registry.kernels()
-        if kernels is not None:
-            # One native pass: gather + Hermite blend, term-for-term the
-            # numpy expression below (bit-identical output).
-            return kernels.noise_bilerp(
-                lattice, cells_x + 1, corners[0], ty.ravel(), tx.ravel()
-            )
-        flat = lattice.ravel()
-        v00, v01, v10, v11 = (flat[c] for c in corners)
-    else:
-        ys = np.linspace(0.0, cells_y, height, endpoint=False)
-        xs = np.linspace(0.0, cells_x, width, endpoint=False)
-        y0 = np.minimum(ys.astype(np.int64), cells_y - 1)
-        x0 = np.minimum(xs.astype(np.int64), cells_x - 1)
-        ty = smoothstep((ys - y0))[:, None]
-        tx = smoothstep((xs - x0))[None, :]
-        v00 = lattice[np.ix_(y0, x0)]
-        v01 = lattice[np.ix_(y0, x0 + 1)]
-        v10 = lattice[np.ix_(y0 + 1, x0)]
-        v11 = lattice[np.ix_(y0 + 1, x0 + 1)]
-
+    # Flat-index gathers of the four cell corners, with the index geometry
+    # memoized per (shape, cells): the same lattice elements an open-mesh
+    # np.ix_ gather selects, without rebuilding the mesh per call.
+    corners, ty, tx = _interp_geometry(height, width, cells_y, cells_x)
+    kernels = registry.kernels()
+    if kernels is not None:
+        # One native pass: gather + Hermite blend, term-for-term the numpy
+        # expression below (bit-identical output).
+        return kernels.noise_bilerp(
+            lattice, cells_x + 1, corners[0], ty.ravel(), tx.ravel()
+        )
+    flat = lattice.ravel()
+    v00, v01, v10, v11 = (flat[c] for c in corners)
     top = v00 * (1.0 - tx) + v01 * tx
     bottom = v10 * (1.0 - tx) + v11 * tx
     return top * (1.0 - ty) + bottom * ty

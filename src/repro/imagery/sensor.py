@@ -28,8 +28,7 @@ from repro.imagery.illumination import IlluminationModel, IlluminationSample
 from repro.imagery.noise import stable_hash
 
 # (raw env string -> parsed bytes) per variable: re-parse only when the
-# variable changes, keeping the per-capture cost at one dict lookup
-# (the same pattern as perf._FASTPATH_ENV_CACHE).
+# variable changes, keeping the per-capture cost at one dict lookup.
 # repro: allow(RPR005): pure parse memo — the value is a deterministic function of the key, so independently-warmed worker copies can never disagree
 _BUDGET_MEMO: dict[tuple[str, str | None], int] = {}
 
@@ -38,13 +37,12 @@ def _mb_budget(name: str, default: float) -> int:
     """Read a ``REPRO_*_MB`` byte budget at call time.
 
     Historically these were read once at import, which silently ignored
-    variables exported after ``import repro`` — the same class of bug
-    :func:`repro.perf.simulation_fastpath` had (sensor.py is a
-    registered accessor module for its two cache budgets; see
+    variables exported after ``import repro`` (sensor.py is a registered
+    accessor module for its two cache budgets; see
     ``repro.lint.rules.envflags``).
 
     Raises:
-        ValueError: For a set value that is not a number.
+        ValueError: For a set value that is not a finite number.
     """
     raw = os.environ.get(name)
     memo_key = (name, raw)
@@ -56,7 +54,7 @@ def _mb_budget(name: str, default: float) -> int:
     else:
         try:
             value = int(float(raw) * 1e6)
-        except ValueError:
+        except (ValueError, OverflowError):  # garbage, nan, +-inf
             raise ValueError(
                 f"{name}={raw!r} is not a megabyte count"
             ) from None
@@ -65,13 +63,14 @@ def _mb_budget(name: str, default: float) -> int:
 
 
 def capture_cache_bytes() -> int:
-    """Byte budget per sensor for the warm-state capture cache (fast path).
+    """Byte budget per sensor for the warm-state capture cache.
 
     A capture is deterministic in (satellite, time), so repeated scenario
     runs over one dataset — e.g. comparing three policies on the same
     schedule — re-observe identical captures; caching them removes the
     dominant imagery-synthesis cost from every run after the first.
-    ``REPRO_CAPTURE_CACHE_MB`` (default 64) sizes it, read at call time.
+    ``REPRO_CAPTURE_CACHE_MB`` (default 64) sizes it, read at call time;
+    0 turns the cache off.
     """
     return _mb_budget("REPRO_CAPTURE_CACHE_MB", 64.0)
 
@@ -224,10 +223,10 @@ class SatelliteSensor:
         (one atmosphere per pass), while sensor noise is independent per
         band.
 
-        Captures are deterministic in ``(satellite_id, t_days)``, so on
-        the simulation fast path they are memoized (bounded by a per-
-        sensor byte budget, ``REPRO_CAPTURE_CACHE_MB``); cached pixel
-        arrays are returned read-only and shared between callers.
+        Captures are deterministic in ``(satellite_id, t_days)``, so they
+        are memoized (bounded by a per-sensor byte budget,
+        ``REPRO_CAPTURE_CACHE_MB``); cached pixel arrays are returned
+        read-only and shared between callers.
 
         Args:
             satellite_id: Observing satellite index (enters the noise seed).
@@ -239,7 +238,7 @@ class SatelliteSensor:
         if t_days < 0:
             raise ImageryError(f"t_days must be >= 0, got {t_days}")
         cache_budget = capture_cache_bytes()
-        use_cache = perf.simulation_fastpath() and cache_budget > 0
+        use_cache = cache_budget > 0
         # Raw-float key: replayed schedules pass bit-identical times, and
         # quantizing would let two nearby-but-distinct capture times
         # silently collide onto one rendered capture.

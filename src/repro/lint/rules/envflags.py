@@ -3,15 +3,15 @@
 Two regression classes motivate this rule (both shipped, both fixed by
 hand):
 
-* **Import-time reads.**  ``REPRO_SIM_FASTPATH`` was once read at module
-  import, so exporting it *after* ``import repro`` was silently ignored
-  (PR 7 made it call-time).  Any ``os.environ``/``os.getenv`` read at
-  module scope — whatever the variable — is flagged: module bodies run
-  once, at import, which freezes the environment into the process.
+* **Import-time reads.**  A boolean ``REPRO_*`` switch was once read at
+  module import, so exporting it *after* ``import repro`` was silently
+  ignored.  Any ``os.environ``/``os.getenv`` read at module scope —
+  whatever the variable — is flagged: module bodies run once, at import,
+  which freezes the environment into the process.
 
-* **Scattered ad-hoc parsing.**  Before ``repro.perf.env_flag``,
-  ``REPRO_SIM_FASTPATH=FALSE`` *enabled* the fast path because the local
-  parser only recognized ``0/false/no``.  Every ``REPRO_*`` read must
+* **Scattered ad-hoc parsing.**  Before ``repro.perf.env_flag``, setting
+  that switch to ``FALSE`` *enabled* it because the local parser only
+  recognized ``0/false/no``.  Every ``REPRO_*`` read must
   therefore go through the registered accessor modules
   (:data:`ACCESSOR_MODULES`) — ``repro.perf`` for booleans and counts,
   the codec registry/toolchain and store-backend accessors for their own

@@ -1,20 +1,15 @@
-"""Simulation fast-path switch and lightweight kernel profiling.
+"""Environment accessors and lightweight kernel profiling.
 
-Two small, dependency-free facilities the whole simulation stack shares:
-
-* **The fast-path switch.**  Every performance layer added on top of the
-  reference simulation — vectorized DWT lifting, the batched tile pipeline
-  in the rate model and encoder, warm-state imagery/capture caches — is
-  differential-tested to produce byte-identical results, and every one of
-  them checks :func:`simulation_fastpath` so the original reference code
-  paths stay runnable.  Disable via ``REPRO_SIM_FASTPATH=0`` or
-  :func:`set_simulation_fastpath`; tests use :func:`fastpath_disabled` to
-  compare both paths in one process.
+Small, dependency-free facilities the whole simulation stack shares:
 
 * **Environment switches.**  :func:`env_flag` (and the lower-level
   :func:`parse_flag`) is the one parser every boolean ``REPRO_*``
   variable goes through, so ``off``/``FALSE``/``no`` disable a switch
-  exactly like ``0`` everywhere.
+  exactly like ``0`` everywhere.  :func:`sim_shards` and
+  :func:`sim_workers` read the two positive-integer counts
+  (``REPRO_SIM_SHARDS``, ``REPRO_SIM_WORKERS``) through one parser.
+  Every accessor reads its variable at call time, so exporting it after
+  ``import repro`` works.
 
 * **The profiler.**  :func:`enable_profiler` installs a process-wide
   :class:`SimProfiler`; instrumented sections (simulation phases, DWT,
@@ -29,8 +24,6 @@ Two small, dependency-free facilities the whole simulation stack shares:
 from __future__ import annotations
 
 import os
-import warnings
-from contextlib import contextmanager
 
 #: Accepted spellings for boolean ``REPRO_*`` environment switches.
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
@@ -80,30 +73,25 @@ def env_flag(name: str, default: bool) -> bool:
     return flag
 
 
-def _env_flag_lenient(name: str, default: bool) -> bool:
-    """Import-time variant of :func:`env_flag`: warn-and-default on garbage.
+def _env_count(name: str, noun: str) -> int:
+    """Read a positive-integer ``REPRO_*`` count at call time.
 
-    Raising at import would brick every ``repro`` entry point (even
-    ``--help``) over an unrelated shell export; commands that never
-    consult the switch must still run.
+    Unset or blank means 1 (sequential).
+
+    Raises:
+        ValueError: For a set value that is not an integer >= 1; the
+            message names the variable.
     """
+    raw = os.environ.get(name)
+    if raw is None or raw.strip() == "":
+        return 1
     try:
-        return env_flag(name, default)
-    except ValueError as exc:
-        warnings.warn(f"{exc}; using the default ({default})", stacklevel=2)
-        return default
-
-
-# Explicit programmatic override for the fast-path switch.  None means "no
-# override": simulation_fastpath() follows $REPRO_SIM_FASTPATH at call time
-# (like sim_shards), so exporting the variable after import works.  The
-# switch used to be read once at import, which silently ignored later
-# exports — the opposite of the sharding switch's documented behavior.
-_FASTPATH_OVERRIDE: "bool | None" = None
-
-# (raw env string, parsed value): re-parse only when the variable changes,
-# keeping the per-call cost of the hot dispatchers at one dict lookup.
-_FASTPATH_ENV_CACHE: "tuple[str | None, bool] | None" = None
+        count = int(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not an integer {noun}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def sim_shards() -> int:
@@ -120,18 +108,7 @@ def sim_shards() -> int:
     Raises:
         ValueError: For a set value that is not a positive integer.
     """
-    raw = os.environ.get("REPRO_SIM_SHARDS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SIM_SHARDS={raw!r} is not an integer shard count"
-        ) from None
-    if shards < 1:
-        raise ValueError(f"REPRO_SIM_SHARDS must be >= 1, got {shards}")
-    return shards
+    return _env_count("REPRO_SIM_SHARDS", "shard count")
 
 
 def sim_workers() -> int:
@@ -149,79 +126,7 @@ def sim_workers() -> int:
     Raises:
         ValueError: For a set value that is not a positive integer.
     """
-    raw = os.environ.get("REPRO_SIM_WORKERS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SIM_WORKERS={raw!r} is not an integer worker count"
-        ) from None
-    if workers < 1:
-        raise ValueError(f"REPRO_SIM_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
-def simulation_fastpath() -> bool:
-    """Whether the vectorized/batched/cached simulation paths are active.
-
-    Honors ``REPRO_SIM_FASTPATH`` at call time — exporting it after
-    import works, matching :func:`sim_shards` — unless
-    :func:`set_simulation_fastpath` (or the ``fastpath_*`` context
-    managers) has installed an explicit override, which wins until
-    cleared with :func:`clear_simulation_fastpath`.
-    """
-    if _FASTPATH_OVERRIDE is not None:
-        return _FASTPATH_OVERRIDE
-    global _FASTPATH_ENV_CACHE
-    raw = os.environ.get("REPRO_SIM_FASTPATH")
-    cache = _FASTPATH_ENV_CACHE
-    if cache is not None and cache[0] == raw:
-        return cache[1]
-    value = _env_flag_lenient("REPRO_SIM_FASTPATH", True)
-    _FASTPATH_ENV_CACHE = (raw, value)
-    return value
-
-
-def set_simulation_fastpath(enabled: bool) -> None:
-    """Globally override the simulation fast-path switch.
-
-    The override beats the environment until
-    :func:`clear_simulation_fastpath` removes it.
-    """
-    global _FASTPATH_OVERRIDE
-    _FASTPATH_OVERRIDE = bool(enabled)
-
-
-def clear_simulation_fastpath() -> None:
-    """Drop any explicit override; follow the environment again."""
-    global _FASTPATH_OVERRIDE
-    _FASTPATH_OVERRIDE = None
-
-
-@contextmanager
-def fastpath_disabled():
-    """Run a block on the reference (pre-fast-path) implementations."""
-    global _FASTPATH_OVERRIDE
-    previous = _FASTPATH_OVERRIDE
-    _FASTPATH_OVERRIDE = False
-    try:
-        yield
-    finally:
-        _FASTPATH_OVERRIDE = previous
-
-
-@contextmanager
-def fastpath_enabled():
-    """Run a block with the fast path forced on (symmetry for tests)."""
-    global _FASTPATH_OVERRIDE
-    previous = _FASTPATH_OVERRIDE
-    _FASTPATH_OVERRIDE = True
-    try:
-        yield
-    finally:
-        _FASTPATH_OVERRIDE = previous
+    return _env_count("REPRO_SIM_WORKERS", "worker count")
 
 
 class SimProfiler:

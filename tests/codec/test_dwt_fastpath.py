@@ -1,12 +1,12 @@
 """Vectorized-DWT differential harness and golden lifting fixtures.
 
-Two layers of protection for the fast-path lifting kernels:
+Two layers of protection for the production lifting kernels:
 
 * **Differential**: the vectorized whole-array lifting must match the
-  retained per-sample reference loops — bit-exact for LeGall 5/3,
-  float-identical (exact ``==``, not approximate) for CDF 9/7 — across
-  odd/even/1-pixel/non-square shapes and random content, including the
-  batched :func:`~repro.codec.dwt.dwt_many`/:func:`~repro.codec.dwt.idwt_many`
+  per-sample reference loops in ``tests/sim_oracle.py`` — bit-exact for
+  LeGall 5/3, float-identical (exact ``==``, not approximate) for CDF
+  9/7 — across odd/even/1-pixel/non-square shapes and random content,
+  including the batched :func:`~repro.codec.dwt.dwt_many`/:func:`~repro.codec.dwt.idwt_many`
   APIs.
 
 * **Golden**: checked-in fixtures pin the exact 5/3 analysis outputs and
@@ -16,7 +16,7 @@ Two layers of protection for the fast-path lifting kernels:
 
 Regenerate fixtures (only when the transform is intentionally changed)::
 
-    PYTHONPATH=src python tests/codec/test_dwt_fastpath.py --regen
+    PYTHONPATH=src:tests python tests/codec/test_dwt_fastpath.py --regen
 """
 
 import math
@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sim_oracle import reference_path
 
-from repro import perf
 from repro.codec.dwt import (
     Wavelet,
     dwt_many,
@@ -75,7 +75,7 @@ def _flatten_subbands(coeffs):
 def regenerate() -> None:
     """Write the golden fixture from the reference (loop) implementation."""
     payload = {}
-    with perf.fastpath_disabled():
+    with reference_path():
         for name, (shape, levels, ints, floats) in _golden_inputs().items():
             c53 = forward_dwt2d(ints, levels, Wavelet.LEGALL53)
             c97 = forward_dwt2d(floats, levels, Wavelet.CDF97)
@@ -95,7 +95,8 @@ def golden():
     if not GOLDEN_PATH.exists():
         pytest.fail(
             "missing golden DWT fixture; regenerate with "
-            "`PYTHONPATH=src python tests/codec/test_dwt_fastpath.py --regen`"
+            "`PYTHONPATH=src:tests python tests/codec/test_dwt_fastpath.py "
+            "--regen`"
         )
     return np.load(GOLDEN_PATH)
 
@@ -138,16 +139,15 @@ class TestDifferential:
     def test_case_shapes(self, name, shape, levels, rng):
         ints = rng.integers(-4096, 4096, shape)
         floats = rng.random(shape)
-        with perf.fastpath_disabled():
+        with reference_path():
             ref53 = forward_dwt2d(ints, levels, Wavelet.LEGALL53)
             ref97 = forward_dwt2d(floats, levels, Wavelet.CDF97)
             ref53_inv = inverse_dwt2d(ref53)
             ref97_inv = inverse_dwt2d(ref97)
-        with perf.fastpath_enabled():
-            fast53 = forward_dwt2d(ints, levels, Wavelet.LEGALL53)
-            fast97 = forward_dwt2d(floats, levels, Wavelet.CDF97)
-            fast53_inv = inverse_dwt2d(fast53)
-            fast97_inv = inverse_dwt2d(fast97)
+        fast53 = forward_dwt2d(ints, levels, Wavelet.LEGALL53)
+        fast97 = forward_dwt2d(floats, levels, Wavelet.CDF97)
+        fast53_inv = inverse_dwt2d(fast53)
+        fast97_inv = inverse_dwt2d(fast97)
         for (_, _, a), (_, _, b) in zip(ref53.subbands(), fast53.subbands()):
             assert np.array_equal(a, b)
         for (_, _, a), (_, _, b) in zip(ref97.subbands(), fast97.subbands()):
@@ -170,12 +170,11 @@ class TestDifferential:
         item_rng = np.random.default_rng(seed)
         ints = item_rng.integers(-1 << 12, 1 << 12, (height, width))
         floats = item_rng.random((height, width))
-        with perf.fastpath_disabled():
+        with reference_path():
             ref53 = forward_dwt2d(ints, levels, Wavelet.LEGALL53)
             ref97 = forward_dwt2d(floats, levels, Wavelet.CDF97)
-        with perf.fastpath_enabled():
-            fast53 = forward_dwt2d(ints, levels, Wavelet.LEGALL53)
-            fast97 = forward_dwt2d(floats, levels, Wavelet.CDF97)
+        fast53 = forward_dwt2d(ints, levels, Wavelet.LEGALL53)
+        fast97 = forward_dwt2d(floats, levels, Wavelet.CDF97)
         for (_, _, a), (_, _, b) in zip(ref53.subbands(), fast53.subbands()):
             assert np.array_equal(a, b)
         for (_, _, a), (_, _, b) in zip(ref97.subbands(), fast97.subbands()):

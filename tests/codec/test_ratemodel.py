@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from sim_oracle import estimate_band_bits, reference_path
 
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.codec.metrics import psnr
-from repro.codec.ratemodel import RateModel, estimate_band_bits
+from repro.codec.ratemodel import RateModel
 from repro.errors import CodecError, RateControlError
 from repro.imagery.noise import fractal_noise
 
@@ -125,15 +126,11 @@ class TestStepSearch:
 
 
 class TestBatchedEstimate:
-    """The histogram plane walk (the fast path's entropy estimate) must be
-    bit-identical to the scalar estimate_band_bits walk."""
+    """The histogram plane walk (the production entropy estimate) must be
+    bit-identical to the oracle's scalar estimate_band_bits walk."""
 
     def test_plane_walk_matches_scalar_walk(self, rng):
-        from repro.codec.ratemodel import (
-            _plane_walk_bits,
-            _topbit_histogram,
-            estimate_band_bits,
-        )
+        from repro.codec.ratemodel import _plane_walk_bits, _topbit_histogram
 
         stack = rng.normal(0, 40, (7, 16, 16)).astype(np.int32)
         stack[2] = 0  # all-zero subband
@@ -168,18 +165,15 @@ class TestBatchedEstimate:
 
     def test_int32_wrap_steps_match_reference_encode(self, rng):
         """Absurdly fine steps wrap in int32; fast must still match."""
-        from repro import perf
-
         model = RateModel(CodecConfig(tile_size=64))
         image = rng.random((64, 64))
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with perf.fastpath_disabled():
+            with reference_path():
                 ref = model.encode(image, 1e-9)
-            with perf.fastpath_enabled():
-                fast = model.encode(image, 1e-9)
+            fast = model.encode(image, 1e-9)
         assert ref.coded_bytes == fast.coded_bytes
         assert ref.payload_bytes == fast.payload_bytes
         # Reconstructions too: the native dequantize must replicate even

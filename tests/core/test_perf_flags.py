@@ -43,85 +43,49 @@ class TestEnvFlag:
         with pytest.raises(ValueError, match="REPRO_TEST_FLAG"):
             perf.env_flag("REPRO_TEST_FLAG", True)
 
-    def test_fastpath_regression_spellings(self, monkeypatch):
-        """The bug that motivated env_flag: FALSE/off used to enable."""
-        for spelling in ("FALSE", "off", "No", "OFF"):
-            monkeypatch.setenv("REPRO_SIM_FASTPATH", spelling)
-            assert perf.env_flag("REPRO_SIM_FASTPATH", True) is False
-
-    def test_import_time_parse_warns_instead_of_raising(self, monkeypatch):
-        """Garbage in the env must not brick module import (CLI --help)."""
-        monkeypatch.setenv("REPRO_TEST_FLAG", "garbage")
-        with pytest.warns(UserWarning, match="REPRO_TEST_FLAG"):
-            assert perf._env_flag_lenient("REPRO_TEST_FLAG", True) is True
-        with pytest.warns(UserWarning):
-            assert perf._env_flag_lenient("REPRO_TEST_FLAG", False) is False
-
-
-class TestFastpathCallTimeEnv:
-    """REPRO_SIM_FASTPATH is honored at call time, not import time.
-
-    The switch used to be read once at module import, so the order of
-    "import repro.perf" vs "export REPRO_SIM_FASTPATH=0" silently decided
-    whether it worked.  Both orders must behave identically now.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _no_override(self):
-        perf.clear_simulation_fastpath()
-        yield
-        perf.clear_simulation_fastpath()
-
-    def test_env_set_after_first_call_still_wins(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
-        assert perf.simulation_fastpath() is True  # default, already read
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-        assert perf.simulation_fastpath() is False  # export after import/call
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "on")
-        assert perf.simulation_fastpath() is True
-
-    def test_env_set_before_first_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "off")
-        assert perf.simulation_fastpath() is False
-        monkeypatch.delenv("REPRO_SIM_FASTPATH")
-        assert perf.simulation_fastpath() is True
-
-    def test_explicit_override_beats_env_until_cleared(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-        perf.set_simulation_fastpath(True)
-        assert perf.simulation_fastpath() is True
-        perf.clear_simulation_fastpath()
-        assert perf.simulation_fastpath() is False
-
-    def test_context_managers_restore_env_following(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "1")
-        with perf.fastpath_disabled():
-            assert perf.simulation_fastpath() is False
-            monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-            assert perf.simulation_fastpath() is False  # override still wins
-        assert perf.simulation_fastpath() is False  # now the env decides
-
 
 class TestSimWorkersEnv:
-    """REPRO_SIM_WORKERS is read at call time, exactly like REPRO_SIM_SHARDS."""
+    """REPRO_SIM_WORKERS is read at call time; unset/blank means 1.
+
+    The class is parameterized over the variable and its accessor;
+    :class:`TestSimShardsEnv` reruns every check for REPRO_SIM_SHARDS,
+    which goes through the same positive-integer parser.
+    """
+
+    var = "REPRO_SIM_WORKERS"
+    noun = "worker count"
+    read = staticmethod(perf.sim_workers)
 
     def test_unset_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_WORKERS", raising=False)
-        assert perf.sim_workers() == 1
+        monkeypatch.delenv(self.var, raising=False)
+        assert self.read() == 1
 
     def test_set_after_import_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "4")
-        assert perf.sim_workers() == 4
+        monkeypatch.setenv(self.var, "4")
+        assert self.read() == 4
 
     @pytest.mark.parametrize("value", ["zero", "1.5", "-2", "0"])
     def test_garbage_raises(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SIM_WORKERS", value)
-        with pytest.raises(ValueError, match="REPRO_SIM_WORKERS"):
-            perf.sim_workers()
+        monkeypatch.setenv(self.var, value)
+        expected = (
+            f"{self.var} must be >= 1"
+            if value.lstrip("-").isdigit()
+            else f"{self.var}=.* is not an integer {self.noun}"
+        )
+        with pytest.raises(ValueError, match=expected):
+            self.read()
 
     def test_blank_is_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "  ")
-        assert perf.sim_workers() == 1
+        monkeypatch.setenv(self.var, "  ")
+        assert self.read() == 1
+
+
+class TestSimShardsEnv(TestSimWorkersEnv):
+    """REPRO_SIM_SHARDS: the same checks through :func:`perf.sim_shards`."""
+
+    var = "REPRO_SIM_SHARDS"
+    noun = "shard count"
+    read = staticmethod(perf.sim_shards)
 
 
 class TestStorePathResolution:

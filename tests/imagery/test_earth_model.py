@@ -1,7 +1,10 @@
 """Unit tests for the procedural Earth-surface model."""
 
+import pickle
+
 import numpy as np
 import pytest
+from sim_oracle import reference_path
 
 from repro.errors import ImageryError
 from repro.imagery.bands import PLANET_BANDS, SENTINEL2_BANDS
@@ -163,6 +166,54 @@ class TestSnow:
             snowy_earth.snow_mask(10.0)
         )
         assert np.all(oracle[snow_tiles])
+
+
+class TestWarmCaches:
+    """ground_truth's surface and patch caches: bounded, and invisible in
+    the values it returns."""
+
+    @staticmethod
+    def _churning_model() -> EarthModel:
+        # Small change cells at high activity: hundreds of distinct
+        # version grids and change patches within half a year.
+        spec = LocationSpec(
+            name="churn", shape=(64, 64),
+            terrain_mix={TerrainClass.MOUNTAIN: 0.5, TerrainClass.CITY: 0.5},
+            seed=7, snowy=True, activity=30.0, change_cell_px=16,
+        )
+        return EarthModel(spec, PLANET_BANDS[:1])
+
+    def test_cached_matches_reference_path_and_stays_bounded(self):
+        band = PLANET_BANDS[0].name
+        days = [float(day) for day in range(180)]
+        oracle = self._churning_model()
+        with reference_path():
+            expected = [oracle.ground_truth(band, t) for t in days]
+        model = self._churning_model()
+        changes = model.change_model(band)
+        surface_peak = patch_peak = 0
+        for t_days, reference in zip(days, expected):
+            surface = model.ground_truth(band, t_days)
+            assert surface.tobytes() == reference.tobytes(), t_days
+            surface_peak = max(surface_peak, len(model._surface_cache))
+            patch_peak = max(patch_peak, len(model._patch_cache))
+        assert surface_peak == EarthModel._SURFACE_CACHE_MAX == 24
+        assert patch_peak == EarthModel._PATCH_CACHE_MAX == 512
+        # The walk crossed change events and snowy days.
+        assert changes.changed_between(days[0], days[-1]).any()
+        assert model.snow_mask(days[15]).any()
+
+    def test_pickled_model_starts_cold(self):
+        band = PLANET_BANDS[0].name
+        model = self._churning_model()
+        winter = model.ground_truth(band, 15.0)
+        assert model._surface_cache and model._patch_cache
+        assert model._snow_texture_cache
+        clone = pickle.loads(pickle.dumps(model))
+        assert not clone._surface_cache
+        assert not clone._patch_cache
+        assert not clone._snow_texture_cache
+        assert clone.ground_truth(band, 15.0).tobytes() == winter.tobytes()
 
 
 def test_sentinel_band_set_works():

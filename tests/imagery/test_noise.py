@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from sim_oracle import reference_path, value_noise_reference
 
 from repro.imagery.noise import (
     fractal_noise,
@@ -100,36 +101,30 @@ def test_seeded_uniform_shape_and_determinism():
 
 
 class TestFastpathParity:
-    """Every value-noise implementation (reference np.ix_ gathers, memoized
-    flat-index gathers, native bilerp kernel) must be bit-identical —
-    imagery feeds the codec, so a single ULP would cascade into metrics."""
+    """Every value-noise implementation (the oracle's np.ix_ gathers,
+    memoized flat-index gathers, native bilerp kernel) must be
+    bit-identical — imagery feeds the codec, so a single ULP would cascade
+    into metrics."""
 
     @pytest.mark.parametrize(
         "shape,cells",
         [((64, 64), 4), ((192, 192), 7), ((33, 129), 5), ((3, 3), 1)],
     )
     def test_all_paths_bit_identical(self, shape, cells, monkeypatch):
-        from repro import perf
         from repro.codec import registry
 
-        with perf.fastpath_disabled():
-            reference = value_noise(shape, cells, seed=1234)
-        with perf.fastpath_enabled():
-            fast = value_noise(shape, cells, seed=1234)
+        reference = value_noise_reference(shape, cells, seed=1234)
+        fast = value_noise(shape, cells, seed=1234)
         assert np.array_equal(reference, fast)
         # Pin the numpy gather path explicitly (kernels gated off) so the
         # native-vs-numpy comparison is exercised even where the compiled
         # kernels are available.
         monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
-        with perf.fastpath_enabled():
-            gathered = value_noise(shape, cells, seed=1234)
+        gathered = value_noise(shape, cells, seed=1234)
         assert np.array_equal(reference, gathered)
 
     def test_fractal_paths_bit_identical(self):
-        from repro import perf
-
-        with perf.fastpath_disabled():
+        with reference_path():
             reference = fractal_noise((96, 80), seed=77, octaves=5)
-        with perf.fastpath_enabled():
-            fast = fractal_noise((96, 80), seed=77, octaves=5)
+        fast = fractal_noise((96, 80), seed=77, octaves=5)
         assert np.array_equal(reference, fast)

@@ -1,9 +1,13 @@
 """Unit tests for the satellite sensor/capture model."""
 
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.errors import ImageryError
+from repro.imagery import sensor as sensor_module
 from repro.imagery.bands import PLANET_BANDS
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
 from repro.imagery.sensor import SatelliteSensor
@@ -96,3 +100,111 @@ class TestCapture:
                 assert cloudy_mean > lit[capture.cloud.mask].mean()
                 return
         pytest.skip("no heavily cloudy capture in the window")
+
+
+def _small_sensor(seed: int) -> SatelliteSensor:
+    spec = LocationSpec(
+        name=f"cache{seed}", shape=(48, 48),
+        terrain_mix={TerrainClass.FOREST: 1.0}, seed=seed,
+    )
+    return SatelliteSensor(
+        earth=EarthModel(spec, PLANET_BANDS), bands=PLANET_BANDS
+    )
+
+
+class TestCaptureCache:
+    """The warm-state capture cache and its two byte budgets."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated(self, monkeypatch):
+        # Default budgets, and a private registry of caching sensors so
+        # the process-wide ceiling sees only this test's sensors.
+        for var in ("REPRO_CAPTURE_CACHE_MB", "REPRO_CAPTURE_CACHE_TOTAL_MB"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(
+            sensor_module, "_CACHING_SENSORS", weakref.WeakValueDictionary()
+        )
+
+    @staticmethod
+    def _budget(monkeypatch, var: str, captures: float, sample) -> int:
+        """Set ``var`` to ``captures`` captures' worth; return one's bytes."""
+        nbytes = SatelliteSensor._capture_nbytes(sample)
+        monkeypatch.setenv(var, repr(captures * nbytes / 1e6))
+        return nbytes
+
+    def test_repeat_returns_cached_read_only(self):
+        sensor = _small_sensor(61)
+        first = sensor.capture(0, 5.0)
+        assert sensor.capture(0, 5.0) is first
+        for array in SatelliteSensor._capture_arrays(first):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            first.pixels["Red"][0, 0] = 0.5
+
+    def test_zero_budget_renders_fresh(self, monkeypatch):
+        sensor = _small_sensor(62)
+        cached = sensor.capture(0, 5.0)
+        monkeypatch.setenv("REPRO_CAPTURE_CACHE_MB", "0")
+        fresh = sensor.capture(0, 5.0)
+        assert fresh is not cached
+        assert sensor.capture(0, 5.0) is not fresh
+        for band, pixels in cached.pixels.items():
+            assert fresh.pixels[band].tobytes() == pixels.tobytes()
+        assert list(sensor._capture_cache) == [(0, 5.0)]
+
+    def test_sensor_budget_evicts_least_recent(self, monkeypatch):
+        sensor = _small_sensor(63)
+        oldest = sensor.capture(0, 1.0)
+        nbytes = self._budget(
+            monkeypatch, "REPRO_CAPTURE_CACHE_MB", 2.5, oldest
+        )
+        sensor.capture(0, 2.0)
+        sensor.capture(0, 3.0)
+        assert list(sensor._capture_cache) == [(0, 2.0), (0, 3.0)]
+        assert sensor._capture_cache_bytes == 2 * nbytes
+        # A hit refreshes recency: (0, 3.0) is now the oldest entry.
+        sensor.capture(0, 2.0)
+        sensor.capture(0, 4.0)
+        assert list(sensor._capture_cache) == [(0, 2.0), (0, 4.0)]
+
+    def test_total_budget_evicts_from_largest_cache(self, monkeypatch):
+        hoarder, inserter = _small_sensor(64), _small_sensor(65)
+        for t_days in (1.0, 2.0, 3.0):
+            hoarder.capture(0, t_days)
+        sample = inserter.capture(0, 1.0)
+        nbytes = self._budget(
+            monkeypatch, "REPRO_CAPTURE_CACHE_TOTAL_MB", 4.5, sample
+        )
+        inserter.capture(0, 2.0)  # 5 captures > 4.5: reclaim one
+        assert list(hoarder._capture_cache) == [(0, 2.0), (0, 3.0)]
+        assert list(inserter._capture_cache) == [(0, 1.0), (0, 2.0)]
+        assert sensor_module._global_capture_cache_bytes() == 4 * nbytes
+
+    def test_pickled_sensor_starts_cold(self):
+        sensor = _small_sensor(66)
+        warm = sensor.capture(0, 5.0)
+        clone = pickle.loads(pickle.dumps(sensor))
+        assert not clone._capture_cache and clone._capture_cache_bytes == 0
+        assert not clone.earth._surface_cache
+        assert not clone.earth._patch_cache
+        assert list(sensor._capture_cache) == [(0, 5.0)]
+        assert sensor.earth._surface_cache
+        for band, pixels in clone.capture(0, 5.0).pixels.items():
+            assert pixels.tobytes() == warm.pixels[band].tobytes()
+
+
+class TestCacheBudgetEnv:
+    @pytest.mark.parametrize(
+        "var", ["REPRO_CAPTURE_CACHE_MB", "REPRO_CAPTURE_CACHE_TOTAL_MB"]
+    )
+    @pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan", "lots"])
+    def test_bad_budget_names_variable(self, monkeypatch, var, value):
+        read = {
+            "REPRO_CAPTURE_CACHE_MB": sensor_module.capture_cache_bytes,
+            "REPRO_CAPTURE_CACHE_TOTAL_MB": (
+                sensor_module.capture_cache_total_bytes
+            ),
+        }[var]
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ValueError, match=f"{var}=.* megabyte count"):
+            read()

@@ -1,9 +1,10 @@
-"""Differential harness: the simulation fast path vs the reference path.
+"""Differential harness: the production simulation path vs the oracle.
 
-The fast path (vectorized DWT, batched tile pipeline, warm-state caches —
-see :mod:`repro.perf`) must be a pure performance change: every metric a
-simulation produces has to be byte-identical with the fast path on and
-off.  These tests run the same scenarios both ways and compare
+The production path (vectorized DWT, batched tile pipeline, warm-state
+caches) must be a pure performance change: every metric a simulation
+produces has to be byte-identical to a run on the reference
+implementations (:func:`sim_oracle.reference_path`).  These tests run the
+same scenarios both ways and compare
 :class:`~repro.core.accounting.RunResult` content exactly (no tolerances;
 NaN PSNR for dropped captures compares as equal-NaN).
 """
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from sim_oracle import reference_path
 
 from repro import perf
 from repro.analysis.scenarios import ScenarioSpec, run_scenario
@@ -79,10 +81,9 @@ def test_scenario_byte_identical(tiny_sentinel_dataset, policy):
         dataset=tiny_sentinel_dataset,
         config=EarthPlusConfig(gamma_bpp=0.3),
     )
-    with perf.fastpath_disabled():
+    with reference_path():
         reference = _run_snapshot(run_scenario(spec))
-    with perf.fastpath_enabled():
-        fast = _run_snapshot(run_scenario(spec))
+    fast = _run_snapshot(run_scenario(spec))
     assert _identical(reference, fast)
 
 
@@ -93,9 +94,8 @@ def test_repeated_fast_runs_identical(tiny_sentinel_dataset):
         dataset=tiny_sentinel_dataset,
         config=EarthPlusConfig(gamma_bpp=0.3),
     )
-    with perf.fastpath_enabled():
-        first = _run_snapshot(run_scenario(spec))
-        second = _run_snapshot(run_scenario(spec))
+    first = _run_snapshot(run_scenario(spec))
+    second = _run_snapshot(run_scenario(spec))
     assert _identical(first, second)
 
 
@@ -104,16 +104,15 @@ class TestRateModelDifferential:
         model = RateModel(CodecConfig(tile_size=64))
         image = rng.random((192, 192))
         roi = rng.random((3, 3)) > 0.3
-        with perf.fastpath_disabled():
+        with reference_path():
             ref = model.encode(image, 1 / 256.0, roi)
             ref_search = model.find_step_for_bytes(
                 image, 4000, roi, tolerance=0.08, max_iterations=14
             )
-        with perf.fastpath_enabled():
-            fast = model.encode(image, 1 / 256.0, roi)
-            fast_search = model.find_step_for_bytes(
-                image, 4000, roi, tolerance=0.08, max_iterations=14
-            )
+        fast = model.encode(image, 1 / 256.0, roi)
+        fast_search = model.find_step_for_bytes(
+            image, 4000, roi, tolerance=0.08, max_iterations=14
+        )
         assert ref.coded_bytes == fast.coded_bytes
         assert ref.payload_bytes == fast.payload_bytes
         assert ref.psnr_roi == fast.psnr_roi
@@ -129,10 +128,9 @@ class TestRateModelDifferential:
         model = RateModel(CodecConfig(tile_size=64))
         image = rng.random((200, 150))
         roi = np.ones((4, 3), dtype=bool)
-        with perf.fastpath_disabled():
+        with reference_path():
             ref = model.find_step_for_bytes(image, 6000, roi)
-        with perf.fastpath_enabled():
-            fast = model.find_step_for_bytes(image, 6000, roi)
+        fast = model.find_step_for_bytes(image, 6000, roi)
         assert ref.coded_bytes == fast.coded_bytes
         assert ref.base_step == fast.base_step
         assert np.array_equal(ref.reconstruction, fast.reconstruction)
@@ -169,7 +167,7 @@ class TestEncoderBatchedBands:
         with and without cached references (incl. partial validity)."""
         config = EarthPlusConfig(gamma_bpp=0.3)
         sensor = tiny_sentinel_dataset.sensors["A"]
-        with perf.fastpath_disabled():
+        with reference_path():
             capture = sensor._render_capture(0, 30.0)
         ratio = config.reference_downsample
         lr_shape = (128 // ratio, 128 // ratio)
@@ -209,18 +207,17 @@ class TestEncoderBatchedBands:
             (True, True, False),
             (True, False, True),
         ]:
-            with perf.fastpath_disabled():
+            with reference_path():
                 ref_enc = self._encoder(
                     config, two_bands, onboard_detector,
                     fresh_cache(with_ref, partial),
                 )
                 ref_out = ref_enc.process_capture(capture, guaranteed)
-            with perf.fastpath_enabled():
-                fast_enc = self._encoder(
-                    config, two_bands, onboard_detector,
-                    fresh_cache(with_ref, partial),
-                )
-                fast_out = fast_enc.process_capture(capture, guaranteed)
+            fast_enc = self._encoder(
+                config, two_bands, onboard_detector,
+                fresh_cache(with_ref, partial),
+            )
+            fast_out = fast_enc.process_capture(capture, guaranteed)
             assert ref_out.dropped == fast_out.dropped
             assert ref_out.guaranteed == fast_out.guaranteed
             assert (

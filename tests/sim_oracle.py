@@ -1,0 +1,576 @@
+"""Reference simulation kernels: the oracle the production path must match.
+
+The simulation has one production path (vectorized DWT lifting, the
+batched tile pipeline in the rate model and encoder, warm-state imagery
+and capture caches, native kernels where a toolchain exists).  The
+original straightforward implementations live here, outside ``src/``, so
+they can never run in production but every differential test can still
+check the production path against them:
+
+* the per-sample DWT lifting loops (``analysis_53_reference`` & co.);
+* the scalar plane-walk entropy estimate (:func:`estimate_band_bits`) and
+  the per-tile rate-model loops (:func:`encode_reference`,
+  :func:`tile_decompositions_reference`, :func:`payload_stats_reference`);
+* the per-band capture pipeline (:func:`process_band`);
+* the ``np.ix_`` value-noise gather (:func:`value_noise_reference`);
+* uncached imagery: ground truth, change patches and snow texture
+  (:func:`ground_truth_uncached`, :func:`change_patch_uncached`,
+  :func:`snow_texture_uncached`).
+
+:func:`reference_path` swaps these in at the production seams for the
+duration of a ``with`` block, so a whole scenario can run on the
+reference implementations and be compared byte for byte with a
+production run.  The module is importable from ``tests/`` and
+``benchmarks/`` through pytest's ``pythonpath`` setting; run scripts
+outside pytest with ``PYTHONPATH=src:tests``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+
+from repro import perf
+from repro.codec import dwt
+from repro.codec.dwt import (
+    _ALPHA,
+    _BETA,
+    _DELTA,
+    _GAMMA,
+    _KAPPA,
+    Wavelet,
+    WaveletCoeffs,
+    _sym_index,
+    forward_dwt2d,
+    inverse_dwt2d,
+)
+from repro.codec.jpeg2000 import effective_levels
+from repro.codec.quantize import (
+    QuantizerSpec,
+    dequantize_coeffs,
+    quantize_coeffs,
+)
+from repro.codec.ratemodel import RateModel, RateModelResult, _binary_entropy
+from repro.core.change_detection import ChangeDetectionResult, detect_changes
+from repro.core.encoder import BandEncodeResult, EarthPlusEncoder
+from repro.core.reference import downsample_image
+from repro.errors import ImageryError
+from repro.imagery import noise, sensor
+from repro.imagery.bands import Band
+from repro.imagery.earth_model import EarthModel
+from repro.imagery.noise import (
+    _lattice_values,
+    fractal_noise,
+    smoothstep,
+    stable_hash,
+)
+from repro.imagery.sensor import Capture
+
+
+# ----------------------------------------------------------------------
+# LeGall 5/3 — per-sample loops
+# ----------------------------------------------------------------------
+def analysis_53_reference(
+    signal: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-D LeGall 5/3 analysis along the first axis (integer, reversible)."""
+    length = signal.shape[0]
+    if length == 1:
+        return signal.copy(), signal[:0].copy()
+    even = signal[0::2].astype(np.int64)
+    odd = signal[1::2].astype(np.int64)
+    n_odd = odd.shape[0]
+    # Predict: d[i] = x[2i+1] - floor((x[2i] + x[2i+2]) / 2)
+    left = even[:n_odd]
+    right_idx = [_sym_index(2 * i + 2, length) for i in range(n_odd)]
+    right = signal[right_idx].astype(np.int64)
+    detail = odd - ((left + right) >> 1)
+    # Update: s[i] = x[2i] + floor((d[i-1] + d[i] + 2) / 4)
+    n_even = even.shape[0]
+    d_left = np.empty_like(even)
+    d_right = np.empty_like(even)
+    for i in range(n_even):
+        li = i - 1
+        ri = i
+        if li < 0:
+            li = 0 if n_odd > 0 else -1
+        if ri >= n_odd:
+            ri = n_odd - 1
+        d_left[i] = detail[li] if n_odd > 0 else 0
+        d_right[i] = detail[ri] if n_odd > 0 else 0
+    approx = even + ((d_left + d_right + 2) >> 2)
+    return approx, detail
+
+
+def synthesis_53_reference(
+    approx: np.ndarray, detail: np.ndarray, length: int
+) -> np.ndarray:
+    """Inverse of :func:`analysis_53_reference`; bit-exact on integers."""
+    if length == 1:
+        return approx.copy()
+    n_even = approx.shape[0]
+    n_odd = detail.shape[0]
+    d_left = np.empty_like(approx)
+    d_right = np.empty_like(approx)
+    for i in range(n_even):
+        li = i - 1
+        ri = i
+        if li < 0:
+            li = 0 if n_odd > 0 else -1
+        if ri >= n_odd:
+            ri = n_odd - 1
+        d_left[i] = detail[li] if n_odd > 0 else 0
+        d_right[i] = detail[ri] if n_odd > 0 else 0
+    even = approx - ((d_left + d_right + 2) >> 2)
+    signal = np.empty((length,) + approx.shape[1:], dtype=np.int64)
+    signal[0::2] = even
+    if n_odd:
+        left = even[:n_odd]
+        right = np.empty_like(detail)
+        for i in range(n_odd):
+            src = _sym_index(2 * i + 2, length)
+            # After reconstruction, even samples live at even indices; the
+            # mirrored index is always even for whole-point extension of an
+            # even-start signal, so it maps into `even` directly.
+            right[i] = even[src // 2] if src % 2 == 0 else 0
+        signal[1::2] = detail + ((left + right) >> 1)
+    return signal
+
+
+# ----------------------------------------------------------------------
+# CDF 9/7 — per-sample boundary loops
+# ----------------------------------------------------------------------
+def analysis_97_reference(
+    signal: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-D CDF 9/7 lifting analysis along the first axis (float)."""
+    length = signal.shape[0]
+    if length == 1:
+        return signal.astype(np.float64) * _KAPPA, signal[:0].astype(np.float64)
+    x = signal.astype(np.float64)
+    even = x[0::2].copy()
+    odd = x[1::2].copy()
+    n_odd = odd.shape[0]
+    n_even = even.shape[0]
+
+    def mirrored_even(position: int) -> np.ndarray:
+        src = _sym_index(position, length)
+        if src % 2 == 0:
+            return even[src // 2]
+        return odd[src // 2]
+
+    # Step 1 (predict with alpha): d += alpha * (left_even + right_even)
+    right1 = np.empty_like(odd)
+    for i in range(n_odd):
+        right1[i] = mirrored_even(2 * i + 2)
+    odd += _ALPHA * (even[:n_odd] + right1)
+    # Step 2 (update with beta): s += beta * (left_detail + right_detail)
+    if n_odd:
+        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
+        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
+            [odd, odd[-1:]]
+        )[:n_even]
+        even += _BETA * (d_pad_left + d_pad_right)
+    # Step 3 (predict with gamma)
+    if n_odd:
+        s_right = np.concatenate([even[1:], even[-1:]])[:n_odd]
+        odd += _GAMMA * (even[:n_odd] + s_right)
+    # Step 4 (update with delta)
+    if n_odd:
+        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
+        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
+            [odd, odd[-1:]]
+        )[:n_even]
+        even += _DELTA * (d_pad_left + d_pad_right)
+    # Scaling
+    even *= _KAPPA
+    odd /= _KAPPA
+    return even, odd
+
+
+def synthesis_97_reference(
+    approx: np.ndarray, detail: np.ndarray, length: int
+) -> np.ndarray:
+    """Inverse of :func:`analysis_97_reference` (floating point)."""
+    if length == 1:
+        return approx / _KAPPA
+    even = approx.astype(np.float64) / _KAPPA
+    odd = detail.astype(np.float64) * _KAPPA
+    n_odd = odd.shape[0]
+    n_even = even.shape[0]
+    # Undo step 4
+    if n_odd:
+        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
+        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
+            [odd, odd[-1:]]
+        )[:n_even]
+        even -= _DELTA * (d_pad_left + d_pad_right)
+    # Undo step 3
+    if n_odd:
+        s_right = np.concatenate([even[1:], even[-1:]])[:n_odd]
+        odd -= _GAMMA * (even[:n_odd] + s_right)
+    # Undo step 2
+    if n_odd:
+        d_pad_left = np.concatenate([odd[:1], odd])[:n_even]
+        d_pad_right = odd[:n_even] if n_even <= n_odd else np.concatenate(
+            [odd, odd[-1:]]
+        )[:n_even]
+        even -= _BETA * (d_pad_left + d_pad_right)
+    # Undo step 1
+    if n_odd:
+        signal = np.empty((length,) + even.shape[1:], dtype=np.float64)
+        signal[0::2] = even
+
+        def mirrored_even(position: int) -> np.ndarray:
+            src = _sym_index(position, length)
+            if src % 2 == 0:
+                return even[src // 2]
+            return odd[src // 2] - 0.0  # odd branch cannot occur (see below)
+
+        right1 = np.empty_like(odd)
+        for i in range(n_odd):
+            right1[i] = mirrored_even(2 * i + 2)
+        odd -= _ALPHA * (even[:n_odd] + right1)
+        signal[1::2] = odd
+        return signal
+    signal = np.empty((length,) + even.shape[1:], dtype=np.float64)
+    signal[0::2] = even
+    return signal
+
+
+# ----------------------------------------------------------------------
+# Rate model — scalar plane walk and per-tile loops
+# ----------------------------------------------------------------------
+def estimate_band_bits(band_q: np.ndarray) -> tuple[float, int]:
+    """Estimated coded bits and plane count for one quantized subband.
+
+    Walks bit-planes top-down exactly as the bit-plane coder does, charging
+    the order-0 entropy of each plane's significance decisions, one bit per
+    sign, and ~0.95 bits per refinement bit (adaptive refinement contexts
+    squeeze slightly below 1).  The production rate model replays this
+    walk from top-bit histograms (``ratemodel._plane_walk_bits``).
+
+    Args:
+        band_q: Quantized integer coefficients.
+
+    Returns:
+        ``(bits, planes)`` — the size estimate and the number of occupied
+        bit-planes.
+    """
+    if band_q.size == 0:
+        return 0.0, 0
+    magnitude = np.abs(band_q.astype(np.int64))
+    peak = int(magnitude.max())
+    if peak == 0:
+        return 0.0, 0
+    top = peak.bit_length() - 1
+    bits = 0.0
+    significant = np.zeros(magnitude.shape, dtype=bool)
+    for plane in range(top, -1, -1):
+        plane_bit = (magnitude >> plane) & 1
+        newly = plane_bit.astype(bool) & ~significant
+        n_insig = float((~significant).sum())
+        if n_insig > 0:
+            k = float(newly.sum())
+            bits += n_insig * float(_binary_entropy(k / n_insig))
+            bits += k  # sign bits
+        n_sig = float(significant.sum())
+        bits += 0.95 * n_sig  # refinement bits
+        significant |= newly
+    return bits, top + 1
+
+
+def tile_decompositions_reference(
+    model: RateModel, image: np.ndarray, roi: np.ndarray
+) -> list[tuple[int, int, int, int, int, object]]:
+    """Forward-transform every ROI tile on its own (no batching, no plan)."""
+    out = []
+    for y0, y1, x0, x1 in model._roi_tile_blocks(image, roi):
+        block = image[y0:y1, x0:x1].astype(np.float64)
+        levels = effective_levels(block.shape, model.config.levels)
+        coeffs = forward_dwt2d(block, levels, Wavelet.CDF97)
+        out.append((y0, y1, x0, x1, levels, coeffs))
+    return out
+
+
+def payload_stats_reference(
+    model: RateModel, decomps, step: float, want_quantized: bool = True
+) -> tuple[float, int, None]:
+    """Per-tile, per-subband quantize + :func:`estimate_band_bits`."""
+    spec = QuantizerSpec(base_step=step)
+    payload_bits = 0.0
+    n_plane_segments = 0
+    for _, _, _, _, _, coeffs in decomps:
+        quantized = quantize_coeffs(coeffs, spec)
+        max_planes = 0
+        for _, _, band_q in quantized:
+            bits, planes = estimate_band_bits(band_q)
+            payload_bits += bits
+            max_planes = max(max_planes, planes)
+        n_plane_segments += max_planes
+    return payload_bits, n_plane_segments, None
+
+
+def encode_reference(
+    model: RateModel, image: np.ndarray, step: float, roi: np.ndarray
+) -> RateModelResult:
+    """The original per-tile rate-model encode loop."""
+    tile = model.config.tile_size
+    tiles_y, tiles_x = roi.shape
+    recon = np.zeros(image.shape, dtype=np.float64)
+    payload_bits = 0.0
+    n_plane_segments = 0
+    n_tiles = 0
+    roi_mask_pixels = np.zeros(image.shape, dtype=bool)
+    for ty in range(tiles_y):
+        for tx in range(tiles_x):
+            if not roi[ty, tx]:
+                continue
+            n_tiles += 1
+            y0, x0 = ty * tile, tx * tile
+            y1, x1 = min(y0 + tile, image.shape[0]), min(
+                x0 + tile, image.shape[1]
+            )
+            roi_mask_pixels[y0:y1, x0:x1] = True
+            block = image[y0:y1, x0:x1].astype(np.float64)
+            levels = effective_levels(block.shape, model.config.levels)
+            coeffs = forward_dwt2d(block, levels, Wavelet.CDF97)
+            spec = QuantizerSpec(base_step=step)
+            quantized = quantize_coeffs(coeffs, spec)
+            max_planes = 0
+            for _, _, band_q in quantized:
+                bits, planes = estimate_band_bits(band_q)
+                payload_bits += bits
+                max_planes = max(max_planes, planes)
+            n_plane_segments += max_planes
+            dequantized = dequantize_coeffs(quantized, spec)
+            recon_coeffs = WaveletCoeffs(
+                approx=dequantized[0][2],
+                details=[
+                    (
+                        dequantized[1 + 3 * i][2],
+                        dequantized[2 + 3 * i][2],
+                        dequantized[3 + 3 * i][2],
+                    )
+                    for i in range(levels)
+                ],
+                shape=block.shape,
+                wavelet=Wavelet.CDF97,
+            )
+            recon[y0:y1, x0:x1] = np.clip(
+                inverse_dwt2d(recon_coeffs), 0.0, 1.0
+            )
+    return model._assemble_result(
+        image, recon, roi_mask_pixels, payload_bits,
+        n_tiles, n_plane_segments, step,
+    )
+
+
+def _encode_unbatched(
+    model: RateModel,
+    image: np.ndarray,
+    step: float,
+    roi: np.ndarray,
+    decompositions=None,
+    payload_hint=None,
+) -> RateModelResult:
+    """Stand-in for ``RateModel._encode_batched``: ignores the shared
+    decompositions and payload hint, as the original encode did."""
+    return encode_reference(model, image, step, roi)
+
+
+# ----------------------------------------------------------------------
+# Encoder — one band at a time
+# ----------------------------------------------------------------------
+def process_band(
+    encoder: EarthPlusEncoder,
+    capture: Capture,
+    band: Band,
+    cloud_pixels: np.ndarray,
+    cloudy_tiles: np.ndarray,
+    guaranteed: bool,
+) -> BandEncodeResult:
+    """The original per-band on-board pipeline for one band of a capture."""
+    image = capture.pixels[band.name]
+    ratio = encoder.config.reference_downsample
+    # Cloud removal: zero out detected cloud before anything else.
+    cleaned = np.where(cloud_pixels, 0.0, image)
+    detection: ChangeDetectionResult | None = None
+    had_reference = encoder.cache.has(capture.location, band.name)
+    unfilled_tiles = np.zeros(encoder.grid.grid_shape, dtype=bool)
+    if had_reference:
+        # Always fit illumination against the cached reference (even for
+        # guaranteed full downloads) so the ground can normalize every
+        # ingested tile into one consistent reference basis.
+        _, reference_lr = encoder.cache.get(capture.location, band.name)
+        capture_lr = downsample_image(cleaned, ratio)
+        valid_lr = (
+            downsample_image((~cloud_pixels).astype(np.float64), ratio) > 0.5
+        )
+        # Reference pixels the ground marked invalid were never filled
+        # by a download (cold start, or persistent cloud): exclude them
+        # from the illumination fit and force their tiles to "changed"
+        # so the ground can fill them in.
+        unfilled_lr = ~encoder.cache.get_validity(capture.location, band.name)
+        if unfilled_lr.any():
+            valid_lr &= ~unfilled_lr
+            unfilled_px = (
+                np.repeat(
+                    np.repeat(unfilled_lr, ratio, axis=0), ratio, axis=1
+                )[: encoder.image_shape[0], : encoder.image_shape[1]]
+            )
+            unfilled_tiles = encoder.grid.reduce_any(unfilled_px)
+        with perf.profiled("scoring"):
+            detection = detect_changes(
+                reference_lr,
+                capture_lr,
+                encoder.grid,
+                ratio,
+                encoder.config.theta,
+                valid_lr=valid_lr,
+            )
+    return encoder._assemble_band_result(
+        capture,
+        band,
+        cleaned,
+        cloud_pixels,
+        cloudy_tiles,
+        guaranteed,
+        had_reference,
+        detection,
+        unfilled_tiles,
+    )
+
+
+def _process_bands_one_by_one(
+    encoder: EarthPlusEncoder,
+    capture: Capture,
+    cloud_pixels: np.ndarray,
+    cloudy_tiles: np.ndarray,
+    guaranteed: bool,
+) -> list[BandEncodeResult]:
+    """Stand-in for ``EarthPlusEncoder._process_bands_batched``."""
+    return [
+        process_band(
+            encoder, capture, band, cloud_pixels, cloudy_tiles, guaranteed
+        )
+        for band in encoder.bands
+    ]
+
+
+# ----------------------------------------------------------------------
+# Imagery — np.ix_ value-noise gather, uncached surfaces and textures
+# ----------------------------------------------------------------------
+def value_noise_reference(
+    shape: tuple[int, int], cells: int, seed: int
+) -> np.ndarray:
+    """Single-octave value noise with open-mesh (``np.ix_``) gathers."""
+    height, width = shape
+    cells = max(1, int(cells))
+    longer = max(height, width)
+    cells_y = max(1, round(cells * height / longer))
+    cells_x = max(1, round(cells * width / longer))
+    lattice = _lattice_values(seed, cells_y, cells_x)
+    ys = np.linspace(0.0, cells_y, height, endpoint=False)
+    xs = np.linspace(0.0, cells_x, width, endpoint=False)
+    y0 = np.minimum(ys.astype(np.int64), cells_y - 1)
+    x0 = np.minimum(xs.astype(np.int64), cells_x - 1)
+    ty = smoothstep((ys - y0))[:, None]
+    tx = smoothstep((xs - x0))[None, :]
+    v00 = lattice[np.ix_(y0, x0)]
+    v01 = lattice[np.ix_(y0, x0 + 1)]
+    v10 = lattice[np.ix_(y0 + 1, x0)]
+    v11 = lattice[np.ix_(y0 + 1, x0 + 1)]
+    top = v00 * (1.0 - tx) + v01 * tx
+    bottom = v10 * (1.0 - tx) + v11 * tx
+    return top * (1.0 - ty) + bottom * ty
+
+
+def ground_truth_uncached(
+    model: EarthModel, band_name: str, t_days: float
+) -> np.ndarray:
+    """``EarthModel.ground_truth`` recomposed from scratch on every call."""
+    if t_days < 0:
+        raise ImageryError(f"t_days must be >= 0, got {t_days}")
+    band = model._get_band(band_name)
+    versions = model.change_model(band_name).version_grid(t_days)
+    surface = model._compose_surface(band, versions)
+    snow = model.snow_mask(t_days)
+    if snow.any():
+        albedo = model._snow_albedo(t_days)
+        snow_texture = model._snow_texture(band.name)
+        snow_value = np.clip(
+            albedo * (0.85 + 0.3 * (snow_texture - 0.5)), 0.0, 1.0
+        )
+        surface[snow] = snow_value[snow]
+    return surface
+
+
+def change_patch_uncached(
+    model: EarthModel, patch_seed: int, patch_shape: tuple[int, int]
+) -> tuple[np.ndarray, float]:
+    """``EarthModel._change_patch`` rendered on every call."""
+    patch = fractal_noise(patch_shape, patch_seed, octaves=3, base_cells=3)
+    rng = np.random.default_rng(patch_seed)
+    amplitude = 0.10 + 0.20 * rng.random()
+    return patch, amplitude
+
+
+def snow_texture_uncached(model: EarthModel, band_name: str) -> np.ndarray:
+    """Static per-band snow texture, re-rendered on every call."""
+    return fractal_noise(
+        model.spec.shape,
+        stable_hash(model.spec.seed, "snowtex", band_name),
+        octaves=3,
+        base_cells=8,
+    )
+
+
+# ----------------------------------------------------------------------
+# The whole reference path
+# ----------------------------------------------------------------------
+def _no_capture_cache() -> int:
+    return 0
+
+
+#: ``(owner, attribute, stand-in)`` for every production seam the
+#: reference path replaces.
+_REFERENCE_SEAMS = (
+    (dwt, "_analysis_53", analysis_53_reference),
+    (dwt, "_synthesis_53", synthesis_53_reference),
+    (dwt, "_analysis_97", analysis_97_reference),
+    (dwt, "_synthesis_97", synthesis_97_reference),
+    (noise, "value_noise", value_noise_reference),
+    (RateModel, "_tile_decompositions", tile_decompositions_reference),
+    (RateModel, "_payload_stats", payload_stats_reference),
+    (RateModel, "_encode_batched", _encode_unbatched),
+    # Without prepare(), RoiRateController.encode_roi shares no forward
+    # transform between the warm-step probe and the step search.
+    (RateModel, "prepare", None),
+    (EarthPlusEncoder, "_process_bands_batched", _process_bands_one_by_one),
+    # Whole methods rather than zero cache bounds: entries a production
+    # run left in a model's caches must not be read here either.
+    (EarthModel, "ground_truth", ground_truth_uncached),
+    (EarthModel, "_change_patch", change_patch_uncached),
+    (EarthModel, "_snow_texture", snow_texture_uncached),
+    (sensor, "capture_cache_bytes", _no_capture_cache),
+)
+
+
+@contextlib.contextmanager
+def reference_path():
+    """Run a block on the reference implementations.
+
+    Every seam in :data:`_REFERENCE_SEAMS` is patched for the duration of
+    the block and restored on exit, so code inside the block computes
+    exactly what the original, unoptimized simulation computed: per-sample
+    DWT loops, per-tile rate-model loops, per-band capture processing,
+    ``np.ix_`` noise gathers and no warm-state caching.  Results must be
+    byte-identical to the production path.
+    """
+    with contextlib.ExitStack() as stack:
+        for owner, name, stand_in in _REFERENCE_SEAMS:
+            stack.enter_context(mock.patch.object(owner, name, stand_in))
+        yield
