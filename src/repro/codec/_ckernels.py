@@ -13,9 +13,12 @@ Python inner loop:
   and the same 32-bit masking discipline — state is held in ``uint64_t``
   and masked exactly where the Python code masks, so the unmasked
   ``low ^ (low + range)`` renormalization test is preserved verbatim;
-* the 5/3 and 9/7 DWT lifting passes, compiled with ``-ffp-contract=off``
-  (no fused multiply-add, no fast-math) so every float operation rounds
-  exactly like the numpy elementwise pipeline;
+* the multilevel 2-D DWT, fused: one call per transform runs every level
+  and both axes of an (n, h, w) stack for 5/3 or 9/7, built from the
+  numpy lifting's 1-D passes (transposing so every pass runs along the
+  leading axis) and compiled with ``-ffp-contract=off`` (no fused
+  multiply-add, no fast-math) so every float operation rounds exactly
+  like the numpy elementwise pipeline;
 * the rate model's magnitude→top-bit histogram and descending plane walk
   (the entropy matrix stays in numpy — ``np.log2`` — so transcendental
   rounding can never drift between backends).
@@ -288,6 +291,13 @@ int rc_decode_plane(const uint8_t *data, int64_t n_data,
 /* m contiguous columns)                                               */
 /* ------------------------------------------------------------------ */
 
+/* CDF 9/7 lifting constants (ITU-T T.800 Annex F). */
+static const double ALPHA = -1.586134342059924;
+static const double BETA = -0.052980118572961;
+static const double GAMMA = 0.882911075530934;
+static const double DELTA = 0.443506852043971;
+static const double KAPPA = 1.230174104914001;
+
 /* Mirrored source index of sample 2i+2 (always even), divided by 2. */
 static int64_t predict_right(int64_t i, int64_t length) {
     int64_t period = 2 * (length - 1);
@@ -296,13 +306,8 @@ static int64_t predict_right(int64_t i, int64_t length) {
     return idx / 2;
 }
 
-void dwt97_analysis(const double *x, int64_t length, int64_t m,
-                    double *even, double *odd) {
-    const double ALPHA = -1.586134342059924;
-    const double BETA = -0.052980118572961;
-    const double GAMMA = 0.882911075530934;
-    const double DELTA = 0.443506852043971;
-    const double KAPPA = 1.230174104914001;
+static void dwt97_analysis(const double *x, int64_t length, int64_t m,
+                           double *even, double *odd) {
     int64_t n_even = (length + 1) / 2;
     int64_t n_odd = length / 2;
     for (int64_t i = 0; i < n_even; i++)
@@ -342,13 +347,8 @@ void dwt97_analysis(const double *x, int64_t length, int64_t m,
     for (int64_t i = 0; i < n_odd * m; i++) odd[i] /= KAPPA;
 }
 
-void dwt97_synthesis(const double *approx, const double *detail,
-                     int64_t length, int64_t m, double *out) {
-    const double ALPHA = -1.586134342059924;
-    const double BETA = -0.052980118572961;
-    const double GAMMA = 0.882911075530934;
-    const double DELTA = 0.443506852043971;
-    const double KAPPA = 1.230174104914001;
+static void dwt97_synthesis(const double *approx, const double *detail,
+                            int64_t length, int64_t m, double *out) {
     int64_t n_even = (length + 1) / 2;
     int64_t n_odd = length / 2;
     /* even[i] lives at out[2i], odd[i] at out[2i+1] (strided rows). */
@@ -397,8 +397,8 @@ void dwt97_synthesis(const double *approx, const double *detail,
 #undef OD
 }
 
-void dwt53_analysis(const int64_t *x, int64_t length, int64_t m,
-                    int64_t *even, int64_t *odd) {
+static void dwt53_analysis(const int64_t *x, int64_t length, int64_t m,
+                           int64_t *even, int64_t *odd) {
     int64_t n_even = (length + 1) / 2;
     int64_t n_odd = length / 2;
     for (int64_t i = 0; i < n_even; i++)
@@ -421,8 +421,8 @@ void dwt53_analysis(const int64_t *x, int64_t length, int64_t m,
     }
 }
 
-void dwt53_synthesis(const int64_t *approx, const int64_t *detail,
-                     int64_t length, int64_t m, int64_t *out) {
+static void dwt53_synthesis(const int64_t *approx, const int64_t *detail,
+                            int64_t length, int64_t m, int64_t *out) {
     int64_t n_even = (length + 1) / 2;
     int64_t n_odd = length / 2;
 #define EV(i) (out + 2 * (i) * m)
@@ -446,6 +446,206 @@ void dwt53_synthesis(const int64_t *approx, const int64_t *detail,
     }
 #undef EV
 #undef OD
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused multilevel 2-D DWT of an (n, h, w) stack                      */
+/* ------------------------------------------------------------------ */
+
+/* Each level runs the passes above along H on every image (its w
+ * columns are the pass's m columns), then along W on the low rows and
+ * on the high rows, transposed so that W is the pass axis and every row
+ * of the stack is a column.  The passes treat each column on its own,
+ * so a layout change moves values between columns but never changes
+ * their arithmetic.  A length-1 axis is not lifted: 9/7 scales it
+ * (x * KAPPA forward, x / KAPPA inverse) and 5/3 copies it, exactly as
+ * the numpy lifting in dwt.py does.
+ *
+ * Subband buffer layout (n*h*w values; dwt._subband_layout mirrors it):
+ * finest level first, each level's HL (n, he, wo), LH (n, ho, we) and
+ * HH (n, ho, wo) stacks, then the coarsest LL stack, where he/ho and
+ * we/wo are the ceil/floor halves of that level's rows and columns.
+ * `work` is scratch space for 4*n*h*w values.  Both element types are
+ * 8 bytes wide, so the layout code below counts in bytes and shares one
+ * driver per direction. */
+
+typedef void (*analysis_fn)(const void *x, int64_t length, int64_t m,
+                            void *even, void *odd);
+typedef void (*synthesis_fn)(const void *approx, const void *detail,
+                             int64_t length, int64_t m, void *out);
+
+static void analysis97(const void *x, int64_t length, int64_t m, void *even,
+                       void *odd) {
+    if (length == 1) {
+        const double *s = x;
+        double *e = even;
+        for (int64_t j = 0; j < m; j++) e[j] = s[j] * KAPPA;
+    } else {
+        dwt97_analysis(x, length, m, even, odd);
+    }
+}
+
+static void synthesis97(const void *approx, const void *detail,
+                        int64_t length, int64_t m, void *out) {
+    if (length == 1) {
+        const double *a = approx;
+        double *o = out;
+        for (int64_t j = 0; j < m; j++) o[j] = a[j] / KAPPA;
+    } else {
+        dwt97_synthesis(approx, detail, length, m, out);
+    }
+}
+
+static void analysis53(const void *x, int64_t length, int64_t m, void *even,
+                       void *odd) {
+    if (length == 1)
+        memcpy(even, x, (size_t)m * sizeof(int64_t));
+    else
+        dwt53_analysis(x, length, m, even, odd);
+}
+
+static void synthesis53(const void *approx, const void *detail,
+                        int64_t length, int64_t m, void *out) {
+    if (length == 1)
+        memcpy(out, approx, (size_t)m * sizeof(int64_t));
+    else
+        dwt53_synthesis(approx, detail, length, m, out);
+}
+
+/* (rows, cols) -> (cols, rows) of 8-byte values; memcpy keeps float bit
+ * patterns exact and is alias-safe for both element types. */
+static void transpose8(const char *src, int64_t rows, int64_t cols,
+                       char *dst) {
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = 0; c < cols; c++)
+            memcpy(dst + (c * rows + r) * 8, src + (r * cols + c) * 8, 8);
+}
+
+/* Rows per transposed chunk of the W pass: a chunk of any tile row
+ * length stays cache-resident, and its transposed stride is never a
+ * large power of two. */
+#define ROW_CHUNK 32
+
+/* Analysis along the last axis of a (rows, len) block into low
+ * (rows, ceil(len/2)) and high (rows, floor(len/2)), ROW_CHUNK rows at a
+ * time; `tr` and `eo` are scratch for ROW_CHUNK*len values each. */
+static void analyze_rows(analysis_fn analysis, const char *src, int64_t rows,
+                         int64_t len, char *tr, char *eo, char *low,
+                         char *high) {
+    int64_t n_even = (len + 1) / 2, n_odd = len / 2;
+    for (int64_t r = 0; r < rows; r += ROW_CHUNK) {
+        int64_t m = rows - r < ROW_CHUNK ? rows - r : ROW_CHUNK;
+        transpose8(src + r * len * 8, m, len, tr);
+        analysis(tr, len, m, eo, eo + n_even * m * 8);
+        transpose8(eo, n_even, m, low + r * n_even * 8);
+        transpose8(eo + n_even * m * 8, n_odd, m, high + r * n_odd * 8);
+    }
+}
+
+/* Inverse of analyze_rows: low and high back to dst (rows, len). */
+static void synthesize_rows(synthesis_fn synthesis, const char *low,
+                            const char *high, int64_t rows, int64_t len,
+                            char *tr, char *res, char *dst) {
+    int64_t n_even = (len + 1) / 2, n_odd = len / 2;
+    for (int64_t r = 0; r < rows; r += ROW_CHUNK) {
+        int64_t m = rows - r < ROW_CHUNK ? rows - r : ROW_CHUNK;
+        transpose8(low + r * n_even * 8, m, n_even, tr);
+        transpose8(high + r * n_odd * 8, m, n_odd, tr + n_even * m * 8);
+        synthesis(tr, tr + n_even * m * 8, len, m, res);
+        transpose8(res, len, m, dst + r * len * 8);
+    }
+}
+
+/* Rows and columns of level `l` (0 = finest) and the byte offset of its
+ * HL stack in the subband buffer (of the LL stack for l == levels). */
+static int64_t level_geometry(int64_t n, int64_t h, int64_t w, int64_t l,
+                              int64_t *rows, int64_t *cols) {
+    int64_t off = 0;
+    for (int64_t k = 0; k < l; k++) {
+        int64_t he = (h + 1) / 2, ho = h / 2, we = (w + 1) / 2, wo = w / 2;
+        off += n * (he * wo + ho * we + ho * wo) * 8;
+        h = he;
+        w = we;
+    }
+    *rows = h;
+    *cols = w;
+    return off;
+}
+
+static void dwt2d_forward(analysis_fn analysis, const char *x, int64_t n,
+                          int64_t h, int64_t w, int64_t levels, char *out,
+                          char *work) {
+    int64_t total = n * h * w * 8;
+    char *lo = work, *tr = work + total, *eo = work + 2 * total;
+    char *next = work + 3 * total;
+    const char *cur = x;
+    for (int64_t l = 0; l < levels; l++) {
+        int64_t he = (h + 1) / 2, ho = h / 2, we = (w + 1) / 2, wo = w / 2;
+        char *hi = lo + n * he * w * 8;
+        for (int64_t i = 0; i < n; i++)
+            analysis(cur + i * h * w * 8, h, w, lo + i * he * w * 8,
+                     hi + i * ho * w * 8);
+        char *hl = out;
+        char *lh = hl + n * he * wo * 8;
+        char *hh = lh + n * ho * we * 8;
+        out = hh + n * ho * wo * 8;
+        char *ll = l + 1 == levels ? out : next;
+        analyze_rows(analysis, lo, n * he, w, tr, eo, ll, hl);
+        analyze_rows(analysis, hi, n * ho, w, tr, eo, lh, hh);
+        cur = ll;
+        h = he;
+        w = we;
+    }
+}
+
+static void dwt2d_inverse(synthesis_fn synthesis, const char *coeffs,
+                          int64_t n, int64_t h, int64_t w, int64_t levels,
+                          char *out, char *work) {
+    int64_t total = n * h * w * 8;
+    char *lo = work, *tr = work + total, *res = work + 2 * total;
+    char *next = work + 3 * total;
+    int64_t rows, cols;
+    const char *cur = coeffs + level_geometry(n, h, w, levels, &rows, &cols);
+    if (levels == 0) memcpy(out, cur, (size_t)total);
+    for (int64_t l = levels - 1; l >= 0; l--) {
+        const char *hl = coeffs + level_geometry(n, h, w, l, &rows, &cols);
+        int64_t he = (rows + 1) / 2, ho = rows / 2;
+        int64_t we = (cols + 1) / 2, wo = cols / 2;
+        const char *lh = hl + n * he * wo * 8;
+        const char *hh = lh + n * ho * we * 8;
+        char *hi = lo + n * he * cols * 8;
+        synthesize_rows(synthesis, cur, hl, n * he, cols, tr, res, lo);
+        synthesize_rows(synthesis, lh, hh, n * ho, cols, tr, res, hi);
+        char *dst = l == 0 ? out : next;
+        for (int64_t i = 0; i < n; i++)
+            synthesis(lo + i * he * cols * 8, hi + i * ho * cols * 8, rows,
+                      cols, dst + i * rows * cols * 8);
+        cur = dst;
+    }
+}
+
+void dwt97_forward2d(const double *x, int64_t n, int64_t h, int64_t w,
+                     int64_t levels, double *out, double *work) {
+    dwt2d_forward(analysis97, (const char *)x, n, h, w, levels, (char *)out,
+                  (char *)work);
+}
+
+void dwt97_inverse2d(const double *coeffs, int64_t n, int64_t h, int64_t w,
+                     int64_t levels, double *out, double *work) {
+    dwt2d_inverse(synthesis97, (const char *)coeffs, n, h, w, levels,
+                  (char *)out, (char *)work);
+}
+
+void dwt53_forward2d(const int64_t *x, int64_t n, int64_t h, int64_t w,
+                     int64_t levels, int64_t *out, int64_t *work) {
+    dwt2d_forward(analysis53, (const char *)x, n, h, w, levels, (char *)out,
+                  (char *)work);
+}
+
+void dwt53_inverse2d(const int64_t *coeffs, int64_t n, int64_t h, int64_t w,
+                     int64_t levels, int64_t *out, int64_t *work) {
+    dwt2d_inverse(synthesis53, (const char *)coeffs, n, h, w, levels,
+                  (char *)out, (char *)work);
 }
 
 /* ------------------------------------------------------------------ */
@@ -626,15 +826,18 @@ def _build(compiler: str) -> Path:
     lib_path = cache / f"repro_ckernels_{tag}.so"
     if lib_path.exists():
         return lib_path
-    src_path = cache / f"repro_ckernels_{tag}.c"
-    src_path.write_text(_C_SOURCE)
-    # Build to a unique temp name then rename: concurrent builders (tile
-    # pool workers) race benignly, os.replace is atomic.
-    fd, tmp_out = tempfile.mkstemp(suffix=".so", dir=str(cache))
-    os.close(fd)
+    # Every builder compiles its own private copy of the source into a
+    # unique temp library, then renames it into place: concurrent builders
+    # (sweep workers) never write a file another builder's compiler is
+    # reading, and os.replace is atomic.
+    src_fd, tmp_src = tempfile.mkstemp(suffix=".c", dir=str(cache))
+    out_fd, tmp_out = tempfile.mkstemp(suffix=".so", dir=str(cache))
+    os.close(out_fd)
     try:
+        with os.fdopen(src_fd, "w") as handle:
+            handle.write(_C_SOURCE)
         subprocess.run(
-            [compiler, *_CFLAGS, "-o", tmp_out, str(src_path), "-lm"],
+            [compiler, *_CFLAGS, "-o", tmp_out, tmp_src, "-lm"],
             check=True,
             capture_output=True,
             text=True,
@@ -645,8 +848,9 @@ def _build(compiler: str) -> Path:
             f"kernel compilation failed: {exc.stderr.strip()[:500]}"
         ) from exc
     finally:
-        if os.path.exists(tmp_out):
-            os.unlink(tmp_out)
+        for path in (tmp_src, tmp_out):
+            if os.path.exists(path):
+                os.unlink(path)
     return lib_path
 
 
@@ -658,10 +862,10 @@ class CompiledKernels:
         lib.rc_encode_plane.restype = ctypes.c_int64
         lib.rc_decode_plane.restype = ctypes.c_int
         for name in (
-            "dwt97_analysis",
-            "dwt97_synthesis",
-            "dwt53_analysis",
-            "dwt53_synthesis",
+            "dwt97_forward2d",
+            "dwt97_inverse2d",
+            "dwt53_forward2d",
+            "dwt53_inverse2d",
             "rc_magnitude_histogram",
             "rc_magnitude_histogram_multi",
             "rc_plane_walk_bits",
@@ -759,62 +963,77 @@ class CompiledKernels:
         )
         return status == 0
 
-    # -- DWT lifting ---------------------------------------------------
-    def dwt97_analysis(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """9/7 analysis of a contiguous (length, m) float64 array."""
-        length, m = x.shape
-        even = np.empty(((length + 1) // 2, m), dtype=np.float64)
-        odd = np.empty((length // 2, m), dtype=np.float64)
-        self._lib.dwt97_analysis(
-            ctypes.c_void_p(x.ctypes.data),
-            ctypes.c_int64(length),
-            ctypes.c_int64(m),
-            ctypes.c_void_p(even.ctypes.data),
-            ctypes.c_void_p(odd.ctypes.data),
-        )
-        return even, odd
-
-    def dwt97_synthesis(
-        self, approx: np.ndarray, detail: np.ndarray, length: int
+    # -- DWT -----------------------------------------------------------
+    def dwt_forward(
+        self, stack: np.ndarray, levels: int, reversible: bool
     ) -> np.ndarray:
-        """9/7 synthesis back to a (length, m) float64 array."""
-        m = approx.shape[1]
-        out = np.empty((length, m), dtype=np.float64)
-        self._lib.dwt97_synthesis(
-            ctypes.c_void_p(approx.ctypes.data),
-            ctypes.c_void_p(detail.ctypes.data),
-            ctypes.c_int64(length),
-            ctypes.c_int64(m),
+        """Fused multilevel 2-D analysis of a contiguous (n, h, w) stack.
+
+        One call runs every level and both axes: LeGall 5/3 on an int64
+        stack when ``reversible``, else CDF 9/7 on a float64 stack.
+        Returns the flat subband buffer (``n*h*w`` values, finest level's
+        HL/LH/HH stacks first, coarsest LL last — the layout documented
+        in the C source and mirrored by ``dwt._subband_layout``).
+        """
+        dtype = np.int64 if reversible else np.float64
+        if (
+            stack.ndim != 3
+            or stack.dtype != dtype
+            or not stack.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"dwt_forward needs a C-contiguous (n, h, w) {dtype.__name__} "
+                f"stack, got {stack.dtype} {stack.shape}"
+            )
+        n, h, w = stack.shape
+        out = np.empty(stack.size, dtype=dtype)
+        work = np.empty(4 * stack.size, dtype=dtype)
+        lib = self._lib
+        kernel = lib.dwt53_forward2d if reversible else lib.dwt97_forward2d
+        kernel(
+            ctypes.c_void_p(stack.ctypes.data),
+            ctypes.c_int64(n),
+            ctypes.c_int64(h),
+            ctypes.c_int64(w),
+            ctypes.c_int64(levels),
             ctypes.c_void_p(out.ctypes.data),
+            ctypes.c_void_p(work.ctypes.data),
         )
         return out
 
-    def dwt53_analysis(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """5/3 analysis of a contiguous (length, m) int64 array."""
-        length, m = x.shape
-        even = np.empty(((length + 1) // 2, m), dtype=np.int64)
-        odd = np.empty((length // 2, m), dtype=np.int64)
-        self._lib.dwt53_analysis(
-            ctypes.c_void_p(x.ctypes.data),
-            ctypes.c_int64(length),
-            ctypes.c_int64(m),
-            ctypes.c_void_p(even.ctypes.data),
-            ctypes.c_void_p(odd.ctypes.data),
-        )
-        return even, odd
-
-    def dwt53_synthesis(
-        self, approx: np.ndarray, detail: np.ndarray, length: int
+    def dwt_inverse(
+        self,
+        coeffs: np.ndarray,
+        shape: "tuple[int, int, int]",
+        levels: int,
+        reversible: bool,
     ) -> np.ndarray:
-        """5/3 synthesis back to a (length, m) int64 array."""
-        m = approx.shape[1]
-        out = np.empty((length, m), dtype=np.int64)
-        self._lib.dwt53_synthesis(
-            ctypes.c_void_p(approx.ctypes.data),
-            ctypes.c_void_p(detail.ctypes.data),
-            ctypes.c_int64(length),
-            ctypes.c_int64(m),
+        """Inverse of :meth:`dwt_forward`: flat subband buffer to an
+        ``shape`` = (n, h, w) stack, in one call."""
+        dtype = np.int64 if reversible else np.float64
+        n, h, w = shape
+        if (
+            coeffs.ndim != 1
+            or coeffs.size != n * h * w
+            or coeffs.dtype != dtype
+            or not coeffs.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"dwt_inverse needs a contiguous {dtype.__name__} buffer of "
+                f"{n * h * w} values, got {coeffs.dtype} {coeffs.shape}"
+            )
+        out = np.empty(shape, dtype=dtype)
+        work = np.empty(4 * coeffs.size, dtype=dtype)
+        lib = self._lib
+        kernel = lib.dwt53_inverse2d if reversible else lib.dwt97_inverse2d
+        kernel(
+            ctypes.c_void_p(coeffs.ctypes.data),
+            ctypes.c_int64(n),
+            ctypes.c_int64(h),
+            ctypes.c_int64(w),
+            ctypes.c_int64(levels),
             ctypes.c_void_p(out.ctypes.data),
+            ctypes.c_void_p(work.ctypes.data),
         )
         return out
 

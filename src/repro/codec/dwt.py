@@ -12,17 +12,22 @@ Coefficients are organized pywt-style: ``[LL_n, (HL_n, LH_n, HH_n), ...,
 (HL_1, LH_1, HH_1)]`` coarsest-first.  Perfect reconstruction for every
 shape/level combination is property-tested.
 
-The 1-D lifting does whole-array predict/update steps with precomputed
-symmetric-extension index vectors — no Python loop touches a sample — and
-runs on the compiled kernels when a toolchain is available (see
-:mod:`repro.codec.registry`).  The original per-sample loops are the
-differential-test oracle in ``tests/sim_oracle.py``; the two agree
-bit-exactly for 5/3 and float-identically for 9/7.
-
-:func:`dwt_many`/:func:`idwt_many` batch the transform over a stack of
-same-shape images (all bands/tiles of a capture in one call): the lifting
-kernels operate along one axis with arbitrary trailing dimensions, so the
-batched transform is float-identical to transforming each image alone.
+Every transform runs on an ``(N, H, W)`` stack of same-shape images:
+:func:`dwt_many`/:func:`idwt_many` take the stack (all tiles of a shape in
+one call) and :func:`forward_dwt2d`/:func:`inverse_dwt2d` are its N = 1
+case.  Each level lifts along H, then along W on the low rows and on the
+high rows (the inverse undoes them in reverse).  Where the compiled
+kernels are available (see :mod:`repro.codec.registry`) one fused C call
+runs every level and both axes of the stack; without a toolchain the
+numpy lifting below runs axis by axis, doing whole-array predict/update
+steps with precomputed symmetric-extension index vectors.  The C kernel
+is built from the same 1-D passes without FP contraction, and every pass
+treats each column of its operand on its own, so both paths — and a
+batched or single-image call — agree bit-exactly for 5/3 and
+float-identically for 9/7.  The original per-sample loops are the
+differential-test oracle in ``tests/sim_oracle.py``, whose
+``reference_path()`` switches the fused kernel off (:func:`_fused_kernels`)
+and swaps the loops in for the four per-axis seams.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ def _update_neighbor_indices(length: int) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 # LeGall 5/3 — whole-array lifting
 # ----------------------------------------------------------------------
-def _analysis_53_vectorized(
+def _analysis_53(
     signal: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-array 5/3 analysis; bit-exact twin of the reference loops."""
@@ -176,7 +181,7 @@ def _analysis_53_vectorized(
     return approx, detail
 
 
-def _synthesis_53_vectorized(
+def _synthesis_53(
     approx: np.ndarray, detail: np.ndarray, length: int
 ) -> np.ndarray:
     """Whole-array inverse of the 5/3 lifting; bit-exact on integers."""
@@ -198,7 +203,7 @@ def _synthesis_53_vectorized(
 # ----------------------------------------------------------------------
 # CDF 9/7 — whole-array lifting
 # ----------------------------------------------------------------------
-def _analysis_97_vectorized(
+def _analysis_97(
     signal: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-array 9/7 analysis; float-identical twin of the reference.
@@ -231,7 +236,7 @@ def _analysis_97_vectorized(
     return even, odd
 
 
-def _synthesis_97_vectorized(
+def _synthesis_97(
     approx: np.ndarray, detail: np.ndarray, length: int
 ) -> np.ndarray:
     """Whole-array inverse of the 9/7 lifting; float-identical twin."""
@@ -257,102 +262,6 @@ def _synthesis_97_vectorized(
     odd -= _ALPHA * (even[:n_odd] + right1)
     signal[1::2] = odd
     return signal
-
-
-def _native_analysis(
-    signal: np.ndarray, dtype: type, kernel_name: str
-) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Run one analysis pass on the compiled kernels, or None to fall back.
-
-    The kernels work on a contiguous ``(length, m)`` layout; any trailing
-    axes are flattened in and restored on the way out.  They are exact
-    ports of the vectorized lifting (compiled without FP contraction), so
-    results are bit-identical — the differential tests enforce it.
-    """
-    from repro.codec import registry
-
-    kernels = registry.kernels()
-    if (
-        kernels is None
-        or signal.ndim < 1
-        or signal.shape[0] < 2
-        or signal.dtype != dtype
-    ):
-        return None
-    length = signal.shape[0]
-    rest = signal.shape[1:]
-    flat = np.ascontiguousarray(signal.reshape(length, -1))
-    even, odd = getattr(kernels, kernel_name)(flat)
-    return (
-        even.reshape(((length + 1) // 2,) + rest),
-        odd.reshape((length // 2,) + rest),
-    )
-
-
-def _native_synthesis(
-    approx: np.ndarray,
-    detail: np.ndarray,
-    length: int,
-    dtype: type,
-    kernel_name: str,
-) -> "np.ndarray | None":
-    """Synthesis counterpart of :func:`_native_analysis`."""
-    from repro.codec import registry
-
-    kernels = registry.kernels()
-    if (
-        kernels is None
-        or length < 2
-        or approx.ndim < 1
-        or approx.dtype != dtype
-        or detail.dtype != dtype
-    ):
-        return None
-    rest = approx.shape[1:]
-    approx_flat = np.ascontiguousarray(approx.reshape(approx.shape[0], -1))
-    detail_flat = np.ascontiguousarray(detail.reshape(detail.shape[0], -1))
-    merged = getattr(kernels, kernel_name)(approx_flat, detail_flat, length)
-    return merged.reshape((length,) + rest)
-
-
-def _analysis_53(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """5/3 analysis on the compiled kernels, else the numpy lifting."""
-    native = _native_analysis(signal, np.int64, "dwt53_analysis")
-    if native is not None:
-        return native
-    return _analysis_53_vectorized(signal)
-
-
-def _synthesis_53(
-    approx: np.ndarray, detail: np.ndarray, length: int
-) -> np.ndarray:
-    """5/3 synthesis on the compiled kernels, else the numpy lifting."""
-    native = _native_synthesis(
-        approx, detail, length, np.int64, "dwt53_synthesis"
-    )
-    if native is not None:
-        return native
-    return _synthesis_53_vectorized(approx, detail, length)
-
-
-def _analysis_97(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """9/7 analysis on the compiled kernels, else the numpy lifting."""
-    native = _native_analysis(signal, np.float64, "dwt97_analysis")
-    if native is not None:
-        return native
-    return _analysis_97_vectorized(signal)
-
-
-def _synthesis_97(
-    approx: np.ndarray, detail: np.ndarray, length: int
-) -> np.ndarray:
-    """9/7 synthesis on the compiled kernels, else the numpy lifting."""
-    native = _native_synthesis(
-        approx, detail, length, np.float64, "dwt97_synthesis"
-    )
-    if native is not None:
-        return native
-    return _synthesis_97_vectorized(approx, detail, length)
 
 
 def _transform_axis(
@@ -384,6 +293,68 @@ def _inverse_axis(
     return np.moveaxis(merged, 0, axis)
 
 
+def _fused_kernels():
+    """The compiled kernels for the fused 2-D transform, or None.
+
+    The one switch between the fused native transform and the per-axis
+    numpy lifting: ``sim_oracle.reference_path()`` patches it to return
+    None so that the per-axis seams (``_analysis_53`` & co.) run the
+    reference loops.
+    """
+    from repro.codec import registry
+
+    return registry.kernels()
+
+
+@lru_cache(maxsize=256)
+def _subband_layout(
+    height: int, width: int, levels: int
+) -> tuple[tuple[str, int, tuple[int, int]], ...]:
+    """``(name, level, shape)`` of one image's subbands in buffer order.
+
+    Finest level first, each level's HL, LH and HH, then the coarsest LL:
+    the order in which the fused kernels lay out their subband buffer
+    (see the C source in :mod:`repro.codec._ckernels`).
+    """
+    out = []
+    for level in range(1, levels + 1):
+        rows_e, rows_o = (height + 1) // 2, height // 2
+        cols_e, cols_o = (width + 1) // 2, width // 2
+        out += [
+            ("HL", level, (rows_e, cols_o)),
+            ("LH", level, (rows_o, cols_e)),
+            ("HH", level, (rows_o, cols_o)),
+        ]
+        height, width = rows_e, cols_e
+    out.append(("LL", levels, (height, width)))
+    return tuple(out)
+
+
+def _layout_views(
+    flat: np.ndarray,
+    n_images: int,
+    layout: tuple[tuple[str, int, tuple[int, int]], ...],
+) -> list[np.ndarray]:
+    """``(N, rows, cols)`` views of ``flat``, one per subband of ``layout``."""
+    views = []
+    offset = 0
+    for _, _, (rows, cols) in layout:
+        size = n_images * rows * cols
+        view = flat[offset : offset + size].reshape(n_images, rows, cols)
+        views.append(view)
+        offset += size
+    return views
+
+
+def _buffer_order(coeffs: WaveletCoeffs) -> list[np.ndarray]:
+    """``coeffs``' subband arrays in :func:`_subband_layout` order."""
+    bands = []
+    for hl, lh, hh in reversed(coeffs.details):
+        bands += [hl, lh, hh]
+    bands.append(coeffs.approx)
+    return bands
+
+
 def _check_transform_args(
     shape: tuple[int, int], ndim: int, levels: int
 ) -> None:
@@ -391,11 +362,108 @@ def _check_transform_args(
         raise CodecError(f"expected 2-D image, got {ndim}-D input")
     if levels < 1:
         raise CodecError(f"levels must be >= 1, got {levels}")
-    max_levels = int(np.floor(np.log2(max(1, min(shape)))))
+    max_levels = max(1, min(shape)).bit_length() - 1  # floor(log2)
     if levels > max(1, max_levels):
         raise CodecError(
             f"levels={levels} too deep for image of shape {shape}"
         )
+
+
+def _forward_many(
+    stack: np.ndarray, levels: int, wavelet: Wavelet
+) -> list[WaveletCoeffs]:
+    """Forward transform of an (N, H, W) stack, one result per image.
+
+    Shared by :func:`forward_dwt2d` (N = 1) and :func:`dwt_many`.  The
+    input is cast once (int64 for 5/3, float64 for 9/7); the fused kernel
+    then runs the whole transform in one call, or without one the numpy
+    lifting runs level by level along each axis of the stack.
+    """
+    reversible = wavelet is Wavelet.LEGALL53
+    stack = stack.astype(np.int64 if reversible else np.float64, copy=False)
+    n_images, height, width = stack.shape
+    kernels = _fused_kernels()
+    if kernels is None:
+        current = stack
+        detail_stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for _ in range(levels):
+            low_rows, high_rows = _transform_axis(current, 1, wavelet)
+            ll, hl = _transform_axis(low_rows, 2, wavelet)
+            lh, hh = _transform_axis(high_rows, 2, wavelet)
+            detail_stacks.append((hl, lh, hh))
+            current = ll
+        detail_stacks.reverse()
+    else:
+        flat = kernels.dwt_forward(
+            np.ascontiguousarray(stack), levels, reversible
+        )
+        bands = _layout_views(
+            flat, n_images, _subband_layout(height, width, levels)
+        )
+        current = bands[-1]
+        detail_stacks = [
+            (bands[3 * k], bands[3 * k + 1], bands[3 * k + 2])
+            for k in reversed(range(levels))
+        ]
+    return [
+        WaveletCoeffs(
+            approx=current[i],
+            details=[(hl[i], lh[i], hh[i]) for hl, lh, hh in detail_stacks],
+            shape=(height, width),
+            wavelet=wavelet,
+        )
+        for i in range(n_images)
+    ]
+
+
+def _inverse_many(coeffs_list: list[WaveletCoeffs]) -> np.ndarray:
+    """Inverse transform of same-geometry decompositions to (N, H, W).
+
+    Shared by :func:`inverse_dwt2d` (N = 1) and :func:`idwt_many`.  Every
+    subband is checked against the shape its decomposition's ``shape`` and
+    ``levels`` imply (the fused kernel reads each one by pointer) and cast
+    into one buffer in :func:`_subband_layout` order, which the fused
+    kernel inverts in one call; without one the numpy lifting runs on
+    views of that buffer.
+
+    Raises:
+        CodecError: When a subband's shape does not match the geometry.
+    """
+    first = coeffs_list[0]
+    height, width = first.shape
+    levels = first.levels
+    wavelet = first.wavelet
+    reversible = wavelet is Wavelet.LEGALL53
+    n_images = len(coeffs_list)
+    flat = np.empty(
+        n_images * height * width, dtype=np.int64 if reversible else np.float64
+    )
+    layout = _subband_layout(height, width, levels)
+    stacks = _layout_views(flat, n_images, layout)
+    for i, coeffs in enumerate(coeffs_list):
+        for stack, band, (name, level, shape) in zip(
+            stacks, _buffer_order(coeffs), layout
+        ):
+            if band.shape != shape:
+                raise CodecError(
+                    f"subband {name}{level} has shape {band.shape}, expected "
+                    f"{shape} for a {levels}-level decomposition of "
+                    f"{(height, width)}"
+                )
+            stack[i] = band
+    kernels = _fused_kernels()
+    if kernels is not None:
+        return kernels.dwt_inverse(
+            flat, (n_images, height, width), levels, reversible
+        )
+    current = stacks[-1]
+    for k in reversed(range(levels)):
+        hl, lh, hh = stacks[3 * k : 3 * k + 3]
+        rows, cols = hl.shape[1] + hh.shape[1], lh.shape[2] + hh.shape[2]
+        low_rows = _inverse_axis(current, hl, 2, cols, wavelet)
+        high_rows = _inverse_axis(lh, hh, 2, cols, wavelet)
+        current = _inverse_axis(low_rows, high_rows, 1, rows, wavelet)
+    return current
 
 
 def forward_dwt2d(
@@ -417,18 +485,7 @@ def forward_dwt2d(
     """
     _check_transform_args(image.shape, image.ndim, levels)
     with perf.profiled("dwt"):
-        current = image
-        details: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for _ in range(levels):
-            low_rows, high_rows = _transform_axis(current, 0, wavelet)
-            ll, hl = _transform_axis(low_rows, 1, wavelet)
-            lh, hh = _transform_axis(high_rows, 1, wavelet)
-            details.append((hl, lh, hh))
-            current = ll
-        details.reverse()
-        return WaveletCoeffs(
-            approx=current, details=details, shape=image.shape, wavelet=wavelet
-        )
+        return _forward_many(image[np.newaxis], levels, wavelet)[0]
 
 
 def inverse_dwt2d(coeffs: WaveletCoeffs) -> np.ndarray:
@@ -436,23 +493,13 @@ def inverse_dwt2d(coeffs: WaveletCoeffs) -> np.ndarray:
 
     Returns:
         The reconstructed image: float64 for CDF 9/7, int64 for LeGall 5/3.
+
+    Raises:
+        CodecError: When a subband's shape does not match ``coeffs.shape``
+            and ``coeffs.levels``.
     """
     with perf.profiled("dwt"):
-        current = coeffs.approx
-        # Reconstruct level shapes top-down: we must know each level's
-        # row/col counts, derived by repeatedly halving the original shape.
-        shapes = [coeffs.shape]
-        for _ in range(coeffs.levels - 1):
-            height, width = shapes[-1]
-            shapes.append(((height + 1) // 2, (width + 1) // 2))
-        for (hl, lh, hh), target in zip(coeffs.details, reversed(shapes)):
-            height, width = target
-            low_rows = _inverse_axis(current, hl, 1, width, coeffs.wavelet)
-            high_rows = _inverse_axis(lh, hh, 1, width, coeffs.wavelet)
-            current = _inverse_axis(
-                low_rows, high_rows, 0, height, coeffs.wavelet
-            )
-        return current
+        return _inverse_many([coeffs])[0]
 
 
 def dwt_many(
@@ -462,12 +509,11 @@ def dwt_many(
 ) -> list[WaveletCoeffs]:
     """Batch forward DWT over same-shape images in one call.
 
-    The lifting kernels operate along one axis with arbitrary trailing
-    dimensions, so stacking N images and transforming the stack performs
-    exactly the same elementwise arithmetic as N separate
-    :func:`forward_dwt2d` calls — each returned decomposition is
-    float-identical (bit-exact for 5/3) to transforming that image alone.
-    Subband arrays are views into the shared stack.
+    Every lifting pass transforms each column of its operand on its own,
+    so transforming the stack performs exactly the same elementwise
+    arithmetic as N separate :func:`forward_dwt2d` calls — each returned
+    decomposition is float-identical (bit-exact for 5/3) to transforming
+    that image alone.  Subband arrays are views into shared stacks.
 
     Args:
         images: ``(N, H, W)`` array or list of same-shape 2-D arrays.
@@ -501,30 +547,9 @@ def dwt_many(
             )
         if stack.shape[0] == 0:
             return []
-    n_images = stack.shape[0]
-    image_shape = (stack.shape[1], stack.shape[2])
-    _check_transform_args(image_shape, 2, levels)
+    _check_transform_args((stack.shape[1], stack.shape[2]), 2, levels)
     with perf.profiled("dwt"):
-        current = stack
-        detail_stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for _ in range(levels):
-            low_rows, high_rows = _transform_axis(current, 1, wavelet)
-            ll, hl = _transform_axis(low_rows, 2, wavelet)
-            lh, hh = _transform_axis(high_rows, 2, wavelet)
-            detail_stacks.append((hl, lh, hh))
-            current = ll
-        detail_stacks.reverse()
-        return [
-            WaveletCoeffs(
-                approx=current[i],
-                details=[
-                    (hl[i], lh[i], hh[i]) for hl, lh, hh in detail_stacks
-                ],
-                shape=image_shape,
-                wavelet=wavelet,
-            )
-            for i in range(n_images)
-        ]
+        return _forward_many(stack, levels, wavelet)
 
 
 def idwt_many(coeffs_list: list[WaveletCoeffs]) -> np.ndarray:
@@ -542,7 +567,8 @@ def idwt_many(coeffs_list: list[WaveletCoeffs]) -> np.ndarray:
         empty list).
 
     Raises:
-        CodecError: On mixed geometry.
+        CodecError: On mixed geometry, or a subband whose shape does not
+            match that geometry.
     """
     if not coeffs_list:
         return np.empty((0, 0, 0))
@@ -557,18 +583,4 @@ def idwt_many(coeffs_list: list[WaveletCoeffs]) -> np.ndarray:
                 "idwt_many requires decompositions of identical geometry"
             )
     with perf.profiled("dwt"):
-        wavelet = first.wavelet
-        current = np.stack([c.approx for c in coeffs_list])
-        shapes = [first.shape]
-        for _ in range(first.levels - 1):
-            height, width = shapes[-1]
-            shapes.append(((height + 1) // 2, (width + 1) // 2))
-        for level_idx, target in enumerate(reversed(shapes)):
-            height, width = target
-            hl = np.stack([c.details[level_idx][0] for c in coeffs_list])
-            lh = np.stack([c.details[level_idx][1] for c in coeffs_list])
-            hh = np.stack([c.details[level_idx][2] for c in coeffs_list])
-            low_rows = _inverse_axis(current, hl, 2, width, wavelet)
-            high_rows = _inverse_axis(lh, hh, 2, width, wavelet)
-            current = _inverse_axis(low_rows, high_rows, 1, height, wavelet)
-        return current
+        return _inverse_many(coeffs_list)

@@ -183,8 +183,8 @@ def resolve_name(
     return resolve(explicit, config_backend, default).name
 
 
-# (raw env value, kernels-or-None): kernels() sits on per-subband hot
-# paths (DWT dispatch, rate-model histograms), so re-resolve only when
+# (raw env value, kernels-or-None): kernels() sits on per-tile hot
+# paths (the fused DWT, rate-model histograms), so re-resolve only when
 # $REPRO_CODEC_BACKEND actually changes — one dict lookup per call.
 _KERNELS_CACHE: "tuple[str | None, object] | None" = None
 

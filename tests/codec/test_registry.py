@@ -1,5 +1,8 @@
 """Backend registry: resolution precedence, aliasing, fallback, kernels gate.
 
+Also the compiled-kernel build itself: concurrent builders of one library
+must each compile a private copy of the source.
+
 The registry is the single resolution path for every layer that names an
 entropy engine (``ImageCodec``, the adapter, the encoder stack, the CLI),
 so its precedence chain — explicit > config > ``$REPRO_CODEC_BACKEND`` >
@@ -7,6 +10,11 @@ default — and its graceful no-toolchain fallback are pinned here.
 """
 
 from __future__ import annotations
+
+import hashlib
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -140,3 +148,91 @@ class TestKernelsGate:
             assert registry.kernels() is None
         else:
             assert registry.kernels() is _ckernels.load()
+
+
+#: Stand-in compiler for the concurrent-build test.  The first
+#: invocation fingerprints its source file, lets a second builder run to
+#: completion, and fails unless the file it is compiling is still
+#: complete and untouched; a builder that rewrote a source file another
+#: compiler was reading is exactly how a truncated source got compiled.
+_FAKE_COMPILER = '''#!{python}
+import hashlib, os, sys, time
+
+args = sys.argv[1:]
+src = next(arg for arg in args if arg.endswith(".c"))
+out = args[args.index("-o") + 1]
+state = os.environ["FAKE_CC_STATE"]
+
+
+def fingerprint():
+    info = os.stat(src)
+    with open(src, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    return digest, info.st_ino, info.st_mtime_ns, info.st_ctime_ns
+
+
+def marker(name):
+    return os.path.join(state, name)
+
+
+try:
+    os.close(os.open(marker("first"), os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    first = True
+except FileExistsError:
+    first = False
+before = fingerprint()
+if before[0] != os.environ["FAKE_CC_SHA"]:
+    sys.exit("compiler received an incomplete source")
+if first:
+    time.sleep(0.05)  # let the file clock tick past the fingerprint
+    open(marker("first-ready"), "w").close()
+    deadline = time.monotonic() + 60
+    while not os.path.exists(marker("second-done")):
+        if time.monotonic() > deadline:
+            sys.exit("second builder never ran")
+        time.sleep(0.01)
+    if fingerprint() != before:
+        sys.exit("source rewritten while the compiler was reading it")
+else:
+    open(marker("second-done"), "w").close()
+with open(out, "wb") as handle:
+    handle.write(b"stand-in library")
+'''
+
+
+class TestKernelBuild:
+    def test_concurrent_builders_compile_private_sources(
+        self, tmp_path, monkeypatch
+    ):
+        """Two builders of one library never share a source file."""
+        fake = tmp_path / "fake-cc"
+        fake.write_text(_FAKE_COMPILER.format(python=sys.executable))
+        fake.chmod(0o755)
+        state = tmp_path / "state"
+        state.mkdir()
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv(_ckernels._ENV_CC, str(fake))
+        monkeypatch.setenv("FAKE_CC_STATE", str(state))
+        monkeypatch.setenv(
+            "FAKE_CC_SHA",
+            hashlib.sha256(_ckernels._C_SOURCE.encode()).hexdigest(),
+        )
+        compiler = _ckernels._find_compiler()
+        assert compiler == str(fake)
+        with ThreadPoolExecutor(2) as pool:
+            first = pool.submit(_ckernels._build, compiler)
+            deadline = time.monotonic() + 60
+            while not (state / "first-ready").exists():
+                if first.done():
+                    first.result()  # the first build failed early: raise
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            second = pool.submit(_ckernels._build, compiler)
+            lib_second = second.result(timeout=60)
+            lib_first = first.result(timeout=60)
+        assert lib_first == lib_second
+        assert lib_first.read_bytes() == b"stand-in library"
+        # Temp sources and temp libraries are cleaned up.
+        assert sorted(p.name for p in lib_first.parent.iterdir()) == [
+            lib_first.name
+        ]

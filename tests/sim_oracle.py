@@ -7,7 +7,8 @@ original straightforward implementations live here, outside ``src/``, so
 they can never run in production but every differential test can still
 check the production path against them:
 
-* the per-sample DWT lifting loops (``analysis_53_reference`` & co.);
+* the per-sample DWT lifting loops (``analysis_53_reference`` & co.),
+  run axis by axis with the fused native 2-D transform switched off;
 * the scalar plane-walk entropy estimate (:func:`estimate_band_bits`) and
   the per-tile rate-model loops (:func:`encode_reference`,
   :func:`tile_decompositions_reference`, :func:`payload_stats_reference`);
@@ -535,9 +536,16 @@ def _no_capture_cache() -> int:
     return 0
 
 
+def _no_fused_kernels() -> None:
+    return None
+
+
 #: ``(owner, attribute, stand-in)`` for every production seam the
 #: reference path replaces.
 _REFERENCE_SEAMS = (
+    # No fused native transform: the 2-D DWT runs axis by axis through
+    # the four per-axis seams below.
+    (dwt, "_fused_kernels", _no_fused_kernels),
     (dwt, "_analysis_53", analysis_53_reference),
     (dwt, "_synthesis_53", synthesis_53_reference),
     (dwt, "_analysis_97", analysis_97_reference),
