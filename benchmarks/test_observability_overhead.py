@@ -2,11 +2,11 @@
 
 The telemetry plane's contract (see ``repro.obs``) is that hot kernels
 stay instrumented *unconditionally* because the disabled path —
-``span()`` returning a shared no-op after two module-attribute reads —
+``span()`` returning a shared no-op after one module-attribute read —
 is nearly free.  This bench holds that claim to a number: a full
 Figure-13-style scenario with the shipped (disabled) instrumentation
-must run within 3% of the same scenario with every ``profiled``/``span``
-call site stubbed down to a bare null context manager.
+must run within 3% of the same scenario with every ``span`` call site
+stubbed down to a bare null context manager.
 
 Rounds are interleaved (normal, stripped, normal, stripped, ...) and
 compared by median so cache warm-up, CPU-frequency drift, and one-off
@@ -22,7 +22,6 @@ import time
 import numpy as np
 from conftest import RESULTS_DIR, run_once  # noqa: F401  (results dir hook)
 
-from repro import perf
 from repro.analysis.scenarios import ScenarioSpec, run_scenario
 from repro.analysis.tables import format_table
 from repro.core.cloud import train_ground_detector, train_onboard_detector
@@ -60,7 +59,6 @@ def _strip_instrumentation(monkeypatch) -> None:
     a program nobody ships), but that something skips even the disabled
     fast path's attribute reads.
     """
-    monkeypatch.setattr(perf, "profiled", lambda name: _NULL)
     monkeypatch.setattr(trace, "span", lambda name, **attrs: _NULL)
     monkeypatch.setattr(trace, "set_context", lambda **attrs: None)
     monkeypatch.setattr(trace, "clear_context", lambda *names: None)
@@ -68,7 +66,6 @@ def _strip_instrumentation(monkeypatch) -> None:
 
 def test_disabled_telemetry_overhead(benchmark, emit, emit_json, monkeypatch):
     assert trace.active_tracer() is None
-    assert perf.active_profiler() is None
 
     dataset = sentinel2_dataset(
         locations=["B"],

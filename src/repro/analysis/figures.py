@@ -734,11 +734,11 @@ def fig19_scaling(
     """Wall-clock scaling of one scenario sharded across worker processes.
 
     The satellites x shards grid behind the sharded-runner claim: for
-    each constellation size the scenario runs sequentially (timed, with
-    the phase profiler on) and then under every shard count, asserting
-    pickle-byte identity against the sequential result and recording both
-    the measured wall time and each shard's busy time (its phase-profile
-    total).  Two speedups come out:
+    each constellation size the scenario runs sequentially (timed) and
+    then under every shard count, asserting pickle-byte identity against
+    the sequential result and recording both the measured wall time and
+    each shard's busy time (the process CPU of its run, reported through
+    ``task_sink``).  Two speedups come out:
 
     * ``wall_speedup`` — sequential wall / sharded wall, the honest
       end-to-end number on *this* host (on fewer cores than shards the
@@ -770,7 +770,6 @@ def fig19_scaling(
     import pickle
     import time
 
-    from repro import perf as perf_mod
     from repro.analysis.scenarios import run_scenario, run_scenario_sharded
 
     if sizes is None:
@@ -825,22 +824,17 @@ def fig19_scaling(
         for shards in shard_counts:
             shard_cpu: dict[int, float] = {}
 
-            def record_cpu(index: int, _satellites, profile_rows) -> None:
-                run_cpu = sum(
-                    row["seconds"]
-                    for row in profile_rows
-                    if row["section"] == "cpu_total"
-                )
-                best = shard_cpu.get(index)
-                if best is None or run_cpu < best:
-                    shard_cpu[index] = run_cpu
+            def record_cpu(task, cpu_seconds: float) -> None:
+                best = shard_cpu.get(task.shard_index)
+                if best is None or cpu_seconds < best:
+                    shard_cpu[task.shard_index] = cpu_seconds
 
             wall = 0.0
             identical = True
             for repeat in range(max(1, repeats)):
                 started = time.perf_counter()
                 sharded = run_scenario_sharded(
-                    spec, shards=shards, profile_sink=record_cpu
+                    spec, shards=shards, task_sink=record_cpu
                 )
                 if repeat == 0:
                     wall = time.perf_counter() - started
@@ -1081,6 +1075,7 @@ def fig21_sweep_throughput(
 
     from repro.analysis.scenarios import run_scenario, run_scenario_sharded
     from repro.analysis.scheduler import SweepScheduler
+    from repro.obs import metrics
 
     if sizes is None:
         sizes = [4, 32]
@@ -1119,9 +1114,11 @@ def fig21_sweep_throughput(
     # Joint mode: one persistent pool, every scenario sharded — the
     # spawn-count/identity/wall-time measurement.
     scheduler = SweepScheduler(workers=workers, shards_per_scenario=shards)
+    counters_before = metrics.counters().snapshot()
     joint_started = time.perf_counter()
-    joint_results, stats = scheduler.run(specs)
+    joint_results = scheduler.run(specs)
     joint_wall = time.perf_counter() - joint_started
+    joint_counters = metrics.counters().diff(counters_before)
 
     # Task costs (see docstring): per-shard CPU under the deterministic
     # per-scenario gang schedule, per-spec CPU from the sequential pass
@@ -1135,14 +1132,10 @@ def fig21_sweep_throughput(
     for index, spec in enumerate(specs):
         per_shard = shard_cpu.setdefault(index, {})
 
-        def record_cpu(shard_index: int, _satellites, profile_rows) -> None:
-            per_shard[shard_index] = sum(
-                row["seconds"]
-                for row in profile_rows
-                if row["section"] == "cpu_total"
-            )
+        def record_cpu(task, cpu_seconds: float) -> None:
+            per_shard[task.shard_index] = cpu_seconds
 
-        run_scenario_sharded(spec, shards=shards, profile_sink=record_cpu)
+        run_scenario_sharded(spec, shards=shards, task_sink=record_cpu)
         started = time.perf_counter()
         cpu_started = time.process_time()
         sequential = run_scenario(spec)
@@ -1179,12 +1172,12 @@ def fig21_sweep_throughput(
         "projection_over_best_exclusive": (
             best_exclusive / cp_joint if cp_joint > 0 else float("nan")
         ),
-        "spawns_joint": stats.spawns,
+        "spawns_joint": joint_counters.get("sched.spawns"),
         "spawns_legacy_sharded": len(specs) * shards,
-        "tasks_run": stats.tasks_run,
-        "tasks_stolen": stats.tasks_stolen,
-        "barrier_idle_s": stats.barrier_idle_s,
-        "worker_cpu_s": stats.worker_cpu_s,
+        "tasks_run": joint_counters.get("sched.tasks_run"),
+        "tasks_stolen": joint_counters.get("sched.tasks_stolen"),
+        "barrier_idle_s": joint_counters.get("sched.barrier_idle_s"),
+        "worker_cpu_s": joint_counters.get("sched.worker_cpu_s"),
         "all_identical": all(row["identical"] for row in rows),
     }
     return {"rows": rows, "summary": summary}

@@ -4,9 +4,9 @@ A :class:`ScenarioSpec` names everything one simulation run needs — dataset,
 policy, config, uplink budget, fluctuation, seed — as plain picklable data.
 :func:`run_scenario` turns one spec into a
 :class:`~repro.core.accounting.RunResult`; :func:`run_scenarios` executes a
-batch, optionally over the persistent worker pool of
-:class:`~repro.analysis.scheduler.SweepScheduler` (whole scenarios and
-scenario shards share one pool).  Every experiment driver (the
+batch through :class:`~repro.analysis.scheduler.SweepScheduler`, in this
+process or over its persistent worker pool (whole scenarios and scenario
+shards share one pool).  Every experiment driver (the
 figure sweeps, the CLI, ad-hoc notebooks) goes through this one path, so
 all comparisons share detectors, codec, and scoring.
 
@@ -29,12 +29,10 @@ they only remove redundant recomputation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro import perf
-from repro.obs import trace
 from repro.baselines.kodan import KodanPolicy
 from repro.baselines.naive import NaivePolicy
 from repro.baselines.satroi import SatRoIPolicy
@@ -365,7 +363,7 @@ def _shardable_buckets(
 def run_scenario_sharded(
     spec: ScenarioSpec,
     shards: int | None = None,
-    profile_sink: Callable[[int, tuple[int, ...], list], None] | None = None,
+    task_sink: Callable | None = None,
 ) -> RunResult:
     """Execute one scenario sharded across worker processes.
 
@@ -378,17 +376,20 @@ def run_scenario_sharded(
     :meth:`RunResult.merge`.  The merged result is pickle-byte-identical
     to ``shards=1`` (differential-tested): the journal protocol makes
     ground state a pure function of the epoch's merged writes, and the
-    merge re-sorts records into canonical visit order.
+    merge re-sorts records into canonical visit order.  The
+    :class:`~repro.analysis.scheduler.SweepScheduler` runs the gang; a
+    scenario that yields one bucket runs whole, in this process.
 
     Args:
         spec: The scenario description.  Its config must set
-            ``ground_sync_days > 0``; the legacy continuous ground model
-            has no consistent satellite partition.
-        shards: Worker count (None reads ``REPRO_SIM_SHARDS``, default
-            1).  ``1`` runs in-process via :func:`run_scenario`.
-        profile_sink: Optional callable receiving
-            ``(shard_index, satellite_ids, profile_rows)`` per shard;
-            when set, workers run with the phase profiler enabled.
+            ``ground_sync_days > 0`` when ``shards > 1``; the legacy
+            continuous ground model has no consistent satellite
+            partition.
+        shards: Shard count (None reads ``REPRO_SIM_SHARDS``, default
+            1).
+        task_sink: Optional per-task hook ``(task, cpu_seconds)`` (see
+            :meth:`~repro.analysis.scheduler.SweepScheduler.run`); a
+            shard task carries its ``shard_index``.
 
     Returns:
         The merged :class:`RunResult`.
@@ -396,9 +397,9 @@ def run_scenario_sharded(
     Raises:
         ConfigError: For ``shards < 1`` or a spec without
             ``ground_sync_days``.
-        ScenarioError: When a shard worker fails; the message names the
-            scenario label and the shard index, with the worker's
-            traceback inline.
+        ScenarioError: When the scenario fails; the message names the
+            scenario label (and the shard index for a shard failure),
+            with the worker's traceback inline.
     """
     from repro.analysis.scheduler import SweepScheduler
 
@@ -406,27 +407,8 @@ def run_scenario_sharded(
         shards = perf.sim_shards()
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        return run_scenario(spec)
-    dataset, buckets = _shardable_buckets(spec, shards)
-    if buckets is None:
-        # One bucket: run whole, reusing the dataset the partition
-        # attempt just built instead of building it again.
-        return run_scenario(spec, dataset=dataset)
-    task_sink = None
-    if profile_sink is not None:
-
-        def task_sink(task, rows, cpu_seconds):
-            if rows is not None:
-                profile_sink(task.shard_index, task.satellite_ids, rows)
-
-    scheduler = SweepScheduler(
-        workers=len(buckets),
-        shards_per_scenario=len(buckets),
-        profile=profile_sink is not None,
-    )
-    results, _ = scheduler.run([spec], task_sink=task_sink)
-    return results[0]
+    scheduler = SweepScheduler(workers=shards, shards_per_scenario=shards)
+    return scheduler.run([spec], task_sink=task_sink)[0]
 
 
 def _batch_error(spec: ScenarioSpec, index: int, exc: Exception) -> ScenarioError:
@@ -442,8 +424,6 @@ def run_scenarios(
     max_workers: int | None = None,
     on_result: Callable[[int, ScenarioSpec, RunResult], None] | None = None,
     shards: int | None = None,
-    stats_sink: Callable[..., None] | None = None,
-    profile_sink: Callable[[list], None] | None = None,
     progress=None,
 ) -> list[RunResult]:
     """Execute a batch of scenarios, optionally process-parallel.
@@ -471,8 +451,9 @@ def run_scenarios(
     Args:
         specs: The scenarios to run.
         max_workers: Worker-pool size.  None reads ``REPRO_SIM_WORKERS``
-            (default 1); a resolved size of 1 with ``shards <= 1`` runs
-            in-process.
+            (default 1).  The scheduler runs the batch in this process
+            when a pool could only hold one task (one worker, or one
+            unsharded spec).
         on_result: Optional streaming hook called as each scenario lands
             (in completion order, which under parallel workers is not spec
             order) with ``(spec_index, spec, result)``.  The experiment
@@ -482,15 +463,6 @@ def run_scenarios(
             many shard tasks (requires ``config.ground_sync_days > 0``;
             see :func:`run_scenario_sharded` for the single-scenario
             entry point).  None reads ``REPRO_SIM_SHARDS`` (default 1).
-        stats_sink: Optional hook receiving the pool's
-            :class:`~repro.analysis.scheduler.SchedulerStats` after a
-            pooled sweep (never called for in-process runs).
-        profile_sink: Optional hook receiving each completed task's
-            profiler rows (``[{"section", "seconds", "calls"}]``,
-            including a synthetic ``cpu_total`` row).  When set, every
-            task runs with the phase profiler enabled; fold the rows
-            with :meth:`~repro.perf.SimProfiler.merge` for one
-            sweep-wide table.
         progress: Optional :class:`~repro.obs.progress.SweepProgress`
             (or duck-type) receiving task/spec completion callbacks.
             Display-only; results are byte-invariant to it.
@@ -508,7 +480,6 @@ def run_scenarios(
             inline.  Scenarios that completed before the failure was
             observed have already been delivered to ``on_result``.
     """
-    specs = list(specs)
     if max_workers is not None and max_workers < 1:
         raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
     workers = max_workers if max_workers is not None else perf.sim_workers()
@@ -516,64 +487,12 @@ def run_scenarios(
         shards = perf.sim_shards()
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
-    results: list[RunResult] = [None] * len(specs)  # type: ignore[list-item]
-    pool_size = max(workers, shards)
-    if pool_size <= 1 or (shards <= 1 and len(specs) <= 1) or not specs:
-        for index, spec in enumerate(specs):
-            if progress is not None:
-                progress.task_started()
-            try:
-                if profile_sink is not None:
-                    perf.enable_profiler()
-                with trace.trace_context(scenario=spec.resolved_label()):
-                    cpu_started = time.process_time()
-                    with trace.span("spec_task"):
-                        result = run_scenario(spec)
-                    cpu_seconds = time.process_time() - cpu_started
-                if profile_sink is not None:
-                    profiler = perf.active_profiler()
-                    if profiler is not None:
-                        rows = list(profiler.rows())
-                        rows.append(
-                            {
-                                "section": "cpu_total",
-                                "seconds": cpu_seconds,
-                                "calls": 1,
-                            }
-                        )
-                        profile_sink(rows)
-            except Exception as exc:
-                raise _batch_error(spec, index, exc) from exc
-            finally:
-                if profile_sink is not None:
-                    perf.disable_profiler()
-            results[index] = result
-            if progress is not None:
-                progress.task_finished()
-                progress.spec_done()
-            if on_result is not None:
-                on_result(index, spec, result)
-        return results
     from repro.analysis.scheduler import SweepScheduler
 
     scheduler = SweepScheduler(
-        workers=pool_size,
-        shards_per_scenario=shards,
-        profile=profile_sink is not None,
+        workers=max(workers, shards), shards_per_scenario=shards
     )
-    task_sink = None
-    if profile_sink is not None:
-
-        def task_sink(task, rows, cpu_seconds):
-            if rows is not None:
-                profile_sink(rows)
-
-    results, stats = scheduler.run(
-        specs, on_result=on_result, task_sink=task_sink, progress=progress
-    )
-    if stats_sink is not None:
-        stats_sink(stats)
-    return results
+    return scheduler.run(specs, on_result=on_result, progress=progress)
 
 
 def sweep_specs(

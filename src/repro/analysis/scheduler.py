@@ -16,8 +16,8 @@ so scheduling is work-stealing by construction — any idle worker takes
 the next ready task, and while one scenario's shards sit at an epoch
 barrier, tasks from *other* scenarios fill the remaining workers.  Each
 worker keeps its warm per-process state (dataset cache, capture/surface
-caches, memoized visit ordering — see :mod:`repro.perf`) across every
-task it runs, so only the first task over a dataset pays synthesis.
+caches, memoized visit ordering) across every task it runs, so only the
+first task over a dataset pays synthesis.
 
 Scheduling topology never changes bytes.  The scheduler only decides
 *when* work runs, never *what* merges: shard partials fold with the
@@ -39,9 +39,15 @@ exchange that used to ride per-scenario ad-hoc ``Pipe`` pairs is routed
 through the scheduler's shared result queue as messages keyed by
 ``(scenario, epoch)``; merged journals return on a per-worker pipe.
 
-Per-sweep :class:`SchedulerStats` (tasks run / stolen, worker spawns,
-barrier-idle seconds, worker CPU) surface through ``repro sweep
---profile`` so scheduling regressions are observable from the CLI.
+The scheduler reports through the global counters
+(:mod:`repro.obs.metrics`), bumping each ``sched.*`` counter where its
+event happens: ``sched.spawns`` per worker spawned; ``sched.tasks_run``,
+``sched.spec_tasks``/``sched.shard_tasks`` and ``sched.tasks_stolen``
+as a task starts; ``sched.worker_cpu_s`` and ``sched.barrier_idle_s`` in
+the process that ran the task (worker deltas ship home with the task's
+result).  ``repro sweep --profile`` prints the command's ``sched.*``
+deltas.  A failed sweep keeps its counters up to the failure; only the
+worker-side deltas of tasks that never finished are lost with them.
 """
 
 from __future__ import annotations
@@ -53,13 +59,12 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro import perf
 from repro.core.accounting import RunResult
 from repro.core.sharding import canonical_ingests, canonical_marks
 from repro.errors import ConfigError, ScenarioError
 from repro.obs import metrics, trace
 
-__all__ = ["SchedulerStats", "SweepScheduler"]
+__all__ = ["SweepScheduler"]
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,6 @@ class _Task:
         shard_index: This task's shard slot (shard tasks only).
         shard_count: Total shards of this scenario (shard tasks only).
         satellite_ids: The shard's satellite bucket (shard tasks only).
-        profile: Whether the worker should run with the phase profiler on
-            and return its rows with the result.
         trace: Whether the worker should run with a span tracer on and
             ship its span buffer (plus counter deltas) with the result.
             Set automatically when the driver has an active tracer.
@@ -88,58 +91,7 @@ class _Task:
     shard_index: int = 0
     shard_count: int = 1
     satellite_ids: tuple[int, ...] = ()
-    profile: bool = False
     trace: bool = False
-
-
-@dataclass
-class SchedulerStats:
-    """Per-sweep scheduling observability (``repro sweep --profile``).
-
-    Attributes:
-        workers: Pool size the sweep ran with.
-        spawns: Worker processes spawned — once per sweep by design
-            (the legacy sharded path spawned ``n_specs x shards``).
-        tasks_run: Tasks executed (spec tasks + shard tasks).
-        spec_tasks: Whole-scenario tasks among them.
-        shard_tasks: Shard tasks among them.
-        tasks_stolen: Tasks that started on a worker other than the one
-            that last ran the same dataset — i.e. work pulled away from
-            its warm-cache affinity because that worker was busy.
-        barrier_idle_s: Total seconds shard tasks spent blocked at epoch
-            barriers waiting for merged journals (summed across workers;
-            the scheduler fills this time with other scenarios' tasks
-            when the pool is larger than one shard group).
-        worker_cpu_s: Total task CPU seconds across all workers.
-        wall_s: Driver wall time for the whole sweep.
-    """
-
-    workers: int = 0
-    spawns: int = 0
-    tasks_run: int = 0
-    spec_tasks: int = 0
-    shard_tasks: int = 0
-    tasks_stolen: int = 0
-    barrier_idle_s: float = 0.0
-    worker_cpu_s: float = 0.0
-    wall_s: float = 0.0
-
-    def rows(self) -> list[dict]:
-        """Stat/value rows for the CLI ``--profile`` table."""
-        return [
-            {"stat": "workers", "value": self.workers},
-            {"stat": "worker_spawns", "value": self.spawns},
-            {"stat": "tasks_run", "value": self.tasks_run},
-            {"stat": "spec_tasks", "value": self.spec_tasks},
-            {"stat": "shard_tasks", "value": self.shard_tasks},
-            {"stat": "tasks_stolen", "value": self.tasks_stolen},
-            {
-                "stat": "barrier_idle_s",
-                "value": round(self.barrier_idle_s, 6),
-            },
-            {"stat": "worker_cpu_s", "value": round(self.worker_cpu_s, 6)},
-            {"stat": "wall_s", "value": round(self.wall_s, 6)},
-        ]
 
 
 def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
@@ -152,15 +104,17 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
     * per epoch of a shard task,
       ``("epoch", worker_id, task_id, epoch, ingests, marks)`` — then
       block on ``reply_conn`` for the merged ``(ingests, marks)``;
-    * ``("done", worker_id, task_id, result, profile_rows,
-      barrier_idle_s, cpu_seconds, spans, spans_dropped,
-      counter_delta)`` or
+    * ``("done", worker_id, task_id, result, cpu_seconds, spans,
+      spans_dropped, counter_delta)`` or
       ``("error", worker_id, task_id, traceback_text)``.
 
-    ``spans``/``spans_dropped`` carry the task's trace ring buffer
-    (None/0 for untraced tasks) and ``counter_delta`` the task's global
-    counter increments as a plain dict — both telemetry-only payloads
-    the driver folds into its own tracer/counters, never into results.
+    ``cpu_seconds`` is the process CPU time of the task's run (the
+    driver hands it to ``task_sink``).  ``spans``/``spans_dropped`` carry
+    the task's trace ring buffer (None/0 for untraced tasks) and
+    ``counter_delta`` the task's global counter increments as a plain
+    dict — including the ``sched.worker_cpu_s``/``sched.barrier_idle_s``
+    it bumped — both telemetry-only payloads the driver folds into its
+    own tracer/counters, never into results.
 
     Warm per-process caches (datasets, captures, noise geometry) persist
     across tasks — that is the point of the pool — and never change
@@ -177,8 +131,6 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
             break
         result_queue.put(("start", worker_id, task.task_id))
         try:
-            if task.profile:
-                perf.enable_profiler()
             if task.trace:
                 # Fork inherits the driver's tracer object; install a
                 # fresh buffer and attribution so each task ships only
@@ -193,19 +145,19 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
                     ),
                 )
             counter_base = metrics.counters().snapshot()
-            barrier_idle = 0.0
             if task.kind == "shard":
                 simulator = scenarios.build_simulator(task.spec)
 
                 def exchange(epoch, ingests, marks, _tid=task.task_id):
-                    nonlocal barrier_idle
                     result_queue.put(
                         ("epoch", worker_id, _tid, epoch, ingests, marks)
                     )
                     waited = time.perf_counter()
                     with trace.span("barrier_wait", epoch=epoch):
                         merged = reply_conn.recv()
-                    barrier_idle += time.perf_counter() - waited
+                    metrics.counters().inc(
+                        "sched.barrier_idle_s", time.perf_counter() - waited
+                    )
                     return merged
 
                 # CPU is measured around the run only (not simulator
@@ -217,23 +169,12 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
                         satellite_ids=task.satellite_ids,
                         epoch_sync=exchange,
                     )
-                cpu_seconds = time.process_time() - cpu_started
             else:
                 cpu_started = time.process_time()
                 with trace.span("spec_task"):
                     result = scenarios.run_scenario(task.spec)
-                cpu_seconds = time.process_time() - cpu_started
-            rows = None
-            profiler = perf.active_profiler()
-            if profiler is not None:
-                rows = list(profiler.rows())
-                rows.append(
-                    {
-                        "section": "cpu_total",
-                        "seconds": cpu_seconds,
-                        "calls": 1,
-                    }
-                )
+            cpu_seconds = time.process_time() - cpu_started
+            metrics.counters().inc("sched.worker_cpu_s", cpu_seconds)
             spans = None
             spans_dropped = 0
             tracer = trace.active_tracer()
@@ -247,8 +188,6 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
                     worker_id,
                     task.task_id,
                     result,
-                    rows,
-                    barrier_idle,
                     cpu_seconds,
                     spans,
                     spans_dropped,
@@ -260,7 +199,6 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
                 ("error", worker_id, task.task_id, traceback.format_exc())
             )
         finally:
-            perf.disable_profiler()
             trace.disable_tracer()
             trace.reset_context()
     reply_conn.close()
@@ -268,9 +206,16 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
 
 @dataclass
 class _Unit:
-    """One schedulable unit: a single spec task or a gang of shard tasks."""
+    """One schedulable unit: a single spec task or a gang of shard tasks.
+
+    ``dataset`` is the spec's dataset when planning already built it (a
+    shard partition that collapsed to one bucket), so an in-process run
+    reuses it instead of building it again.  Driver-side only: tasks,
+    not units, travel to workers.
+    """
 
     tasks: list
+    dataset: object = None
 
     @property
     def size(self) -> int:
@@ -297,15 +242,12 @@ class SweepScheduler:
             config sets ``ground_sync_days > 0``) across this many
             shard tasks, clamped to the pool size.  ``1`` runs every
             scenario as a single spec task.
-        profile: Run every task with the phase profiler enabled and hand
-            its rows to ``task_sink``.
     """
 
     def __init__(
         self,
         workers: int,
         shards_per_scenario: int = 1,
-        profile: bool = False,
     ) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -315,7 +257,6 @@ class SweepScheduler:
             )
         self.workers = workers
         self.shards_per_scenario = shards_per_scenario
-        self.profile = profile
 
     # -- planning ------------------------------------------------------
     def _plan(self, specs: Sequence) -> tuple[list[_Unit], dict[int, object]]:
@@ -330,7 +271,7 @@ class SweepScheduler:
 
         Returns:
             The unit list and a ``spec_index -> dataset affinity key``
-            map (for the ``tasks_stolen`` statistic).
+            map (for the ``sched.tasks_stolen`` counter).
         """
         from repro.analysis.scenarios import (
             DatasetSpec,
@@ -342,8 +283,8 @@ class SweepScheduler:
         singles: list[_Unit] = []
         affinity_keys: dict[int, object] = {}
         # Tracing follows the ambient tracer: when the driver has one
-        # (``--trace``), every task records and ships spans — no
-        # parameter threading through the runner layers required.
+        # (``--trace`` or ``--profile``), every task records and ships
+        # spans — no parameter threading through the runner layers.
         traced = trace.active_tracer() is not None
         task_id = 0
         for index, spec in enumerate(specs):
@@ -352,10 +293,10 @@ class SweepScheduler:
                 if isinstance(spec.dataset, DatasetSpec)
                 else id(spec.dataset)
             )
-            buckets = None
+            dataset = buckets = None
             if self.shards_per_scenario > 1:
                 try:
-                    _, buckets = _shardable_buckets(
+                    dataset, buckets = _shardable_buckets(
                         spec, min(self.shards_per_scenario, self.workers)
                     )
                 except ConfigError:
@@ -374,7 +315,6 @@ class SweepScheduler:
                         shard_index=shard_index,
                         shard_count=len(buckets),
                         satellite_ids=tuple(bucket),
-                        profile=self.profile,
                         trace=traced,
                     )
                     for shard_index, bucket in enumerate(buckets)
@@ -390,10 +330,10 @@ class SweepScheduler:
                                 kind="spec",
                                 spec_index=index,
                                 spec=spec,
-                                profile=self.profile,
                                 trace=traced,
                             )
-                        ]
+                        ],
+                        dataset=dataset,
                     )
                 )
                 task_id += 1
@@ -420,23 +360,28 @@ class SweepScheduler:
         on_result: Callable | None = None,
         task_sink: Callable | None = None,
         progress=None,
-    ) -> tuple[list[RunResult], SchedulerStats]:
+    ) -> list[RunResult]:
         """Run the sweep; results in spec order, byte-identical to sequential.
+
+        The plan decides where it runs: a pool of ``min(workers, tasks)``
+        processes, or in this process when that is one (a one-worker
+        scheduler, or a plan that is a single spec task) — a pool would
+        only add spawn cost there.
 
         Args:
             specs: The scenarios to run.
             on_result: Streaming hook ``(spec_index, spec, result)``,
                 called as each *scenario* completes (completion order).
-            task_sink: Per-task hook ``(task, profile_rows, cpu_seconds)``
-                called as each task completes (rows are None unless the
-                scheduler was built with ``profile=True``).
+            task_sink: Per-task hook ``(task, cpu_seconds)`` called as
+                each task completes; ``cpu_seconds`` is the process CPU
+                time of the task's run.
             progress: Optional :class:`~repro.obs.progress.SweepProgress`
                 (or duck-type) receiving ``task_started``/``task_finished``
                 per task and ``spec_done`` per delivered scenario.
                 Display-only; never fed back into scheduling.
 
         Returns:
-            ``(results, stats)``.
+            One :class:`RunResult` per spec, in spec order.
 
         Raises:
             ConfigError: ``shards_per_scenario > 1`` against a spec
@@ -448,107 +393,87 @@ class SweepScheduler:
                 tasks) with the worker's traceback inline.
         """
         specs = list(specs)
-        stats = SchedulerStats(workers=self.workers)
-        started_wall = time.perf_counter()
-        results: list[RunResult | None] = [None] * len(specs)
         if not specs:
-            stats.wall_s = time.perf_counter() - started_wall
-            return [], stats
+            return []
         units, affinity_keys = self._plan(specs)
-        if self.workers == 1:
-            self._run_inline(
-                specs, units, results, on_result, task_sink, stats, progress
-            )
+        results: list[RunResult | None] = [None] * len(specs)
+        pool_size = min(self.workers, sum(unit.size for unit in units))
+        if pool_size == 1:
+            self._run_inline(units, results, on_result, task_sink, progress)
         else:
             self._run_pooled(
+                pool_size,
                 specs,
                 units,
                 affinity_keys,
                 results,
                 on_result,
                 task_sink,
-                stats,
                 progress,
             )
-        stats.wall_s = time.perf_counter() - started_wall
-        self._count_stats(stats)
-        return results, stats  # type: ignore[return-value]
+        return results  # type: ignore[return-value]
 
     @staticmethod
-    def _count_stats(stats: SchedulerStats) -> None:
-        """Fold the sweep's scheduling stats into the global counters."""
+    def _count_start(task: _Task, stolen: bool = False) -> None:
+        """Bump the per-task ``sched.*`` counters as ``task`` starts."""
         bag = metrics.counters()
-        bag.inc("sched.spawns", stats.spawns)
-        bag.inc("sched.tasks_run", stats.tasks_run)
-        bag.inc("sched.tasks_stolen", stats.tasks_stolen)
-        bag.inc("sched.barrier_idle_s", stats.barrier_idle_s)
+        bag.inc("sched.tasks_run")
+        if task.kind == "shard":
+            bag.inc("sched.shard_tasks")
+        else:
+            bag.inc("sched.spec_tasks")
+        if stolen:
+            bag.inc("sched.tasks_stolen")
 
     def _run_inline(
-        self, specs, units, results, on_result, task_sink, stats, progress
+        self, units, results, on_result, task_sink, progress
     ) -> None:
-        """Single-worker degenerate case: run in-process, no pool.
+        """Run a plan without gangs in this process, in plan order.
 
-        A one-worker pool could never gang-schedule a shard group, and
-        in-process execution is the byte-identity reference anyway.
-        Spans record straight into the driver's own tracer here, so only
+        In-process execution is the byte-identity reference.  Spans
+        record straight into the driver's own tracer here, so only
         attribution (no buffer shipping) is needed.
         """
         from repro.analysis import scenarios
 
         for unit in units:
-            for task in unit.tasks:
-                assert task.kind == "spec", "1-worker plans have no gangs"
-                if progress is not None:
-                    progress.task_started()
-                try:
-                    if self.profile:
-                        perf.enable_profiler()
-                    with trace.trace_context(
-                        scenario=task.spec.resolved_label()
-                    ):
-                        cpu_started = time.process_time()
-                        with trace.span("spec_task"):
-                            result = scenarios.run_scenario(task.spec)
-                        cpu_seconds = time.process_time() - cpu_started
-                    rows = None
-                    profiler = perf.active_profiler()
-                    if profiler is not None:
-                        rows = list(profiler.rows())
-                        rows.append(
-                            {
-                                "section": "cpu_total",
-                                "seconds": cpu_seconds,
-                                "calls": 1,
-                            }
+            (task,) = unit.tasks
+            assert task.kind == "spec", "in-process plans have no gangs"
+            if progress is not None:
+                progress.task_started()
+            self._count_start(task)
+            try:
+                with trace.trace_context(scenario=task.spec.resolved_label()):
+                    cpu_started = time.process_time()
+                    with trace.span("spec_task"):
+                        result = scenarios.run_scenario(
+                            task.spec, dataset=unit.dataset
                         )
-                except ScenarioError:
-                    raise
-                except Exception as exc:
-                    raise self._task_failure(task, str(exc)) from exc
-                finally:
-                    perf.disable_profiler()
-                stats.tasks_run += 1
-                stats.spec_tasks += 1
-                stats.worker_cpu_s += cpu_seconds
-                results[task.spec_index] = result
-                if task_sink is not None:
-                    task_sink(task, rows, cpu_seconds)
-                if progress is not None:
-                    progress.task_finished()
-                    progress.spec_done()
-                if on_result is not None:
-                    on_result(task.spec_index, task.spec, result)
+                    cpu_seconds = time.process_time() - cpu_started
+            except ScenarioError:
+                raise
+            except Exception as exc:
+                raise self._task_failure(task, str(exc)) from exc
+            metrics.counters().inc("sched.worker_cpu_s", cpu_seconds)
+            results[task.spec_index] = result
+            if task_sink is not None:
+                task_sink(task, cpu_seconds)
+            if progress is not None:
+                progress.task_finished()
+                progress.spec_done()
+            if on_result is not None:
+                on_result(task.spec_index, task.spec, result)
 
     def _run_pooled(
         self,
+        pool_size,
         specs,
         units,
         affinity_keys,
         results,
         on_result,
         task_sink,
-        stats,
-        progress=None,
+        progress,
     ) -> None:
         """The driver event loop over one persistent worker pool."""
         context = multiprocessing.get_context(
@@ -559,7 +484,7 @@ class SweepScheduler:
         task_queue = context.Queue()
         result_queue = context.Queue()
         workers: list[tuple] = []
-        for worker_id in range(self.workers):
+        for worker_id in range(pool_size):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_pool_worker,
@@ -567,9 +492,9 @@ class SweepScheduler:
                 daemon=True,
             )
             process.start()
+            metrics.counters().inc("sched.spawns")
             child_conn.close()
             workers.append((process, parent_conn))
-        stats.spawns = self.workers
 
         tasks_by_id = {
             task.task_id: task for unit in units for task in unit.tasks
@@ -580,7 +505,7 @@ class SweepScheduler:
             for unit in units
             if unit.tasks[0].kind == "shard"
         }
-        idle = self.workers
+        idle = pool_size
         running: dict[int, int] = {}  # worker_id -> task_id (post-"start")
         affinity: dict[object, int] = {}  # dataset key -> last worker
         completed = 0
@@ -644,15 +569,11 @@ class SweepScheduler:
                     task = tasks_by_id[task_id]
                     if progress is not None:
                         progress.task_started()
-                    stats.tasks_run += 1
-                    if task.kind == "shard":
-                        stats.shard_tasks += 1
-                    else:
-                        stats.spec_tasks += 1
                     key = affinity_keys[task.spec_index]
                     last = affinity.get(key)
-                    if last is not None and last != worker_id:
-                        stats.tasks_stolen += 1
+                    self._count_start(
+                        task, stolen=last is not None and last != worker_id
+                    )
                     affinity[key] = worker_id
                 elif kind == "epoch":
                     _, worker_id, task_id, epoch, ingests, marks = message
@@ -694,8 +615,6 @@ class SweepScheduler:
                         worker_id,
                         task_id,
                         result,
-                        rows,
-                        barrier_idle,
                         cpu_seconds,
                         spans,
                         spans_dropped,
@@ -706,8 +625,6 @@ class SweepScheduler:
                     idle += 1
                     if progress is not None:
                         progress.task_finished()
-                    stats.barrier_idle_s += barrier_idle
-                    stats.worker_cpu_s += cpu_seconds
                     if spans:
                         driver_tracer = trace.active_tracer()
                         if driver_tracer is not None:
@@ -717,7 +634,7 @@ class SweepScheduler:
                             metrics.Counters(counter_delta)
                         )
                     if task_sink is not None:
-                        task_sink(task, rows, cpu_seconds)
+                        task_sink(task, cpu_seconds)
                     if task.kind == "spec":
                         deliver(task.spec_index, result)
                     else:

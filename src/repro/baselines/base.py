@@ -53,10 +53,6 @@ class BaselinePolicy:
         # policy hits identical rate operating points.
         self.rate = RoiRateController(config)
 
-    def close(self) -> None:
-        """Release the rate controller's codec resources (idempotent)."""
-        self.rate.close()
-
     def reference_storage_bytes(self) -> int:
         """Baselines keep no reference imagery unless they override this."""
         return 0

@@ -50,7 +50,6 @@ from repro.analysis.experiments import POLICY_NAMES, run_policy
 from repro.analysis.scenarios import (
     DatasetSpec,
     ScenarioSpec,
-    run_scenario,
     run_scenario_sharded,
     sweep_specs,
 )
@@ -216,41 +215,58 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
-def _tracing(path: "str | None", command: str):
-    """Record a span timeline around a command body and write it out.
+def _tracing(path: "str | None", command: str, profile: bool = False):
+    """Record a span timeline around a command body.
 
-    A no-op without ``--trace``.  The trace file lands even when the
-    command fails partway — a truncated timeline is exactly what you
-    want for diagnosing the failure — and the confirmation line goes to
-    stderr so stdout stays machine-readable.
+    Yields the command's tracer, or None when neither ``--trace`` nor
+    ``--profile`` asks for one.  With ``--trace`` the timeline is written
+    to ``path`` even when the command fails partway — a truncated
+    timeline is exactly what you want for diagnosing the failure — and
+    the confirmation line goes to stderr so stdout stays
+    machine-readable.  ``--profile`` summarizes the same tracer once the
+    command finishes (:func:`_profile_sections`).
     """
-    if path is None:
-        yield
+    if path is None and not profile:
+        yield None
         return
     tracer = trace.enable_tracer()
     try:
         with trace.span(command):
-            yield
+            yield tracer
     finally:
         trace.disable_tracer()
-        spans = tracer.spans()
-        if path.endswith(".jsonl"):
-            count = trace_export.write_jsonl(path, spans)
-        else:
-            count = trace_export.write_chrome_trace(
-                path,
-                spans,
-                dropped=tracer.dropped,
-                counters=dict(metrics.counters().values) or None,
-            )
-        message = f"trace: {count} spans -> {path}"
-        if tracer.dropped:
-            message += f" ({tracer.dropped} dropped: ring buffer full)"
-        print(message, file=sys.stderr)
+        if path is not None:
+            _write_trace(path, tracer)
+
+
+def _write_trace(path: str, tracer: trace.Tracer) -> None:
+    """Write ``--trace FILE`` and confirm on stderr."""
+    spans = tracer.spans()
+    if path.endswith(".jsonl"):
+        count = trace_export.write_jsonl(path, spans)
+    else:
+        count = trace_export.write_chrome_trace(
+            path,
+            spans,
+            dropped=tracer.dropped,
+            counters=dict(metrics.counters().values) or None,
+        )
+    message = f"trace: {count} spans -> {path}"
+    if tracer.dropped:
+        message += f" ({tracer.dropped} dropped: ring buffer full)"
+    print(message, file=sys.stderr)
 
 
 #: Columns of every ``--profile`` timing table.
 _PROFILE_COLUMNS = ["kind", "section", "seconds", "calls"]
+
+#: ``--profile`` row kinds by span name; every other span is a kernel.
+#: Scheduler spans enclose phases, phases tile the simulation loop, and
+#: kernels run inside phases; store spans run in the driver, outside
+#: every task.
+_PHASE_SPANS = ("uplink", "capture", "downlink", "ingest", "sync")
+_SCHEDULER_SPANS = ("spec_task", "shard_task", "barrier_wait", "epoch_merge")
+_KIND_ORDER = {"scheduler": 0, "phase": 1, "kernel": 2, "store": 3}
 
 
 def _emit_report(fmt: str, results, sections) -> None:
@@ -360,34 +376,58 @@ def _scenario_dict(spec: ScenarioSpec, result) -> dict:
     }
 
 
-def _profile_rows(profiler) -> list[dict]:
-    """Phase + kernel timing rows for ``simulate --profile``.
+def _profile_kind(section: str) -> str:
+    if section in _SCHEDULER_SPANS:
+        return "scheduler"
+    if section in _PHASE_SPANS:
+        return "phase"
+    if section.startswith("store."):
+        return "store"
+    return "kernel"
 
-    Phases (``uplink``/``capture``/``downlink``/``ingest``, plus
-    ``sync`` under epoch synchronization) tile the simulation loop;
-    kernels (``imagery``/``codec``/``dwt``/``scoring``) run inside
-    phases and break down where phase time goes.
+
+def _profile_sections(
+    tracer: trace.Tracer, command: str, delta: metrics.Counters, title: str
+) -> list:
+    """The ``--profile`` report: a summary of the command's own trace.
+
+    The timing table is :func:`repro.obs.export.summarize` over the
+    command's spans (the same rows ``repro trace summary`` prints for a
+    ``--trace`` file of the run), minus the span wrapping the whole
+    command, grouped by kind — scheduler, phase, kernel, store — and
+    longest-running first within a kind.  A pooled run adds the
+    command's ``sched.*`` counter deltas.
+
+    Args:
+        tracer: The command's tracer (see :func:`_tracing`).
+        command: The command's own span name, left out of the table.
+        delta: Counters bumped while the command ran.
+        title: The timing table's title.
     """
-    return _classify_profile_rows(profiler.rows())
-
-
-def _classify_profile_rows(raw_rows: list[dict]) -> list[dict]:
-    phase_names = ("uplink", "capture", "downlink", "ingest", "sync")
-    rows = []
-    for entry in raw_rows:
-        entry = dict(entry)
-        if entry["section"] == "cpu_total":
-            entry["kind"] = "total"  # shard-worker CPU time (sharded runs)
-        elif entry["section"] in phase_names:
-            entry["kind"] = "phase"
-        else:
-            entry["kind"] = "kernel"
-        rows.append(entry)
-    # Phases first (loop tiling), kernels after (breakdown), totals last;
-    # within each group longest-running first — profiler rows are
-    # already time-sorted.
-    order = {"phase": 0, "kernel": 1, "total": 2}
-    return sorted(rows, key=lambda r: order[r["kind"]])
+    if tracer.dropped:
+        title += f" [{tracer.dropped} spans dropped: ring buffer full]"
+    rows = [
+        {"kind": _profile_kind(row["section"]), **row}
+        for row in trace_export.summarize(tracer.spans())
+        if row["section"] != command
+    ]
+    rows.sort(key=lambda row: _KIND_ORDER[row["kind"]])
+    sections = [("profile", _PROFILE_COLUMNS, rows, title)]
+    if delta.get("sched.spawns") > 0:
+        sched_rows = [
+            {"counter": name, "value": round(value, 6)}
+            for name, value in sorted(delta.values.items())
+            if name.startswith("sched.")
+        ]
+        sections.append(
+            (
+                "scheduler",
+                ["counter", "value"],
+                sched_rows,
+                "sweep scheduler (one persistent worker pool)",
+            )
+        )
+    return sections
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -407,28 +447,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         downlink_severity=args.downlink_severity,
         seed=args.seed,
     )
-    shard_profiles: list[tuple[int, tuple[int, ...], list]] = []
-    profiler = None
-    with _tracing(args.trace, "simulate"):
+    baseline = metrics.counters().snapshot()
+    with _tracing(args.trace, "simulate", profile=args.profile) as tracer:
         if args.profile:
             # Serving a profile run from the store would time nothing;
             # profiling always simulates (and does not persist).
-            if shards > 1:
-                result = run_scenario_sharded(
-                    spec,
-                    shards=shards,
-                    profile_sink=(
-                        lambda index, sats, rows: shard_profiles.append(
-                            (index, sats, rows)
-                        )
-                    ),
-                )
-            else:
-                profiler = perf.enable_profiler()
-                try:
-                    result = run_scenario(spec)
-                finally:
-                    perf.disable_profiler()
+            result = run_scenario_sharded(spec, shards=shards)
         else:
             result = run_scenario_cached(
                 spec,
@@ -437,29 +461,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 shards=shards,
             )
     sections = []
-    if profiler is not None:
-        sections.append(
-            (
-                "profile",
-                _PROFILE_COLUMNS,
-                _profile_rows(profiler),
-                "per-phase timing breakdown (kernels run inside phases)",
-            )
+    if args.profile:
+        delta = metrics.counters().diff(baseline)
+        shard_tasks = delta.get("sched.shard_tasks")
+        title = (
+            f"merged timing breakdown across {shard_tasks} shards"
+            if shard_tasks
+            else "per-phase timing breakdown"
         )
-    if shard_profiles:
-        # One merged table across the shard gang (profilers are a
-        # monoid), not N disjoint per-shard tables.
-        merged = perf.SimProfiler.identity()
-        for _index, _satellites, rows in shard_profiles:
-            merged = merged.merge(perf.SimProfiler.from_rows(rows))
-        sections.append(
-            (
-                "profile",
-                _PROFILE_COLUMNS,
-                _classify_profile_rows(merged.rows()),
-                f"merged timing breakdown across {len(shard_profiles)} "
-                "shards (kernels run inside phases)",
-            )
+        sections = _profile_sections(
+            tracer, "simulate", delta, f"{title} (kernels run inside phases)"
         )
     _emit_report(
         args.format,
@@ -513,53 +524,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         downlink_severity=args.downlink_severity,
     )
     store = _resolve_store(args)
-    scheduler_stats: list = []
-    profile_sink = None
-    merged_profile = [perf.SimProfiler.identity()]
-    if args.profile:
-
-        def profile_sink(rows):
-            # Fold per-task (per-shard, per-worker) rows as they land.
-            merged_profile[0] = merged_profile[0].merge(
-                perf.SimProfiler.from_rows(rows)
-            )
-
+    baseline = metrics.counters().snapshot()
     progress = SweepProgress(total=len(specs))
     try:
-        with _tracing(args.trace, "sweep"):
+        with _tracing(args.trace, "sweep", profile=args.profile) as tracer:
             sweep = run_scenarios_cached(
                 specs,
                 max_workers=workers,
                 store=store,
                 refresh=args.refresh,
                 shards=shards,
-                stats_sink=scheduler_stats.append if args.profile else None,
-                profile_sink=profile_sink,
                 progress=progress,
             )
     finally:
         progress.close()
+    delta = metrics.counters().diff(baseline)
     sections = []
     if args.profile:
         executed = len(sweep.executed) or len(specs)
-        sections.append(
-            (
-                "profile",
-                _PROFILE_COLUMNS,
-                _classify_profile_rows(merged_profile[0].rows()),
-                f"merged timing breakdown across {executed} simulated "
-                "scenario(s) (kernels run inside phases)",
-            )
+        sections = _profile_sections(
+            tracer,
+            "sweep",
+            delta,
+            f"merged timing breakdown across {executed} simulated "
+            "scenario(s) (kernels run inside phases)",
         )
-        if scheduler_stats:
-            sections.append(
-                (
-                    "scheduler",
-                    ["stat", "value"],
-                    scheduler_stats[-1].rows(),
-                    "sweep scheduler (one persistent worker pool)",
-                )
-            )
     _emit_report(
         args.format,
         (
@@ -575,7 +564,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if store is not None and args.format == "table":
         print(f"store: {sweep.summary()} ({store.root})")
-    if args.profile and not scheduler_stats and args.format == "table":
+    in_process = not delta.get("sched.spawns")
+    if args.profile and in_process and args.format == "table":
         print(
             "scheduler: sweep ran in-process "
             "(no worker pool; nothing simulated in parallel)"
@@ -879,8 +869,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument(
         "--profile", action="store_true",
         help="emit a per-phase timing breakdown (uplink/capture/ingest "
-        "plus imagery/codec/dwt/scoring kernels) after the results; "
-        "always simulates (never served from the store)",
+        "plus imagery/codec/dwt/scoring kernels, and scheduler tasks) "
+        "summarized from the run's trace after the results; always "
+        "simulates (never served from the store). Sharded runs add the "
+        "sweep scheduler's counters",
     )
     _add_shard_args(simulate_parser)
     _add_store_args(simulate_parser)
@@ -926,8 +918,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--profile", action="store_true",
-        help="print per-sweep scheduler statistics (tasks run/stolen, "
-        "worker spawns, barrier-idle seconds) after the results",
+        help="print a merged timing breakdown summarized from the sweep's "
+        "trace and, for pooled sweeps, the sweep scheduler's counters "
+        "(worker spawns, tasks run/stolen, worker CPU, barrier-idle "
+        "seconds) after the results",
     )
     _add_shard_args(sweep_parser)
     _add_store_args(sweep_parser, resumable=True)

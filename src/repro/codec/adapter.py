@@ -29,9 +29,6 @@ class RealCodecAdapter:
             (``None`` resolves through the registry precedence chain —
             explicit argument, ``$REPRO_CODEC_BACKEND``, then
             ``"reference"``).  All engines are bit-exact.
-        parallel_tiles: Worker processes for the tile-parallel driver
-            (1 = in-process).  Call :meth:`close` (or use the adapter as
-            a context manager) to release the workers.
     """
 
     def __init__(
@@ -39,24 +36,11 @@ class RealCodecAdapter:
         config: CodecConfig | None = None,
         n_layers: int = 1,
         backend: str | None = None,
-        parallel_tiles: int = 1,
     ) -> None:
         self.config = config if config is not None else CodecConfig()
         self.n_layers = n_layers
-        self._codec = ImageCodec(
-            self.config, backend=backend, parallel_tiles=parallel_tiles
-        )
+        self._codec = ImageCodec(self.config, backend=backend)
         self.backend = self._codec.backend
-
-    def close(self) -> None:
-        """Shut down the codec's tile-worker pool (idempotent)."""
-        self._codec.close()
-
-    def __enter__(self) -> "RealCodecAdapter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def encode(
         self,

@@ -38,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro import perf
 from repro.errors import CodecError
+from repro.obs import trace
 
 # CDF 9/7 lifting constants (ITU-T T.800 Annex F).
 _ALPHA = -1.586134342059924
@@ -484,7 +484,7 @@ def forward_dwt2d(
         CodecError: For invalid level counts or non-2-D input.
     """
     _check_transform_args(image.shape, image.ndim, levels)
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         return _forward_many(image[np.newaxis], levels, wavelet)[0]
 
 
@@ -498,7 +498,7 @@ def inverse_dwt2d(coeffs: WaveletCoeffs) -> np.ndarray:
         CodecError: When a subband's shape does not match ``coeffs.shape``
             and ``coeffs.levels``.
     """
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         return _inverse_many([coeffs])[0]
 
 
@@ -548,7 +548,7 @@ def dwt_many(
         if stack.shape[0] == 0:
             return []
     _check_transform_args((stack.shape[1], stack.shape[2]), 2, levels)
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         return _forward_many(stack, levels, wavelet)
 
 
@@ -582,5 +582,5 @@ def idwt_many(coeffs_list: list[WaveletCoeffs]) -> np.ndarray:
             raise CodecError(
                 "idwt_many requires decompositions of identical geometry"
             )
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         return _inverse_many(coeffs_list)

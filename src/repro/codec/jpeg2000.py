@@ -327,28 +327,17 @@ class ImageCodec:
             then ``$REPRO_CODEC_BACKEND``, then ``"reference"``.  All
             engines are bit-exact: identical bitstreams, identical
             reconstructions.
-        parallel_tiles: Worker processes for the tile-level parallel
-            encode/decode driver; ``1`` (default) runs in-process.  Tiles
-            are independent, so parallel results are byte-identical to
-            serial ones.
     """
 
     def __init__(
         self,
         config: CodecConfig | None = None,
         backend: str | None = None,
-        parallel_tiles: int = 1,
     ) -> None:
         self.config = config if config is not None else CodecConfig()
         resolved = registry.resolve(explicit=backend)
-        if parallel_tiles < 1:
-            raise CodecError(
-                f"parallel_tiles must be >= 1, got {parallel_tiles}"
-            )
         self.backend = resolved.name
-        self.parallel_tiles = parallel_tiles
         self._coder_cls = resolved.coder_factory
-        self._pool = None
 
     # ------------------------------------------------------------------
     # Tiling helpers
@@ -407,26 +396,15 @@ class ImageCodec:
         if tuple(roi.shape) != grid:
             raise CodecError(f"roi shape {roi.shape} != tile grid {grid}")
         step = base_step if base_step is not None else self.config.base_step
-        jobs: list[tuple[np.ndarray, tuple[int, int]]] = []
+        tiles = []
         for ty in range(grid[0]):
             for tx in range(grid[1]):
                 if not roi[ty, tx]:
                     continue
                 y0, y1, x0, x1 = self._tile_bounds(image.shape, ty, tx)
-                jobs.append((image[y0:y1, x0:x1], (ty, tx)))
-        if self.parallel_tiles > 1 and len(jobs) > 1:
-            tiles = self._map_tiles_parallel(
-                _encode_tile_job,
-                [
-                    (self.config, self.backend, tile_img, index, step)
-                    for tile_img, index in jobs
-                ],
-            )
-        else:
-            tiles = [
-                self._encode_tile(tile_img, index, step)
-                for tile_img, index in jobs
-            ]
+                tiles.append(
+                    self._encode_tile(image[y0:y1, x0:x1], (ty, tx), step)
+                )
         self._allocate(tiles, target_bytes, n_layers)
         return EncodedImage(
             shape=image.shape,
@@ -604,75 +582,16 @@ class ImageCodec:
             out = background.astype(np.float64).copy()
         else:
             out = np.zeros(encoded.shape, dtype=np.float64)
-        bounds = []
-        jobs = []
         for tile in encoded.tiles:
             ty, tx = tile.tile_index
             y0, y1, x0, x1 = self._tile_bounds(encoded.shape, ty, tx)
             n_planes = tile.layer_planes[layers - 1] if tile.layer_planes else len(
                 tile.segments
             )
-            bounds.append((y0, y1, x0, x1))
-            jobs.append((tile, (y1 - y0, x1 - x0), n_planes))
-        if self.parallel_tiles > 1 and len(jobs) > 1:
-            patches = self._map_tiles_parallel(
-                _decode_tile_job,
-                [
-                    (self.config, self.backend, shape, tile, n_planes,
-                     encoded.base_step)
-                    for tile, shape, n_planes in jobs
-                ],
+            out[y0:y1, x0:x1] = self._decode_tile(
+                (y1 - y0, x1 - x0), tile, n_planes, encoded.base_step
             )
-        else:
-            patches = [
-                self._decode_tile(shape, tile, n_planes, encoded.base_step)
-                for tile, shape, n_planes in jobs
-            ]
-        for (y0, y1, x0, x1), patch in zip(bounds, patches):
-            out[y0:y1, x0:x1] = patch
         return out
-
-    def _map_tiles_parallel(self, job, args_list: list) -> list:
-        """Run per-tile jobs across worker processes, preserving tile order.
-
-        Tiles are fully independent, so the gathered results are identical
-        to a serial run — the differential tests assert byte equality.  The
-        pool is created lazily and reused across calls: a simulation encodes
-        one image per capture, and paying worker spawn per image would undo
-        the parallel win.  Call :meth:`close` (or use the codec as a
-        context manager) to shut the workers down deterministically.
-        """
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self.parallel_tiles)
-        return list(self._pool.map(job, args_list))
-
-    def close(self) -> None:
-        """Shut down the tile-worker pool (idempotent; no-op when serial).
-
-        The pool used to be left for interpreter exit to reap, which
-        leaked worker processes for every codec instance with
-        ``parallel_tiles > 1``; owners now close codecs deterministically.
-        The codec remains usable — the next parallel call re-creates the
-        pool lazily.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ImageCodec":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __getstate__(self) -> dict:
-        # Executors are process-local; a codec shipped to a worker (e.g. by
-        # the scenario layer) re-creates its pool lazily on first use.
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        return state
 
     def _decode_tile(
         self,
@@ -736,20 +655,3 @@ class ImageCodec:
             approx=approx, details=details, shape=shape, wavelet=wavelet
         )
 
-
-def _encode_tile_job(
-    args: tuple[CodecConfig, str, np.ndarray, tuple[int, int], float]
-) -> EncodedTile:
-    """Encode one tile in a worker process (tile-parallel driver)."""
-    config, backend, tile_img, index, step = args
-    return ImageCodec(config, backend=backend)._encode_tile(tile_img, index, step)
-
-
-def _decode_tile_job(
-    args: tuple[CodecConfig, str, tuple[int, int], EncodedTile, int, float]
-) -> np.ndarray:
-    """Decode one tile in a worker process (tile-parallel driver)."""
-    config, backend, shape, tile, n_planes, base_step = args
-    return ImageCodec(config, backend=backend)._decode_tile(
-        shape, tile, n_planes, base_step
-    )

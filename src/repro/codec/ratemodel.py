@@ -29,13 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro import perf
 from repro.codec import registry
 from repro.codec.dwt import Wavelet, WaveletCoeffs, dwt_many, idwt_many
 from repro.codec.jpeg2000 import CodecConfig, effective_levels
 from repro.codec.metrics import psnr as psnr_metric
 from repro.codec.quantize import QuantizerSpec
 from repro.errors import CodecError, RateControlError
+from repro.obs import trace
 
 #: Container overhead per encoded tile (index, plane counts, lengths).
 _TILE_OVERHEAD_BYTES = 8
@@ -600,7 +600,7 @@ class RateModel:
         recomputing the payload statistics (pass them back as
         ``payload_hint``).
         """
-        with perf.profiled("codec"):
+        with trace.span("codec"):
             payload_bits, n_plane_segments, _ = self._payload_stats(
                 decomps, step, want_quantized=False
             )
@@ -649,7 +649,7 @@ class RateModel:
         if step <= 0:
             raise CodecError(f"base_step must be positive, got {step}")
         roi = self._resolve_roi(image, roi)
-        with perf.profiled("codec"):
+        with trace.span("codec"):
             return self._encode_batched(
                 image, step, roi, decompositions, payload_hint
             )

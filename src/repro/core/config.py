@@ -129,9 +129,6 @@ class EarthPlusConfig:
             are proven byte-identical by the differential test harness,
             so the choice never affects results — only wall time — and
             never enters the experiment-store key.
-        codec_parallel_tiles: Worker processes for the codec's tile-level
-            parallel encode/decode driver (1 = in-process; only meaningful
-            for the real-codec backends).
     """
 
     tile_size: int = 64
@@ -148,7 +145,6 @@ class EarthPlusConfig:
     reference_bytes_per_pixel: int = 1
     raw_bytes_per_pixel: int = 2
     codec_backend: str = "model"
-    codec_parallel_tiles: int = 1
 
     def __post_init__(self) -> None:
         if self.tile_size <= 0:
@@ -196,11 +192,6 @@ class EarthPlusConfig:
             raise ConfigError(
                 f"codec_backend must be 'model', 'real', 'reference', "
                 f"'vectorized', or 'compiled', got {self.codec_backend!r}"
-            )
-        if self.codec_parallel_tiles < 1:
-            raise ConfigError(
-                f"codec_parallel_tiles must be >= 1, "
-                f"got {self.codec_parallel_tiles}"
             )
 
     def reference_compression_ratio(self) -> float:

@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro import perf
 from repro.codec.jpeg2000 import CodecConfig
 from repro.codec.ratemodel import QualityLayer, RateModel
 from repro.core.change_detection import (
@@ -46,6 +45,7 @@ from repro.core.tiles import TileGrid
 from repro.errors import PipelineError
 from repro.imagery.bands import Band
 from repro.imagery.sensor import Capture
+from repro.obs import trace
 
 #: Bytes for the per-band illumination alignment parameters shipped with
 #: each download (two float32 values).
@@ -82,7 +82,6 @@ def build_rate_model(
             backend=registry.resolve_name(
                 config_backend=config.codec_backend
             ),
-            parallel_tiles=config.codec_parallel_tiles,
         )
     return RateModel(resolved)
 
@@ -108,23 +107,6 @@ class RoiRateController:
         self.rate_model = build_rate_model(config, codec_config)
         self.n_layers = config.n_quality_layers
         self._last_step: dict[tuple[str, str], float] = {}
-
-    def close(self) -> None:
-        """Release backend resources (the real codec's tile-worker pool).
-
-        Idempotent; a no-op for the rate model.  Simulation owners call
-        this when a run finishes so parallel-tile workers never outlive
-        the run that spawned them.
-        """
-        close = getattr(self.rate_model, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "RoiRateController":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def encode_roi(
         self,
@@ -357,10 +339,6 @@ class EarthPlusEncoder:
         # baselines, to speed the bpp-target search across a timeline.
         self.rate = RoiRateController(config, codec_config)
 
-    def close(self) -> None:
-        """Release the rate controller's codec resources (idempotent)."""
-        self.rate.close()
-
     # ------------------------------------------------------------------
     def process_capture(
         self,
@@ -452,7 +430,7 @@ class EarthPlusEncoder:
         ]
         ref_indices = [i for i in range(n_bands) if had_reference[i]]
         if ref_indices:
-            with perf.profiled("scoring"):
+            with trace.span("scoring"):
                 capture_lr_stack = downsample_many(
                     cleaned[np.array(ref_indices)], ratio
                 )

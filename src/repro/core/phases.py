@@ -143,18 +143,6 @@ class ConstellationState:
             self.satellites[satellite_id] = state
         return state
 
-    def close(self) -> None:
-        """Release every built policy's resources (idempotent).
-
-        Policies backed by the real codec with ``parallel_tiles > 1``
-        hold worker pools; the simulator closes the whole constellation
-        when a run finishes so workers never outlive it.
-        """
-        for state in self.satellites.values():
-            close = getattr(state.policy, "close", None)
-            if close is not None:
-                close()
-
 
 @dataclass(frozen=True)
 class DownlinkReport:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro import perf
 from repro.core.accounting import (
     CaptureRecord,
     MetricCollector,
@@ -80,10 +79,6 @@ class EarthPlusPolicy:
             cloud_detector=cloud_detector,
             cache=self.cache,
         )
-
-    def close(self) -> None:
-        """Release the encoder's codec resources (worker pools)."""
-        self.encoder.close()
 
     def process(
         self, capture: Capture, guaranteed_due: bool
@@ -209,9 +204,9 @@ class ConstellationSimulator:
 
         The global visit ordering is memoized on the schedule, so repeated
         runs over one dataset (policy comparisons, seed sweeps) sort it
-        once instead of once per run.  When a profiler is installed (see
-        :mod:`repro.perf`) each phase's wall time is recorded under the
-        phase's name.
+        once instead of once per run.  When a tracer is installed (see
+        :mod:`repro.obs.trace`) each phase of each visit records a span
+        under the phase's name.
 
         With ``config.ground_sync_days > 0`` the run is
         epoch-synchronized (see :mod:`repro.core.sharding`): ground-state
@@ -246,11 +241,8 @@ class ConstellationSimulator:
         state = ConstellationState(self.policy_factory)
         phases = self.build_phases()
         metrics = self._build_metrics()
-        try:
-            for visit in self.schedule.all_visits_sorted():
-                self._simulate_visit(visit, state, phases, metrics)
-        finally:
-            state.close()
+        for visit in self.schedule.all_visits_sorted():
+            self._simulate_visit(visit, state, phases, metrics)
         return self._finalize(metrics)
 
     def _run_synced(
@@ -291,12 +283,11 @@ class ConstellationSimulator:
                 else:
                     ingests = canonical_ingests(ingests)
                     marks = canonical_marks(marks)
-                with perf.profiled("sync"):
+                with trace.span("sync"):
                     self.ground.apply_ingests(ingests)
                     apply_marks(state._last_guaranteed, marks)
         finally:
             trace.clear_context("epoch")
-            state.close()
         return self._finalize(metrics)
 
     def _simulate_visit(self, visit, state, phases, metrics) -> None:
@@ -304,7 +295,7 @@ class ConstellationSimulator:
             visit=visit, state=state.for_satellite(visit.satellite_id)
         )
         for phase in phases:
-            with perf.profiled(phase.name):
+            with trace.span(phase.name):
                 phase.run(event)
         metrics.observe(event)
 

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import perf
 from repro.errors import ImageryError
 from repro.imagery.bands import Band
 from repro.imagery.clouds import CloudModel, CloudSample
 from repro.imagery.earth_model import EarthModel
 from repro.imagery.illumination import IlluminationModel, IlluminationSample
 from repro.imagery.noise import stable_hash
+from repro.obs import trace
 
 # (raw env string -> parsed bytes) per variable: re-parse only when the
 # variable changes, keeping the per-capture cost at one dict lookup.
@@ -248,7 +248,7 @@ class SatelliteSensor:
             if cached is not None:
                 self._capture_cache.move_to_end(key)
                 return cached
-        with perf.profiled("imagery"):
+        with trace.span("imagery"):
             result = self._render_capture(satellite_id, t_days)
         if use_cache:
             for array in self._capture_arrays(result):

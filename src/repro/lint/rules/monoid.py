@@ -2,7 +2,7 @@
 
 The sharded runner and the sweep scheduler fold per-worker partials with
 ``identity()``/``merge()`` monoids (``RunResult``, ``UplinkStats``,
-``DownlinkStats``, ``SimProfiler``, ``Counters``); byte-identical
+``DownlinkStats``, ``Counters``); byte-identical
 "sharded == sequential" results hold only while every field participates
 in the merge.  The regression this rule exists for: add a field to a
 stats dataclass, forget to thread it through ``merge()``, and sharded

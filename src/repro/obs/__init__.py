@@ -7,8 +7,7 @@ Three small facilities every layer of the stack reports through:
     on a monotonic clock into a bounded per-process ring buffer, with
     worker/scenario/shard/epoch attribution carried by an ambient
     context.  Near-zero cost when disabled, so hot kernels stay
-    instrumented unconditionally (``perf.profiled`` is now a
-    compatibility shim over it).
+    instrumented unconditionally.
 ``repro.obs.metrics``
     Named monotonic counters with a monoid ``merge()`` — the store
     (hit/miss/eviction/bytes), the sweep scheduler (steals/spawns/

@@ -9,9 +9,10 @@ epoch-barrier waits line up visually across the pool.
 
 ``read_trace`` accepts both formats back, so the ``repro trace``
 subcommand (``summary`` / ``slowest`` / ``export``) works on either
-artifact.  ``summarize`` reproduces the profiler's per-section totals
-(name, calls, seconds) from the spans alone — the acceptance check that
-the trace and the merged ``--profile`` table agree.
+artifact.  ``summarize`` gives the per-section totals (name, calls,
+seconds) of a span list; the CLI's ``--profile`` table is this summary
+over the command's own in-memory trace, so a profile and a saved trace
+of the same run agree.
 """
 
 from __future__ import annotations
@@ -194,13 +195,14 @@ def read_trace(path: str):
 
 
 def summarize(spans) -> list[dict]:
-    """Per-section totals from spans, in the profiler's row shape.
+    """Per-section totals from spans (``--profile``, ``repro trace summary``).
+
+    Sections are flat: a nested span counts toward its own name only, so
+    an outer section's seconds include its inner sections' seconds.
 
     Returns:
         ``[{"section", "seconds", "calls"}]`` sorted by seconds
-        descending — the same rows ``SimProfiler.rows()`` produces, so
-        ``repro trace summary`` agrees with the merged ``--profile``
-        table for the same run.
+        descending.
     """
     seconds: dict = {}
     calls: dict = {}

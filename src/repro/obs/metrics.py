@@ -1,14 +1,23 @@
 """Named monotonic counters with a monoid merge.
 
 Every layer counts through one process-global :class:`Counters`
-instance (:func:`counters`): the store bumps ``store.hit`` /
-``store.miss`` / ``store.evict`` / ``store.put_bytes``, the sweep
-scheduler bumps ``sched.steal`` / ``sched.spawn`` / ``sched.barrier_idle_s``,
-``DownlinkPhase`` bumps ``downlink.shed`` / ``downlink.defer`` /
-``downlink.drop``, and the codec registry bumps ``codec.resolve.*``.
+instance (:func:`counters`):
+
+* the store bumps ``store.hit`` / ``store.miss`` / ``store.put`` /
+  ``store.put_bytes`` / ``store.evict``;
+* the sweep scheduler bumps ``sched.spawns`` (per worker spawned),
+  ``sched.tasks_run`` / ``sched.spec_tasks`` / ``sched.shard_tasks`` /
+  ``sched.tasks_stolen`` (per task start), and ``sched.worker_cpu_s`` /
+  ``sched.barrier_idle_s`` (per finished task, in the process that ran
+  it);
+* ``DownlinkPhase`` bumps ``downlink.visits`` /
+  ``downlink.delivered_bytes`` / ``downlink.layers_shed`` /
+  ``downlink.deferred`` / ``downlink.dropped``;
+* the codec registry bumps ``codec.resolve.<engine>`` and
+  ``codec.fallback``.
 
 Counters follow the same algebra as every other per-worker partial in
-this codebase (``RunResult``, ``SimProfiler``): :meth:`Counters.merge`
+this codebase (``RunResult``, ``DownlinkStats``): :meth:`Counters.merge`
 is associative with :meth:`Counters.identity` as the unit, so worker
 deltas shipped over the scheduler's result protocol fold into one
 sweep-wide view in any order.  Values are monotonic — only

@@ -1,22 +1,19 @@
 """Span tracing: begin/end timestamps in a bounded per-process ring buffer.
 
-:func:`span` is the one instrumentation point the whole stack shares.  It
-is simultaneously the profiler's section timer (when a
-:class:`~repro.perf.SimProfiler` is installed the span's duration is
-added to its section) and the tracer's timeline recorder (when a
-:class:`Tracer` is enabled the span lands in its ring buffer with full
-begin/end timestamps and attribution).  ``perf.profiled`` is a
-compatibility shim over it, so every pre-existing ``profiled("dwt")``
-call site emits spans for free.
+:func:`span` is the one instrumentation point the whole stack shares:
+when a :class:`Tracer` is enabled the span lands in its ring buffer with
+full begin/end timestamps and attribution.  ``--trace`` writes that
+timeline to a file and ``--profile`` prints its per-section totals
+(:func:`repro.obs.export.summarize`), so both views read the same spans.
 
 Design constraints, in order:
 
 * **Zero perturbation.**  Spans only read the clock; simulation results
   are byte-identical with tracing on or off (differential-tested).
-* **Near-zero cost when disabled.**  With neither a tracer nor a
-  profiler installed, :func:`span` returns a shared no-op context
-  manager after two module-attribute reads — cheap enough to leave hot
-  kernels instrumented unconditionally.
+* **Near-zero cost when disabled.**  With no tracer installed,
+  :func:`span` returns a shared no-op context manager after one
+  module-attribute read — cheap enough to leave hot kernels
+  instrumented unconditionally.
 * **Bounded memory.**  The buffer is a fixed-capacity ring; overflow
   overwrites the oldest span and counts ``dropped`` so exports can say
   the timeline is clipped rather than silently lying.
@@ -40,8 +37,6 @@ from __future__ import annotations
 
 import os
 import time
-
-from repro import perf
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -233,10 +228,9 @@ _NULL_SPAN = _NullSpan()
 class _LiveSpan:
     """One active span: timestamps on entry/exit, recorded on exit.
 
-    The profiler and tracer are re-read at exit (not captured at entry)
-    so a span that straddles an enable/disable records consistently with
-    the state at its end — the same call-time semantics as every other
-    repro switch.
+    The tracer is re-read at exit (not captured at entry) so a span that
+    straddles an enable/disable records consistently with the state at
+    its end — the same call-time semantics as every other repro switch.
     """
 
     __slots__ = ("name", "attrs", "begin_s")
@@ -251,9 +245,6 @@ class _LiveSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end_s = time.perf_counter()
-        profiler = perf._PROFILER
-        if profiler is not None:
-            profiler.add(self.name, end_s - self.begin_s)
         tracer = _TRACER
         if tracer is not None:
             attrs = self.attrs
@@ -264,18 +255,17 @@ class _LiveSpan:
 
 
 def span(name: str, **attrs):
-    """Time a block, feeding the profiler and/or tracer when installed.
+    """Time a block into the installed tracer, if any.
 
     Args:
-        name: Section/span name (``uplink``, ``dwt``, ``spec <label>``...).
+        name: Section/span name (``uplink``, ``dwt``, ``spec_task``...).
         attrs: Per-span attributes recorded with the span (merged over
-            the ambient context; tracing only — the profiler keys by
-            name alone).
+            the ambient context).
 
     Returns:
-        A context manager.  With neither facility installed this is a
-        shared no-op instance; the block runs untimed at near-zero cost.
+        A context manager.  With no tracer installed this is a shared
+        no-op instance; the block runs untimed at near-zero cost.
     """
-    if _TRACER is None and perf._PROFILER is None:
+    if _TRACER is None:
         return _NULL_SPAN
     return _LiveSpan(name, attrs)

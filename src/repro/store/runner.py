@@ -85,8 +85,6 @@ def run_scenarios_cached(
     store: ExperimentStore | None = ENV_DEFAULT,  # type: ignore[assignment]
     refresh: bool = False,
     shards: int | None = None,
-    stats_sink=None,
-    profile_sink=None,
     progress=None,
 ) -> CachedSweep:
     """Execute a batch through the experiment store.
@@ -110,12 +108,6 @@ def run_scenarios_cached(
             :func:`~repro.analysis.scenarios.run_scenario_sharded`).
             The shard count never enters content keys — a sharded run
             hits, and is hit by, sequential entries.
-        stats_sink: Optional hook receiving the scheduler's per-sweep
-            :class:`~repro.analysis.scheduler.SchedulerStats` when the
-            simulated remainder ran on a worker pool.
-        profile_sink: Optional per-task profiler-rows hook (see
-            :func:`~repro.analysis.scenarios.run_scenarios`); cache hits
-            produce no rows — nothing simulated, nothing timed.
         progress: Optional :class:`~repro.obs.progress.SweepProgress`
             (or duck-type); cache hits report through ``add_cached``,
             simulated specs through the scheduler's task callbacks.
@@ -183,8 +175,6 @@ def run_scenarios_cached(
         max_workers=max_workers,
         on_result=persist,
         shards=shards,
-        stats_sink=stats_sink,
-        profile_sink=profile_sink,
         progress=progress,
     )
     # Fan shared-key results out to duplicate specs.

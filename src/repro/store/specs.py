@@ -48,7 +48,8 @@ from repro.orbit.links import FluctuationModel
 #: state — semantics, so it keys) and the canonical visit ordering
 #: tie-breaks by (location, satellite), not time alone.  The shard count
 #: deliberately does NOT enter the key: sharding never changes results.
-SCHEMA_VERSION = 3
+#: 4: the tile-pool width left the spec document; results are unchanged.
+SCHEMA_VERSION = 4
 
 
 def _leaf(value):
@@ -97,13 +98,11 @@ def _config_document(config: EarthPlusConfig | None) -> dict:
     # the key (mirroring the shard-count exclusion): every real-codec
     # entropy engine (reference/vectorized/compiled/real) produces byte-
     # identical bitstreams — differential-tested — so they all collapse to
-    # the canonical "real", and the tile-pool width is erased entirely.  A
-    # compiled run therefore warms the cache for a vectorized run and vice
-    # versa; only the model-vs-real-codec choice keys (it changes byte
-    # accounting).
+    # the canonical "real".  A compiled run therefore warms the cache for
+    # a vectorized run and vice versa; only the model-vs-real-codec choice
+    # keys (it changes byte accounting).
     if document["codec_backend"] != "model":
         document["codec_backend"] = "real"
-    document["codec_parallel_tiles"] = 1
     return document
 
 

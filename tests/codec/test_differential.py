@@ -284,22 +284,6 @@ class TestImageCodecDifferential:
             )
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_parallel_driver_byte_identical(self, textured_image, backend):
-        serial = ImageCodec(CodecConfig(tile_size=64), backend=backend)
-        parallel = ImageCodec(
-            CodecConfig(tile_size=64), backend=backend, parallel_tiles=2
-        )
-        try:
-            enc_serial = serial.encode(textured_image)
-            enc_parallel = parallel.encode(textured_image)
-        finally:
-            parallel.close()
-        assert enc_serial.to_bytes() == enc_parallel.to_bytes()
-        assert np.array_equal(
-            serial.decode(enc_serial), parallel.decode(enc_parallel)
-        )
-
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_cross_backend_decode(self, textured_image, backend):
         """Either backend decodes the other's serialized container."""
         from repro.codec.jpeg2000 import EncodedImage

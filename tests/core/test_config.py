@@ -68,7 +68,7 @@ class TestEarthPlusConfig:
             {"guaranteed_download_days": 0.0},
             {"n_quality_layers": 0},
             {"codec_backend": "kakadu"},
-            {"codec_parallel_tiles": 0},
+            {"ground_sync_days": -1.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -76,7 +76,7 @@ class TestEarthPlusConfig:
             EarthPlusConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "backend", ["model", "real", "reference", "vectorized"]
+        "backend", ["model", "real", "reference", "vectorized", "compiled"]
     )
     def test_codec_backends_accepted(self, backend):
         assert EarthPlusConfig(codec_backend=backend).codec_backend == backend

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from sim_oracle import reference_path
 
-from repro import perf
 from repro.analysis.scenarios import ScenarioSpec, run_scenario
 from repro.codec.ratemodel import RateModel
 from repro.codec.jpeg2000 import CodecConfig
@@ -30,6 +29,7 @@ from repro.core.reference import (
     quantize_reference,
 )
 from repro.core.tiles import TileGrid
+from repro.obs import export, trace
 
 
 def _run_snapshot(result):
@@ -288,19 +288,20 @@ def test_schedule_order_memoized(tiny_sentinel_dataset):
 
 
 def test_profiler_sections(tiny_sentinel_dataset):
-    """A profiled run records phase and kernel sections."""
+    """A traced run records phase and kernel sections (``--profile``)."""
     spec = ScenarioSpec(
         policy="earthplus",
         dataset=tiny_sentinel_dataset,
         config=EarthPlusConfig(gamma_bpp=0.3),
     )
-    profiler = perf.enable_profiler()
+    tracer = trace.enable_tracer()
     try:
         run_scenario(spec)
     finally:
-        perf.disable_profiler()
-    sections = {row["section"] for row in profiler.rows()}
+        trace.disable_tracer()
+    rows = export.summarize(tracer.spans())
+    sections = {row["section"] for row in rows}
     assert {"uplink", "capture", "ingest"} <= sections
     assert "codec" in sections and "dwt" in sections
-    assert all(row["seconds"] >= 0 for row in profiler.rows())
-    assert perf.active_profiler() is None
+    assert all(row["seconds"] >= 0 for row in rows)
+    assert trace.active_tracer() is None

@@ -9,11 +9,14 @@ per-scenario sharded runner — on both figure archetypes.  Failure
 attribution must survive the move from per-scenario pipes to the shared
 pool: a crashing task still names its scenario label (and shard index),
 and a *dying worker process* is detected and attributed rather than
-hanging the sweep.
+hanging the sweep.  Scheduling telemetry is the global ``sched.*``
+counters, and no sweep — successful, failed, or with a dead worker —
+may leave a child process behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import pickle
@@ -29,9 +32,10 @@ from repro.analysis.scenarios import (
     run_scenario_sharded,
     run_scenarios,
 )
-from repro.analysis.scheduler import SchedulerStats, SweepScheduler
+from repro.analysis.scheduler import SweepScheduler
 from repro.core.config import EarthPlusConfig
 from repro.errors import ConfigError, ScenarioError
+from repro.obs import metrics
 from repro.orbit.links import FluctuationModel
 
 from test_sharded_sim import FIG13_DATASET, FIG13_SPEC, FIG20_SPEC
@@ -60,6 +64,30 @@ SWEEP_SPECS = [
         seed=2,
     ),
 ]
+
+
+@contextlib.contextmanager
+def _sched_counters():
+    """Collect the ``sched.*`` counters a block bumps, even if it raises."""
+    baseline = metrics.counters().snapshot()
+    delta: dict = {}
+    try:
+        yield delta
+    finally:
+        delta.update(
+            (name, value)
+            for name, value in metrics.counters().diff(baseline).values.items()
+            if name.startswith("sched.")
+        )
+
+
+@contextlib.contextmanager
+def _no_surviving_children():
+    """Assert the block leaves no child process alive."""
+    before = set(multiprocessing.active_children())
+    yield
+    survivors = set(multiprocessing.active_children()) - before
+    assert not survivors, f"child processes outlived the sweep: {survivors}"
 
 
 def _broken_spec(label="broken-uplink", sync_days=2.0) -> ScenarioSpec:
@@ -98,10 +126,13 @@ class TestJointModeByteIdentity:
         assert pickle.dumps(joint[0]) == sequential
 
     def test_pool_larger_than_work(self):
-        # More workers than tasks: extra workers idle, bytes unchanged.
+        # More workers than tasks: the pool is sized to the plan (one
+        # gang of 3), never to idle workers; bytes unchanged.
         sequential = pickle.dumps(run_scenario(FIG13_SPEC))
-        joint = run_scenarios([FIG13_SPEC], max_workers=6, shards=3)
+        with _sched_counters() as sched:
+            joint = run_scenarios([FIG13_SPEC], max_workers=6, shards=3)
         assert pickle.dumps(joint[0]) == sequential
+        assert sched["sched.spawns"] == 3
 
     def test_workers_only_mode_streams_results(self):
         landed: list[int] = []
@@ -116,37 +147,40 @@ class TestJointModeByteIdentity:
             assert pickle.dumps(result) == sequential[index]
 
 
-class TestSchedulerStats:
+class TestSchedulerCounters:
     def test_one_spawn_set_per_sweep(self):
-        stats: list[SchedulerStats] = []
-        run_scenarios(
-            SWEEP_SPECS, max_workers=2, shards=2, stats_sink=stats.append
-        )
-        (s,) = stats
+        with _no_surviving_children(), _sched_counters() as sched:
+            run_scenarios(SWEEP_SPECS, max_workers=2, shards=2)
         # The headline invariant: workers spawn once per sweep, not once
         # per scenario x shard (which would be len(SWEEP_SPECS) * 2).
-        assert s.spawns == 2
-        assert s.workers == 2
-        assert s.shard_tasks == 2 * len(SWEEP_SPECS)
-        assert s.spec_tasks == 0
-        assert s.tasks_run == s.shard_tasks + s.spec_tasks
-        assert s.wall_s > 0.0
-        assert s.worker_cpu_s > 0.0
+        assert sched["sched.spawns"] == 2
+        assert sched["sched.shard_tasks"] == 2 * len(SWEEP_SPECS)
+        assert "sched.spec_tasks" not in sched
+        assert sched["sched.tasks_run"] == sched["sched.shard_tasks"]
+        assert sched["sched.worker_cpu_s"] > 0.0
 
     def test_workers_only_counts_spec_tasks(self):
-        stats: list[SchedulerStats] = []
-        run_scenarios(
-            SWEEP_SPECS[:2], max_workers=2, stats_sink=stats.append
-        )
-        (s,) = stats
-        assert s.spawns == 2
-        assert s.spec_tasks == 2
-        assert s.shard_tasks == 0
+        with _sched_counters() as sched:
+            run_scenarios(SWEEP_SPECS[:2], max_workers=2)
+        assert sched["sched.spawns"] == 2
+        assert sched["sched.spec_tasks"] == 2
+        assert "sched.shard_tasks" not in sched
 
-    def test_in_process_sweeps_emit_no_stats(self):
-        stats: list[SchedulerStats] = []
-        run_scenarios([FIG13_SPEC], stats_sink=stats.append)
-        assert stats == []
+    def test_in_process_sweeps_spawn_nothing(self):
+        with _sched_counters() as sched:
+            run_scenarios([FIG13_SPEC])
+        assert "sched.spawns" not in sched
+        # The in-process path is the scheduler's too: its task counts.
+        assert sched["sched.tasks_run"] == 1
+        assert sched["sched.spec_tasks"] == 1
+
+    def test_failed_sweep_keeps_its_counters(self):
+        # Counters are bumped as events happen, so a sweep that raises
+        # still reports the workers it spawned and the tasks it started.
+        with _sched_counters() as sched, pytest.raises(ScenarioError):
+            run_scenarios([FIG13_SPEC, _broken_spec()], max_workers=2)
+        assert sched["sched.spawns"] == 2
+        assert sched["sched.tasks_run"] >= 1
 
 
 class TestFailureAttribution:
@@ -159,8 +193,9 @@ class TestFailureAttribution:
             )
 
     def test_spec_crash_names_label(self):
-        with pytest.raises(ScenarioError, match=r"'broken-uplink'"):
-            run_scenarios([FIG13_SPEC, _broken_spec()], max_workers=2)
+        with _no_surviving_children():
+            with pytest.raises(ScenarioError, match=r"'broken-uplink'"):
+                run_scenarios([FIG13_SPEC, _broken_spec()], max_workers=2)
 
     def test_sharding_without_sync_cadence_is_config_error(self):
         no_sync = ScenarioSpec(
@@ -182,8 +217,9 @@ class TestFailureAttribution:
             os._exit(3)
 
         monkeypatch.setattr(scenarios, "run_scenario", die)
-        with pytest.raises(ScenarioError, match="died without a result"):
-            run_scenarios(SWEEP_SPECS[:2], max_workers=2)
+        with _no_surviving_children():
+            with pytest.raises(ScenarioError, match="died without a result"):
+                run_scenarios(SWEEP_SPECS[:2], max_workers=2)
 
 
 class TestSchedulerDirect:
@@ -194,13 +230,17 @@ class TestSchedulerDirect:
             SweepScheduler(workers=2, shards_per_scenario=0)
 
     def test_empty_sweep(self):
-        results, stats = SweepScheduler(workers=2).run([])
+        with _sched_counters() as sched:
+            results = SweepScheduler(workers=2).run([])
         assert results == []
-        assert stats.tasks_run == 0
+        assert "sched.tasks_run" not in sched
 
-    def test_single_worker_runs_inline(self):
-        results, stats = SweepScheduler(workers=1).run([FIG13_SPEC])
-        assert stats.spawns == 0  # no pool for a sequential sweep
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_single_task_plans_run_inline(self, workers):
+        # One worker, or one unsharded spec on a bigger pool: no pool.
+        with _sched_counters() as sched:
+            results = SweepScheduler(workers=workers).run([FIG13_SPEC])
+        assert "sched.spawns" not in sched
         assert pickle.dumps(results[0]) == pickle.dumps(
             run_scenario(FIG13_SPEC)
         )
@@ -266,9 +306,10 @@ class TestBarrierOverlap:
             # guard fires at plan time, before any worker spawns.
             scheduler.run(specs)
         sync_specs = [FIG13_SPEC, SWEEP_SPECS[2]]
-        results, stats = SweepScheduler(
-            workers=3, shards_per_scenario=2
-        ).run(sync_specs)
-        assert stats.shard_tasks == 4
+        with _sched_counters() as sched:
+            results = SweepScheduler(
+                workers=3, shards_per_scenario=2
+            ).run(sync_specs)
+        assert sched["sched.shard_tasks"] == 4
         for spec, result in zip(sync_specs, results):
             assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))

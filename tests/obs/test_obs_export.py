@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs import export
-from repro.perf import SimProfiler
 
 #: A tiny merged timeline: driver plus two workers, out of order.
 SPANS = [
@@ -96,11 +95,25 @@ class TestRoundTrip:
 
 
 class TestSummaries:
-    def test_summarize_matches_profiler_rows(self):
-        profiler = SimProfiler()
-        for name, begin_s, end_s, _attrs in SPANS:
-            profiler.add(name, end_s - begin_s)
-        assert export.summarize(SPANS) == profiler.rows()
+    def test_summarize_totals_sections_longest_first(self):
+        # Sections are flat: the nested dwt span counts toward "dwt"
+        # only, and "sweep" still covers the time of everything inside it.
+        assert export.summarize(SPANS) == [
+            {"section": "sweep", "seconds": 3.0, "calls": 1},
+            {"section": "shard_task", "seconds": 1.0, "calls": 1},
+            {"section": "spec_task", "seconds": 0.5, "calls": 1},
+            {"section": "dwt", "seconds": 0.1, "calls": 1},
+        ]
+        # Repeated sections add up; rows rank by total, not per call.
+        repeated = [
+            ("fast", 0.0, 1.0, None),
+            ("slow", 1.0, 3.0, None),
+            ("slow", 3.0, 6.0, None),
+        ]
+        assert export.summarize(repeated) == [
+            {"section": "slow", "seconds": 5.0, "calls": 2},
+            {"section": "fast", "seconds": 1.0, "calls": 1},
+        ]
 
     def test_slowest_ranks_and_attributes(self):
         rows = export.slowest(SPANS, limit=2)

@@ -43,6 +43,21 @@ class TestMonoid:
         a.merge_in(b)
         assert a == merged
 
+    @given(counter_bags, counter_bags)
+    def test_diff_inverts_merge(self, a, b):
+        # A worker ships diff(baseline); folding it back in with merge
+        # must reproduce the worker's totals, so diff undoes merge
+        # (up to the zero counters a delta leaves out).
+        nonzero = Counters({k: v for k, v in b.values.items() if v})
+        assert a.merge(b).diff(a) == nonzero
+
+    def test_merge_does_not_mutate_operands(self):
+        a = Counters({"x": 1})
+        b = Counters({"x": 2, "y": 3})
+        assert a.merge(b) == Counters({"x": 3, "y": 3})
+        assert a == Counters({"x": 1})
+        assert b == Counters({"x": 2, "y": 3})
+
 
 class TestCounters:
     def test_inc_and_get(self):

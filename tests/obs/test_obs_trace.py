@@ -1,18 +1,16 @@
-"""Span tracer: ring buffer, attribution, shim, zero perturbation."""
+"""Span tracer: ring buffer, attribution, nesting, zero perturbation."""
 
 import pickle
 
 import pytest
 
-from repro import perf
 from repro.obs import trace
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Every test leaves the process-global tracer/profiler uninstalled."""
+    """Every test leaves the process-global tracer uninstalled."""
     yield
-    perf.disable_profiler()
     trace.disable_tracer()
     trace.reset_context()
 
@@ -47,7 +45,6 @@ class TestSpan:
     def test_disabled_returns_shared_null_span(self):
         # The near-zero-cost fast path: no allocation per call.
         assert trace.active_tracer() is None
-        assert perf.active_profiler() is None
         assert trace.span("a") is trace.span("b")
 
     def test_records_into_tracer_with_merged_context(self):
@@ -67,19 +64,33 @@ class TestSpan:
             pass
         assert tracer.spans()[0][3]["epoch"] == 9
 
-    def test_feeds_profiler_and_tracer_together(self):
+    def test_nested_spans_both_recorded(self):
         tracer = trace.enable_tracer()
-        profiler = perf.enable_profiler()
-        with trace.span("k"):
-            pass
-        assert profiler.calls == {"k": 1}
-        assert [s[0] for s in tracer.spans()] == ["k"]
+        with trace.span("outer"):
+            with trace.span("inner"):
+                pass
+        # The inner span finishes (and records) first; the outer span's
+        # interval contains it.
+        (inner, outer) = tracer.spans()
+        assert (inner[0], outer[0]) == ("inner", "outer")
+        assert outer[1] <= inner[1] <= inner[2] <= outer[2]
 
-    def test_profiled_is_a_span_shim(self):
+    def test_repeated_spans_each_recorded(self):
         tracer = trace.enable_tracer()
-        with perf.profiled("legacy"):
+        for _ in range(2):
+            with trace.span("k"):
+                pass
+        first, second = tracer.spans()
+        assert first[0] == second[0] == "k"
+        assert first[1] <= first[2] <= second[1] <= second[2]
+
+    def test_disable_stops_recording(self):
+        tracer = trace.enable_tracer()
+        trace.disable_tracer()
+        with trace.span("after"):
             pass
-        assert [s[0] for s in tracer.spans()] == ["legacy"]
+        assert tracer.spans() == []
+        assert trace.span("a") is trace.span("b")
 
 
 class TestContext:

@@ -33,7 +33,6 @@ from unittest import mock
 
 import numpy as np
 
-from repro import perf
 from repro.codec import dwt
 from repro.codec.dwt import (
     _ALPHA,
@@ -68,6 +67,7 @@ from repro.imagery.noise import (
     stable_hash,
 )
 from repro.imagery.sensor import Capture
+from repro.obs import trace
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +423,7 @@ def process_band(
                 )[: encoder.image_shape[0], : encoder.image_shape[1]]
             )
             unfilled_tiles = encoder.grid.reduce_any(unfilled_px)
-        with perf.profiled("scoring"):
+        with trace.span("scoring"):
             detection = detect_changes(
                 reference_lr,
                 capture_lr,

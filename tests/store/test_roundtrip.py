@@ -37,9 +37,9 @@ def sim_counter(monkeypatch):
     real = scenarios.run_scenario
     calls = []
 
-    def counting(spec):
+    def counting(spec, dataset=None):
         calls.append(spec.resolved_label())
-        return real(spec)
+        return real(spec, dataset=dataset)
 
     monkeypatch.setattr(scenarios, "run_scenario", counting)
     return calls
@@ -151,9 +151,9 @@ class TestKillAndResume:
         real = scenarios.run_scenario
         resumed_labels = []
 
-        def counting(spec):
+        def counting(spec, dataset=None):
             resumed_labels.append(spec.resolved_label())
-            return real(spec)
+            return real(spec, dataset=dataset)
 
         scenarios.run_scenario = counting
         try:

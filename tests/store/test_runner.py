@@ -24,12 +24,12 @@ def sim_counter(monkeypatch):
     real = scenarios.run_scenario
     state = {"calls": [], "fail_labels": set()}
 
-    def counting(spec):
+    def counting(spec, dataset=None):
         label = spec.resolved_label()
         state["calls"].append(label)
         if label in state["fail_labels"]:
             raise RuntimeError(f"injected failure for {label}")
-        return real(spec)
+        return real(spec, dataset=dataset)
 
     monkeypatch.setattr(scenarios, "run_scenario", counting)
     return state

@@ -41,12 +41,12 @@ BASE_DATASET = DatasetSpec.of(
 
 BASE_SPEC = ScenarioSpec(policy="earthplus", dataset=BASE_DATASET, seed=3)
 
-#: Key of BASE_SPEC under schema version 3, pinned so accidental
+#: Key of BASE_SPEC under schema version 4, pinned so accidental
 #: canonicalization changes (which would orphan every existing store
 #: entry) fail loudly.  A deliberate change must bump SCHEMA_VERSION —
 #: then regenerate with: python -c "from repro.store.specs import
 #: spec_key; ..." on the spec above.
-GOLDEN_KEY = "715ad9c3606af2e85c55c374549853e5295c4719afd213610f66b1a48c1dd29d"
+GOLDEN_KEY = "416f2e247a4fe41160ec57287dc74e238113ee9b919dfe0100f962e63ef00d7e"
 
 _param_leaves = (
     st.integers(-1000, 1000)
@@ -193,9 +193,10 @@ class TestSensitivity:
     def test_every_config_field(self):
         """Each EarthPlusConfig field is either keyed or engine-only.
 
-        Semantic fields must change the key; engine-only fields (which
-        entropy engine runs the real codec, how many pool workers) are
-        differential-tested to never change results, so they must NOT.
+        Semantic fields must change the key; engine-only fields are
+        differential-tested to never change results, so they must NOT
+        (which entropy engine runs the real codec is an engine-only
+        *value* of ``codec_backend``; see test_backend_engine_never_keys).
         Every field appears in exactly one of the two tables, enforced
         below, so a new field must take a side here.
         """
@@ -214,10 +215,11 @@ class TestSensitivity:
             "reference_bytes_per_pixel": 2,
             "raw_bytes_per_pixel": 1,
             # model vs real codec changes byte accounting, so it keys —
-            # see test_engine_only_fields for the engine names.
+            # see test_backend_engine_never_keys for the engine names.
             "codec_backend": "real",
         }
-        engine_only_alternates = {"codec_parallel_tiles": 2}
+        # No engine-only field today; a new one takes its side here.
+        engine_only_alternates: dict = {}
         config_fields = {f.name for f in dataclasses.fields(EarthPlusConfig)}
         assert (
             set(semantic_alternates) | set(engine_only_alternates)
@@ -277,26 +279,6 @@ class TestSensitivity:
         engine_key = next(iter(real_keys.values()))
         assert engine_key != spec_key(BASE_SPEC)  # real codec != model
         assert key_for("model") == spec_key(BASE_SPEC)
-
-    def test_parallel_tiles_never_keys(self):
-        """Pool width composes with engine choice without touching the key."""
-        one = ScenarioSpec(
-            policy="earthplus",
-            dataset=BASE_DATASET,
-            config=EarthPlusConfig().with_overrides(
-                codec_backend="compiled", codec_parallel_tiles=1
-            ),
-            seed=3,
-        )
-        four = ScenarioSpec(
-            policy="earthplus",
-            dataset=BASE_DATASET,
-            config=EarthPlusConfig().with_overrides(
-                codec_backend="vectorized", codec_parallel_tiles=4
-            ),
-            seed=3,
-        )
-        assert spec_key(one) == spec_key(four)
 
     def test_fluctuation_severity_changes_key(self):
         """Severity alone (same seed/floor/ceiling) is a distinct key."""

@@ -20,11 +20,14 @@ import pytest
 
 from repro.lint import run_lint
 from repro.lint.rules import storekey
+from repro.store.specs import SCHEMA_VERSION
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 CONFIG_ANCHOR = "tile_size: int = 64"
-VERSION_ANCHOR = "SCHEMA_VERSION = 3"
+# Derived from the live version, so a real bump never breaks the sandbox.
+VERSION_ANCHOR = f"SCHEMA_VERSION = {SCHEMA_VERSION}"
+BUMPED_VERSION = SCHEMA_VERSION + 1
 
 
 @pytest.fixture()
@@ -63,7 +66,7 @@ def bump_schema_version(root: Path) -> None:
     source = specs.read_text(encoding="utf-8")
     assert VERSION_ANCHOR in source
     specs.write_text(
-        source.replace(VERSION_ANCHOR, "SCHEMA_VERSION = 4"),
+        source.replace(VERSION_ANCHOR, f"SCHEMA_VERSION = {BUMPED_VERSION}"),
         encoding="utf-8",
     )
 
@@ -115,7 +118,7 @@ class TestBumpedChangePasses:
         golden = json.loads(
             (sandbox / storekey.GOLDEN_RELPATH).read_text()
         )
-        assert golden["schema_version"] == 4
+        assert golden["schema_version"] == BUMPED_VERSION
         assert "extra_knob" in golden["config_fields"]
 
     def test_bump_without_surface_change_wants_reanchor(self, sandbox):
