@@ -1061,12 +1061,13 @@ def fig21_sweep_throughput(
     All three projections are computed from ONE set of task-cost
     measurements: per-spec sequential CPU from the sequential pass and
     per-shard CPU from the per-scenario gang runs.  The scheduler runs
-    identical shard tasks (differential-tested byte identity), but under
-    work stealing *which* tasks co-run — and so how much an oversubscribed
-    host's timeslicing thrashes each one — varies run to run, whereas a
-    gang's co-runners are always its own members.  Measuring task costs
-    under the deterministic schedule keeps the ratio repeatable and
-    compares scheduling structure, not cache-pollution luck.
+    identical shard tasks (differential-tested byte identity), but in a
+    joint sweep *which* tasks co-run — and so how much an oversubscribed
+    host's timeslicing thrashes each one — depends on completion order
+    and varies run to run, whereas a gang's co-runners are always its
+    own members.  Measuring task costs under the deterministic schedule
+    keeps the ratio repeatable and compares scheduling structure, not
+    timeslicing luck.
 
     Always simulates (never touches the store): timings are the payload.
     """

@@ -11,13 +11,17 @@ idling every other core while one scenario's shards waited at its
 becomes a DAG of **spec-tasks** (run a whole scenario) and **shard-tasks**
 (run one satellite bucket of a scenario, exchanging epoch journals
 through the scheduler), executed by a single set of long-lived forked
-workers spawned once per sweep.  Workers pull tasks from a shared queue,
-so scheduling is work-stealing by construction — any idle worker takes
-the next ready task, and while one scenario's shards sit at an epoch
+workers spawned once per sweep.  The driver assigns every task to a
+named idle worker, and while one scenario's shards sit at an epoch
 barrier, tasks from *other* scenarios fill the remaining workers.  Each
 worker keeps its warm per-process state (dataset cache, capture/surface
-caches, memoized visit ordering) across every task it runs, so only the
-first task over a dataset pays synthesis.
+caches, memoized visit ordering) across every task it runs, so dispatch
+is shard-affine: a shard task goes to the idle worker that last ran the
+same shard of the same dataset — shard *i* of every spec over a dataset
+covers the same satellites, so that worker already holds their captures
+— and a spec task to the idle worker that last ran a spec task of its
+dataset.  Dispatch never waits for a busy preferred worker; it takes
+the lowest-numbered idle one instead.
 
 Scheduling topology never changes bytes.  The scheduler only decides
 *when* work runs, never *what* merges: shard partials fold with the
@@ -32,18 +36,21 @@ pickle-byte-identical to running every spec sequentially
 (differential-tested in ``tests/integration/test_sweep_scheduler.py``).
 
 Backpressure is structural: at most ``workers`` tasks are in flight at
-any moment (a task is enqueued only against an idle worker slot, and a
-shard group is enqueued only when a full gang of slots is free, which is
-also what makes the epoch-barrier rendezvous deadlock-free).  Journal
-exchange that used to ride per-scenario ad-hoc ``Pipe`` pairs is routed
-through the scheduler's shared result queue as messages keyed by
-``(scenario, epoch)``; merged journals return on a per-worker pipe.
+any moment (a task is sent only to an idle worker, and a shard group
+only when a full gang of workers is idle, which is also what makes the
+epoch-barrier rendezvous deadlock-free).  Journal exchange that used to
+ride per-scenario ad-hoc ``Pipe`` pairs is routed through the
+scheduler's shared result queue as messages keyed by
+``(scenario, epoch)``; merged journals return on the per-worker pipe
+that also carries the worker's tasks.
 
 The scheduler reports through the global counters
 (:mod:`repro.obs.metrics`), bumping each ``sched.*`` counter where its
-event happens: ``sched.spawns`` per worker spawned; ``sched.tasks_run``,
-``sched.spec_tasks``/``sched.shard_tasks`` and ``sched.tasks_stolen``
-as a task starts; ``sched.worker_cpu_s`` and ``sched.barrier_idle_s`` in
+event happens: ``sched.spawns`` per worker spawned; ``sched.tasks_run``
+and ``sched.spec_tasks``/``sched.shard_tasks`` as a task is dispatched,
+``sched.tasks_stolen`` when dispatch places it off its preferred worker
+(one that ran its shard or spec kind of its dataset before, and is
+busy); ``sched.worker_cpu_s`` and ``sched.barrier_idle_s`` in
 the process that ran the task (worker deltas ship home with the task's
 result).  ``repro sweep --profile`` prints the command's ``sched.*``
 deltas.  A failed sweep keeps its counters up to the failure; only the
@@ -94,16 +101,21 @@ class _Task:
     trace: bool = False
 
 
-def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
-    """One long-lived pool worker: pull tasks until the ``None`` sentinel.
+def _pool_worker(worker_id: int, conn, result_queue) -> None:
+    """One long-lived pool worker: run tasks until the ``None`` sentinel.
 
-    Protocol (worker side), all on the shared ``result_queue``:
+    Protocol (worker side): the driver sends each task, and finally the
+    ``None`` sentinel, down this worker's own duplex pipe ``conn`` while
+    the worker is idle, and an epoch's merged journal while it waits at
+    the barrier; those are the only times the worker reads ``conn``.
+    The driver chose the worker, so it knows which task a worker runs
+    (and which one a dead worker was running) without an
+    acknowledgement.  Everything else goes up the shared
+    ``result_queue``:
 
-    * ``("start", worker_id, task_id)`` on dequeue (lets the driver
-      attribute a later worker death to the task it was running);
     * per epoch of a shard task,
       ``("epoch", worker_id, task_id, epoch, ingests, marks)`` — then
-      block on ``reply_conn`` for the merged ``(ingests, marks)``;
+      block on ``conn`` for the merged ``(ingests, marks)``;
     * ``("done", worker_id, task_id, result, cpu_seconds, spans,
       spans_dropped, counter_delta)`` or
       ``("error", worker_id, task_id, traceback_text)``.
@@ -126,10 +138,9 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
     from repro.analysis import scenarios
 
     while True:
-        task = task_queue.get()
+        task = conn.recv()
         if task is None:
             break
-        result_queue.put(("start", worker_id, task.task_id))
         try:
             if task.trace:
                 # Fork inherits the driver's tracer object; install a
@@ -154,7 +165,7 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
                     )
                     waited = time.perf_counter()
                     with trace.span("barrier_wait", epoch=epoch):
-                        merged = reply_conn.recv()
+                        merged = conn.recv()
                     metrics.counters().inc(
                         "sched.barrier_idle_s", time.perf_counter() - waited
                     )
@@ -201,7 +212,7 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
         finally:
             trace.disable_tracer()
             trace.reset_context()
-    reply_conn.close()
+    conn.close()
 
 
 @dataclass
@@ -220,6 +231,33 @@ class _Unit:
     @property
     def size(self) -> int:
         return len(self.tasks)
+
+
+def _place(preferred: list, idle: set[int]) -> list[int]:
+    """Claim one idle worker per task of a unit dispatched together.
+
+    Args:
+        preferred: Per task, the worker it should run on (the one that
+            last ran its shard of its dataset), or None.
+        idle: The idle workers, at least one per task; the claimed ones
+            are removed.
+
+    Returns:
+        Per task, its worker: the preferred one when it is idle, else
+        the lowest-numbered idle worker.  Tasks whose preferred worker
+        is idle claim it first, so a task placed elsewhere never takes
+        a gang-mate's worker.
+    """
+    placed: list = [None] * len(preferred)
+    for index, worker_id in enumerate(preferred):
+        if worker_id in idle:
+            placed[index] = worker_id
+            idle.remove(worker_id)
+    for index, worker_id in enumerate(placed):
+        if worker_id is None:
+            placed[index] = min(idle)
+            idle.remove(placed[index])
+    return placed
 
 
 @dataclass
@@ -271,7 +309,7 @@ class SweepScheduler:
 
         Returns:
             The unit list and a ``spec_index -> dataset affinity key``
-            map (for the ``sched.tasks_stolen`` counter).
+            map (for shard-affine dispatch).
         """
         from repro.analysis.scenarios import (
             DatasetSpec,
@@ -415,7 +453,7 @@ class SweepScheduler:
 
     @staticmethod
     def _count_start(task: _Task, stolen: bool = False) -> None:
-        """Bump the per-task ``sched.*`` counters as ``task`` starts."""
+        """Bump the per-task ``sched.*`` counters as ``task`` is dispatched."""
         bag = metrics.counters()
         bag.inc("sched.tasks_run")
         if task.kind == "shard":
@@ -481,14 +519,13 @@ class SweepScheduler:
             if "fork" in multiprocessing.get_all_start_methods()
             else None
         )
-        task_queue = context.Queue()
         result_queue = context.Queue()
         workers: list[tuple] = []
         for worker_id in range(pool_size):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_pool_worker,
-                args=(worker_id, task_queue, result_queue, child_conn),
+                args=(worker_id, child_conn, result_queue),
                 daemon=True,
             )
             process.start()
@@ -505,30 +542,68 @@ class SweepScheduler:
             for unit in units
             if unit.tasks[0].kind == "shard"
         }
-        idle = pool_size
-        running: dict[int, int] = {}  # worker_id -> task_id (post-"start")
-        affinity: dict[object, int] = {}  # dataset key -> last worker
+        idle = set(range(pool_size))
+        running: dict[int, int] = {}  # worker_id -> task_id (as assigned)
+        #: (dataset key, kind, shard index) -> worker that last ran it
+        last_worker: dict[tuple, int] = {}
         completed = 0
         failed = False
 
+        def worker_died(worker_id: int) -> ScenarioError:
+            process = workers[worker_id][0]
+            process.join(timeout=1.0)  # reap it, for the exit code
+            detail = (
+                f"worker died without a result "
+                f"(exit code {process.exitcode})"
+            )
+            task_id = running.get(worker_id)
+            if task_id is not None:
+                return self._task_failure(tasks_by_id[task_id], detail)
+            return ScenarioError(f"sweep worker {worker_id} {detail}")
+
+        def send(worker_id: int, payload) -> None:
+            try:
+                workers[worker_id][1].send(payload)
+            except OSError as exc:  # the worker is gone: its end closed
+                raise worker_died(worker_id) from exc
+
+        def affinity(task: _Task) -> tuple:
+            return (
+                affinity_keys[task.spec_index], task.kind, task.shard_index
+            )
+
         def dispatch() -> None:
             # First-fit over the pending units: a gang goes out only
-            # when a full block of idle slots exists (in-flight tasks
+            # when a full block of idle workers exists (in-flight tasks
             # never exceed the pool — the backpressure bound — and every
             # gang member is guaranteed a worker, which makes the epoch
             # rendezvous deadlock-free); single spec tasks backfill any
-            # remaining slots.
-            nonlocal idle
+            # remaining workers.  Each task goes to the idle worker that
+            # last ran its shard of its dataset (or, for a spec task, a
+            # spec task of its dataset), whose capture cache is warm for
+            # exactly those satellites; a busy one is never waited for.
             index = 0
             while index < len(pending_units):
                 unit = pending_units[index]
-                if unit.size <= idle:
-                    for task in unit.tasks:
-                        task_queue.put(task)
-                    idle -= unit.size
-                    del pending_units[index]
-                else:
+                if unit.size > len(idle):
                     index += 1
+                    continue
+                del pending_units[index]
+                preferred = [
+                    last_worker.get(affinity(task)) for task in unit.tasks
+                ]
+                for task, wanted, worker_id in zip(
+                    unit.tasks, preferred, _place(preferred, idle)
+                ):
+                    last_worker[affinity(task)] = worker_id
+                    running[worker_id] = task.task_id
+                    if progress is not None:
+                        progress.task_started()
+                    self._count_start(
+                        task,
+                        stolen=wanted is not None and wanted != worker_id,
+                    )
+                    send(worker_id, task)
 
         def deliver(spec_index: int, result: RunResult) -> None:
             nonlocal completed
@@ -546,36 +621,11 @@ class SweepScheduler:
                     message = result_queue.get(timeout=0.5)
                 except queue_mod.Empty:
                     for worker_id, (process, _) in enumerate(workers):
-                        if process.is_alive():
-                            continue
-                        detail = (
-                            f"worker died without a result "
-                            f"(exit code {process.exitcode})"
-                        )
-                        task_id = running.get(worker_id)
-                        failed = True
-                        if task_id is not None:
-                            raise self._task_failure(
-                                tasks_by_id[task_id], detail
-                            )
-                        raise ScenarioError(
-                            f"sweep worker {worker_id} {detail}"
-                        )
+                        if not process.is_alive():
+                            raise worker_died(worker_id)
                     continue
                 kind = message[0]
-                if kind == "start":
-                    _, worker_id, task_id = message
-                    running[worker_id] = task_id
-                    task = tasks_by_id[task_id]
-                    if progress is not None:
-                        progress.task_started()
-                    key = affinity_keys[task.spec_index]
-                    last = affinity.get(key)
-                    self._count_start(
-                        task, stolen=last is not None and last != worker_id
-                    )
-                    affinity[key] = worker_id
-                elif kind == "epoch":
+                if kind == "epoch":
                     _, worker_id, task_id, epoch, ingests, marks = message
                     task = tasks_by_id[task_id]
                     group = groups[task.spec_index]
@@ -606,8 +656,7 @@ class SweepScheduler:
                                 canonical_marks(all_marks),
                             )
                             for shard_index in sorted(buffer):
-                                shard_worker = buffer[shard_index][0]
-                                workers[shard_worker][1].send(merged)
+                                send(buffer[shard_index][0], merged)
                         del group.epoch_buffer[epoch]
                 elif kind == "done":
                     (
@@ -622,7 +671,7 @@ class SweepScheduler:
                     ) = message
                     task = tasks_by_id[task_id]
                     running.pop(worker_id, None)
-                    idle += 1
+                    idle.add(worker_id)
                     if progress is not None:
                         progress.task_finished()
                     if spans:
@@ -650,33 +699,32 @@ class SweepScheduler:
                     dispatch()
                 elif kind == "error":
                     _, worker_id, task_id, detail = message
-                    failed = True
                     raise self._task_failure(tasks_by_id[task_id], detail)
+            for worker_id in range(pool_size):
+                send(worker_id, None)
         except BaseException:
             failed = True
             raise
         finally:
             if failed:
                 # Workers may be blocked at an epoch barrier that will
-                # never resolve; a clean drain is impossible.
-                for process, parent_conn in workers:
-                    parent_conn.close()
-                    process.terminate()
+                # never resolve; a clean drain is impossible.  Terminate
+                # before closing the pipes, so no worker wakes to an
+                # end-of-file on its pipe.
                 for process, _ in workers:
+                    process.terminate()
+                for process, parent_conn in workers:
                     process.join(timeout=5.0)
                     if process.is_alive():
                         process.kill()
                         process.join()
+                    parent_conn.close()
             else:
-                for _ in workers:
-                    task_queue.put(None)
                 for process, parent_conn in workers:
                     process.join(timeout=10.0)
                     parent_conn.close()
                     if process.is_alive():
                         process.terminate()
                         process.join()
-            task_queue.close()
             result_queue.close()
-            task_queue.cancel_join_thread()
             result_queue.cancel_join_thread()

@@ -175,6 +175,26 @@ def record_order_key(record: CaptureRecord) -> tuple[float, str, int]:
     return (record.t_days, record.location, record.satellite_id)
 
 
+def _merge_disjoint(
+    mine: list[CaptureRecord], theirs: list[CaptureRecord]
+) -> list[CaptureRecord]:
+    """Two partials' records as one list in canonical visit order.
+
+    Raises:
+        ValueError: When both lists hold a record of the same visit (a
+            duplicated or retried partial would otherwise count twice).
+    """
+    shared = {record_order_key(record) for record in mine}.intersection(
+        map(record_order_key, theirs)
+    )
+    if shared:
+        raise ValueError(
+            f"cannot merge partials that both record visit "
+            f"{min(shared)!r}; merge operands must be disjoint"
+        )
+    return sorted(mine + theirs, key=record_order_key)
+
+
 def _share_record_strings(records: list[CaptureRecord]) -> list[CaptureRecord]:
     """Records rebuilt so equal strings share one instance.
 
@@ -294,9 +314,10 @@ class RunResult(_TupleState):
         pickle-byte identity).
 
         Raises:
-            ValueError: When the operands disagree on configuration
-                (policy, horizon, contact geometry) or carry
-                ``extra_metrics`` — collector values are arbitrary
+            ValueError: When the operands share a visit (a record with
+                the same :func:`record_order_key`), disagree on
+                configuration (policy, horizon, contact geometry) or
+                carry ``extra_metrics`` — collector values are arbitrary
                 objects with no general merge.
         """
         if self._is_identity():
@@ -339,7 +360,7 @@ class RunResult(_TupleState):
         return RunResult(
             policy=self.policy or other.policy,
             records=_share_record_strings(
-                sorted(self.records + other.records, key=record_order_key)
+                _merge_disjoint(self.records, other.records)
             ),
             downlink_bytes=self.downlink_bytes + other.downlink_bytes,
             uplink_bytes=self.uplink_bytes + other.uplink_bytes,
@@ -508,7 +529,8 @@ class MetricsAccumulator:
         that accumulate per shard and finalize once: records re-sort into
         canonical visit order, totals add, peaks take the max.
         Accumulators carrying pluggable collectors refuse to merge —
-        collector state is opaque.
+        collector state is opaque — and so do accumulators that share a
+        visit (``ValueError``, as for :meth:`RunResult.merge`).
         """
         if self._is_identity():
             return other
@@ -537,9 +559,7 @@ class MetricsAccumulator:
             contacts_per_day=self.contacts_per_day,
             contact_duration_s=self.contact_duration_s,
         )
-        merged.records = sorted(
-            self.records + other.records, key=record_order_key
-        )
+        merged.records = _merge_disjoint(self.records, other.records)
         merged.downlink_bytes = self.downlink_bytes + other.downlink_bytes
         merged.peak_reference_bytes = max(
             self.peak_reference_bytes, other.peak_reference_bytes

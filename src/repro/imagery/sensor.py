@@ -42,7 +42,8 @@ def _mb_budget(name: str, default: float) -> int:
     ``repro.lint.rules.envflags``).
 
     Raises:
-        ValueError: For a set value that is not a finite number.
+        ValueError: For a set value that is not a finite, non-negative
+            number.
     """
     raw = os.environ.get(name)
     memo_key = (name, raw)
@@ -53,11 +54,12 @@ def _mb_budget(name: str, default: float) -> int:
         value = int(default * 1e6)
     else:
         try:
-            value = int(float(raw) * 1e6)
+            megabytes = float(raw)
+            value = int(megabytes * 1e6)
         except (ValueError, OverflowError):  # garbage, nan, +-inf
-            raise ValueError(
-                f"{name}={raw!r} is not a megabyte count"
-            ) from None
+            megabytes = -1.0
+        if megabytes < 0:  # 0 turns a cache off; below that is an error
+            raise ValueError(f"{name}={raw!r} is not a megabyte count")
     _BUDGET_MEMO[memo_key] = value
     return value
 
@@ -67,10 +69,10 @@ def capture_cache_bytes() -> int:
 
     A capture is deterministic in (satellite, time), so repeated scenario
     runs over one dataset — e.g. comparing three policies on the same
-    schedule — re-observe identical captures; caching them removes the
-    dominant imagery-synthesis cost from every run after the first.
-    ``REPRO_CAPTURE_CACHE_MB`` (default 64) sizes it, read at call time;
-    0 turns the cache off.
+    schedule — re-observe identical captures; every run after the first
+    renders only the captures that did not fit (see
+    :meth:`SatelliteSensor.capture`).  ``REPRO_CAPTURE_CACHE_MB``
+    (default 64) sizes it, read at call time; 0 turns the cache off.
     """
     return _mb_budget("REPRO_CAPTURE_CACHE_MB", 64.0)
 
@@ -224,9 +226,13 @@ class SatelliteSensor:
         band.
 
         Captures are deterministic in ``(satellite_id, t_days)``, so they
-        are memoized (bounded by a per-sensor byte budget,
-        ``REPRO_CAPTURE_CACHE_MB``); cached pixel arrays are returned
-        read-only and shared between callers.
+        are memoized; cached pixel arrays are returned read-only and
+        shared between callers.  A miss is cached only if it fits in the
+        per-sensor budget (``REPRO_CAPTURE_CACHE_MB``), so cached entries
+        are never displaced by new ones: every run over a dataset scans
+        its captures in the same time order, and keeping the first ones
+        makes each repeated scan hit on them where LRU would miss on
+        every capture of a scan larger than the budget.
 
         Args:
             satellite_id: Observing satellite index (enters the noise seed).
@@ -238,33 +244,30 @@ class SatelliteSensor:
         if t_days < 0:
             raise ImageryError(f"t_days must be >= 0, got {t_days}")
         cache_budget = capture_cache_bytes()
-        use_cache = cache_budget > 0
+        if cache_budget <= 0:
+            with trace.span("imagery"):
+                return self._render_capture(satellite_id, t_days)
+        # A budget lowered at run time shrinks the cache first, so both
+        # budgets bound it after every call.
+        while self._capture_cache_bytes > cache_budget:
+            _, evicted = self._capture_cache.popitem(last=False)
+            self._capture_cache_bytes -= self._capture_nbytes(evicted)
         # Raw-float key: replayed schedules pass bit-identical times, and
         # quantizing would let two nearby-but-distinct capture times
         # silently collide onto one rendered capture.
         key = (satellite_id, t_days)
-        if use_cache:
-            cached = self._capture_cache.get(key)
-            if cached is not None:
-                self._capture_cache.move_to_end(key)
-                return cached
-        with trace.span("imagery"):
-            result = self._render_capture(satellite_id, t_days)
-        if use_cache:
-            for array in self._capture_arrays(result):
-                array.setflags(write=False)
-            _CACHING_SENSORS[id(self)] = self
-            self._capture_cache[key] = result
-            self._capture_cache_bytes += self._capture_nbytes(result)
-            # Per-sensor budget first, then the process-wide ceiling so
-            # datasets with many locations stay bounded.
-            while (
-                self._capture_cache_bytes > cache_budget
-                and len(self._capture_cache) > 1
-            ):
-                _, evicted = self._capture_cache.popitem(last=False)
-                self._capture_cache_bytes -= self._capture_nbytes(evicted)
-            _enforce_global_capture_budget()
+        result = self._capture_cache.get(key)
+        if result is None:
+            with trace.span("imagery"):
+                result = self._render_capture(satellite_id, t_days)
+            nbytes = self._capture_nbytes(result)
+            if self._capture_cache_bytes + nbytes <= cache_budget:
+                for array in self._capture_arrays(result):
+                    array.setflags(write=False)
+                _CACHING_SENSORS[id(self)] = self
+                self._capture_cache[key] = result
+                self._capture_cache_bytes += nbytes
+        _enforce_global_capture_budget()
         return result
 
     @staticmethod

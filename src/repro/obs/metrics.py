@@ -6,10 +6,11 @@ instance (:func:`counters`):
 * the store bumps ``store.hit`` / ``store.miss`` / ``store.put`` /
   ``store.put_bytes`` / ``store.evict``;
 * the sweep scheduler bumps ``sched.spawns`` (per worker spawned),
-  ``sched.tasks_run`` / ``sched.spec_tasks`` / ``sched.shard_tasks`` /
-  ``sched.tasks_stolen`` (per task start), and ``sched.worker_cpu_s`` /
-  ``sched.barrier_idle_s`` (per finished task, in the process that ran
-  it);
+  ``sched.tasks_run`` / ``sched.spec_tasks`` / ``sched.shard_tasks``
+  (per task dispatched), ``sched.tasks_stolen`` (per task dispatched
+  off its preferred worker because that worker was busy), and
+  ``sched.worker_cpu_s`` / ``sched.barrier_idle_s`` (per finished task,
+  in the process that ran it);
 * ``DownlinkPhase`` bumps ``downlink.visits`` /
   ``downlink.delivered_bytes`` / ``downlink.layers_shed`` /
   ``downlink.deferred`` / ``downlink.dropped``;

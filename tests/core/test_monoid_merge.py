@@ -51,6 +51,20 @@ def capture_records(draw):
     )
 
 
+def _record(location: str, satellite_id: int, t_days: float) -> CaptureRecord:
+    return CaptureRecord(
+        location=location,
+        satellite_id=satellite_id,
+        t_days=t_days,
+        dropped=False,
+        guaranteed=False,
+        cloud_coverage=0.0,
+        psnr=30.0,
+        downloaded_fraction=1.0,
+        bytes_downlinked=7,
+    )
+
+
 def _result(**overrides) -> RunResult:
     values = dict(
         policy="earthplus",
@@ -83,6 +97,12 @@ def run_results(draw):
         uplink_stats=draw(uplink_stats).as_run_stats(),
         downlink_stats=draw(downlink_stats).as_run_stats(),
     )
+
+
+def _relocate(result: RunResult, location: str) -> None:
+    """Move every record of ``result`` to ``location``."""
+    for record in result.records:
+        record.location = location
 
 
 class TestStatsMonoids:
@@ -133,6 +153,11 @@ class TestRunResultMonoid:
     @settings(max_examples=60, deadline=None)
     @given(a=run_results(), b=run_results(), c=run_results())
     def test_associative(self, a, b, c):
+        # Merge refuses operands that share a visit; keep them disjoint
+        # by keying each operand's records to its own location.
+        _relocate(a, "A")
+        _relocate(b, "B")
+        _relocate(c, "C")
         left = a.merge(b).merge(c)
         right = a.merge(b.merge(c))
         assert pickle.dumps(left) == pickle.dumps(right)
@@ -142,10 +167,8 @@ class TestRunResultMonoid:
     def test_commutative_on_disjoint_partials(self, a, b):
         # The runner only merges partials over disjoint visit sets; make
         # the operands disjoint by keying records to distinct locations.
-        for record in a.records:
-            record.location = "A"
-        for record in b.records:
-            record.location = "B"
+        _relocate(a, "A")
+        _relocate(b, "B")
         assert pickle.dumps(a.merge(b)) == pickle.dumps(b.merge(a))
 
     @settings(max_examples=60, deadline=None)
@@ -173,6 +196,15 @@ class TestRunResultMonoid:
     def test_refuses_extra_metrics(self):
         with pytest.raises(ValueError, match="extra_metrics"):
             _result(extra_metrics={"x": 1}).merge(_result())
+
+    def test_refuses_overlapping_partials(self):
+        # A duplicated or retried shard partial must not count twice.
+        partial = _result(records=[_record("A", 2, 5.0)], downlink_bytes=7)
+        with pytest.raises(ValueError, match=r"\(5\.0, 'A', 2\)"):
+            partial.merge(partial)
+        other = _result(records=[_record("B", 0, 1.0), _record("A", 2, 5.0)])
+        with pytest.raises(ValueError, match=r"\(5\.0, 'A', 2\)"):
+            other.merge(partial)
 
 
 class TestMetricsAccumulatorIdentity:
@@ -221,6 +253,12 @@ class TestMetricsAccumulatorIdentity:
         acc.collectors = [_Collector()]
         assert MetricsAccumulator.identity().merge(acc) is acc
         assert acc.merge(MetricsAccumulator.identity()) is acc
+
+    def test_refuses_overlapping_accumulators(self):
+        acc = self._populated()
+        acc.records = [_record("A", 2, 5.0)]
+        with pytest.raises(ValueError, match=r"\(5\.0, 'A', 2\)"):
+            acc.merge(acc)
 
     def test_populated_merges_still_refuse_collectors(self):
         class _Collector:

@@ -152,20 +152,71 @@ class TestCaptureCache:
             assert fresh.pixels[band].tobytes() == pixels.tobytes()
         assert list(sensor._capture_cache) == [(0, 5.0)]
 
-    def test_sensor_budget_evicts_least_recent(self, monkeypatch):
+    def test_sensor_budget_admits_while_capture_fits(self, monkeypatch):
         sensor = _small_sensor(63)
-        oldest = sensor.capture(0, 1.0)
+        first = sensor.capture(0, 1.0)
         nbytes = self._budget(
-            monkeypatch, "REPRO_CAPTURE_CACHE_MB", 2.5, oldest
+            monkeypatch, "REPRO_CAPTURE_CACHE_MB", 2.5, first
+        )
+        second = sensor.capture(0, 2.0)
+        assert list(sensor._capture_cache) == [(0, 1.0), (0, 2.0)]
+        assert sensor._capture_cache_bytes == 2 * nbytes
+        assert sensor.capture(0, 1.0) is first
+        assert sensor.capture(0, 2.0) is second
+
+    def test_sensor_budget_refuses_once_full(self, monkeypatch):
+        sensor = _small_sensor(67)
+        sample = sensor.capture(0, 1.0)
+        nbytes = self._budget(
+            monkeypatch, "REPRO_CAPTURE_CACHE_MB", 2.5, sample
         )
         sensor.capture(0, 2.0)
-        sensor.capture(0, 3.0)
-        assert list(sensor._capture_cache) == [(0, 2.0), (0, 3.0)]
+        uncached = sensor.capture(0, 3.0)  # a third would not fit
+        assert list(sensor._capture_cache) == [(0, 1.0), (0, 2.0)]
         assert sensor._capture_cache_bytes == 2 * nbytes
-        # A hit refreshes recency: (0, 3.0) is now the oldest entry.
-        sensor.capture(0, 2.0)
-        sensor.capture(0, 4.0)
-        assert list(sensor._capture_cache) == [(0, 2.0), (0, 4.0)]
+        assert sensor.capture(0, 3.0) is not uncached
+        for array in SatelliteSensor._capture_arrays(uncached):
+            assert array.flags.writeable
+        # The cached entries stay, however often the refused one recurs.
+        assert sensor.capture(0, 1.0) is sample
+
+    def test_lowered_budget_shrinks_before_serving(self, monkeypatch):
+        sensor = _small_sensor(68)
+        sample = sensor.capture(0, 1.0)
+        for t_days in (2.0, 3.0):
+            sensor.capture(0, t_days)
+        nbytes = self._budget(
+            monkeypatch, "REPRO_CAPTURE_CACHE_MB", 1.5, sample
+        )
+        # Even a hit leaves the cache inside the budget it was read at.
+        sensor.capture(0, 3.0)
+        assert list(sensor._capture_cache) == [(0, 3.0)]
+        assert sensor._capture_cache_bytes == nbytes
+
+    def test_cyclic_scans_render_only_what_does_not_fit(self, monkeypatch):
+        # Runs over one dataset repeat the same time-ordered scan.  With
+        # room for k of n captures, the first scan renders n and every
+        # later one only the n - k that did not fit (LRU renders all n
+        # on every scan).
+        sensor = _small_sensor(69)
+        n, k = 6, 4
+        self._budget(
+            monkeypatch, "REPRO_CAPTURE_CACHE_MB", k + 0.5,
+            sensor._render_capture(0, 0.0),
+        )
+        rendered: list[float] = []
+        render = sensor._render_capture
+
+        def counting(satellite_id, t_days):
+            rendered.append(t_days)
+            return render(satellite_id, t_days)
+
+        monkeypatch.setattr(sensor, "_render_capture", counting)
+        for _ in range(3):
+            for t_days in range(1, n + 1):
+                sensor.capture(0, float(t_days))
+        assert len(rendered) == n + 2 * (n - k)
+        assert len(sensor._capture_cache) == k
 
     def test_total_budget_evicts_from_largest_cache(self, monkeypatch):
         hoarder, inserter = _small_sensor(64), _small_sensor(65)
@@ -197,7 +248,9 @@ class TestCacheBudgetEnv:
     @pytest.mark.parametrize(
         "var", ["REPRO_CAPTURE_CACHE_MB", "REPRO_CAPTURE_CACHE_TOTAL_MB"]
     )
-    @pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan", "lots"])
+    @pytest.mark.parametrize(
+        "value", ["inf", "1e400", "-inf", "nan", "lots", "-1"]
+    )
     def test_bad_budget_names_variable(self, monkeypatch, var, value):
         read = {
             "REPRO_CAPTURE_CACHE_MB": sensor_module.capture_cache_bytes,

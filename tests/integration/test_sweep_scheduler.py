@@ -32,10 +32,10 @@ from repro.analysis.scenarios import (
     run_scenario_sharded,
     run_scenarios,
 )
-from repro.analysis.scheduler import SweepScheduler
+from repro.analysis.scheduler import SweepScheduler, _place
 from repro.core.config import EarthPlusConfig
 from repro.errors import ConfigError, ScenarioError
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.orbit.links import FluctuationModel
 
 from test_sharded_sim import FIG13_DATASET, FIG13_SPEC, FIG20_SPEC
@@ -64,6 +64,44 @@ SWEEP_SPECS = [
         seed=2,
     ),
 ]
+
+
+#: Three gammas over one 4-satellite Planet dataset: shard i of every
+#: spec covers the same two satellites.
+PLANET_DATASET = DatasetSpec.of(
+    "planet",
+    n_satellites=4,
+    image_shape=(48, 48),
+    horizon_days=12.0,
+    seed=19,
+)
+PLANET_SPECS = [
+    ScenarioSpec(
+        policy="earthplus",
+        dataset=PLANET_DATASET,
+        config=EarthPlusConfig(gamma_bpp=gamma, ground_sync_days=3.0),
+        seed=1,
+        label=f"g{gamma:g}",
+    )
+    for gamma in (0.2, 0.3, 0.4)
+]
+
+
+def _task_workers(scheduler: SweepScheduler, specs, kind: str) -> dict:
+    """Run a traced sweep; the workers its ``kind`` spans ran on, by shard.
+
+    Spec-task spans carry no shard, so they collect under ``None``.
+    """
+    tracer = trace.enable_tracer()
+    try:
+        scheduler.run(specs)
+    finally:
+        trace.disable_tracer()
+    placement: dict = {}
+    for name, _begin, _end, attrs in tracer.spans():
+        if name == kind:
+            placement.setdefault(attrs.get("shard"), set()).add(attrs["worker"])
+    return placement
 
 
 @contextlib.contextmanager
@@ -220,6 +258,80 @@ class TestFailureAttribution:
         with _no_surviving_children():
             with pytest.raises(ScenarioError, match="died without a result"):
                 run_scenarios(SWEEP_SPECS[:2], max_workers=2)
+
+
+class TestDeadWorkerSends:
+    @pytest.mark.parametrize("deliveries", [1, 3], ids=["task", "sentinel"])
+    def test_send_to_dead_worker_is_attributed(self, deliveries):
+        # Kill the pool from the driver's result hook: the driver's next
+        # send (a task after the first delivery, the shutdown sentinel
+        # after the last) meets a closed pipe, which must surface as the
+        # dead-worker error rather than a BrokenPipeError.
+        delivered: list[int] = []
+
+        def kill_pool(index, spec, result):
+            delivered.append(index)
+            if len(delivered) == deliveries:
+                for child in multiprocessing.active_children():
+                    child.kill()
+                    child.join(timeout=10.0)
+
+        with _no_surviving_children():
+            with pytest.raises(ScenarioError, match="died without a result"):
+                run_scenarios(
+                    SWEEP_SPECS[:3], max_workers=2, on_result=kill_pool
+                )
+
+
+class TestShardAffineDispatch:
+    def test_idle_preferred_workers_are_kept(self):
+        idle = {0, 1, 2}
+        assert _place([2, 0], idle) == [2, 0]
+        assert idle == {1}
+
+    def test_busy_preference_takes_lowest_idle_worker(self):
+        idle = {1, 3}
+        assert _place([0, 3], idle) == [1, 3]
+        assert not idle
+
+    def test_fallback_never_takes_a_gang_mates_worker(self):
+        # Shard 0's worker is busy; the lowest idle worker is the one
+        # shard 1 prefers, so shard 0 must take the next one.
+        idle = {0, 1}
+        assert _place([2, 0], idle) == [1, 0]
+
+    def test_no_preference_takes_lowest_idle_workers(self):
+        idle = {3, 1, 2}
+        assert _place([None, None], idle) == [1, 2]
+        assert idle == {3}
+
+    def test_gangs_over_one_dataset_steal_nothing(self):
+        # Each gang member goes back to the worker that ran its shard of
+        # the dataset before, so no task lands off its preferred worker.
+        with _sched_counters() as sched:
+            results = run_scenarios(PLANET_SPECS, max_workers=2, shards=2)
+        assert sched["sched.shard_tasks"] == 6
+        assert sched.get("sched.tasks_stolen", 0) == 0
+        for spec, result in zip(PLANET_SPECS, results):
+            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+
+    def test_each_shard_runs_on_one_worker(self):
+        placement = _task_workers(
+            SweepScheduler(workers=2, shards_per_scenario=2),
+            PLANET_SPECS,
+            "shard_task",
+        )
+        assert sorted(placement) == [0, 1]
+        assert all(len(workers) == 1 for workers in placement.values())
+        assert placement[0] != placement[1]
+
+    def test_spec_tasks_still_use_both_workers(self):
+        # Affinity never waits for a busy worker: same-dataset spec tasks
+        # spread over the idle pool instead of queueing behind one.
+        placement = _task_workers(
+            SweepScheduler(workers=2), PLANET_SPECS, "spec_task"
+        )
+        assert placement == {None: {0, 1}}
 
 
 class TestSchedulerDirect:
