@@ -15,13 +15,12 @@ workers spawned once per sweep.  The driver assigns every task to a
 named idle worker, and while one scenario's shards sit at an epoch
 barrier, tasks from *other* scenarios fill the remaining workers.  Each
 worker keeps its warm per-process state (dataset cache, capture/surface
-caches, memoized visit ordering) across every task it runs, so dispatch
-is shard-affine: a shard task goes to the idle worker that last ran the
-same shard of the same dataset — shard *i* of every spec over a dataset
-covers the same satellites, so that worker already holds their captures
-— and a spec task to the idle worker that last ran a spec task of its
-dataset.  Dispatch never waits for a busy preferred worker; it takes
-the lowest-numbered idle one instead.
+caches, memoized visit ordering) across every task it runs.  A unit's
+tasks go to the lowest-numbered idle workers in task order.  A gang as
+large as the pool only leaves when every worker is idle, so shard *i*
+of every such gang runs on worker *i* — and shard *i* of every spec
+over a dataset covers the same satellites, so that worker already holds
+their captures.
 
 Scheduling topology never changes bytes.  The scheduler only decides
 *when* work runs, never *what* merges: shard partials fold with the
@@ -48,13 +47,13 @@ The scheduler reports through the global counters
 (:mod:`repro.obs.metrics`), bumping each ``sched.*`` counter where its
 event happens: ``sched.spawns`` per worker spawned; ``sched.tasks_run``
 and ``sched.spec_tasks``/``sched.shard_tasks`` as a task is dispatched,
-``sched.tasks_stolen`` when dispatch places it off its preferred worker
-(one that ran its shard or spec kind of its dataset before, and is
-busy); ``sched.worker_cpu_s`` and ``sched.barrier_idle_s`` in
-the process that ran the task (worker deltas ship home with the task's
-result).  ``repro sweep --profile`` prints the command's ``sched.*``
-deltas.  A failed sweep keeps its counters up to the failure; only the
-worker-side deltas of tasks that never finished are lost with them.
+``sched.tasks_stolen`` when dispatch places a shard task off the worker
+that last ran the same shard of its dataset; ``sched.worker_cpu_s`` and
+``sched.barrier_idle_s`` in the process that ran the task (worker deltas
+ship home with the task's result).  ``repro sweep --profile`` prints the
+command's ``sched.*`` deltas.  A failed sweep keeps its counters up to
+the failure; only the worker-side deltas of tasks that never finished
+are lost with them.
 """
 
 from __future__ import annotations
@@ -233,33 +232,6 @@ class _Unit:
         return len(self.tasks)
 
 
-def _place(preferred: list, idle: set[int]) -> list[int]:
-    """Claim one idle worker per task of a unit dispatched together.
-
-    Args:
-        preferred: Per task, the worker it should run on (the one that
-            last ran its shard of its dataset), or None.
-        idle: The idle workers, at least one per task; the claimed ones
-            are removed.
-
-    Returns:
-        Per task, its worker: the preferred one when it is idle, else
-        the lowest-numbered idle worker.  Tasks whose preferred worker
-        is idle claim it first, so a task placed elsewhere never takes
-        a gang-mate's worker.
-    """
-    placed: list = [None] * len(preferred)
-    for index, worker_id in enumerate(preferred):
-        if worker_id in idle:
-            placed[index] = worker_id
-            idle.remove(worker_id)
-    for index, worker_id in enumerate(placed):
-        if worker_id is None:
-            placed[index] = min(idle)
-            idle.remove(placed[index])
-    return placed
-
-
 @dataclass
 class _GroupState:
     """Driver-side progress of one sharded scenario."""
@@ -309,7 +281,7 @@ class SweepScheduler:
 
         Returns:
             The unit list and a ``spec_index -> dataset affinity key``
-            map (for shard-affine dispatch).
+            map (for the ``sched.tasks_stolen`` counter).
         """
         from repro.analysis.scenarios import (
             DatasetSpec,
@@ -544,7 +516,7 @@ class SweepScheduler:
         }
         idle = set(range(pool_size))
         running: dict[int, int] = {}  # worker_id -> task_id (as assigned)
-        #: (dataset key, kind, shard index) -> worker that last ran it
+        #: (dataset key, shard index) -> worker that last ran that shard
         last_worker: dict[tuple, int] = {}
         completed = 0
         failed = False
@@ -567,21 +539,14 @@ class SweepScheduler:
             except OSError as exc:  # the worker is gone: its end closed
                 raise worker_died(worker_id) from exc
 
-        def affinity(task: _Task) -> tuple:
-            return (
-                affinity_keys[task.spec_index], task.kind, task.shard_index
-            )
-
         def dispatch() -> None:
             # First-fit over the pending units: a gang goes out only
             # when a full block of idle workers exists (in-flight tasks
             # never exceed the pool — the backpressure bound — and every
             # gang member is guaranteed a worker, which makes the epoch
             # rendezvous deadlock-free); single spec tasks backfill any
-            # remaining workers.  Each task goes to the idle worker that
-            # last ran its shard of its dataset (or, for a spec task, a
-            # spec task of its dataset), whose capture cache is warm for
-            # exactly those satellites; a busy one is never waited for.
+            # remaining workers.  A unit's tasks take the lowest-numbered
+            # idle workers in task order.
             index = 0
             while index < len(pending_units):
                 unit = pending_units[index]
@@ -589,20 +554,20 @@ class SweepScheduler:
                     index += 1
                     continue
                 del pending_units[index]
-                preferred = [
-                    last_worker.get(affinity(task)) for task in unit.tasks
-                ]
-                for task, wanted, worker_id in zip(
-                    unit.tasks, preferred, _place(preferred, idle)
-                ):
-                    last_worker[affinity(task)] = worker_id
+                for task, worker_id in zip(unit.tasks, sorted(idle)):
+                    idle.remove(worker_id)
                     running[worker_id] = task.task_id
+                    stolen = False
+                    if task.kind == "shard":
+                        key = (
+                            affinity_keys[task.spec_index],
+                            task.shard_index,
+                        )
+                        stolen = last_worker.get(key, worker_id) != worker_id
+                        last_worker[key] = worker_id
                     if progress is not None:
                         progress.task_started()
-                    self._count_start(
-                        task,
-                        stolen=wanted is not None and wanted != worker_id,
-                    )
+                    self._count_start(task, stolen=stolen)
                     send(worker_id, task)
 
         def deliver(spec_index: int, result: RunResult) -> None:

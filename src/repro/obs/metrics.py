@@ -7,8 +7,9 @@ instance (:func:`counters`):
   ``store.put_bytes`` / ``store.evict``;
 * the sweep scheduler bumps ``sched.spawns`` (per worker spawned),
   ``sched.tasks_run`` / ``sched.spec_tasks`` / ``sched.shard_tasks``
-  (per task dispatched), ``sched.tasks_stolen`` (per task dispatched
-  off its preferred worker because that worker was busy), and
+  (per task dispatched), ``sched.tasks_stolen`` (per shard task
+  dispatched off the worker that last ran the same shard of its
+  dataset), and
   ``sched.worker_cpu_s`` / ``sched.barrier_idle_s`` (per finished task,
   in the process that ran it);
 * ``DownlinkPhase`` bumps ``downlink.visits`` /

@@ -32,7 +32,7 @@ from repro.analysis.scenarios import (
     run_scenario_sharded,
     run_scenarios,
 )
-from repro.analysis.scheduler import SweepScheduler, _place
+from repro.analysis.scheduler import SweepScheduler
 from repro.core.config import EarthPlusConfig
 from repro.errors import ConfigError, ScenarioError
 from repro.obs import metrics, trace
@@ -284,30 +284,9 @@ class TestDeadWorkerSends:
 
 
 class TestShardAffineDispatch:
-    def test_idle_preferred_workers_are_kept(self):
-        idle = {0, 1, 2}
-        assert _place([2, 0], idle) == [2, 0]
-        assert idle == {1}
-
-    def test_busy_preference_takes_lowest_idle_worker(self):
-        idle = {1, 3}
-        assert _place([0, 3], idle) == [1, 3]
-        assert not idle
-
-    def test_fallback_never_takes_a_gang_mates_worker(self):
-        # Shard 0's worker is busy; the lowest idle worker is the one
-        # shard 1 prefers, so shard 0 must take the next one.
-        idle = {0, 1}
-        assert _place([2, 0], idle) == [1, 0]
-
-    def test_no_preference_takes_lowest_idle_workers(self):
-        idle = {3, 1, 2}
-        assert _place([None, None], idle) == [1, 2]
-        assert idle == {3}
-
     def test_gangs_over_one_dataset_steal_nothing(self):
-        # Each gang member goes back to the worker that ran its shard of
-        # the dataset before, so no task lands off its preferred worker.
+        # A gang as large as the pool starts on an idle pool, so shard i
+        # lands on worker i, the worker that ran shard i before.
         with _sched_counters() as sched:
             results = run_scenarios(PLANET_SPECS, max_workers=2, shards=2)
         assert sched["sched.shard_tasks"] == 6
@@ -326,12 +305,15 @@ class TestShardAffineDispatch:
         assert placement[0] != placement[1]
 
     def test_spec_tasks_still_use_both_workers(self):
-        # Affinity never waits for a busy worker: same-dataset spec tasks
-        # spread over the idle pool instead of queueing behind one.
-        placement = _task_workers(
-            SweepScheduler(workers=2), PLANET_SPECS, "spec_task"
-        )
+        # Same-dataset spec tasks spread over the idle pool instead of
+        # queueing behind one worker; having no shard, none is stolen.
+        with _sched_counters() as sched:
+            placement = _task_workers(
+                SweepScheduler(workers=2), PLANET_SPECS, "spec_task"
+            )
         assert placement == {None: {0, 1}}
+        assert sched["sched.spec_tasks"] == 3
+        assert sched.get("sched.tasks_stolen", 0) == 0
 
 
 class TestSchedulerDirect:
