@@ -71,6 +71,30 @@ def _image_case() -> tuple[CodecConfig, np.ndarray]:
     return config, image
 
 
+def _budgeted_case() -> tuple[CodecConfig, np.ndarray, int, int]:
+    """A multi-tile image encoded under a binding byte budget.
+
+    ``(config, image, target_bytes, n_layers)``: 3x4 tiles of 16 px with
+    8-px edge tiles, three quality layers, and a budget of about 40 % of
+    the unbudgeted payload, so ``ImageCodec._allocate`` reads every
+    tile's rate-distortion curve and keeps a different plane count per
+    tile.
+    """
+    rng = np.random.default_rng(0xB0D6)
+    rows, cols = np.mgrid[0:40, 0:56]
+    image = np.clip(
+        0.5
+        + 0.3 * np.sin(cols / 7.0) * np.cos(rows / 5.0)
+        + 0.1 * rng.standard_normal((40, 56)),
+        0.0,
+        1.0,
+    )
+    config = CodecConfig(
+        tile_size=16, levels=2, wavelet=Wavelet.CDF97, base_step=1.0 / 256.0
+    )
+    return config, image, 1000, 3
+
+
 def _tile_fixture_payload(name, shapes, bands, max_plane) -> dict:
     coder = SubbandPlaneCoder(shapes)
     segments = coder.encode(bands, max_plane)
@@ -95,6 +119,18 @@ def _image_fixture_payload() -> dict:
     }
 
 
+def _budgeted_fixture_payload() -> dict:
+    config, image, target_bytes, n_layers = _budgeted_case()
+    codec = ImageCodec(config, backend="reference")
+    encoded = codec.encode(image, target_bytes=target_bytes, n_layers=n_layers)
+    return {
+        "name": "budgeted_container",
+        "target_bytes": target_bytes,
+        "n_layers": n_layers,
+        "container_hex": encoded.to_bytes().hex(),
+    }
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, (shapes, bands, max_plane) in _tile_cases().items():
@@ -102,10 +138,10 @@ def regenerate() -> None:
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {path}")
-    payload = _image_fixture_payload()
-    path = GOLDEN_DIR / "image_container.json"
-    path.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {path}")
+    for payload in (_image_fixture_payload(), _budgeted_fixture_payload()):
+        path = GOLDEN_DIR / f"{payload['name']}.json"
+        path.write_text(json.dumps(payload, indent=1) + "\n")
+        print(f"wrote {path}")
 
 
 def _load(name: str) -> dict:
@@ -151,6 +187,28 @@ def test_image_container_matches_golden(backend):
     assert encoded.to_bytes().hex() == fixture["container_hex"], (
         "EncodedImage wire format changed; if intentional, regenerate the "
         "golden fixtures"
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_budgeted_container_matches_golden(backend):
+    """A budgeted encode pins the rate-distortion allocation: a drifted
+    distortion-curve float can change which planes a tile keeps."""
+    config, image, target_bytes, n_layers = _budgeted_case()
+    fixture = _load("budgeted_container")
+    assert fixture["target_bytes"] == target_bytes
+    assert fixture["n_layers"] == n_layers
+    codec = ImageCodec(config, backend=backend)
+    encoded = codec.encode(image, target_bytes=target_bytes, n_layers=n_layers)
+    # The budget must bind, or the allocation never reads the curve.
+    kept = [tile.planes_available for tile in encoded.tiles]
+    available = [tile.max_plane + 1 for tile in encoded.tiles]
+    assert encoded.payload_bytes() <= target_bytes
+    assert any(k < a for k, a in zip(kept, available))
+    assert len(set(kept)) > 1
+    assert encoded.to_bytes().hex() == fixture["container_hex"], (
+        "budgeted EncodedImage changed: the wire format or the "
+        "rate-distortion allocation drifted"
     )
 
 
