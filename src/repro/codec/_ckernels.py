@@ -1063,28 +1063,38 @@ class CompiledKernels:
 
     def magnitude_histogram_multi(
         self,
-        stacks: "list[np.ndarray]",
-        steps: "list[float]",
+        ptrs: np.ndarray,
+        rows: np.ndarray,
+        sizes: np.ndarray,
+        steps: np.ndarray,
         n_bins_cap: int = 64,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`magnitude_histogram` over many subband stacks.
+        """Batched :meth:`magnitude_histogram` over many row blocks.
 
-        Each stack must be a contiguous (n_rows, size) float64 array; the
-        block results land consecutively in one ``(total_rows,
-        n_bins_cap)`` counts matrix and ``(total_rows,)`` tops vector, in
-        block order.
+        The block description comes prebuilt, so a caller that histograms
+        the same blocks at many steps builds it once: ``ptrs``, ``rows``
+        and ``sizes`` are int64 arrays holding each block's data address,
+        row count and row length, and ``steps`` is its float64 step.  Each
+        block must be a contiguous (rows, size) float64 array that the
+        caller keeps alive.  The block results land consecutively in one
+        ``(total_rows, n_bins_cap)`` counts matrix and ``(total_rows,)``
+        tops vector, in block order.
         """
-        n_blocks = len(stacks)
-        ptrs = np.fromiter(
-            (s.ctypes.data for s in stacks), dtype=np.int64, count=n_blocks
-        )
-        rows = np.fromiter(
-            (s.shape[0] for s in stacks), dtype=np.int64, count=n_blocks
-        )
-        sizes = np.fromiter(
-            (s.shape[1] for s in stacks), dtype=np.int64, count=n_blocks
-        )
-        steps_arr = np.fromiter(steps, dtype=np.float64, count=n_blocks)
+        n_blocks = len(ptrs)
+        for array, dtype in (
+            (ptrs, np.int64),
+            (rows, np.int64),
+            (sizes, np.int64),
+            (steps, np.float64),
+        ):
+            if (
+                array.dtype != dtype
+                or array.shape != (n_blocks,)
+                or not array.flags.c_contiguous
+            ):
+                raise ValueError(
+                    "block arrays must be contiguous, one entry per block"
+                )
         total = int(rows.sum())
         counts = np.zeros((total, n_bins_cap), dtype=np.int64)
         tops = np.empty(total, dtype=np.int64)
@@ -1092,7 +1102,7 @@ class CompiledKernels:
             ctypes.c_void_p(ptrs.ctypes.data),
             ctypes.c_void_p(rows.ctypes.data),
             ctypes.c_void_p(sizes.ctypes.data),
-            ctypes.c_void_p(steps_arr.ctypes.data),
+            ctypes.c_void_p(steps.ctypes.data),
             ctypes.c_int64(n_blocks),
             ctypes.c_void_p(counts.ctypes.data),
             ctypes.c_int64(n_bins_cap),

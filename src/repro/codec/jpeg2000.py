@@ -466,22 +466,25 @@ class ImageCodec:
         steps: dict[tuple[str, int], float],
         top: int,
     ) -> list[float]:
-        """Pixel-domain SSE estimate at each truncation depth 0..top+1."""
-        curve: list[float] = []
-        for kept in range(top + 2):
-            shift = top + 1 - kept
-            sse = 0.0
-            for name, level, band in quantized:
-                step = steps[(name, level)]
-                magnitude = np.abs(band).astype(np.int64)
-                if shift > 0:
-                    truncated = (magnitude >> shift) << shift
-                else:
-                    truncated = magnitude
-                diff = (magnitude - truncated).astype(np.float64) * step
-                sse += float(np.sum(diff * diff))
-            curve.append(sse)
-        return curve
+        """Pixel-domain SSE estimate at each truncation depth 0..top+1.
+
+        Keeping ``kept`` planes drops the low ``top + 1 - kept`` bits of
+        every magnitude.  Each subband takes its dropped bits for every
+        depth in one pass (one row per depth, in memory order) and sums
+        each row with numpy's pairwise sum, exactly as a per-depth
+        ``np.sum`` over the subband would; the subband totals accumulate
+        in subband order.  Every float therefore equals the per-depth loop
+        (``distortion_curve_reference`` in ``tests/sim_oracle.py``).
+        """
+        shifts = np.arange(top + 1, -1, -1, dtype=np.int64)
+        low_bits = (np.left_shift(1, shifts) - 1)[:, None]
+        curve = np.zeros(top + 2, dtype=np.float64)
+        for name, level, band in quantized:
+            magnitude = np.abs(band).astype(np.int64).ravel(order="K")
+            diff = (magnitude & low_bits).astype(np.float64)
+            diff *= steps[(name, level)]
+            curve += np.sum(diff * diff, axis=1)
+        return curve.tolist()
 
     def _allocate(
         self,

@@ -43,6 +43,41 @@ def subband_step(base_step: float, name: str, level: int) -> float:
     return base_step * orientation / (2.0 ** (level - 1)) * 2.0
 
 
+def subband_step_factors(
+    bands: "list[tuple[str, int]]",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation weights and level divisors of ``(name, level)`` subbands.
+
+    The step-independent halves of :func:`subband_step`, computed once so
+    that :func:`subband_steps` can derive every subband's step from a new
+    base step in one vector expression.
+    """
+    try:
+        weights = [_ORIENTATION_WEIGHT[name] for name, _ in bands]
+    except KeyError as exc:
+        raise CodecError(
+            f"unknown subband orientation {exc.args[0]!r}"
+        ) from None
+    divisors = [2.0 ** (level - 1) for _, level in bands]
+    return (
+        np.array(weights, dtype=np.float64),
+        np.array(divisors, dtype=np.float64),
+    )
+
+
+def subband_steps(
+    base_step: float, weights: np.ndarray, divisors: np.ndarray
+) -> np.ndarray:
+    """:func:`subband_step` for many subbands at once.
+
+    Performs :func:`subband_step`'s operations in its order, so each
+    step is float-identical to the scalar one.  The caller validates
+    ``base_step`` (> 0) and gets ``weights`` and ``divisors`` from
+    :func:`subband_step_factors`.
+    """
+    return base_step * weights / divisors * 2.0
+
+
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Quantization parameters for a decomposition.

@@ -33,7 +33,11 @@ from repro.codec import registry
 from repro.codec.dwt import Wavelet, WaveletCoeffs, dwt_many, idwt_many
 from repro.codec.jpeg2000 import CodecConfig, effective_levels
 from repro.codec.metrics import psnr as psnr_metric
-from repro.codec.quantize import QuantizerSpec
+from repro.codec.quantize import (
+    QuantizerSpec,
+    subband_step_factors,
+    subband_steps,
+)
 from repro.errors import CodecError, RateControlError
 from repro.obs import trace
 
@@ -247,48 +251,128 @@ class RateModelResult:
 
 
 class _DecompBatch(list):
-    """ROI tile decompositions plus their stacked-subband batch plan.
+    """ROI tile decompositions plus everything a step search reuses.
 
     Behaves exactly like a plain list of ``(y0, y1, x0, x1, levels,
-    coeffs)`` entries; ``plan`` additionally holds, per geometry group,
-    ``(tile_indices, subband_meta, subband_stacks)`` so the step search
-    quantizes prestacked subbands instead of restacking per bisection
-    step.
+    coeffs)`` entries.  ``plan`` holds, per geometry group,
+    ``(tile_indices, subband_meta, subband_stacks)`` so quantization runs
+    on prestacked subbands instead of restacking per bisection step; the
+    stacks are consecutive regions of ``buffer``.  The rest is the
+    estimate layout, which does not depend on the step.  It describes
+    every non-empty stack (a "block") in plan order; block ``b`` fills the
+    next ``rows[b]`` histogram rows, one per tile of its group:
+
+    * ``offsets``, ``rows``, ``sizes``: each block's first element in
+      ``buffer``, its row count and its row length;
+    * ``ptrs``: each block's data address, as the native histogram reads
+      it;
+    * ``weights``, ``divisors``: each block's step factors for
+      :func:`~repro.codec.quantize.subband_steps`;
+    * ``row_sizes``: coefficients per histogram row, for the plane walk;
+    * ``order``: the rows tile-major, subband order within a tile (the
+      accumulation order of the original per-tile loop), and
+      ``tile_starts``: each tile's first position in ``order``.
     """
 
-    def __init__(self, entries, plan) -> None:
+    def __init__(self, entries) -> None:
         super().__init__(entries)
-        self.plan = plan
+        self.plan, self.buffer = _plan_from_entries(self)
+        offsets: list[int] = []
+        rows: list[int] = []
+        sizes: list[int] = []
+        block_meta: list[tuple[str, int]] = []
+        block_tiles: list[int] = []
+        offset = 0
+        for indices, subband_meta, stacks in self.plan:
+            for meta, stack in zip(subband_meta, stacks):
+                if stack.size:
+                    offsets.append(offset)
+                    rows.append(len(indices))
+                    sizes.append(stack.size // len(indices))
+                    block_meta.append(meta)
+                    block_tiles.extend(indices)
+                offset += stack.size
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.rows = np.array(rows, dtype=np.int64)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.ptrs = (
+            self.buffer.ctypes.data + self.offsets * self.buffer.itemsize
+        )
+        self.weights, self.divisors = subband_step_factors(block_meta)
+        self.row_sizes = np.repeat(self.sizes, self.rows)
+        tile_of_row = np.array(block_tiles, dtype=np.int64)
+        # A stable sort keeps each tile's rows in block order, which is
+        # subband order: a tile's subbands all sit in its group's blocks.
+        self.order = np.argsort(tile_of_row, kind="stable")
+        # Every tile has a non-empty LL band, so no tile is rowless and
+        # np.maximum.reduceat never sees an empty segment.
+        self.tile_starts = np.searchsorted(
+            tile_of_row[self.order], np.arange(len(self))
+        )
+
+    def blocks(self) -> list[np.ndarray]:
+        """Every block as a ``(rows, size)`` view of ``buffer``."""
+        return [
+            self.buffer[offset : offset + n_rows * size].reshape(n_rows, size)
+            for offset, n_rows, size in zip(
+                self.offsets.tolist(), self.rows.tolist(), self.sizes.tolist()
+            )
+        ]
 
 
-def _plan_from_entries(entries) -> list[tuple]:
+def _as_batch(decomps) -> _DecompBatch:
+    """``decomps`` itself when it is a batch, else a batch built once."""
+    if isinstance(decomps, _DecompBatch):
+        return decomps
+    return _DecompBatch(decomps)
+
+
+def _plan_from_entries(entries) -> tuple[list[tuple], np.ndarray]:
     """Build the stacked-subband batch plan for decomposition entries.
 
     Groups the ``(y0, y1, x0, x1, levels, coeffs)`` entries by geometry
-    and stacks each subband position across its group.  The single
-    source of the plan layout — transform, step search, and final encode
-    all consume what this builds.
+    and stacks each subband position across its group.  The stacks are
+    C-ordered, consecutive regions of one float64 buffer (the dtype of
+    every CDF 9/7 decomposition), in plan order; returns ``(plan,
+    buffer)``.  The single source of the plan layout — transform, step
+    search, and final encode all consume what this builds.
     """
     groups: dict[tuple[int, int, int], list[int]] = {}
     for idx, (_, _, _, _, levels, coeffs) in enumerate(entries):
         key = (coeffs.shape[0], coeffs.shape[1], levels)
         groups.setdefault(key, []).append(idx)
+    grouped = [
+        (indices, [entries[i][5].subbands() for i in indices])
+        for indices in groups.values()
+    ]
+    total = sum(
+        len(indices) * band.size
+        for indices, subband_lists in grouped
+        for _, _, band in subband_lists[0]
+    )
+    buffer = np.empty(total, dtype=np.float64)
     plan = []
-    for indices in groups.values():
-        subband_lists = [entries[i][5].subbands() for i in indices]
+    offset = 0
+    for indices, subband_lists in grouped:
         meta = [(n, l) for n, l, _ in subband_lists[0]]
-        # np.stack preserves the F-ish order of dwt_many's subband views;
-        # force C order so every downstream consumer (histogram kernels,
-        # quantize, per-tile slicing) gets contiguous rows.  A pure copy:
-        # same logical values, so every elementwise op stays bit-exact.
-        stacks = [
-            np.ascontiguousarray(
-                np.stack([bands[b][2] for bands in subband_lists])
+        stacks = []
+        for b, (_, _, first) in enumerate(subband_lists[0]):
+            size = len(indices) * first.size
+            stack = buffer[offset : offset + size].reshape(
+                (len(indices),) + first.shape
             )
-            for b in range(len(meta))
-        ]
+            # The subband views are C-ordered from the fused native
+            # transform but F-ish from the numpy lifting fallback; copying
+            # them into the C-ordered region gives every consumer
+            # (histogram kernels, quantize, per-tile slicing) contiguous
+            # rows.  A pure copy: same logical values, so every
+            # elementwise op stays bit-exact.
+            for pos, bands in enumerate(subband_lists):
+                stack[pos] = bands[b][2]
+            stacks.append(stack)
+            offset += size
         plan.append((indices, meta, stacks))
-    return plan
+    return plan, buffer
 
 
 def _quantize_stack(
@@ -343,106 +427,62 @@ def _dequantize_blocks(
     ]
 
 
-def _payload_rows_per_block(plan, spec):
-    """Per-(group, subband) histogram + one shared plane walk.
+def _histograms_per_block(
+    batch: _DecompBatch, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block :func:`_magnitude_histogram`s as one counts matrix.
 
-    Returns ``(pending, row_bits)`` where pending holds ``(tile, row,
-    planes)`` per (tile, subband) — ``row`` indexes ``row_bits``, None for
-    empty subbands — in plan order.
+    The fallback of :func:`_payload_totals` when the one-call native
+    histogram cannot run (no toolchain, or the int32 wrap regime): same
+    rows, same order, same trimmed column count.
     """
-    count_blocks: list[np.ndarray] = []
-    top_blocks: list[np.ndarray] = []
-    size_blocks: list[np.ndarray] = []
-    pending: list[tuple[int, int | None, int]] = []
-    n_rows = 0
-    for indices, subband_meta, stacks in plan:
-        for band_idx, (name, level) in enumerate(subband_meta):
-            band_step = spec.step_for(name, level)
-            if stacks[band_idx][0].size == 0:
-                pending.extend((tile_idx, None, 0) for tile_idx in indices)
-                continue
-            counts, tops, size = _magnitude_histogram(
-                stacks[band_idx], band_step
-            )
-            count_blocks.append(counts)
-            top_blocks.append(tops)
-            size_blocks.append(np.full(len(indices), size, dtype=np.int64))
-            for pos, tile_idx in enumerate(indices):
-                planes = int(tops[pos]) + 1 if tops[pos] >= 0 else 0
-                pending.append((tile_idx, n_rows + pos, planes))
-            n_rows += len(indices)
-    if count_blocks:
-        max_planes = max(block.shape[1] for block in count_blocks)
-        counts_mat = np.zeros((n_rows, max_planes), dtype=np.int64)
-        row = 0
-        for block in count_blocks:
-            counts_mat[row : row + block.shape[0], : block.shape[1]] = block
-            row += block.shape[0]
-        row_bits = _plane_walk_bits(
-            counts_mat,
-            np.concatenate(top_blocks),
-            np.concatenate(size_blocks),
-        )
-    else:
-        row_bits = np.zeros(0)
-    return pending, row_bits
+    results = [
+        _magnitude_histogram(block, float(step))
+        for block, step in zip(batch.blocks(), steps)
+    ]
+    n_planes = max(counts.shape[1] for counts, _, _ in results)
+    tops = np.concatenate([block_tops for _, block_tops, _ in results])
+    counts_mat = np.zeros((tops.shape[0], n_planes), dtype=np.int64)
+    row = 0
+    for counts, _, _ in results:
+        counts_mat[row : row + counts.shape[0], : counts.shape[1]] = counts
+        row += counts.shape[0]
+    return counts_mat, tops
 
 
-def _fused_payload_rows(plan, spec):
-    """All of a plan's histograms in one native call, then the plane walk.
+def _payload_totals(batch: _DecompBatch, step: float) -> tuple[float, int]:
+    """``(payload_bits, n_plane_segments)`` of a batch at ``step``.
 
-    Row-for-row identical to :func:`_payload_rows_per_block` — same float
-    ops per block, same row order, same trimmed counts matrix — it only
-    amortizes the per-subband call overhead.  Returns None (caller takes
-    the per-block path) when the kernels are off, a stack isn't float64,
-    or a block hits the int32 wrap regime (top bit >= 31), whose exact
-    semantics live in :func:`_magnitude_histogram`.
+    One histogram over every row of the batch's layout, one plane walk,
+    then each row's bits summed tile-major and subband-major (the order
+    of the original per-tile loop) by a sequential ``np.cumsum``; a
+    tile's plane-segment count is its deepest row's.  Empty subbands have
+    no row: their 0.0 bits were additive no-ops.
     """
+    if not batch.rows.size:
+        return 0.0, 0
+    steps = subband_steps(step, batch.weights, batch.divisors)
+    histogram = None
     kernels = registry.kernels()
-    if kernels is None:
-        return None
-    flats: list[np.ndarray] = []
-    steps: list[float] = []
-    layout: list[tuple[list[int], int | None]] = []  # (tiles, block index)
-    for indices, subband_meta, stacks in plan:
-        for band_idx, (name, level) in enumerate(subband_meta):
-            stack = stacks[band_idx]
-            if stack[0].size == 0:
-                layout.append((indices, None))
-                continue
-            if stack.dtype != np.float64:
-                return None
-            if not stack.flags.c_contiguous:
-                stack = np.ascontiguousarray(stack)
-            flats.append(stack.reshape(len(indices), -1))
-            steps.append(spec.step_for(name, level))
-            layout.append((indices, len(flats) - 1))
-    if not flats:
-        pending = [
-            (tile_idx, None, 0) for indices, _ in layout for tile_idx in indices
-        ]
-        return pending, np.zeros(0)
-    counts, tops = kernels.magnitude_histogram_multi(flats, steps)
-    max_top = int(tops.max())
-    if max_top >= 31:
-        return None
-    counts_mat = np.ascontiguousarray(counts[:, : max(max_top, 0) + 1])
-    sizes = np.repeat(
-        np.fromiter((f.shape[1] for f in flats), dtype=np.int64),
-        np.fromiter((f.shape[0] for f in flats), dtype=np.int64),
-    )
-    row_bits = _plane_walk_bits(counts_mat, tops, sizes)
-    offsets = np.cumsum([0] + [f.shape[0] for f in flats])
-    pending: list[tuple[int, int | None, int]] = []
-    for indices, block in layout:
-        if block is None:
-            pending.extend((tile_idx, None, 0) for tile_idx in indices)
-            continue
-        row0 = int(offsets[block])
-        for pos, tile_idx in enumerate(indices):
-            top = int(tops[row0 + pos])
-            pending.append((tile_idx, row0 + pos, top + 1 if top >= 0 else 0))
-    return pending, row_bits
+    if kernels is not None:
+        counts, tops = kernels.magnitude_histogram_multi(
+            batch.ptrs, batch.rows, batch.sizes, steps
+        )
+        max_top = int(tops.max())
+        # Top bits >= 31 wrap in the quantizer's int32 cast; that regime's
+        # exact semantics live in _magnitude_histogram.
+        if max_top < 31:
+            histogram = (
+                np.ascontiguousarray(counts[:, : max(max_top, 0) + 1]),
+                tops,
+            )
+    if histogram is None:
+        histogram = _histograms_per_block(batch, steps)
+    counts, tops = histogram
+    row_bits = _plane_walk_bits(counts, tops, batch.row_sizes)
+    payload_bits = float(np.cumsum(row_bits[batch.order])[-1])
+    planes = np.maximum.reduceat(tops[batch.order] + 1, batch.tile_starts)
+    return payload_bits, int(planes.sum())
 
 
 class RateModel:
@@ -504,7 +544,7 @@ class RateModel:
             ):
                 coeffs_by_idx[i] = (levels, coeffs)
         entries = [bounds[i] + coeffs_by_idx[i] for i in range(len(bounds))]
-        return _DecompBatch(entries, _plan_from_entries(entries))
+        return _DecompBatch(entries)
 
     def _payload_stats(
         self, decomps, step: float, want_quantized: bool = True
@@ -519,43 +559,15 @@ class RateModel:
         ``payload_bits`` is accumulated tile-major then subband-major —
         the exact order of the original per-tile loop — from per-band bit
         counts that are themselves bit-identical to the scalar plane walk.
+        A plain list of decompositions is wrapped into a batch once here.
         """
-        spec = QuantizerSpec(base_step=step)
-        # Quantize + estimate each subband position on stacks spanning
-        # every same-geometry tile.  The stacks come prebuilt with the
-        # decompositions; rebuild them when handed a plain list.
-        plan = getattr(decomps, "plan", None)
-        if plan is None:
-            plan = _plan_from_entries(decomps)
+        batch = _as_batch(decomps)
         quantized_by_tile = (
-            self._quantize_tiles_from_plan(plan, len(decomps), spec)
+            self._quantize_tiles(batch, QuantizerSpec(base_step=step))
             if want_quantized
             else None
         )
-        # Histogram every subband stack's quantized top-bit positions and
-        # run ONE plane walk over all (tile, subband) rows at once.  The
-        # bisection search never needs signed coefficients, so those are
-        # only materialized for the final encode (want_quantized).
-        fused = _fused_payload_rows(plan, spec)
-        if fused is not None:
-            pending, row_bits = fused
-        else:
-            pending, row_bits = _payload_rows_per_block(plan, spec)
-        bits_by_tile: dict[int, list[float]] = {
-            i: [] for i in range(len(decomps))
-        }
-        planes_by_tile: dict[int, int] = {i: 0 for i in range(len(decomps))}
-        for tile_idx, row, planes in pending:
-            bits_by_tile[tile_idx].append(
-                float(row_bits[row]) if row is not None else 0.0
-            )
-            planes_by_tile[tile_idx] = max(planes_by_tile[tile_idx], planes)
-        payload_bits = 0.0
-        n_plane_segments = 0
-        for tile_idx in range(len(decomps)):
-            for bits in bits_by_tile[tile_idx]:
-                payload_bits += bits
-            n_plane_segments += planes_by_tile[tile_idx]
+        payload_bits, n_plane_segments = _payload_totals(batch, step)
         return payload_bits, n_plane_segments, quantized_by_tile
 
     def _resolve_roi(
@@ -599,7 +611,12 @@ class RateModel:
         callers that go on to encode at this exact step can skip
         recomputing the payload statistics (pass them back as
         ``payload_hint``).
+
+        Raises:
+            CodecError: If ``step`` is not positive.
         """
+        if step <= 0:
+            raise CodecError(f"base_step must be positive, got {step}")
         with trace.span("codec"):
             payload_bits, n_plane_segments, _ = self._payload_stats(
                 decomps, step, want_quantized=False
@@ -654,28 +671,15 @@ class RateModel:
                 image, step, roi, decompositions, payload_hint
             )
 
-    def _quantize_tiles(
-        self, decomps, spec: QuantizerSpec
-    ) -> dict[int, list[np.ndarray]] | None:
-        """Quantized subband arrays per tile from a batch plan.
-
-        The quantize-only half of :meth:`_payload_stats`; returns None
-        when the decompositions carry no batch plan.
-        """
-        plan = getattr(decomps, "plan", None)
-        if plan is None:
-            return None
-        return self._quantize_tiles_from_plan(plan, len(decomps), spec)
-
     @staticmethod
-    def _quantize_tiles_from_plan(
-        plan, n_tiles: int, spec: QuantizerSpec
+    def _quantize_tiles(
+        batch: _DecompBatch, spec: QuantizerSpec
     ) -> dict[int, list[np.ndarray]]:
         """Dead-zone quantize every subband stack of a batch plan."""
         quantized_by_tile: dict[int, list[np.ndarray]] = {
-            i: [] for i in range(n_tiles)
+            i: [] for i in range(len(batch))
         }
-        for indices, subband_meta, stacks in plan:
+        for indices, subband_meta, stacks in batch.plan:
             for band_idx, (name, level) in enumerate(subband_meta):
                 q_stack = _quantize_stack(
                     stacks[band_idx], spec.step_for(name, level)
@@ -699,16 +703,14 @@ class RateModel:
         preserve its elementwise arithmetic and summation order.
         """
         decomps = (
-            decompositions
+            _as_batch(decompositions)
             if decompositions is not None
             else self._tile_decompositions(image, roi)
         )
         spec = QuantizerSpec(base_step=step)
-        quantized_by_tile = None
         if payload_hint is not None and payload_hint[0] == step:
             # The step search already computed this step's statistics.
             quantized_by_tile = self._quantize_tiles(decomps, spec)
-        if quantized_by_tile is not None:
             payload_bits, n_plane_segments = payload_hint[1], payload_hint[2]
         else:
             payload_bits, n_plane_segments, quantized_by_tile = (

@@ -10,6 +10,8 @@ from repro.codec.quantize import (
     max_bitplane,
     quantize_coeffs,
     subband_step,
+    subband_step_factors,
+    subband_steps,
 )
 from repro.errors import CodecError
 
@@ -38,6 +40,23 @@ class TestSubbandStep:
     def test_rejects_unknown_orientation(self):
         with pytest.raises(CodecError):
             subband_step(0.01, "XX", 1)
+        with pytest.raises(CodecError):
+            subband_step_factors([("LL", 1), ("XX", 1)])
+
+    def test_vector_steps_equal_scalar_steps(self):
+        """The rate model derives every block's step from one vector
+        expression; each must equal subband_step float for float."""
+        bands = [
+            (name, level)
+            for name in ("LL", "HL", "LH", "HH")
+            for level in range(1, 9)
+        ]
+        weights, divisors = subband_step_factors(bands)
+        for base in (1.0 / 512.0, 1e-9, 0.3, 1.0, 7.77, 2.0**-26, 1e300):
+            steps = subband_steps(base, weights, divisors)
+            assert steps.tolist() == [
+                subband_step(base, name, level) for name, level in bands
+            ]
 
 
 class TestQuantizeRoundtrip:

@@ -1,9 +1,17 @@
 """Tests for the fast rate model, including calibration against the coder."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from sim_oracle import estimate_band_bits, reference_path
+from sim_oracle import (
+    estimate_band_bits,
+    reference_path,
+    tile_decompositions_reference,
+)
 
+from repro.codec import ratemodel, registry
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.codec.metrics import psnr
 from repro.codec.ratemodel import RateModel
@@ -167,8 +175,6 @@ class TestBatchedEstimate:
         """Absurdly fine steps wrap in int32; fast must still match."""
         model = RateModel(CodecConfig(tile_size=64))
         image = rng.random((64, 64))
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with reference_path():
@@ -180,27 +186,113 @@ class TestBatchedEstimate:
         # numpy's int32 wrap quirk (np.abs leaves INT32_MIN negative).
         assert np.array_equal(ref.reconstruction, fast.reconstruction)
 
-    def test_fused_payload_rows_match_per_block(self, rng):
-        """The one-call fused histogram path is row-identical to the
-        per-(group, subband) path (same bits, same reconstruction)."""
-        import os
-
-        from repro.codec import registry
-
+    def test_fused_payload_rows_match_per_block(self, rng, monkeypatch):
+        """On one prepared batch, the one-call native histogram path and
+        the per-block numpy fallback pick the same step, the same bytes
+        and the same reconstruction."""
         if registry.kernels() is None:
             pytest.skip("compiled kernels unavailable")
         model = RateModel(CodecConfig(tile_size=64))
         image = rng.random((160, 96))
-        fused = model.find_step_for_bytes(image, 3000)
-        saved = os.environ.get(registry.ENV_BACKEND)
-        os.environ[registry.ENV_BACKEND] = "vectorized"  # kernels off
-        try:
-            plain = model.find_step_for_bytes(image, 3000)
-        finally:
-            if saved is None:
-                os.environ.pop(registry.ENV_BACKEND, None)
-            else:
-                os.environ[registry.ENV_BACKEND] = saved
+        batch = model.prepare(image)
+        fused = model.find_step_for_bytes(image, 3000, decompositions=batch)
+        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")  # kernels off
+        plain = model.find_step_for_bytes(image, 3000, decompositions=batch)
         assert fused.coded_bytes == plain.coded_bytes
         assert fused.base_step == plain.base_step
         assert np.array_equal(fused.reconstruction, plain.reconstruction)
+
+
+def _reference_estimate(model, decomps, step):
+    """``estimate_with_stats`` on the per-tile oracle loops."""
+    with reference_path():
+        return model.estimate_with_stats(list(decomps), step)
+
+
+def _assert_estimates_match_reference(model, decomps, steps):
+    for step in steps:
+        got = model.estimate_with_stats(decomps, step)
+        want = _reference_estimate(model, decomps, step)
+        assert repr(got) == repr(want), step
+
+
+class TestEstimateLayout:
+    """The prebuilt estimate layout of a prepared batch against
+    ``payload_stats_reference``: same bits, same plane segments."""
+
+    STEPS = (1 / 16, 1 / 512, 1 / 4096)
+
+    def test_mixed_geometry_groups(self, rng, model):
+        # 64x64, 64x32, 32x64 and 32x32 tiles: four geometry groups.
+        image = rng.random((160, 96))
+        _assert_estimates_match_reference(
+            model, model.prepare(image), self.STEPS
+        )
+
+    def test_one_pixel_edge_tiles(self, rng, model):
+        # The 64x1, 1x64 and 1x1 tiles have empty HL/LH/HH subbands.
+        image = rng.random((65, 65))
+        batch = model.prepare(image)
+        assert any(stack.size == 0 for _, _, s in batch.plan for stack in s)
+        _assert_estimates_match_reference(model, batch, self.STEPS)
+
+    def test_roi_with_holes(self, rng, model):
+        image = rng.random((192, 256))
+        roi = np.ones((3, 4), dtype=bool)
+        roi[1, 1:3] = False
+        roi[0, 3] = roi[2, 0] = False
+        _assert_estimates_match_reference(
+            model, model.prepare(image, roi), self.STEPS
+        )
+
+    def test_empty_roi(self, rng, model):
+        image = rng.random((128, 128))
+        batch = model.prepare(image, np.zeros((2, 2), dtype=bool))
+        assert model.estimate_with_stats(batch, 1 / 512) == (32, 0.0, 0)
+        _assert_estimates_match_reference(model, batch, self.STEPS)
+
+    def test_plain_list_decompositions(self, rng, model):
+        image = rng.random((160, 96))
+        roi = np.ones((3, 2), dtype=bool)
+        roi[1, 0] = False
+        batched = list(model.prepare(image, roi))
+        unbatched = tile_decompositions_reference(model, image, roi)
+        for decomps in (batched, unbatched):
+            assert type(decomps) is list
+            _assert_estimates_match_reference(model, decomps, self.STEPS)
+
+    def test_int32_wrap_step(self, rng, model, monkeypatch):
+        """At 1e-9 the top bit reaches 31 and the estimate falls back to
+        the per-block histograms, whose wrap semantics are exact."""
+        image = rng.random((160, 96))
+        spy = mock.Mock(wraps=ratemodel._histograms_per_block)
+        monkeypatch.setattr(ratemodel, "_histograms_per_block", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _assert_estimates_match_reference(
+                model, model.prepare(image), (1e-9,)
+            )
+        assert spy.call_count == 1
+
+    def test_backend_switch_between_estimates(self, rng, model, monkeypatch):
+        """The kernel handle is read per estimate, never cached on the
+        batch: after the switch the same batch takes the numpy path."""
+        image = rng.random((160, 96))
+        batch = model.prepare(image)
+        spy = mock.Mock(wraps=ratemodel._histograms_per_block)
+        monkeypatch.setattr(ratemodel, "_histograms_per_block", spy)
+        first = model.estimate_with_stats(batch, 1 / 512)
+        assert spy.call_count == (0 if registry.kernels() else 1)
+        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
+        second = model.estimate_with_stats(batch, 1 / 512)
+        assert spy.call_count == (1 if registry.kernels() is None else 2)
+        assert first == second == _reference_estimate(model, batch, 1 / 512)
+
+    @pytest.mark.parametrize("step", [0.0, -1 / 512])
+    @pytest.mark.parametrize("roi_tiles", [0, 4])
+    def test_rejects_nonpositive_step(self, image, model, step, roi_tiles):
+        roi = np.zeros((2, 2), dtype=bool)
+        roi.flat[:roi_tiles] = True
+        batch = model.prepare(image, roi)
+        with pytest.raises(CodecError, match="base_step must be positive"):
+            model.estimate_with_stats(batch, step)

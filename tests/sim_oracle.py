@@ -9,6 +9,8 @@ check the production path against them:
 
 * the per-sample DWT lifting loops (``analysis_53_reference`` & co.),
   run axis by axis with the fused native 2-D transform switched off;
+* the per-depth distortion curve of the image codec
+  (:func:`distortion_curve_reference`);
 * the scalar plane-walk entropy estimate (:func:`estimate_band_bits`) and
   the per-tile rate-model loops (:func:`encode_reference`,
   :func:`tile_decompositions_reference`, :func:`payload_stats_reference`);
@@ -46,7 +48,7 @@ from repro.codec.dwt import (
     forward_dwt2d,
     inverse_dwt2d,
 )
-from repro.codec.jpeg2000 import effective_levels
+from repro.codec.jpeg2000 import ImageCodec, effective_levels
 from repro.codec.quantize import (
     QuantizerSpec,
     dequantize_coeffs,
@@ -239,6 +241,38 @@ def synthesis_97_reference(
     signal = np.empty((length,) + even.shape[1:], dtype=np.float64)
     signal[0::2] = even
     return signal
+
+
+# ----------------------------------------------------------------------
+# Image codec — per-depth distortion curve
+# ----------------------------------------------------------------------
+def distortion_curve_reference(
+    quantized: list[tuple[str, int, np.ndarray]],
+    steps: dict[tuple[str, int], float],
+    top: int,
+) -> list[float]:
+    """Pixel-domain SSE estimate at each truncation depth 0..top+1.
+
+    One pass over every subband per depth: shift the dropped low bits out
+    and back in, and sum the squared, step-scaled remainder.  The
+    production curve (``ImageCodec._distortion_curve``) computes all
+    depths of a subband at once and must match this float for float.
+    """
+    curve: list[float] = []
+    for kept in range(top + 2):
+        shift = top + 1 - kept
+        sse = 0.0
+        for name, level, band in quantized:
+            step = steps[(name, level)]
+            magnitude = np.abs(band).astype(np.int64)
+            if shift > 0:
+                truncated = (magnitude >> shift) << shift
+            else:
+                truncated = magnitude
+            diff = (magnitude - truncated).astype(np.float64) * step
+            sse += float(np.sum(diff * diff))
+        curve.append(sse)
+    return curve
 
 
 # ----------------------------------------------------------------------
@@ -551,6 +585,12 @@ _REFERENCE_SEAMS = (
     (dwt, "_analysis_97", analysis_97_reference),
     (dwt, "_synthesis_97", synthesis_97_reference),
     (noise, "value_noise", value_noise_reference),
+    # A static method: the stand-in must not bind the codec instance.
+    (
+        ImageCodec,
+        "_distortion_curve",
+        staticmethod(distortion_curve_reference),
+    ),
     (RateModel, "_tile_decompositions", tile_decompositions_reference),
     (RateModel, "_payload_stats", payload_stats_reference),
     (RateModel, "_encode_batched", _encode_unbatched),
@@ -574,9 +614,10 @@ def reference_path():
     Every seam in :data:`_REFERENCE_SEAMS` is patched for the duration of
     the block and restored on exit, so code inside the block computes
     exactly what the original, unoptimized simulation computed: per-sample
-    DWT loops, per-tile rate-model loops, per-band capture processing,
-    ``np.ix_`` noise gathers and no warm-state caching.  Results must be
-    byte-identical to the production path.
+    DWT loops, the per-depth distortion curve, per-tile rate-model loops,
+    per-band capture processing, ``np.ix_`` noise gathers and no
+    warm-state caching.  Results must be byte-identical to the production
+    path.
     """
     with contextlib.ExitStack() as stack:
         for owner, name, stand_in in _REFERENCE_SEAMS:
