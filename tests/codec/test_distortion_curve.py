@@ -121,10 +121,10 @@ def test_budgeted_allocation_matches_oracle(case):
             image, target_bytes=budget, base_step=step, n_layers=3
         )
         tiles = [
-            (tile.planes_available, tile.layer_planes, repr(tile.rd_distortion))
+            (tile.planes_available, tile.layer_planes, tile.rd_distortion)
             for tile in encoded.tiles
         ]
-        return tiles, encoded.to_bytes()
+        return repr(tiles), encoded.to_bytes()
 
     production = allocation()
     with mock.patch.object(
