@@ -132,24 +132,25 @@ class DecisionTree:
         """Leaf positive-fraction for each row of ``features``.
 
         Vectorized: the tree is walked once per node with boolean row
-        masks, not once per row.
+        masks, not once per row.  The walk is an explicit stack: a
+        recursive closure would reference itself, and that cycle would
+        keep ``features`` alive until the cyclic garbage collector ran.
         """
         if self._root is None:
             raise PipelineError("tree is not fitted")
         out = np.zeros(features.shape[0], dtype=np.float64)
-
-        def walk(node: _TreeNode, rows: np.ndarray) -> None:
+        pending = [(self._root, np.ones(features.shape[0], dtype=bool))]
+        while pending:
+            node, rows = pending.pop()
             if not rows.any():
-                return
+                continue
             if node.is_leaf:
                 out[rows] = node.positive_fraction
-                return
+                continue
             assert node.left is not None and node.right is not None
             goes_left = features[:, node.feature] <= node.threshold
-            walk(node.left, rows & goes_left)
-            walk(node.right, rows & ~goes_left)
-
-        walk(self._root, np.ones(features.shape[0], dtype=bool))
+            pending.append((node.right, rows & ~goes_left))
+            pending.append((node.left, rows & goes_left))
         return out
 
     def predict(self, features: np.ndarray, min_confidence: float = 0.5) -> np.ndarray:

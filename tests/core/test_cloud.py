@@ -1,5 +1,8 @@
 """Unit tests for the decision-tree cloud detectors."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,40 @@ class TestDecisionTree:
         y = rng.random(1000) < 0.5
         tree = DecisionTree(max_depth=3, min_leaf=5).fit(x, y)
         assert tree.depth() <= 3
+
+    def test_fraction_matches_per_row_descent(self, rng):
+        x = rng.random((800, 3))
+        y = (x[:, 0] > 0.4) ^ (rng.random(800) < 0.2)
+        tree = DecisionTree(max_depth=4, min_leaf=5).fit(x, y)
+
+        def leaf_fraction(row):
+            node = tree._root
+            while not node.is_leaf:
+                goes_left = row[node.feature] <= node.threshold
+                node = node.left if goes_left else node.right
+            return node.positive_fraction
+
+        assert tree.depth() > 1
+        np.testing.assert_array_equal(
+            tree.predict_fraction(x), [leaf_fraction(row) for row in x]
+        )
+
+    def test_prediction_frees_features_without_the_cycle_collector(
+        self, rng
+    ):
+        # A reference cycle around the feature matrix would keep it (and
+        # the process's peak memory) alive until the next collection.
+        x = rng.random((400, 2))
+        tree = DecisionTree(max_depth=3).fit(x, x[:, 1] > 0.5)
+        features = rng.random((100, 2))
+        alive = weakref.ref(features)
+        gc.disable()
+        try:
+            tree.predict_fraction(features)
+            del features
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_unfitted_predict_rejected(self):
         with pytest.raises(PipelineError):
