@@ -438,9 +438,9 @@ def run_scenarios(
     :class:`~repro.analysis.scheduler.SweepScheduler`) and ``shards``
     splits each epoch-synchronized scenario into that many shard tasks
     over the *same* pool, so a 12-spec x 4-shard sweep keeps every
-    worker busy — while one scenario's shards wait at an epoch barrier,
-    other scenarios' tasks fill the idle workers.  When only sharding is
-    requested the pool is sized to the shard count.
+    worker busy — each worker hosts shard tasks of two scenarios and
+    runs one while the other waits at its epoch barrier.  When only
+    sharding is requested the pool is sized to the shard count.
 
     Prefer :class:`DatasetSpec` over a prebuilt dataset for batches: specs
     hit the per-process dataset cache, so every scenario a worker runs

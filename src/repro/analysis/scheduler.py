@@ -11,16 +11,21 @@ idling every other core while one scenario's shards waited at its
 becomes a DAG of **spec-tasks** (run a whole scenario) and **shard-tasks**
 (run one satellite bucket of a scenario, exchanging epoch journals
 through the scheduler), executed by a single set of long-lived forked
-workers spawned once per sweep.  The driver assigns every task to a
-named idle worker, and while one scenario's shards sit at an epoch
-barrier, tasks from *other* scenarios fill the remaining workers.  Each
-worker keeps its warm per-process state (dataset cache, capture/surface
-caches, memoized visit ordering) across every task it runs.  A unit's
-tasks go to the lowest-numbered idle workers in task order.  A gang as
-large as the pool only leaves when every worker is idle, so shard *i*
-of every such gang runs on worker *i* — and shard *i* of every spec
+workers spawned once per sweep.  Each worker keeps its warm per-process
+state (dataset cache, capture/surface caches, memoized visit ordering)
+across every task it runs.
+
+A worker hosts up to :data:`MAX_RESIDENT` shard tasks at once and runs
+whichever can proceed: while one waits at its epoch barrier for the rest
+of its gang, the worker runs the other's next epoch.  The driver admits
+a gang when that many workers each have a free slot and no spec task;
+it picks the least-loaded of them (ties to the lower id) and gives the
+tasks to the chosen workers in ascending id order.  So a gang as large
+as the pool runs shard *i* on worker *i* — and shard *i* of every spec
 over a dataset covers the same satellites, so that worker already holds
-their captures.
+their captures — while a smaller gang takes idle workers before it
+stacks on busy ones.  A spec task runs to completion and needs a worker
+with nothing resident, so it never holds a gang member up.
 
 Scheduling topology never changes bytes.  The scheduler only decides
 *when* work runs, never *what* merges: shard partials fold with the
@@ -34,36 +39,46 @@ epoch-synchronized loop sorts its own journal, and spec-tasks are plain
 pickle-byte-identical to running every spec sequentially
 (differential-tested in ``tests/integration/test_sweep_scheduler.py``).
 
-Backpressure is structural: at most ``workers`` tasks are in flight at
-any moment (a task is sent only to an idle worker, and a shard group
-only when a full gang of workers is idle, which is also what makes the
-epoch-barrier rendezvous deadlock-free).  Journal exchange that used to
-ride per-scenario ad-hoc ``Pipe`` pairs is routed through the
-scheduler's shared result queue as messages keyed by
-``(scenario, epoch)``; merged journals return on the per-worker pipe
-that also carries the worker's tasks.
+Backpressure is structural: a worker holds at most :data:`MAX_RESIDENT`
+shard tasks or one spec task, so at most ``MAX_RESIDENT * workers``
+tasks are in flight.  The bound is deadlock-free: every member of an
+admitted gang is resident on its own worker until the gang ends; a
+worker runs its runnable tasks in the order they became runnable and
+blocks on its inbox only when every task it hosts waits at a barrier;
+and each run between two barriers (a *slice*) ends.  So every member of
+a gang reaches each barrier, the driver merges that epoch, and the
+members can run again; the driver itself never blocks on a worker.
+Journal exchange rides the shared result queue as :class:`Epoch`
+records keyed by task and epoch; each member's merged journal returns
+as a :class:`Merged` record on the per-worker pipe that also carries the
+worker's tasks, through that worker's :class:`_Outbox` feeder thread (a
+merged journal can be megabytes, more than the pipe's buffer, and a
+plain send would wait until the worker finished its current slice).
 
 The scheduler reports through the global counters
 (:mod:`repro.obs.metrics`), bumping each ``sched.*`` counter where its
 event happens: ``sched.spawns`` per worker spawned; ``sched.tasks_run``
 and ``sched.spec_tasks``/``sched.shard_tasks`` as a task is dispatched,
 ``sched.tasks_stolen`` when dispatch places a shard task off the worker
-that last ran the same shard of its dataset; ``sched.worker_cpu_s`` and
-``sched.barrier_idle_s`` in the process that ran the task (worker deltas
-ship home with the task's result).  ``repro sweep --profile`` prints the
+that last ran the same shard of its dataset; ``sched.worker_cpu_s`` (per
+finished task) and ``sched.barrier_idle_s`` (while a worker is blocked
+with every resident task at a barrier) in the worker, whose deltas ship
+home with its next finished task.  ``repro sweep --profile`` prints the
 command's ``sched.*`` deltas.  A failed sweep keeps its counters up to
-the failure; only the worker-side deltas of tasks that never finished
-are lost with them.
+the failure; only the worker-side deltas not yet shipped are lost.
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import queue as queue_mod
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from multiprocessing.reduction import ForkingPickler
+from typing import Callable, Generator, Sequence
 
 from repro.core.accounting import RunResult
 from repro.core.sharding import canonical_ingests, canonical_marks
@@ -71,6 +86,11 @@ from repro.errors import ConfigError, ScenarioError
 from repro.obs import metrics, trace
 
 __all__ = ["SweepScheduler"]
+
+#: Shard tasks one worker hosts at once: one runs while the other waits
+#: at its barrier.  Each resident task holds a whole simulator, so a
+#: worker's memory grows with this bound.
+MAX_RESIDENT = 2
 
 
 @dataclass(frozen=True)
@@ -99,33 +119,102 @@ class _Task:
     satellite_ids: tuple[int, ...] = ()
     trace: bool = False
 
+    @property
+    def slots(self) -> int:
+        """Worker slots the task takes: a spec task takes them all."""
+        return MAX_RESIDENT if self.kind == "spec" else 1
+
+
+@dataclass(frozen=True)
+class Merged:
+    """Driver to worker: a gang's merged, canonically sorted journal."""
+
+    task_id: int
+    ingests: list
+    marks: list
+
+
+@dataclass(frozen=True)
+class Epoch:
+    """Worker to driver: a shard task's drained journal at a barrier."""
+
+    worker_id: int
+    task_id: int
+    epoch: int
+    ingests: list
+    marks: list
+
+
+@dataclass(frozen=True)
+class Done:
+    """Worker to driver: a finished task, plus the worker's telemetry.
+
+    ``cpu_seconds`` is the process CPU time of the task's slices.
+    ``spans``/``spans_dropped`` (None/0 untraced) and ``counter_delta``
+    hold everything the worker recorded since its previous ``Done``,
+    whichever task recorded it, so each span and increment ships once.
+    """
+
+    worker_id: int
+    task_id: int
+    result: RunResult
+    cpu_seconds: float
+    spans: list | None
+    spans_dropped: int
+    counter_delta: dict
+
+
+@dataclass(frozen=True)
+class Failed:
+    """Worker to driver: a task raised; ``detail`` is the traceback."""
+
+    worker_id: int
+    task_id: int
+    detail: str
+
+
+@dataclass
+class _Resident:
+    """Worker-side state of one hosted task."""
+
+    task: _Task
+    #: The shard task's epoch loop, built at its first slice.
+    steps: Generator | None = None
+    #: What to resume ``steps`` with: the merged journal, None at first.
+    merged: tuple | None = None
+    #: The barrier the task last reached (attribution on resume).
+    epoch: int | None = None
+    cpu_seconds: float = 0.0
+
 
 def _pool_worker(worker_id: int, conn, result_queue) -> None:
-    """One long-lived pool worker: run tasks until the ``None`` sentinel.
+    """One long-lived pool worker: host tasks until the ``None`` sentinel.
 
-    Protocol (worker side): the driver sends each task, and finally the
-    ``None`` sentinel, down this worker's own duplex pipe ``conn`` while
-    the worker is idle, and an epoch's merged journal while it waits at
-    the barrier; those are the only times the worker reads ``conn``.
-    The driver chose the worker, so it knows which task a worker runs
-    (and which one a dead worker was running) without an
-    acknowledgement.  Everything else goes up the shared
-    ``result_queue``:
+    Protocol (worker side).  The driver writes three kinds of message
+    down this worker's own duplex pipe ``conn``: a :class:`_Task` to
+    host, a :class:`Merged` journal for a task waiting at its barrier,
+    and finally the ``None`` sentinel.  Everything else goes up the
+    shared ``result_queue``: an :class:`Epoch` whenever a shard task
+    reaches a barrier, then :class:`Done` or :class:`Failed` once per
+    task.  The driver chose the worker, so it knows which tasks a worker
+    hosts (and which ones a dead worker hosted) without an
+    acknowledgement.
 
-    * per epoch of a shard task,
-      ``("epoch", worker_id, task_id, epoch, ingests, marks)`` — then
-      block on ``conn`` for the merged ``(ingests, marks)``;
-    * ``("done", worker_id, task_id, result, cpu_seconds, spans,
-      spans_dropped, counter_delta)`` or
-      ``("error", worker_id, task_id, traceback_text)``.
-
-    ``cpu_seconds`` is the process CPU time of the task's run (the
-    driver hands it to ``task_sink``).  ``spans``/``spans_dropped`` carry
-    the task's trace ring buffer (None/0 for untraced tasks) and
-    ``counter_delta`` the task's global counter increments as a plain
-    dict — including the ``sched.worker_cpu_s``/``sched.barrier_idle_s``
-    it bumped — both telemetry-only payloads the driver folds into its
-    own tracer/counters, never into results.
+    The worker hosts up to :data:`MAX_RESIDENT` shard tasks (the
+    backpressure bound).  Between slices it takes every message already
+    waiting, then runs one slice of the task that became runnable first;
+    it blocks on ``conn`` only when every resident task waits at a
+    barrier (recorded as a ``barrier_wait`` span and
+    ``sched.barrier_idle_s``) or when it hosts nothing.  The driver
+    admits a gang only when each member gets a slot on its own worker,
+    so every member is resident here or elsewhere; since no worker
+    blocks while a task it hosts can run, each barrier is reached by
+    the whole gang and resolves, and the bound cannot deadlock.  A spec
+    task runs to completion in one slice; the driver sends one only to
+    a worker with nothing resident.  Each slice
+    records one ``shard_task`` (or ``spec_task``) span, with worker,
+    scenario, shard and epoch attribution restored at every resume, so
+    the spans on a worker's track are disjoint or nested.
 
     Warm per-process caches (datasets, captures, noise geometry) persist
     across tasks — that is the point of the pool — and never change
@@ -136,82 +225,155 @@ def _pool_worker(worker_id: int, conn, result_queue) -> None:
     # (including any monkeypatching the driver process carries).
     from repro.analysis import scenarios
 
+    # Fork inherits the driver's tracer and attribution: start clean, so
+    # the worker ships only its own spans, stamped with where they ran.
+    trace.disable_tracer()
+    trace.reset_context()
+    shipped = metrics.counters().snapshot()
+    resident: dict[int, _Resident] = {}
+    ready: collections.deque[_Resident] = collections.deque()
+
+    def finish(slot: _Resident, result: RunResult) -> None:
+        nonlocal shipped
+        del resident[slot.task.task_id]
+        bag = metrics.counters()
+        bag.inc("sched.worker_cpu_s", slot.cpu_seconds)
+        spans = None
+        spans_dropped = 0
+        tracer = trace.active_tracer()
+        if tracer is not None:
+            spans = tracer.spans()
+            spans_dropped = tracer.dropped
+            trace.enable_tracer()  # a fresh buffer: each span ships once
+        counter_delta = bag.diff(shipped).values
+        shipped = bag.snapshot()
+        result_queue.put(
+            Done(
+                worker_id,
+                slot.task.task_id,
+                result,
+                slot.cpu_seconds,
+                spans,
+                spans_dropped,
+                counter_delta,
+            )
+        )
+
+    def run_slice(slot: _Resident) -> None:
+        task = slot.task
+        shard = task.kind == "shard"
+        trace.reset_context()
+        trace.set_context(
+            worker=worker_id,
+            scenario=task.spec.resolved_label(),
+            shard=task.shard_index if shard else None,
+            epoch=slot.epoch,
+        )
+        if shard and slot.steps is None:
+            # CPU is measured around the slices only (not simulator
+            # construction), so critical-path projections stay
+            # comparable with the legacy shard workers.
+            simulator = scenarios.build_simulator(task.spec)
+            slot.steps = simulator.run_synced(task.satellite_ids)
+        cpu_started = time.process_time()
+        if not shard:
+            with trace.span("spec_task"):
+                result = scenarios.run_scenario(task.spec)
+        else:
+            with trace.span("shard_task"):
+                try:
+                    slot.epoch, ingests, marks = slot.steps.send(slot.merged)
+                except StopIteration as stop:
+                    result = stop.value
+                else:
+                    result = None
+        slot.cpu_seconds += time.process_time() - cpu_started
+        if result is not None:
+            finish(slot, result)
+            return
+        slot.merged = None
+        result_queue.put(
+            Epoch(worker_id, task.task_id, slot.epoch, ingests, marks)
+        )
+
     while True:
-        task = conn.recv()
-        if task is None:
-            break
-        try:
-            if task.trace:
-                # Fork inherits the driver's tracer object; install a
-                # fresh buffer and attribution so each task ships only
-                # its own spans, stamped with where it actually ran.
-                trace.enable_tracer()
-                trace.reset_context()
-                trace.set_context(
-                    worker=worker_id,
-                    scenario=task.spec.resolved_label(),
-                    shard=(
-                        task.shard_index if task.kind == "shard" else None
-                    ),
-                )
-            counter_base = metrics.counters().snapshot()
-            if task.kind == "shard":
-                simulator = scenarios.build_simulator(task.spec)
-
-                def exchange(epoch, ingests, marks, _tid=task.task_id):
-                    result_queue.put(
-                        ("epoch", worker_id, _tid, epoch, ingests, marks)
-                    )
-                    waited = time.perf_counter()
-                    with trace.span("barrier_wait", epoch=epoch):
-                        merged = conn.recv()
-                    metrics.counters().inc(
-                        "sched.barrier_idle_s", time.perf_counter() - waited
-                    )
-                    return merged
-
-                # CPU is measured around the run only (not simulator
-                # construction), matching the legacy shard workers so
-                # critical-path projections stay comparable.
-                cpu_started = time.process_time()
-                with trace.span("shard_task"):
-                    result = simulator.run(
-                        satellite_ids=task.satellite_ids,
-                        epoch_sync=exchange,
-                    )
+        while not ready or conn.poll():
+            if ready or not resident:
+                message = conn.recv()
             else:
-                cpu_started = time.process_time()
-                with trace.span("spec_task"):
-                    result = scenarios.run_scenario(task.spec)
-            cpu_seconds = time.process_time() - cpu_started
-            metrics.counters().inc("sched.worker_cpu_s", cpu_seconds)
-            spans = None
-            spans_dropped = 0
-            tracer = trace.active_tracer()
-            if task.trace and tracer is not None:
-                spans = tracer.spans()
-                spans_dropped = tracer.dropped
-            counter_delta = metrics.counters().diff(counter_base).values
-            result_queue.put(
-                (
-                    "done",
-                    worker_id,
-                    task.task_id,
-                    result,
-                    cpu_seconds,
-                    spans,
-                    spans_dropped,
-                    counter_delta,
+                # Every resident task waits at its barrier: the only time
+                # this worker idles while it hosts work.
+                trace.reset_context()
+                trace.set_context(worker=worker_id)
+                waited = time.perf_counter()
+                with trace.span("barrier_wait"):
+                    message = conn.recv()
+                metrics.counters().inc(
+                    "sched.barrier_idle_s", time.perf_counter() - waited
                 )
-            )
+            if message is None:
+                conn.close()
+                return
+            if isinstance(message, Merged):
+                slot = resident[message.task_id]
+                slot.merged = (message.ingests, message.marks)
+            else:
+                if message.trace and trace.active_tracer() is None:
+                    trace.enable_tracer()
+                slot = resident[message.task_id] = _Resident(message)
+            ready.append(slot)
+        slot = ready.popleft()
+        try:
+            run_slice(slot)
         except Exception:
+            resident.pop(slot.task.task_id, None)
             result_queue.put(
-                ("error", worker_id, task.task_id, traceback.format_exc())
+                Failed(worker_id, slot.task.task_id, traceback.format_exc())
             )
-        finally:
-            trace.disable_tracer()
-            trace.reset_context()
-    conn.close()
+
+
+class _Outbox:
+    """The driver's sending end of one worker pipe, fed by its own thread.
+
+    The driver must never block on a busy worker: a merged journal can
+    be megabytes, more than the pipe's buffer holds, so a plain
+    ``send`` would wait until the worker finishes its current slice and
+    reads.  :meth:`put` pickles the payload in the caller's thread and
+    queues the bytes, and one thread writes them in order; the worker's
+    ``recv`` unpickles them as usual.  (Pickled on the feeder thread
+    instead, the journals cost the driver about 0.13 s more system CPU
+    per perfbench constellation sweep on a 2-vCPU host.)  A write that
+    fails (the worker is gone and its end closed) ends the thread and
+    stays in :attr:`error`; later payloads are dropped.
+    """
+
+    _STOP = object()
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.error: OSError | None = None
+        self._queue: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
+        self._thread = threading.Thread(target=self._feed, daemon=True)
+        self._thread.start()
+
+    def _feed(self) -> None:
+        while True:
+            payload = self._queue.get()
+            if payload is self._STOP:
+                return
+            try:
+                self.conn.send_bytes(payload)
+            except OSError as exc:
+                self.error = exc
+                return
+
+    def put(self, payload) -> None:
+        self._queue.put(ForkingPickler.dumps(payload))
+
+    def close(self, timeout: float | None = None) -> None:
+        """Send everything queued so far, then end the thread."""
+        self._queue.put(self._STOP)
+        self._thread.join(timeout)
 
 
 @dataclass
@@ -237,7 +399,7 @@ class _GroupState:
     """Driver-side progress of one sharded scenario."""
 
     size: int
-    #: epoch -> shard_index -> (worker_id, ingests, marks)
+    #: epoch -> shard_index -> the member's :class:`Epoch` record
     epoch_buffer: dict = field(default_factory=dict)
     #: shard_index -> RunResult partial
     partials: dict = field(default_factory=dict)
@@ -272,10 +434,10 @@ class SweepScheduler:
     def _plan(self, specs: Sequence) -> tuple[list[_Unit], dict[int, object]]:
         """Turn specs into schedulable units (shard gangs first).
 
-        Shard gangs are ordered ahead of spec tasks so gangs claim whole
-        worker blocks early and single-spec tasks backfill the leftover
-        slots (including workers idled by another gang's epoch barrier);
-        dispatch is first-fit over this order.  Ordering is pure
+        Shard gangs are ordered ahead of spec tasks so gangs claim worker
+        slots early (a second gang fills the time the first waits at its
+        barriers) and spec tasks take the workers left empty; dispatch
+        is first-fit over this order.  Ordering is pure
         scheduling policy — results are position-keyed and
         byte-invariant to it.
 
@@ -384,7 +546,8 @@ class SweepScheduler:
                 called as each *scenario* completes (completion order).
             task_sink: Per-task hook ``(task, cpu_seconds)`` called as
                 each task completes; ``cpu_seconds`` is the process CPU
-                time of the task's run.
+                time of the task's run (summed over its slices, so
+                barrier waits are not in it).
             progress: Optional :class:`~repro.obs.progress.SweepProgress`
                 (or duck-type) receiving ``task_started``/``task_finished``
                 per task and ``spec_done`` per delivered scenario.
@@ -474,6 +637,7 @@ class SweepScheduler:
             if on_result is not None:
                 on_result(task.spec_index, task.spec, result)
 
+
     def _run_pooled(
         self,
         pool_size,
@@ -492,7 +656,8 @@ class SweepScheduler:
             else None
         )
         result_queue = context.Queue()
-        workers: list[tuple] = []
+        processes: list = []
+        conns: list = []
         for worker_id in range(pool_size):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
@@ -503,7 +668,11 @@ class SweepScheduler:
             process.start()
             metrics.counters().inc("sched.spawns")
             child_conn.close()
-            workers.append((process, parent_conn))
+            processes.append(process)
+            conns.append(parent_conn)
+        # Feeder threads start after the last fork: no worker is forked
+        # from a threaded driver.
+        outboxes = [_Outbox(conn) for conn in conns]
 
         tasks_by_id = {
             task.task_id: task for unit in units for task in unit.tasks
@@ -514,49 +683,66 @@ class SweepScheduler:
             for unit in units
             if unit.tasks[0].kind == "shard"
         }
-        idle = set(range(pool_size))
-        running: dict[int, int] = {}  # worker_id -> task_id (as assigned)
+        #: worker_id -> ids of the tasks it hosts, in admission order
+        resident: list[list[int]] = [[] for _ in range(pool_size)]
         #: (dataset key, shard index) -> worker that last ran that shard
         last_worker: dict[tuple, int] = {}
         completed = 0
         failed = False
 
+        def load(worker_id: int) -> int:
+            return sum(tasks_by_id[t].slots for t in resident[worker_id])
+
         def worker_died(worker_id: int) -> ScenarioError:
-            process = workers[worker_id][0]
+            process = processes[worker_id]
             process.join(timeout=1.0)  # reap it, for the exit code
             detail = (
                 f"worker died without a result "
                 f"(exit code {process.exitcode})"
             )
-            task_id = running.get(worker_id)
-            if task_id is not None:
-                return self._task_failure(tasks_by_id[task_id], detail)
-            return ScenarioError(f"sweep worker {worker_id} {detail}")
+            if not resident[worker_id]:
+                return ScenarioError(f"sweep worker {worker_id} {detail}")
+            first, *others = (tasks_by_id[t] for t in resident[worker_id])
+            if others:
+                detail += "; it also hosted " + ", ".join(
+                    f"scenario {task.spec.resolved_label()!r} shard "
+                    f"{task.shard_index} of {task.shard_count}"
+                    for task in others
+                )
+            return self._task_failure(first, detail)
 
         def send(worker_id: int, payload) -> None:
-            try:
-                workers[worker_id][1].send(payload)
-            except OSError as exc:  # the worker is gone: its end closed
-                raise worker_died(worker_id) from exc
+            outbox = outboxes[worker_id]
+            if outbox.error is not None:  # the worker is gone
+                raise worker_died(worker_id) from outbox.error
+            outbox.put(payload)
 
         def dispatch() -> None:
-            # First-fit over the pending units: a gang goes out only
-            # when a full block of idle workers exists (in-flight tasks
-            # never exceed the pool — the backpressure bound — and every
-            # gang member is guaranteed a worker, which makes the epoch
-            # rendezvous deadlock-free); single spec tasks backfill any
-            # remaining workers.  A unit's tasks take the lowest-numbered
-            # idle workers in task order.
+            # First-fit over the pending units (gangs first).  A unit
+            # goes out only when each of its tasks finds a distinct
+            # worker with room (a spec task needs an empty worker); it
+            # takes the least-loaded such workers, ties to the lower id,
+            # in ascending id order.  Every gang member is resident from
+            # here to its end, which keeps the barrier rendezvous
+            # deadlock-free.
             index = 0
             while index < len(pending_units):
                 unit = pending_units[index]
-                if unit.size > len(idle):
+                need = unit.tasks[0].slots
+                room = [
+                    worker_id
+                    for worker_id in range(pool_size)
+                    if load(worker_id) + need <= MAX_RESIDENT
+                ]
+                if unit.size > len(room):
                     index += 1
                     continue
                 del pending_units[index]
-                for task, worker_id in zip(unit.tasks, sorted(idle)):
-                    idle.remove(worker_id)
-                    running[worker_id] = task.task_id
+                chosen = sorted(
+                    sorted(room, key=lambda w: (load(w), w))[: unit.size]
+                )
+                for task, worker_id in zip(unit.tasks, chosen):
+                    resident[worker_id].append(task.task_id)
                     stolen = False
                     if task.kind == "shard":
                         key = (
@@ -579,94 +765,89 @@ class SweepScheduler:
             if on_result is not None:
                 on_result(spec_index, specs[spec_index], result)
 
+        def merge_epoch(spec, epoch: int, posted: list[Epoch]) -> None:
+            # ``posted`` is in ascending shard order: concatenating in it
+            # before the canonical sort is the exact accumulation order
+            # of the per-scenario sharded runner, so merged journals (and
+            # every downstream byte) match it.
+            with trace.span(
+                "epoch_merge", scenario=spec.resolved_label(), epoch=epoch
+            ):
+                ingests = canonical_ingests(
+                    [entry for member in posted for entry in member.ingests]
+                )
+                marks = canonical_marks(
+                    [entry for member in posted for entry in member.marks]
+                )
+                for member in posted:
+                    send(
+                        member.worker_id,
+                        Merged(member.task_id, ingests, marks),
+                    )
+
+        def task_done(message: Done) -> None:
+            task = tasks_by_id[message.task_id]
+            resident[message.worker_id].remove(task.task_id)
+            if progress is not None:
+                progress.task_finished()
+            if message.spans:
+                driver_tracer = trace.active_tracer()
+                if driver_tracer is not None:
+                    driver_tracer.extend(message.spans, message.spans_dropped)
+            if message.counter_delta:
+                metrics.counters().merge_in(
+                    metrics.Counters(message.counter_delta)
+                )
+            if task_sink is not None:
+                task_sink(task, message.cpu_seconds)
+            if task.kind == "spec":
+                deliver(task.spec_index, message.result)
+                return
+            group = groups[task.spec_index]
+            group.partials[task.shard_index] = message.result
+            if len(group.partials) == group.size:
+                merged_result = RunResult.identity()
+                for shard_index in sorted(group.partials):
+                    merged_result = merged_result.merge(
+                        group.partials[shard_index]
+                    )
+                deliver(task.spec_index, merged_result)
+
         try:
             dispatch()
             while completed < len(specs):
                 try:
                     message = result_queue.get(timeout=0.5)
                 except queue_mod.Empty:
-                    for worker_id, (process, _) in enumerate(workers):
+                    for worker_id, process in enumerate(processes):
                         if not process.is_alive():
                             raise worker_died(worker_id)
                     continue
-                kind = message[0]
-                if kind == "epoch":
-                    _, worker_id, task_id, epoch, ingests, marks = message
-                    task = tasks_by_id[task_id]
+                if isinstance(message, Epoch):
+                    task = tasks_by_id[message.task_id]
                     group = groups[task.spec_index]
-                    buffer = group.epoch_buffer.setdefault(epoch, {})
-                    buffer[task.shard_index] = (worker_id, ingests, marks)
+                    buffer = group.epoch_buffer.setdefault(message.epoch, {})
+                    buffer[task.shard_index] = message
                     if len(buffer) == group.size:
-                        # Concatenate in ascending shard order before the
-                        # canonical sort — the exact accumulation order
-                        # of the per-scenario sharded runner, so merged
-                        # journals (and every downstream byte) match it.
-                        with trace.span(
-                            "epoch_merge",
-                            scenario=task.spec.resolved_label(),
-                            epoch=epoch,
-                        ):
-                            all_ingests: list = []
-                            all_marks: list = []
-                            for shard_index in sorted(buffer):
-                                (
-                                    _,
-                                    shard_ingests,
-                                    shard_marks,
-                                ) = buffer[shard_index]
-                                all_ingests.extend(shard_ingests)
-                                all_marks.extend(shard_marks)
-                            merged = (
-                                canonical_ingests(all_ingests),
-                                canonical_marks(all_marks),
-                            )
-                            for shard_index in sorted(buffer):
-                                send(buffer[shard_index][0], merged)
-                        del group.epoch_buffer[epoch]
-                elif kind == "done":
-                    (
-                        _,
-                        worker_id,
-                        task_id,
-                        result,
-                        cpu_seconds,
-                        spans,
-                        spans_dropped,
-                        counter_delta,
-                    ) = message
-                    task = tasks_by_id[task_id]
-                    running.pop(worker_id, None)
-                    idle.add(worker_id)
-                    if progress is not None:
-                        progress.task_finished()
-                    if spans:
-                        driver_tracer = trace.active_tracer()
-                        if driver_tracer is not None:
-                            driver_tracer.extend(spans, spans_dropped)
-                    if counter_delta:
-                        metrics.counters().merge_in(
-                            metrics.Counters(counter_delta)
+                        del group.epoch_buffer[message.epoch]
+                        merge_epoch(
+                            task.spec,
+                            message.epoch,
+                            [buffer[shard] for shard in sorted(buffer)],
                         )
-                    if task_sink is not None:
-                        task_sink(task, cpu_seconds)
-                    if task.kind == "spec":
-                        deliver(task.spec_index, result)
-                    else:
-                        group = groups[task.spec_index]
-                        group.partials[task.shard_index] = result
-                        if len(group.partials) == group.size:
-                            merged_result = RunResult.identity()
-                            for shard_index in sorted(group.partials):
-                                merged_result = merged_result.merge(
-                                    group.partials[shard_index]
-                                )
-                            deliver(task.spec_index, merged_result)
+                elif isinstance(message, Done):
+                    task_done(message)
                     dispatch()
-                elif kind == "error":
-                    _, worker_id, task_id, detail = message
-                    raise self._task_failure(tasks_by_id[task_id], detail)
+                else:  # Failed
+                    raise self._task_failure(
+                        tasks_by_id[message.task_id], message.detail
+                    )
             for worker_id in range(pool_size):
                 send(worker_id, None)
+            for worker_id, outbox in enumerate(outboxes):
+                outbox.close()
+                if outbox.error is not None:
+                    raise worker_died(worker_id) from outbox.error
         except BaseException:
             failed = True
             raise
@@ -675,21 +856,24 @@ class SweepScheduler:
                 # Workers may be blocked at an epoch barrier that will
                 # never resolve; a clean drain is impossible.  Terminate
                 # before closing the pipes, so no worker wakes to an
-                # end-of-file on its pipe.
-                for process, _ in workers:
+                # end-of-file on its pipe; a feeder thread still sending
+                # then fails and ends.
+                for process in processes:
                     process.terminate()
-                for process, parent_conn in workers:
+                for process in processes:
                     process.join(timeout=5.0)
                     if process.is_alive():
                         process.kill()
                         process.join()
-                    parent_conn.close()
+                for outbox in outboxes:
+                    outbox.close(timeout=5.0)
             else:
-                for process, parent_conn in workers:
+                for process in processes:
                     process.join(timeout=10.0)
-                    parent_conn.close()
                     if process.is_alive():
                         process.terminate()
                         process.join()
+            for conn in conns:
+                conn.close()
             result_queue.close()
             result_queue.cancel_join_thread()

@@ -15,7 +15,7 @@ histories, illumination, codec, and scoring.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 from repro.core.accounting import (
     CaptureRecord,
@@ -195,12 +195,8 @@ class ConstellationSimulator:
         phases.append(IngestPhase(ground=self.ground))
         return phases
 
-    def run(
-        self,
-        satellite_ids: Sequence[int] | None = None,
-        epoch_sync: Callable | None = None,
-    ) -> RunResult:
-        """Simulate the schedule (or one shard of it) and aggregate results.
+    def run(self) -> RunResult:
+        """Simulate the whole schedule and aggregate results.
 
         The global visit ordering is memoized on the schedule, so repeated
         runs over one dataset (policy comparisons, seed sweeps) sort it
@@ -209,35 +205,25 @@ class ConstellationSimulator:
         under the phase's name.
 
         With ``config.ground_sync_days > 0`` the run is
-        epoch-synchronized (see :mod:`repro.core.sharding`): ground-state
-        writes journal within each epoch and apply at epoch boundaries in
-        canonical visit order.  That mode accepts two sharding hooks:
-
-        Args:
-            satellite_ids: Simulate only these satellites' visits (one
-                shard of a partitioned run).  The epoch sequence still
-                follows the full schedule, so every shard synchronizes
-                the same number of times.  None simulates everything.
-            epoch_sync: Called at every epoch boundary with
-                ``(epoch_index, ingests, marks)`` — this shard's drained
-                journal — and returns the merged ``(ingests, marks)`` to
-                apply (the sharded runner's all-to-all exchange).  None
-                applies the local journal directly; both paths sort
-                canonically before applying, which is why a sequential
-                synced run equals any sharded one byte-for-byte.
-
-        Raises:
-            ConfigError: When sharding hooks are passed without
-                ``ground_sync_days`` (the legacy continuous mode has no
-                consistent way to partition satellites).
+        epoch-synchronized (see :mod:`repro.core.sharding`): this method
+        drives :meth:`run_synced` over every satellite and answers each
+        epoch's drained journal with its own canonical sort.  A shard
+        task of the sweep scheduler drives the very same loop over its
+        satellite bucket and answers with the gang's merged, canonically
+        sorted journal instead; the merge is a sorted union, which is
+        why a sequential synced run equals any sharded one byte-for-byte.
         """
         if self.config.ground_sync_days > 0:
-            return self._run_synced(satellite_ids, epoch_sync)
-        if satellite_ids is not None or epoch_sync is not None:
-            raise ConfigError(
-                "sharded execution requires epoch-synchronized ground "
-                "state; set config.ground_sync_days > 0 (e.g. 1.0)"
-            )
+            from repro.core.sharding import canonical_ingests, canonical_marks
+
+            steps = self.run_synced()
+            merged = None
+            while True:
+                try:
+                    _, ingests, marks = steps.send(merged)
+                except StopIteration as done:
+                    return done.value
+                merged = canonical_ingests(ingests), canonical_marks(marks)
         state = ConstellationState(self.policy_factory)
         phases = self.build_phases()
         metrics = self._build_metrics()
@@ -245,20 +231,41 @@ class ConstellationSimulator:
             self._simulate_visit(visit, state, phases, metrics)
         return self._finalize(metrics)
 
-    def _run_synced(
-        self,
-        satellite_ids: Sequence[int] | None,
-        epoch_sync: Callable | None,
-    ) -> RunResult:
-        """The epoch-synchronized loop: simulate, drain, sync, apply."""
+    def run_synced(
+        self, satellite_ids: Sequence[int] | None = None
+    ) -> Generator[tuple[int, list, list], tuple[list, list], RunResult]:
+        """The epoch-synchronized loop as a generator: simulate, drain, sync.
+
+        After simulating each epoch's visits it yields
+        ``(epoch_index, ingests, marks)`` — the journal drained from this
+        run's ground segment — and expects to be resumed (``send``) with
+        the ``(ingests, marks)`` to apply, already in canonical order.
+        It returns the :class:`RunResult` (``StopIteration.value``).
+        Only the caller decides *when* each epoch runs, so a worker can
+        hold several of these loops and run whichever can proceed.
+
+        Args:
+            satellite_ids: Simulate only these satellites' visits (one
+                shard of a partitioned run).  The epoch sequence still
+                follows the full schedule, so every shard yields the
+                same number of times.  None simulates everything.
+
+        Raises:
+            ConfigError: Without ``ground_sync_days`` (the legacy
+                continuous mode has no consistent way to partition
+                satellites).
+        """
         from repro.core.sharding import (
             GroundJournal,
             apply_marks,
-            canonical_ingests,
-            canonical_marks,
             group_visits_by_epoch,
         )
 
+        if self.config.ground_sync_days <= 0:
+            raise ConfigError(
+                "sharded execution requires epoch-synchronized ground "
+                "state; set config.ground_sync_days > 0 (e.g. 1.0)"
+            )
         journal = GroundJournal()
         self.ground.enable_sync_journal(journal)
         state = ConstellationState(
@@ -277,12 +284,7 @@ class ConstellationSimulator:
                     if own is not None and visit.satellite_id not in own:
                         continue
                     self._simulate_visit(visit, state, phases, metrics)
-                ingests, marks = journal.drain()
-                if epoch_sync is not None:
-                    ingests, marks = epoch_sync(epoch, ingests, marks)
-                else:
-                    ingests = canonical_ingests(ingests)
-                    marks = canonical_marks(marks)
+                ingests, marks = yield (epoch, *journal.drain())
                 with trace.span("sync"):
                     self.ground.apply_ingests(ingests)
                     apply_marks(state._last_guaranteed, marks)

@@ -10,8 +10,9 @@ instance (:func:`counters`):
   (per task dispatched), ``sched.tasks_stolen`` (per shard task
   dispatched off the worker that last ran the same shard of its
   dataset), and
-  ``sched.worker_cpu_s`` / ``sched.barrier_idle_s`` (per finished task,
-  in the process that ran it);
+  ``sched.worker_cpu_s`` (per finished task) / ``sched.barrier_idle_s``
+  (while a worker is blocked with every task it hosts at an epoch
+  barrier) in the process that ran the work;
 * ``DownlinkPhase`` bumps ``downlink.visits`` /
   ``downlink.delivered_bytes`` / ``downlink.layers_shed`` /
   ``downlink.deferred`` / ``downlink.dropped``;

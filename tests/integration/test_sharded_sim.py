@@ -17,11 +17,14 @@ import pytest
 from repro.analysis.scenarios import (
     DatasetSpec,
     ScenarioSpec,
+    build_simulator,
     run_scenario,
     run_scenario_sharded,
     run_scenarios,
 )
+from repro.core.accounting import RunResult
 from repro.core.config import EarthPlusConfig
+from repro.core.sharding import canonical_ingests, canonical_marks
 from repro.errors import ConfigError, ScenarioError
 from repro.orbit.links import FluctuationModel
 from repro.store.backend import ExperimentStore
@@ -71,6 +74,35 @@ class TestShardedEqualsSequential:
                 f"shards={shards} diverged from sequential"
             )
 
+    @pytest.mark.parametrize(
+        "spec", [FIG13_SPEC, FIG20_SPEC], ids=["fig13", "fig20"]
+    )
+    def test_shard_loops_stepped_in_one_process(self, spec):
+        # A pool worker holds shard loops of several gangs and steps
+        # whichever can run.  Stepping both shards' loops in one process,
+        # epoch by epoch, answering each barrier with the driver's merge,
+        # still equals the sequential run.
+        buckets = spec.dataset.build().schedule.partition_satellites(2)
+        loops = [build_simulator(spec).run_synced(b) for b in buckets]
+        posted = [next(loop) for loop in loops]
+        partials: list = []
+        while not partials:
+            merged = (
+                canonical_ingests([e for _, shard, _ in posted for e in shard]),
+                canonical_marks([m for _, _, shard in posted for m in shard]),
+            )
+            posted = []
+            for loop in loops:
+                try:
+                    posted.append(loop.send(merged))
+                except StopIteration as done:
+                    partials.append(done.value)
+        assert len(partials) == len(loops)
+        result = RunResult.identity()
+        for partial in partials:
+            result = result.merge(partial)
+        assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+
     def test_downlink_pressure_is_actually_engaged(self):
         # Guard the fig20 archetype against rotting into an
         # unconstrained run where the downlink phase is a no-op.
@@ -106,6 +138,16 @@ class TestShardingGuards:
         )
         with pytest.raises(ConfigError, match="ground_sync_days"):
             run_scenario_sharded(spec, shards=2)
+
+    def test_epoch_loop_requires_sync_cadence(self):
+        spec = ScenarioSpec(
+            policy="earthplus",
+            dataset=FIG13_DATASET,
+            config=EarthPlusConfig(gamma_bpp=0.3),
+            seed=1,
+        )
+        with pytest.raises(ConfigError, match="ground_sync_days"):
+            next(build_simulator(spec).run_synced([0]))
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ConfigError, match="shards"):

@@ -17,6 +17,7 @@ may leave a child process behind.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -34,6 +35,7 @@ from repro.analysis.scenarios import (
 )
 from repro.analysis.scheduler import SweepScheduler
 from repro.core.config import EarthPlusConfig
+from repro.core.system import ConstellationSimulator
 from repro.errors import ConfigError, ScenarioError
 from repro.obs import metrics, trace
 from repro.orbit.links import FluctuationModel
@@ -87,21 +89,58 @@ PLANET_SPECS = [
 ]
 
 
+def _traced_run(scheduler: SweepScheduler, specs, **kwargs):
+    """Run a sweep under a tracer; its results and every recorded span."""
+    tracer = trace.enable_tracer()
+    try:
+        results = scheduler.run(specs, **kwargs)
+    finally:
+        trace.disable_tracer()
+    return results, tracer.spans()
+
+
 def _task_workers(scheduler: SweepScheduler, specs, kind: str) -> dict:
     """Run a traced sweep; the workers its ``kind`` spans ran on, by shard.
 
     Spec-task spans carry no shard, so they collect under ``None``.
     """
-    tracer = trace.enable_tracer()
-    try:
-        scheduler.run(specs)
-    finally:
-        trace.disable_tracer()
+    _results, spans = _traced_run(scheduler, specs)
     placement: dict = {}
-    for name, _begin, _end, attrs in tracer.spans():
+    for name, _begin, _end, attrs in spans:
         if name == kind:
             placement.setdefault(attrs.get("shard"), set()).add(attrs["worker"])
     return placement
+
+
+def _worker_tracks(spans) -> dict:
+    """Worker id -> that worker's spans, ordered by begin time."""
+    tracks: dict = {}
+    for span in spans:
+        attrs = span[3] or {}
+        if "worker" in attrs:
+            tracks.setdefault(attrs["worker"], []).append(span)
+    for track in tracks.values():
+        track.sort(key=lambda span: (span[1], -span[2]))
+    return tracks
+
+
+def _crossing_spans(track) -> list:
+    """Pairs of spans on one track that overlap without nesting."""
+    crossings = []
+    open_spans: list = []
+    for span in track:
+        while open_spans and open_spans[-1][2] <= span[1]:
+            open_spans.pop()
+        if open_spans and span[2] > open_spans[-1][2]:
+            crossings.append((open_spans[-1], span))
+        open_spans.append(span)
+    return crossings
+
+
+def _interleaves(labels) -> bool:
+    """Whether a label sequence returns to a label after leaving it."""
+    runs = [label for label, _run in itertools.groupby(labels)]
+    return len(runs) > len(set(runs))
 
 
 @contextlib.contextmanager
@@ -407,3 +446,248 @@ class TestBarrierOverlap:
         assert sched["sched.shard_tasks"] == 4
         for spec, result in zip(sync_specs, results):
             assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+
+
+#: One satellite: in a sharded sweep the partition collapses to one
+#: bucket, so these specs stay whole spec tasks beside the gangs.
+SOLO_DATASET = DatasetSpec.of(
+    "planet",
+    n_satellites=1,
+    image_shape=(48, 48),
+    horizon_days=12.0,
+    seed=19,
+)
+SOLO_SPECS = [
+    ScenarioSpec(
+        policy="earthplus",
+        dataset=SOLO_DATASET,
+        config=EarthPlusConfig(gamma_bpp=0.3, ground_sync_days=3.0),
+        seed=seed,
+        label=f"solo/s{seed}",
+    )
+    for seed in (1, 2)
+]
+
+
+def _shard_tasks(spans) -> dict:
+    """(scenario, shard) -> the workers its ``shard_task`` slices ran on."""
+    placement: dict = {}
+    for name, _begin, _end, attrs in spans:
+        if name == "shard_task":
+            key = (attrs["scenario"], attrs["shard"])
+            placement.setdefault(key, set()).add(attrs["worker"])
+    return placement
+
+
+class TestResidentGangs:
+    def test_two_gangs_interleave_on_one_worker(self):
+        # Three gangs as large as the pool: two are resident at once, so
+        # a worker runs one gang's epoch while its other task waits at a
+        # barrier.  Shard i still runs on worker i, and bytes never move.
+        with _sched_counters() as sched:
+            results, spans = _traced_run(
+                SweepScheduler(workers=2, shards_per_scenario=2),
+                PLANET_SPECS,
+            )
+        assert sched["sched.shard_tasks"] == 6
+        assert sched.get("sched.tasks_stolen", 0) == 0
+        for spec, result in zip(PLANET_SPECS, results):
+            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+        assert _shard_tasks(spans) == {
+            (spec.label, shard): {shard}
+            for spec in PLANET_SPECS
+            for shard in (0, 1)
+        }
+        assert any(
+            _interleaves(
+                attrs["scenario"]
+                for name, _begin, _end, attrs in track
+                if name == "shard_task"
+            )
+            for track in _worker_tracks(spans).values()
+        )
+
+    def test_small_gangs_take_idle_workers_first(self):
+        # Two 2-shard gangs on a 4-worker pool: the second gang goes to
+        # the two idle workers, not onto the first gang's workers.
+        results, spans = _traced_run(
+            SweepScheduler(workers=4, shards_per_scenario=2),
+            PLANET_SPECS[:2],
+        )
+        placement = _shard_tasks(spans)
+        assert len(placement) == 4
+        assert all(len(workers) == 1 for workers in placement.values())
+        assert set.union(*placement.values()) == {0, 1, 2, 3}
+        for spec, result in zip(PLANET_SPECS, results):
+            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+
+    def test_spec_tasks_never_join_resident_shard_tasks(self):
+        # Gangs plus whole spec tasks on 3 workers.  The gangs fill both
+        # slots of every worker; the short one ends first, leaving a
+        # free slot beside a longer gang's shard on two workers.  A spec
+        # task must not take it: it starts only on a worker that hosts
+        # nothing, so it never runs inside a shard task's lifetime
+        # (first slice to last) on its worker.
+        short = ScenarioSpec(
+            policy="earthplus",
+            dataset=DatasetSpec.of(
+                "planet",
+                n_satellites=4,
+                image_shape=(48, 48),
+                horizon_days=6.0,
+                seed=19,
+            ),
+            config=EarthPlusConfig(gamma_bpp=0.3, ground_sync_days=3.0),
+            seed=1,
+            label="short",
+        )
+        specs = [short, *PLANET_SPECS[:2], *SOLO_SPECS]
+        with _sched_counters() as sched:
+            results, spans = _traced_run(
+                SweepScheduler(workers=3, shards_per_scenario=2), specs
+            )
+        assert sched["sched.shard_tasks"] == 6
+        assert sched["sched.spec_tasks"] == 2
+        for spec, result in zip(specs, results):
+            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+        ran_specs = 0
+        for worker, track in _worker_tracks(spans).items():
+            lifetimes: dict = {}
+            for name, begin, end, attrs in track:
+                if name == "shard_task":
+                    key = (attrs["scenario"], attrs["shard"])
+                    first, last = lifetimes.get(key, (begin, end))
+                    lifetimes[key] = (min(first, begin), max(last, end))
+            for name, begin, end, attrs in track:
+                if name != "spec_task":
+                    continue
+                ran_specs += 1
+                for key, (first, last) in lifetimes.items():
+                    assert end <= first or begin >= last, (
+                        f"spec task {attrs['scenario']!r} ran on worker "
+                        f"{worker} while shard task {key} was resident"
+                    )
+        assert ran_specs == 2
+
+
+class TestInterleavedTelemetry:
+    def test_worker_tracks_are_disjoint_or_nested(self):
+        # Each slice is its own span with its task's attribution, and a
+        # barrier wait is recorded only while nothing can run, so no two
+        # spans on a worker's track partly overlap.
+        with _sched_counters() as sched:
+            _results, spans = _traced_run(
+                SweepScheduler(workers=2, shards_per_scenario=2),
+                PLANET_SPECS,
+            )
+        tracks = _worker_tracks(spans)
+        assert sorted(tracks) == [0, 1]
+        for worker, track in tracks.items():
+            assert _crossing_spans(track) == [], f"worker {worker}"
+            slices = [s for s in track if s[0] == "shard_task"]
+            for name, begin, end, _attrs in track:
+                if name == "barrier_wait":
+                    assert not any(
+                        s[1] <= begin and end <= s[2] for s in slices
+                    ), f"worker {worker} waited inside a slice"
+        waits = [end - begin for name, begin, end, _ in spans
+                 if name == "barrier_wait"]
+        assert waits
+        assert sched["sched.barrier_idle_s"] == pytest.approx(
+            sum(waits), rel=0.05, abs=0.01
+        )
+        # Attribution is restored at every resume: each task applies
+        # every epoch's merged journal once, under its own labels.
+        synced: dict = {}
+        for name, _begin, _end, attrs in spans:
+            if name == "sync":
+                key = (attrs["scenario"], attrs["shard"], attrs["worker"])
+                synced.setdefault(key, []).append(attrs["epoch"])
+        assert sorted(synced) == sorted(
+            (spec.label, shard, shard)
+            for spec in PLANET_SPECS
+            for shard in (0, 1)
+        )
+        epochs = sorted(next(iter(synced.values())))
+        assert len(set(epochs)) == len(epochs) > 1
+        assert all(sorted(e) == epochs for e in synced.values())
+
+    def test_cpu_counters_match_task_sink(self):
+        # Telemetry ships with each finished task, so every slice's CPU
+        # and every counter increment is counted exactly once.
+        sunk: list = []
+        with _sched_counters() as sched:
+            _traced_run(
+                SweepScheduler(workers=2, shards_per_scenario=2),
+                PLANET_SPECS,
+                task_sink=lambda task, cpu: sunk.append((task, cpu)),
+            )
+        assert sched["sched.shard_tasks"] == len(sunk) == 6
+        assert all(task.kind == "shard" and cpu > 0 for task, cpu in sunk)
+        assert sched["sched.worker_cpu_s"] == pytest.approx(
+            sum(cpu for _task, cpu in sunk)
+        )
+
+
+#: A gang of its own over the Planet dataset, for fault injection.
+FAULTY_SPEC = ScenarioSpec(
+    policy="earthplus",
+    dataset=PLANET_DATASET,
+    config=EarthPlusConfig(gamma_bpp=0.35, ground_sync_days=3.0),
+    seed=1,
+    label="faulty",
+)
+
+
+def _fault_in_second_epoch(monkeypatch, action) -> None:
+    """Run ``action`` in FAULTY_SPEC's first visit after its first epoch.
+
+    Fork inherits the patch.  By then the other gang's shard task has
+    been resident on the same worker since the sweep started.
+    """
+    original = ConstellationSimulator._simulate_visit
+
+    def faulty(self, visit, *args):
+        if self.config.gamma_bpp == FAULTY_SPEC.config.gamma_bpp and (
+            visit.t_days >= FAULTY_SPEC.config.ground_sync_days
+        ):
+            action()
+        return original(self, visit, *args)
+
+    monkeypatch.setattr(ConstellationSimulator, "_simulate_visit", faulty)
+
+
+class TestCoResidentFailures:
+    @fork_only
+    def test_raising_shard_is_named_beside_a_resident_gang(
+        self, monkeypatch
+    ):
+        def raise_fault():
+            raise RuntimeError("injected shard fault")
+
+        _fault_in_second_epoch(monkeypatch, raise_fault)
+        with _no_surviving_children():
+            with pytest.raises(
+                ScenarioError, match=r"'faulty' failed in shard \d of 2"
+            ) as caught:
+                run_scenarios(
+                    [PLANET_SPECS[0], FAULTY_SPEC], max_workers=2, shards=2
+                )
+        assert "injected shard fault" in str(caught.value)
+
+    @fork_only
+    def test_worker_killed_hosting_two_shard_tasks(self, monkeypatch):
+        _fault_in_second_epoch(monkeypatch, lambda: os._exit(3))
+        started = time.monotonic()
+        with _no_surviving_children():
+            with pytest.raises(
+                ScenarioError, match="died without a result"
+            ) as caught:
+                run_scenarios(
+                    [PLANET_SPECS[0], FAULTY_SPEC], max_workers=2, shards=2
+                )
+        assert time.monotonic() - started < 60.0
+        # The dead worker hosted a shard of each gang; both are named.
+        message = str(caught.value)
+        assert "also hosted" in message
+        assert "'faulty'" in message and f"'{PLANET_SPECS[0].label}'" in message
