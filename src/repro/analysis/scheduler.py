@@ -341,10 +341,10 @@ class _Outbox:
     reads.  :meth:`put` pickles the payload in the caller's thread and
     queues the bytes, and one thread writes them in order; the worker's
     ``recv`` unpickles them as usual.  (Pickled on the feeder thread
-    instead, the journals cost the driver about 0.13 s more system CPU
-    per perfbench constellation sweep on a 2-vCPU host.)  A write that
-    fails (the worker is gone and its end closed) ends the thread and
-    stays in :attr:`error`; later payloads are dropped.
+    instead, the journals cost the driver about 0.1 s more system CPU
+    per sweep of perfbench's constellation specs on a 2-vCPU host.)  A
+    write that fails (the worker is gone and its end closed) ends the
+    thread and stays in :attr:`error`; later payloads are dropped.
     """
 
     _STOP = object()
