@@ -7,6 +7,7 @@ paper figure.
 import numpy as np
 import pytest
 
+from repro.codec import registry
 from repro.codec.arith import ArithmeticDecoder, ArithmeticEncoder
 from repro.codec.dwt import Wavelet, forward_dwt2d, inverse_dwt2d
 from repro.codec.fastpath import BatchContextTable, BatchRangeEncoder
@@ -65,8 +66,10 @@ def test_bench_arith_encode_many_10k(benchmark, rng=np.random.default_rng(1)):
     assert data == ref.finish()
 
 
-def test_bench_tile_encode_real_coder(benchmark, image256):
-    codec = ImageCodec(CodecConfig(tile_size=64, base_step=1 / 256))
+def test_bench_tile_encode_reference(benchmark, image256):
+    codec = ImageCodec(
+        CodecConfig(tile_size=64, base_step=1 / 256), backend="reference"
+    )
     tile = image256[:64, :64]
     benchmark(lambda: codec.encode(tile))
 
@@ -82,6 +85,30 @@ def test_bench_tile_encode_vectorized(benchmark, image256):
 def test_bench_tile_decode_vectorized(benchmark, image256):
     codec = ImageCodec(
         CodecConfig(tile_size=64, base_step=1 / 256), backend="vectorized"
+    )
+    encoded = codec.encode(image256[:64, :64])
+    benchmark(lambda: codec.decode(encoded))
+
+
+needs_kernels = pytest.mark.skipif(
+    not registry.get("compiled").available(),
+    reason="compiled kernels unavailable",
+)
+
+
+@needs_kernels
+def test_bench_tile_encode_compiled(benchmark, image256):
+    codec = ImageCodec(
+        CodecConfig(tile_size=64, base_step=1 / 256), backend="compiled"
+    )
+    tile = image256[:64, :64]
+    benchmark(lambda: codec.encode(tile))
+
+
+@needs_kernels
+def test_bench_tile_decode_compiled(benchmark, image256):
+    codec = ImageCodec(
+        CodecConfig(tile_size=64, base_step=1 / 256), backend="compiled"
     )
     encoded = codec.encode(image256[:64, :64])
     benchmark(lambda: codec.decode(encoded))

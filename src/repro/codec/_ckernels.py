@@ -7,12 +7,15 @@ kernels are plain C99 compiled on first use with the system compiler
 :mod:`ctypes`.  Every kernel is a line-for-line port of the corresponding
 Python inner loop:
 
-* the bit-plane coder, one call per plane each way: the significance /
-  sign / refinement passes of ``VectorizedPlaneCoder`` fused with the
-  Subbotin range coder of ``BatchRangeEncoder`` / ``BatchRangeDecoder``
-  and the same 32-bit masking discipline — state is held in ``uint64_t``
-  and masked exactly where the Python code masks, so the unmasked
-  ``low ^ (low + range)`` renormalization test is preserved verbatim;
+* the bit-plane coder, one call per tile each way (every plane, every
+  band): the significance / sign / refinement passes of
+  ``VectorizedPlaneCoder`` fused with the Subbotin range coder of
+  ``BatchRangeEncoder`` / ``BatchRangeDecoder`` and the same 32-bit
+  masking discipline — state is held in ``uint64_t`` and masked exactly
+  where the Python code masks, so the unmasked ``low ^ (low + range)``
+  renormalization test is preserved verbatim.  Each band keeps a count
+  of its significant neighbours, bumped once when a coefficient turns
+  significant, so a significance context is one lookup;
 * the multilevel 2-D DWT, fused: one call per transform runs every level
   and both axes of an (n, h, w) stack for 5/3 or 9/7, built from the
   numpy lifting's 1-D passes (transposing so every pass runs along the
@@ -108,40 +111,42 @@ static inline int rc_decode_bit(const uint8_t *data, int64_t n_data,
     return 0;
 }
 
-/* Significance context bucket of position (y, x): 0 / 1-2 / 3+ of its
- * 8 neighbours significant at the start of the plane (bit 0 of `sig`;
- * the decoder marks coefficients that turn significant mid-plane with
- * bit 1, which this ignores). */
-static inline int64_t sig_bucket(const uint8_t *sig, int64_t h, int64_t w,
-                                 int64_t y, int64_t x) {
-    int nb = 0;
-    for (int64_t dy = -1; dy <= 1; dy++) {
-        int64_t yy = y + dy;
-        if (yy < 0 || yy >= h) continue;
-        for (int64_t dx = -1; dx <= 1; dx++) {
-            int64_t xx = x + dx;
-            if (xx < 0 || xx >= w || (dy == 0 && dx == 0)) continue;
-            nb += sig[yy * w + xx] & 1;
-        }
-    }
-    return nb >= 3 ? 2 : (nb >= 1 ? 1 : 0);
+/* Significance context of an insignificant coefficient with `n` of its
+ * 8 neighbours significant at the start of the plane: 0 / 1-2 / 3+. */
+static inline int64_t sig_context(uint8_t n) {
+    return n >= 3 ? 2 : (n >= 1 ? 1 : 0);
+}
+
+/* Record that (y, x) turned significant: bump the neighbour count of each
+ * of its (up to 8) in-band neighbours.  Called once per coefficient,
+ * after the significance pass of the plane it turned significant in, so
+ * the counts describe the start-of-plane state every context reads. */
+static inline void count_significant(uint8_t *nbr, int64_t h, int64_t w,
+                                     int64_t y, int64_t x) {
+    int64_t y0 = y > 0 ? y - 1 : y, y1 = y + 1 < h ? y + 1 : y;
+    int64_t x0 = x > 0 ? x - 1 : x, x1 = x + 1 < w ? x + 1 : x;
+    for (int64_t yy = y0; yy <= y1; yy++)
+        for (int64_t xx = x0; xx <= x1; xx++)
+            nbr[yy * w + xx] += 1;
+    nbr[y * w + x] -= 1; /* not its own neighbour */
 }
 
 /* One whole plane, fused: walk every band's significance and refinement
  * passes (exactly the decision stream _prepare_band_plane assembles) and
  * feed each decision straight through the adaptive model + range coder.
  * Bands are coded in order against one shared context table; each band's
- * significance state updates after its two passes, before the next
- * band's.  Fresh coder state + 4-byte flush per call.  Returns bytes
- * written, or -1 when `cap` is too small. */
-int64_t rc_encode_plane(const int64_t *mag_ptrs, const int64_t *sign_ptrs,
-                        const int64_t *sig_ptrs, const int64_t *heights,
-                        const int64_t *widths, const int64_t *bases,
-                        int64_t n_bands, int64_t plane,
-                        int64_t *count0, int64_t *count1,
-                        uint8_t *out, int64_t cap) {
+ * significance state and neighbour counts update after its significance
+ * pass, before the next band's.  Fresh coder state + 4-byte flush.
+ * Returns bytes written, or -1 when `cap` is too small. */
+static int64_t encode_plane(const int64_t *mags, const uint8_t *signs,
+                            uint8_t *sigs, uint8_t *nbrs,
+                            const int64_t *heights, const int64_t *widths,
+                            const int64_t *bases, int64_t n_bands,
+                            int64_t plane, int64_t *count0, int64_t *count1,
+                            uint8_t *out, int64_t cap) {
     uint64_t low = 0, rng = MASK32;
     int64_t len = 0;
+    int64_t off = 0;
 
 /* Adaptive-encode one bit: model probability, count update + halving,
  * then the Subbotin renormalization. */
@@ -180,35 +185,41 @@ int64_t rc_encode_plane(const int64_t *mag_ptrs, const int64_t *sign_ptrs,
     } while (0)
 
     for (int64_t b = 0; b < n_bands; b++) {
-        const int64_t *mag = (const int64_t *)(uintptr_t)mag_ptrs[b];
-        const uint8_t *sgn = (const uint8_t *)(uintptr_t)sign_ptrs[b];
-        uint8_t *sig = (uint8_t *)(uintptr_t)sig_ptrs[b];
         int64_t h = heights[b], w = widths[b];
+        const int64_t *mag = mags + off;
+        const uint8_t *sgn = signs + off;
+        uint8_t *sig = sigs + off;
+        uint8_t *nbr = nbrs + off;
+        off += h * w;
         int64_t base = bases[b];
         int64_t sign_ctx = base + 3; /* _SIGN_OFFSET */
         int64_t ref_ctx = base + 4;  /* _REF_OFFSET */
         /* Significance pass: row-major over previously-insignificant
-         * positions, context from the pre-plane neighbour state, each 1
-         * bit followed by its sign bit. */
+         * positions, context from the start-of-plane neighbour counts,
+         * each 1 bit followed by its sign bit. */
+        for (int64_t i = 0; i < h * w; i++) {
+            if (sig[i]) continue;
+            int bit = (int)((mag[i] >> plane) & 1);
+            RC_PUT_BIT(bit, base + sig_context(nbr[i]));
+            if (bit)
+                RC_PUT_BIT(sgn[i], sign_ctx);
+        }
+        /* Refinement pass over the start-of-plane significant set, one
+         * shared context.  This plane's arrivals update the state along
+         * the way: each sets only its own flag, which the pass has just
+         * read, and bumps counts that the next plane reads first. */
         for (int64_t y = 0; y < h; y++) {
             for (int64_t x = 0; x < w; x++) {
                 int64_t i = y * w + x;
-                if (sig[i]) continue;
                 int bit = (int)((mag[i] >> plane) & 1);
-                RC_PUT_BIT(bit, base + sig_bucket(sig, h, w, y, x));
-                if (bit)
-                    RC_PUT_BIT(sgn[i], sign_ctx);
+                if (sig[i]) {
+                    RC_PUT_BIT(bit, ref_ctx);
+                } else if (bit) {
+                    sig[i] = 1;
+                    count_significant(nbr, h, w, y, x);
+                }
             }
         }
-        /* Refinement pass: previously-significant positions, row-major,
-         * one shared context. */
-        for (int64_t i = 0; i < h * w; i++) {
-            if (!sig[i]) continue;
-            RC_PUT_BIT((int)((mag[i] >> plane) & 1), ref_ctx);
-        }
-        /* Both passes read the pre-plane state; update it now. */
-        for (int64_t i = 0; i < h * w; i++)
-            if ((mag[i] >> plane) & 1) sig[i] = 1;
     }
 #undef RC_PUT_BIT
     for (int k = 0; k < 4; k++) {
@@ -219,23 +230,49 @@ int64_t rc_encode_plane(const int64_t *mag_ptrs, const int64_t *sign_ptrs,
     return len;
 }
 
-/* Decode one whole plane segment, the mirror of rc_encode_plane: prime a
+/* A whole tile in one call: every plane from `max_plane` down to 0, each
+ * flushed into its own codeword, back to back in `out`; `seg_lens`
+ * receives each plane's byte length, most significant first.  The tile's
+ * bands lie back to back, in coding order, in each of `mags` (int64
+ * magnitudes), `signs`, `sigs` (significance map) and `nbrs`
+ * (significant-neighbour counts); the last two start zeroed.  Returns
+ * the total bytes written, or -1 when `cap` is too small. */
+int64_t rc_encode_tile(const int64_t *mags, const uint8_t *signs,
+                       uint8_t *sigs, uint8_t *nbrs, const int64_t *heights,
+                       const int64_t *widths, const int64_t *bases,
+                       int64_t n_bands, int64_t max_plane, int64_t *count0,
+                       int64_t *count1, uint8_t *out, int64_t cap,
+                       int64_t *seg_lens) {
+    int64_t total = 0;
+    for (int64_t plane = max_plane; plane >= 0; plane--) {
+        int64_t len = encode_plane(mags, signs, sigs, nbrs, heights, widths,
+                                   bases, n_bands, plane, count0, count1,
+                                   out + total, cap - total);
+        if (len < 0) return -1;
+        seg_lens[max_plane - plane] = len;
+        total += len;
+    }
+    return total;
+}
+
+/* Decode one whole plane segment, the mirror of encode_plane: prime a
  * fresh decoder (four bytes, zero-filled past the end, like
  * BatchRangeDecoder), then per band in order against the shared context
  * table run the significance pass with its sign bits, the refinement
  * pass, and the significance update.  Contexts and the refinement set
  * come from the start-of-plane state, so a coefficient that turns
- * significant mid-pass is marked 2 in `sig` (bit 0 clear) and becomes 1
- * only in the update.  Returns 0, or 1 when the decoder ran more than 64
- * bytes past the end of data (BitstreamError in the caller). */
-int rc_decode_plane(const uint8_t *data, int64_t n_data,
-                    const int64_t *mag_ptrs, const int64_t *sign_ptrs,
-                    const int64_t *sig_ptrs, const int64_t *heights,
-                    const int64_t *widths, const int64_t *bases,
-                    int64_t n_bands, int64_t plane,
-                    int64_t *count0, int64_t *count1) {
+ * significant mid-pass is marked 2 in `sig` and becomes 1, with its
+ * neighbour counts bumped, only in the update.  Returns 0, or 1 when the
+ * decoder ran more than 64 bytes past the end of data (BitstreamError in
+ * the caller). */
+static int decode_plane(const uint8_t *data, int64_t n_data, int64_t *mags,
+                        uint8_t *signs, uint8_t *sigs, uint8_t *nbrs,
+                        const int64_t *heights, const int64_t *widths,
+                        const int64_t *bases, int64_t n_bands, int64_t plane,
+                        int64_t *count0, int64_t *count1) {
     int64_t limit = n_data + 64;
     int64_t pos = 0;
+    int64_t off = 0;
     uint64_t low = 0, rng = MASK32, code = 0;
     for (int k = 0; k < 4; k++, pos++)
         code = ((code << 8) | (pos < n_data ? data[pos] : 0)) & MASK32;
@@ -248,41 +285,69 @@ int rc_decode_plane(const uint8_t *data, int64_t n_data,
     } while (0)
 
     for (int64_t b = 0; b < n_bands; b++) {
-        int64_t *mag = (int64_t *)(uintptr_t)mag_ptrs[b];
-        uint8_t *sgn = (uint8_t *)(uintptr_t)sign_ptrs[b];
-        uint8_t *sig = (uint8_t *)(uintptr_t)sig_ptrs[b];
         int64_t h = heights[b], w = widths[b];
+        int64_t *mag = mags + off;
+        uint8_t *sgn = signs + off;
+        uint8_t *sig = sigs + off;
+        uint8_t *nbr = nbrs + off;
+        off += h * w;
         int64_t base = bases[b];
         int64_t sign_ctx = base + 3; /* _SIGN_OFFSET */
         int64_t ref_ctx = base + 4;  /* _REF_OFFSET */
-        for (int64_t y = 0; y < h; y++) {
-            for (int64_t x = 0; x < w; x++) {
-                int64_t i = y * w + x;
-                if (sig[i]) continue;
-                int bit, sbit;
-                RC_GET_BIT(bit, base + sig_bucket(sig, h, w, y, x));
-                if (bit) {
-                    RC_GET_BIT(sbit, sign_ctx);
-                    mag[i] += plane_value;
-                    sgn[i] = (uint8_t)sbit;
-                    sig[i] = 2;
-                }
+        for (int64_t i = 0; i < h * w; i++) {
+            if (sig[i]) continue;
+            int bit, sbit;
+            RC_GET_BIT(bit, base + sig_context(nbr[i]));
+            if (bit) {
+                RC_GET_BIT(sbit, sign_ctx);
+                mag[i] += plane_value;
+                sgn[i] = (uint8_t)sbit;
+                sig[i] = 2;
             }
         }
         /* Refinement over the start-of-plane significant set; the update
-         * of mid-plane arrivals rides along (it only touches positions
-         * this loop has already passed). */
-        for (int64_t i = 0; i < h * w; i++) {
-            if (sig[i] == 1) {
-                int bit;
-                RC_GET_BIT(bit, ref_ctx);
-                if (bit) mag[i] += plane_value;
-            } else if (sig[i] == 2) {
-                sig[i] = 1;
+         * of mid-plane arrivals rides along (each sets only its own flag,
+         * which this loop has already passed, and bumps counts that the
+         * next plane reads first). */
+        for (int64_t y = 0; y < h; y++) {
+            for (int64_t x = 0; x < w; x++) {
+                int64_t i = y * w + x;
+                if (sig[i] == 1) {
+                    int bit;
+                    RC_GET_BIT(bit, ref_ctx);
+                    if (bit) mag[i] += plane_value;
+                } else if (sig[i] == 2) {
+                    sig[i] = 1;
+                    count_significant(nbr, h, w, y, x);
+                }
             }
         }
     }
 #undef RC_GET_BIT
+    return 0;
+}
+
+/* Decode a tile's kept segments in one call, the mirror of
+ * rc_encode_tile over the same band layout (every buffer zeroed):
+ * segment s (plane max_plane - s) is the next seg_lens[s] bytes of
+ * `data`, decoded by its own fresh decoder with its own 64-byte overrun
+ * limit.  Returns 0, or 1 when some segment's decoder ran more than 64
+ * bytes past the end of that segment (BitstreamError in the caller;
+ * later segments are not decoded). */
+int rc_decode_tile(const uint8_t *data, const int64_t *seg_lens,
+                   int64_t n_segments, int64_t *mags, uint8_t *signs,
+                   uint8_t *sigs, uint8_t *nbrs, const int64_t *heights,
+                   const int64_t *widths, const int64_t *bases,
+                   int64_t n_bands, int64_t max_plane, int64_t *count0,
+                   int64_t *count1) {
+    int64_t off = 0;
+    for (int64_t s = 0; s < n_segments; s++) {
+        if (decode_plane(data + off, seg_lens[s], mags, signs, sigs, nbrs,
+                         heights, widths, bases, n_bands, max_plane - s,
+                         count0, count1))
+            return 1;
+        off += seg_lens[s];
+    }
     return 0;
 }
 
@@ -854,13 +919,69 @@ def _build(compiler: str) -> Path:
     return lib_path
 
 
+def _check_tile_buffers(
+    magnitudes: np.ndarray,
+    signs: np.ndarray,
+    significant: np.ndarray,
+    neighbours: np.ndarray,
+    heights: np.ndarray,
+    widths: np.ndarray,
+    bases: np.ndarray,
+    count0: np.ndarray,
+    count1: np.ndarray,
+) -> None:
+    """Refuse buffers the tile kernels would index out of bounds.
+
+    Every array must be contiguous with its kernel dtype; the four band
+    buffers must hold exactly the bands ``heights`` x ``widths`` describe,
+    and the context table every id from each band's base up to base + 4.
+    """
+    n_bands = heights.size
+    for array, dtype in (
+        (magnitudes, np.int64),
+        (signs, np.bool_),
+        (significant, np.uint8),
+        (neighbours, np.uint8),
+        (heights, np.int64),
+        (widths, np.int64),
+        (bases, np.int64),
+        (count0, np.int64),
+        (count1, np.int64),
+    ):
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise ValueError(
+                f"tile kernels need contiguous {np.dtype(dtype).name} "
+                f"buffers, got {array.dtype}"
+            )
+    size = int(heights @ widths)
+    n_contexts = int(bases.max()) + 5 if n_bands else 0
+    band_buffers = (magnitudes, signs, significant, neighbours)
+    if (
+        widths.size != n_bands
+        or bases.size != n_bands
+        or any(buffer.size != size for buffer in band_buffers)
+        or min(count0.size, count1.size) < n_contexts
+    ):
+        raise ValueError(
+            f"tile buffers do not match {n_bands} bands of {size} "
+            f"coefficients and {n_contexts} contexts"
+        )
+
+
 class CompiledKernels:
     """numpy-facing wrappers over the compiled kernel library."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
-        lib.rc_encode_plane.restype = ctypes.c_int64
-        lib.rc_decode_plane.restype = ctypes.c_int
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.rc_encode_tile.restype = i64
+        lib.rc_encode_tile.argtypes = (
+            [ptr] * 7 + [i64, i64] + [ptr] * 3 + [i64, ptr]
+        )
+        lib.rc_decode_tile.restype = ctypes.c_int
+        lib.rc_decode_tile.argtypes = (
+            [ptr, ptr, i64] + [ptr] * 7 + [i64, i64, ptr, ptr]
+        )
         for name in (
             "dwt97_forward2d",
             "dwt97_inverse2d",
@@ -876,88 +997,117 @@ class CompiledKernels:
             getattr(lib, name).restype = None
 
     # -- range coder ---------------------------------------------------
-    def encode_plane(
+    def encode_tile(
         self,
-        mag_ptrs: np.ndarray,
-        sign_ptrs: np.ndarray,
-        sig_ptrs: np.ndarray,
+        magnitudes: np.ndarray,
+        signs: np.ndarray,
+        significant: np.ndarray,
+        neighbours: np.ndarray,
         heights: np.ndarray,
         widths: np.ndarray,
         bases: np.ndarray,
-        plane: int,
+        max_plane: int,
         count0: np.ndarray,
         count1: np.ndarray,
-        total_size: int,
-    ) -> bytes:
-        """Fused encode of one whole plane across all bands.
+    ) -> list[bytes]:
+        """Fused encode of every plane of a tile, ``max_plane`` down to 0.
 
-        The pointer/shape arrays describe each band's contiguous int64
-        magnitudes, uint8 signs, and uint8 significance map (the caller
-        builds them once per encode); the significance maps and the
+        The first four arrays are flat and contiguous and hold the tile's
+        bands back to back in coding order: int64 magnitudes, bool signs,
+        and the zeroed uint8 significance maps and significant-neighbour
+        counts; ``heights``, ``widths`` and ``bases`` are each band's
+        int64 shape and context base.  The last two buffers and the
         shared ``count0``/``count1`` context table update in place,
-        exactly as the per-decision reference coder would.
+        exactly as the per-decision reference coder would.  Returns one
+        flushed codeword per plane, most significant first.
 
         The call mutates coder state, so it cannot be retried with a
         bigger buffer — the cap is a hard bound instead: the range coder
         emits at most 2 bytes per decision (each decision shrinks the
-        range by at least 2^-16, each output byte grows it by 2^8) and a
+        range by at least 2^-16, each output byte grows it by 2^8), a
         plane codes at most 2 decisions per coefficient (significance +
-        sign, or refinement).
+        sign, or refinement), and the tile's cap is that per-plane bound
+        summed over its planes.
         """
-        cap = 4 * total_size + 64
+        _check_tile_buffers(
+            magnitudes, signs, significant, neighbours,
+            heights, widths, bases, count0, count1,
+        )
+        n_planes = max(max_plane + 1, 0)
+        cap = n_planes * (4 * magnitudes.size + 64)
         out = np.empty(cap, dtype=np.uint8)
-        written = self._lib.rc_encode_plane(
-            ctypes.c_void_p(mag_ptrs.ctypes.data),
-            ctypes.c_void_p(sign_ptrs.ctypes.data),
-            ctypes.c_void_p(sig_ptrs.ctypes.data),
+        seg_lens = np.empty(n_planes, dtype=np.int64)
+        written = self._lib.rc_encode_tile(
+            ctypes.c_void_p(magnitudes.ctypes.data),
+            ctypes.c_void_p(signs.ctypes.data),
+            ctypes.c_void_p(significant.ctypes.data),
+            ctypes.c_void_p(neighbours.ctypes.data),
             ctypes.c_void_p(heights.ctypes.data),
             ctypes.c_void_p(widths.ctypes.data),
             ctypes.c_void_p(bases.ctypes.data),
-            ctypes.c_int64(mag_ptrs.size),
-            ctypes.c_int64(plane),
+            ctypes.c_int64(heights.size),
+            ctypes.c_int64(max_plane),
             ctypes.c_void_p(count0.ctypes.data),
             ctypes.c_void_p(count1.ctypes.data),
             ctypes.c_void_p(out.ctypes.data),
             ctypes.c_int64(cap),
+            ctypes.c_void_p(seg_lens.ctypes.data),
         )
         if written < 0:  # unreachable by the bound above
-            raise RuntimeError("rc_encode_plane output exceeded hard bound")
-        return out[:written].tobytes()
+            raise RuntimeError("rc_encode_tile output exceeded hard bound")
+        ends = np.cumsum(seg_lens).tolist()
+        return [
+            out[start:end].tobytes() for start, end in zip([0, *ends], ends)
+        ]
 
-    def decode_plane(
+    def decode_tile(
         self,
-        data: bytes,
-        mag_ptrs: np.ndarray,
-        sign_ptrs: np.ndarray,
-        sig_ptrs: np.ndarray,
+        datas: "list[bytes]",
+        magnitudes: np.ndarray,
+        signs: np.ndarray,
+        significant: np.ndarray,
+        neighbours: np.ndarray,
         heights: np.ndarray,
         widths: np.ndarray,
         bases: np.ndarray,
-        plane: int,
+        max_plane: int,
         count0: np.ndarray,
         count1: np.ndarray,
     ) -> bool:
-        """Fused decode of one whole plane segment across all bands.
+        """Fused decode of a tile's kept plane segments, in one call.
 
-        The mirror of :meth:`encode_plane` over the same pointer/shape
-        arrays (int64 magnitudes, uint8 signs and significance maps, all
-        zeroed before the first plane): the decoded bits land in those
-        arrays and the shared ``count0``/``count1`` table in place.
-        Returns False when the decoder ran more than 64 bytes past the
-        end of ``data`` (a malformed stream).
+        The mirror of :meth:`encode_tile` over the same band layout, with
+        every buffer zeroed: ``datas[k]`` is the codeword of plane
+        ``max_plane - k``, and the decoded bits land in the buffers and
+        the shared ``count0``/``count1`` table in place.  Returns False
+        when some segment's decoder ran more than 64 bytes past the end
+        of that segment (a malformed stream); the segments after it are
+        left undecoded.
         """
-        buf = np.frombuffer(data, dtype=np.uint8)
-        status = self._lib.rc_decode_plane(
+        _check_tile_buffers(
+            magnitudes, signs, significant, neighbours,
+            heights, widths, bases, count0, count1,
+        )
+        if len(datas) > max(max_plane + 1, 0):
+            raise ValueError(
+                f"{len(datas)} segments from plane {max_plane} reach "
+                "below plane 0"
+            )
+        buf = np.frombuffer(b"".join(datas), dtype=np.uint8)
+        seg_lens = np.fromiter(map(len, datas), np.int64, count=len(datas))
+        status = self._lib.rc_decode_tile(
             ctypes.c_void_p(buf.ctypes.data),
-            ctypes.c_int64(buf.size),
-            ctypes.c_void_p(mag_ptrs.ctypes.data),
-            ctypes.c_void_p(sign_ptrs.ctypes.data),
-            ctypes.c_void_p(sig_ptrs.ctypes.data),
+            ctypes.c_void_p(seg_lens.ctypes.data),
+            ctypes.c_int64(seg_lens.size),
+            ctypes.c_void_p(magnitudes.ctypes.data),
+            ctypes.c_void_p(signs.ctypes.data),
+            ctypes.c_void_p(significant.ctypes.data),
+            ctypes.c_void_p(neighbours.ctypes.data),
             ctypes.c_void_p(heights.ctypes.data),
             ctypes.c_void_p(widths.ctypes.data),
             ctypes.c_void_p(bases.ctypes.data),
-            ctypes.c_int64(mag_ptrs.size),
-            ctypes.c_int64(plane),
+            ctypes.c_int64(heights.size),
+            ctypes.c_int64(max_plane),
             ctypes.c_void_p(count0.ctypes.data),
             ctypes.c_void_p(count1.ctypes.data),
         )

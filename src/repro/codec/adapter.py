@@ -27,8 +27,9 @@ class RealCodecAdapter:
         n_layers: Quality layers per encoded image.
         backend: Entropy-coding engine name from the backend registry
             (``None`` resolves through the registry precedence chain —
-            explicit argument, ``$REPRO_CODEC_BACKEND``, then
-            ``"reference"``).  All engines are bit-exact.
+            explicit argument, ``$REPRO_CODEC_BACKEND``, then the
+            ``"real"`` best-available engine).  All engines are
+            bit-exact.
     """
 
     def __init__(

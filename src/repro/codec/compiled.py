@@ -1,12 +1,15 @@
 """Compiled plane coder: native C kernels, byte-identical bitstreams.
 
 :class:`CompiledPlaneCoder` is the ``compiled`` registry backend.  Both
-directions run one native call per plane (:mod:`repro.codec._ckernels`).
-Encode fuses significance / refinement pass assembly, the adaptive
-context model, and the Subbotin range coder.  Decode is its mirror: the
-kernel primes a fresh range decoder and walks every band's passes,
-taking each significance context from the start-of-plane state in C, so
-no per-pass context preparation or marshalling happens in Python.  The
+directions run one native call per tile (:mod:`repro.codec._ckernels`).
+Encode codes every plane, fusing significance / refinement pass
+assembly, the adaptive context model, and the Subbotin range coder, and
+returns each plane's codeword.  Decode is its mirror: one call takes the
+kept segments back to back, primes a fresh range decoder per segment and
+walks every band's passes.  Each band keeps a count of its significant
+neighbours, bumped once when a coefficient turns significant, so a
+significance context is one lookup in the start-of-plane state and no
+per-pass context preparation or marshalling happens in Python.  The
 kernels are exact ports, so the output is byte-identical to both the
 reference and vectorized coders at every truncation point; the
 differential, golden, and corruption harnesses enforce this for all
@@ -44,26 +47,36 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
                 f"compiled kernels unavailable: {_ckernels.unavailable_reason()}"
             )
         self._kernels = kernels
+        # The tile kernels read the bands back to back from one flat
+        # buffer per array, described by each band's shape and context
+        # base; `_extents` locates each band in those buffers.
+        shapes = [shape for _, _, shape in band_shapes]
+        self._geometry = (
+            np.array([h for h, _ in shapes], dtype=np.int64),
+            np.array([w for _, w in shapes], dtype=np.int64),
+            np.asarray(self._bases, dtype=np.int64),
+        )
+        ends = np.cumsum([h * w for h, w in shapes], dtype=np.int64).tolist()
+        self._size = ends[-1] if ends else 0
+        self._extents = list(zip([0, *ends], ends, shapes))
 
-    def _plane_args(
-        self,
-        magnitudes: list[np.ndarray],
-        signs: list[np.ndarray],
-        significant: list[np.ndarray],
-    ) -> tuple[np.ndarray, ...]:
-        """Per-band pointer and shape arrays the plane kernels walk.
-
-        Built once per encode or decode; every array must be contiguous
-        and stay alive for the whole call.
-        """
-        ptrs = [
-            np.array([a.ctypes.data for a in arrays], dtype=np.int64)
-            for arrays in (magnitudes, signs, significant)
+    def _bands_of(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-band views of a flat buffer of the tile's bands."""
+        return [
+            flat[start:end].reshape(shape)
+            for start, end, shape in self._extents
         ]
-        heights = np.array([m.shape[0] for m in magnitudes], dtype=np.int64)
-        widths = np.array([m.shape[1] for m in magnitudes], dtype=np.int64)
-        bases = np.asarray(self._bases, dtype=np.int64)
-        return (*ptrs, heights, widths, bases)
+
+    def _state(self) -> tuple[np.ndarray, ...]:
+        """Fresh coder state for one tile, each array contiguous.
+
+        The zeroed significance maps and significant-neighbour counts
+        (flat, like the bands) and the ``count0``/``count1`` context
+        table.
+        """
+        maps = np.zeros((2, self._size), dtype=np.uint8)
+        counts = np.ones((2, self._n_contexts), dtype=np.int64)
+        return maps[0], maps[1], counts[0], counts[1]
 
     # ------------------------------------------------------------------
     # Encoding
@@ -73,28 +86,27 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
     ) -> list[PlaneSegment]:
         """Encode all planes from ``max_plane`` down to 0 (see reference).
 
-        One native call per plane does everything — plane assembly,
-        adaptive context modelling, range coding — so no decision stream
-        is ever materialized on the Python side.
+        One native call does everything for every plane — plane
+        assembly, adaptive context modelling, range coding — so no
+        decision stream is ever materialized on the Python side.
         """
         check_bands(self.band_shapes, bands)
-        magnitudes = [
-            np.ascontiguousarray(np.abs(band).astype(np.int64))
-            for band in bands
+        magnitudes = np.empty(self._size, dtype=np.int64)
+        signs = np.empty(self._size, dtype=bool)
+        for band, magnitude, sign in zip(
+            bands, self._bands_of(magnitudes), self._bands_of(signs)
+        ):
+            magnitude[...] = np.abs(band)
+            sign[...] = band < 0
+        significant, neighbours, count0, count1 = self._state()
+        datas = self._kernels.encode_tile(
+            magnitudes, signs, significant, neighbours, *self._geometry,
+            max_plane, count0, count1,
+        )
+        return [
+            PlaneSegment(plane=max_plane - k, data=data)
+            for k, data in enumerate(datas)
         ]
-        signs = [np.ascontiguousarray(band < 0) for band in bands]
-        significant = [np.zeros(band.shape, dtype=np.uint8) for band in bands]
-        count0 = np.ones(self._n_contexts, dtype=np.int64)
-        count1 = np.ones(self._n_contexts, dtype=np.int64)
-        args = self._plane_args(magnitudes, signs, significant)
-        total_size = int(sum(m.size for m in magnitudes))
-        segments: list[PlaneSegment] = []
-        for plane in range(max_plane, -1, -1):
-            data = self._kernels.encode_plane(
-                *args, plane, count0, count1, total_size
-            )
-            segments.append(PlaneSegment(plane=plane, data=data))
-        return segments
 
     # ------------------------------------------------------------------
     # Decoding
@@ -104,23 +116,28 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
     ) -> list[np.ndarray]:
         """Decode a (possibly truncated) prefix of planes (see reference).
 
-        One native call per segment decodes the whole plane, every band.
+        One native call decodes every segment before the first one whose
+        plane is out of sequence.  Errors keep the per-segment order: an
+        overrun in a decoded segment wins over that later plane error.
         """
-        shapes = [shape for _, _, shape in self.band_shapes]
-        magnitudes = [np.zeros(shape, dtype=np.int64) for shape in shapes]
-        signs = [np.zeros(shape, dtype=bool) for shape in shapes]
-        significant = [np.zeros(shape, dtype=np.uint8) for shape in shapes]
-        count0 = np.ones(self._n_contexts, dtype=np.int64)
-        count1 = np.ones(self._n_contexts, dtype=np.int64)
-        args = self._plane_args(magnitudes, signs, significant)
-        expected_plane = max_plane
-        for segment in segments:
-            check_segment_plane(segment.plane, expected_plane)
-            if not self._kernels.decode_plane(
-                segment.data, *args, segment.plane, count0, count1
-            ):
-                raise BitstreamError(_OVERRUN_MSG)
-            expected_plane -= 1
-        for magnitude, sign in zip(magnitudes, signs):
-            np.negative(magnitude, out=magnitude, where=sign)
-        return magnitudes
+        magnitudes = np.zeros(self._size, dtype=np.int64)
+        signs = np.zeros(self._size, dtype=bool)
+        kept = next(
+            (
+                k
+                for k, segment in enumerate(segments)
+                if segment.plane != max_plane - k or segment.plane < 0
+            ),
+            len(segments),
+        )
+        significant, neighbours, count0, count1 = self._state()
+        if not self._kernels.decode_tile(
+            [segment.data for segment in segments[:kept]],
+            magnitudes, signs, significant, neighbours, *self._geometry,
+            max_plane, count0, count1,
+        ):
+            raise BitstreamError(_OVERRUN_MSG)
+        if kept < len(segments):
+            check_segment_plane(segments[kept].plane, max_plane - kept)
+        np.negative(magnitudes, out=magnitudes, where=signs)
+        return self._bands_of(magnitudes)

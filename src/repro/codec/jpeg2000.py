@@ -324,7 +324,7 @@ class ImageCodec:
             (``"reference"``, ``"vectorized"``, ``"compiled"``, or the
             ``"real"`` best-available alias).  ``None`` (default) resolves
             through the registry precedence chain — explicit argument,
-            then ``$REPRO_CODEC_BACKEND``, then ``"reference"``.  All
+            then ``$REPRO_CODEC_BACKEND``, then ``"real"``.  All
             engines are bit-exact: identical bitstreams, identical
             reconstructions.
     """

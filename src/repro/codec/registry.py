@@ -10,11 +10,13 @@ which applies one precedence order everywhere:
 1. an explicit ``backend=`` argument,
 2. the engine named by ``EarthPlusConfig.codec_backend``,
 3. the ``REPRO_CODEC_BACKEND`` environment variable (read at call time),
-4. the default (``"reference"`` for a bare :class:`ImageCodec`).
+4. the default, ``"real"`` (so a bare :class:`ImageCodec` runs the best
+   available engine).
 
 The name ``"real"`` is a virtual alias meaning "the best available
 bit-exact engine" — ``compiled`` when the native kernels built, else
-``vectorized``.  Requesting ``compiled`` on a machine without a C
+``vectorized``.  The per-bit ``reference`` engine stays registered and
+runs only when named.  Requesting ``compiled`` on a machine without a C
 toolchain warns once and falls back to ``vectorized`` (same bitstreams,
 slower), so configs are portable across machines.
 
@@ -139,7 +141,7 @@ def best_available() -> CodecBackend:
 def resolve(
     explicit: "str | None" = None,
     config_backend: "str | None" = None,
-    default: str = "reference",
+    default: str = REAL_ALIAS,
 ) -> CodecBackend:
     """Resolve the engine to use, applying the one true precedence order.
 
@@ -177,7 +179,7 @@ def resolve(
 def resolve_name(
     explicit: "str | None" = None,
     config_backend: "str | None" = None,
-    default: str = "reference",
+    default: str = REAL_ALIAS,
 ) -> str:
     """:func:`resolve`, returning just the engine name (for worker args)."""
     return resolve(explicit, config_backend, default).name

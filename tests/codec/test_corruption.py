@@ -138,7 +138,9 @@ def _decode_outcome(parsed: EncodedImage, backend: str):
 @pytest.fixture(scope="module")
 def valid_container() -> bytes:
     image = fractal_noise((64, 64), seed=31337, octaves=4, base_cells=4)
-    codec = ImageCodec(CodecConfig(tile_size=32, base_step=1 / 128))
+    codec = ImageCodec(
+        CodecConfig(tile_size=32, base_step=1 / 128), backend="reference"
+    )
     return codec.encode(image, n_layers=2).to_bytes()
 
 
@@ -159,10 +161,15 @@ class TestContainerEntryPoint:
             with pytest.raises(BitstreamError):
                 EncodedImage.from_bytes(data[:cut])
 
-    def test_single_byte_corruptions_parse_or_raise(self, valid_container):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_single_byte_corruptions_parse_or_raise(
+        self, valid_container, backend
+    ):
         """Flip every byte (sampled) → parse + decode never leak raw errors."""
         data = bytearray(valid_container)
-        codec = ImageCodec(CodecConfig(tile_size=32, base_step=1 / 128))
+        codec = ImageCodec(
+            CodecConfig(tile_size=32, base_step=1 / 128), backend=backend
+        )
         rng = np.random.default_rng(7)
         positions = rng.choice(len(data), size=min(160, len(data)), replace=False)
         for pos in positions:

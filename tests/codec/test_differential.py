@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.bitplane import PlaneSegment, SubbandPlaneCoder
+from repro.codec.bitplane import (
+    PlaneSegment,
+    SubbandPlaneCoder,
+    _neighbor_count,
+)
 from repro.codec.fastpath import (
     BatchContextTable,
     BatchRangeEncoder,
@@ -26,7 +30,7 @@ from repro.errors import BitstreamError
 from repro.imagery.noise import fractal_noise
 
 
-from repro.codec import registry
+from repro.codec import _ckernels, registry
 
 #: Every available engine joins the differential harness (``compiled``
 #: drops out only on machines without a C toolchain).
@@ -193,6 +197,200 @@ class TestPlaneCoderDifferential:
         _, fast = coder_pair([(4, 4)])
         with pytest.raises(BitstreamError):
             fast.encode([rng.integers(0, 4, (5, 4))], 2)
+
+
+#: Shapes at the edges of the tile kernels' neighbour walk: a single
+#: coefficient, one row, one column, all-corner, and odd both ways.
+EDGE_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 5)]
+
+
+def border_first_band(rng, shape):
+    """A band whose border coefficients turn significant first.
+
+    Border positions take one new top bit per plane (alternating sign),
+    so each arrival bumps neighbour counts that the band edge clips; the
+    interior is small noise that turns significant later.
+    """
+    height, width = shape
+    band = rng.integers(-3, 4, shape)
+    border = [
+        (y, x)
+        for y in range(height)
+        for x in range(width)
+        if y in (0, height - 1) or x in (0, width - 1)
+    ]
+    for k, (y, x) in enumerate(border):
+        band[y, x] = (-1) ** k * (1 << (12 - k % 10))
+    return band
+
+
+class TestTileKernelEdgeCases:
+    """Every engine against the reference at every truncation prefix, on
+    the shapes and significance patterns at the edges of the tile kernels
+    (neighbour counts, context sharing, plane count)."""
+
+    @pytest.mark.parametrize("shape", EDGE_SHAPES)
+    def test_small_subband_shapes(self, rng, shape):
+        assert_bitstreams_identical([rng.integers(-300, 300, shape)])
+
+    def test_small_subbands_in_one_tile(self, rng):
+        assert_bitstreams_identical(
+            [rng.integers(-300, 300, shape) for shape in EDGE_SHAPES]
+        )
+
+    @pytest.mark.parametrize("shape", [(6, 7), (1, 8), (8, 1), (2, 2), (3, 5)])
+    def test_corners_and_edges_turn_significant_first(self, rng, shape):
+        assert_bitstreams_identical([border_first_band(rng, shape)])
+
+    def test_band_fully_significant_at_top_plane(self, rng):
+        top = 6
+        full = rng.integers(1 << top, 1 << (top + 1), (9, 11))
+        full *= rng.choice([-1, 1], full.shape)
+        bands = [full, rng.integers(-5, 6, (4, 4))]
+        assert_bitstreams_identical(bands, max_plane=top)
+
+    def test_more_than_eight_planes(self, rng):
+        bands = [
+            rng.integers(-(1 << 13), 1 << 13, (10, 12)),
+            rng.integers(-(1 << 10), 1 << 10, (5, 6)),
+        ]
+        assert len(assert_bitstreams_identical(bands)) > 8
+
+    def test_max_plane_above_the_top_bit(self, rng):
+        """Leading planes with nothing significant still code every band."""
+        bands = [rng.integers(-20, 21, (5, 5)), rng.integers(-3, 4, (2, 3))]
+        assert len(assert_bitstreams_identical(bands, max_plane=12)) == 13
+
+    def test_repeated_labels_share_contexts_across_shapes(self, rng):
+        shapes = [(1, 1), (3, 5), (2, 2), (5, 3), (1, 4), (4, 1)]
+        labels = ["a", "b", "a", "b", "a", "c"]
+        bands = [rng.integers(-60, 61, shape) for shape in shapes]
+        assert_bitstreams_identical(bands, labels=labels)
+
+    @pytest.mark.skipif(
+        "compiled" not in BACKENDS, reason="compiled kernels unavailable"
+    )
+    def test_neighbour_counts_track_significance(self, rng):
+        """After plane 0 every nonzero coefficient is significant, and each
+        position's count is its number of significant 8-neighbours, both
+        ways and in every band of the flat layout."""
+        kernels = _ckernels.load()
+        bands = [border_first_band(rng, shape) for shape in EDGE_SHAPES]
+        top = top_plane(bands)
+        heights = np.array([b.shape[0] for b in bands], dtype=np.int64)
+        widths = np.array([b.shape[1] for b in bands], dtype=np.int64)
+        bases = np.arange(len(bands), dtype=np.int64) * 5
+        size = sum(b.size for b in bands)
+
+        def split(flat):
+            ends = np.cumsum([b.size for b in bands])
+            return [
+                part.reshape(b.shape)
+                for part, b in zip(np.split(flat, ends[:-1]), bands)
+            ]
+
+        def check(significant, neighbours):
+            for band, sig, nbr in zip(
+                bands, split(significant), split(neighbours)
+            ):
+                assert np.array_equal(sig, band != 0)
+                assert np.array_equal(nbr, _neighbor_count(sig))
+
+        mags = np.concatenate([np.abs(b).ravel() for b in bands])
+        signs = np.concatenate([(b < 0).ravel() for b in bands])
+        significant = np.zeros(size, dtype=np.uint8)
+        neighbours = np.zeros(size, dtype=np.uint8)
+        counts = np.ones((2, 5 * len(bands)), dtype=np.int64)
+        datas = kernels.encode_tile(
+            mags, signs, significant, neighbours,
+            heights, widths, bases, top, counts[0], counts[1],
+        )
+        check(significant, neighbours)
+        decoded = np.zeros(size, dtype=np.int64)
+        decoded_signs = np.zeros(size, dtype=bool)
+        significant[:] = 0
+        neighbours[:] = 0
+        counts[:] = 1
+        assert kernels.decode_tile(
+            datas, decoded, decoded_signs, significant, neighbours,
+            heights, widths, bases, top, counts[0], counts[1],
+        )
+        assert np.array_equal(decoded, mags)
+        assert np.array_equal(decoded_signs, signs)
+        check(significant, neighbours)
+
+    @pytest.mark.skipif(
+        "compiled" not in BACKENDS, reason="compiled kernels unavailable"
+    )
+    def test_tile_kernels_refuse_mismatched_buffers(self):
+        kernels = _ckernels.load()
+        shape = np.array([4], dtype=np.int64)
+        base = np.zeros(1, dtype=np.int64)
+        counts = np.ones((2, 5), dtype=np.int64)
+
+        def buffers(size=16, sign_dtype=bool, n_contexts=5):
+            return (
+                np.zeros(size, dtype=np.int64),
+                np.zeros(16, dtype=sign_dtype),
+                np.zeros(16, dtype=np.uint8),
+                np.zeros(16, dtype=np.uint8),
+                shape, shape, base,
+                0, counts[0, :n_contexts], counts[1],
+            )
+
+        kernels.encode_tile(*buffers())
+        for bad in (
+            buffers(size=15),
+            buffers(sign_dtype=np.int64),
+            buffers(n_contexts=4),
+        ):
+            with pytest.raises(ValueError):
+                kernels.encode_tile(*bad)
+            with pytest.raises(ValueError):
+                kernels.decode_tile([b""], *bad)
+        with pytest.raises(ValueError, match="below plane 0"):
+            kernels.decode_tile([b"", b""], *buffers())
+
+@pytest.fixture(scope="module")
+def sign_heavy_segments():
+    """A 64x64 band whose top plane is 4096 ones with random signs.
+
+    Its top-plane codeword cut to 32 bytes runs the decoder more than 64
+    bytes past the end (the sign decisions cost about a bit each, however
+    the zero fill decodes).  Returns ``(top, segments, cut segment)``.
+    """
+    rng = np.random.default_rng(0)
+    top = 4
+    band = (1 << top) * rng.choice([-1, 1], (64, 64))
+    segments = VectorizedPlaneCoder([("b0", 1, band.shape)]).encode([band], top)
+    cut = PlaneSegment(plane=top, data=segments[0].data[:32])
+    return top, segments, cut
+
+
+class TestDecodeErrorOrder:
+    """Segments fail in order under every engine: a decoded segment's
+    overrun wins over a later out-of-sequence plane, and a clean segment
+    lets that plane's error through."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_overrun_then_out_of_sequence_plane(
+        self, sign_heavy_segments, backend
+    ):
+        top, segments, cut = sign_heavy_segments
+        coder = all_coders([(64, 64)])[backend]
+        with pytest.raises(BitstreamError, match="ran far past end of data"):
+            coder.decode([cut, segments[2]], top)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_clean_segment_then_out_of_sequence_plane(
+        self, sign_heavy_segments, backend
+    ):
+        top, segments, _ = sign_heavy_segments
+        coder = all_coders([(64, 64)])[backend]
+        with pytest.raises(
+            BitstreamError, match=f"expected {top - 1}, got {top - 2}"
+        ):
+            coder.decode([segments[0], segments[2]], top)
 
 
 class TestBatchedCoderApi:

@@ -282,10 +282,11 @@ class TestEstimateLayout:
         spy = mock.Mock(wraps=ratemodel._histograms_per_block)
         monkeypatch.setattr(ratemodel, "_histograms_per_block", spy)
         first = model.estimate_with_stats(batch, 1 / 512)
-        assert spy.call_count == (0 if registry.kernels() else 1)
+        numpy_calls = spy.call_count
+        assert numpy_calls == (0 if registry.kernels() else 1)
         monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
         second = model.estimate_with_stats(batch, 1 / 512)
-        assert spy.call_count == (1 if registry.kernels() is None else 2)
+        assert spy.call_count == numpy_calls + 1
         assert first == second == _reference_estimate(model, batch, 1 / 512)
 
     @pytest.mark.parametrize("step", [0.0, -1 / 512])

@@ -34,8 +34,9 @@ class TestResolution:
     def test_builtins_registered_in_speed_order(self):
         assert registry.names() == ("reference", "vectorized", "compiled")
 
-    def test_default_is_reference(self):
-        assert registry.resolve_name() == "reference"
+    def test_default_is_best_available(self):
+        assert registry.resolve_name() == registry.best_available().name
+        assert ImageCodec().backend == registry.best_available().name
 
     def test_explicit_beats_everything(self, monkeypatch):
         monkeypatch.setenv(registry.ENV_BACKEND, "reference")
@@ -51,6 +52,8 @@ class TestResolution:
         assert registry.resolve_name(config_backend="vectorized") == "vectorized"
 
     def test_env_beats_default_and_is_read_at_call_time(self, monkeypatch):
+        assert registry.resolve_name() == registry.best_available().name
+        monkeypatch.setenv(registry.ENV_BACKEND, "reference")
         assert registry.resolve_name() == "reference"
         monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
         assert registry.resolve_name() == "vectorized"
