@@ -94,8 +94,10 @@ def _clear_warm_state(dataset) -> None:
         sensor._capture_cache_bytes = 0
     for model in dataset.earth_models.values():
         model._surface_cache.clear()
-        model._patch_cache.clear()
+        model._block_cache.clear()
         model._snow_texture_cache.clear()
+        for changes in model._change_models.values():
+            changes._jumps.clear()
     dataset.schedule.invalidate_order()
 
 

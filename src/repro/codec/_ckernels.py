@@ -24,7 +24,11 @@ Python inner loop:
   like the numpy elementwise pipeline;
 * the rate model's magnitude→top-bit histogram and descending plane walk
   (the entropy matrix stays in numpy — ``np.log2`` — so transcendental
-  rounding can never drift between backends).
+  rounding can never drift between backends);
+* imagery synthesis, one call per field: a fractal-noise field sums every
+  octave's Hermite-blended lattice and normalizes it, and a capture band
+  is rendered (illumination, cloud composite, sensor noise, clips) in
+  one pass; the lattices and the noise stay numpy draws.
 
 Float identity therefore holds to the last ulp, and the integer kernels
 are trivially exact; the differential/golden/corruption suites enforce
@@ -818,29 +822,202 @@ void rc_dequantize_multi(const int64_t *ptrs, const int64_t *ns,
     }
 }
 
-/* Bilinear value-noise interpolation: gather four lattice corners per
- * pixel and blend with precomputed Hermite weights.  The arithmetic is
- * exactly numpy's broadcast expression, term for term:
- *   top    = v00 * (1 - tx) + v01 * tx
- *   bottom = v10 * (1 - tx) + v11 * tx
- *   out    = top * (1 - ty) + bottom * ty
- * (no fused multiply-add: built with -ffp-contract=off). */
-void noise_bilerp(const double *lattice, int64_t stride,
-                  const int64_t *flat00, const double *ty, const double *tx,
-                  int64_t height, int64_t width, double *out) {
-    for (int64_t y = 0; y < height; y++) {
-        double wy = ty[y];
-        const int64_t *f = flat00 + y * width;
-        double *o = out + y * width;
-        for (int64_t x = 0; x < width; x++) {
-            const double *cell = lattice + f[x];
-            double wx = tx[x];
-            double top = cell[0] * (1.0 - wx) + cell[1] * wx;
-            double bottom =
-                cell[stride] * (1.0 - wx) + cell[stride + 1] * wx;
-            o[x] = top * (1.0 - wy) + bottom * wy;
+/* ------------------------------------------------------------------ */
+/* Imagery: fractal value noise and the per-band capture render        */
+/* ------------------------------------------------------------------ */
+
+/* The per-pixel loops below run in blocks of LANES with a fixed-length
+ * inner loop, which gcc vectorizes at -O2 (its cheap cost model skips a
+ * loop of unknown length); each element's arithmetic is unchanged. */
+#define LANES 8
+
+/* Horizontal Hermite blend of one lattice row at every pixel column:
+ *   out[x] = row[x0[x]] * (1 - tx[x]) + row[x0[x] + 1] * tx[x]
+ * the top (or bottom) term of numpy's value-noise blend, element for
+ * element. */
+static void blend_lattice_row(const double *row, const int64_t *x0,
+                              const double *tx, int64_t width,
+                              double *out) {
+    for (int64_t x = 0; x < width; x++) {
+        double wx = tx[x];
+        out[x] = row[x0[x]] * (1.0 - wx) + row[x0[x] + 1] * wx;
+    }
+}
+
+/* One octave's term added to one pixel row of the running total:
+ *   total += amplitude * (top * (1 - wy) + bottom * wy) */
+static inline double octave_sum(double total, double top, double bottom,
+                                double wy, double amplitude) {
+    return total + amplitude * (top * (1.0 - wy) + bottom * wy);
+}
+
+static void add_octave_row(double *restrict total,
+                           const double *restrict top,
+                           const double *restrict bottom, double wy,
+                           double amplitude, int64_t width) {
+    int64_t x = 0;
+    for (; x + LANES <= width; x += LANES)
+        for (int j = 0; j < LANES; j++)
+            total[x + j] =
+                octave_sum(total[x + j], top[x + j], bottom[x + j], wy,
+                           amplitude);
+    for (; x < width; x++)
+        total[x] = octave_sum(total[x], top[x], bottom[x], wy, amplitude);
+}
+
+/* The minimum and maximum of v[0..n).  Exact in any order: the values
+ * are finite and never -0.0 (sums of non-negative terms from +0.0). */
+static void value_range(const double *v, int64_t n, double *lo,
+                        double *hi) {
+    double lows[LANES], highs[LANES];
+    for (int j = 0; j < LANES; j++) {
+        lows[j] = INFINITY;
+        highs[j] = -INFINITY;
+    }
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES)
+        for (int j = 0; j < LANES; j++) {
+            lows[j] = v[i + j] < lows[j] ? v[i + j] : lows[j];
+            highs[j] = v[i + j] > highs[j] ? v[i + j] : highs[j];
+        }
+    for (; i < n; i++) {
+        lows[0] = v[i] < lows[0] ? v[i] : lows[0];
+        highs[0] = v[i] > highs[0] ? v[i] : highs[0];
+    }
+    *lo = lows[0];
+    *hi = highs[0];
+    for (int j = 1; j < LANES; j++) {
+        *lo = lows[j] < *lo ? lows[j] : *lo;
+        *hi = highs[j] > *hi ? highs[j] : *hi;
+    }
+}
+
+/* (total / amplitude_sum - lo) / span, element by element. */
+static inline double normalized(double total, double amplitude_sum,
+                                double lo, double span) {
+    return (total / amplitude_sum - lo) / span;
+}
+
+/* A whole fractal-noise field in one call, operation for operation the
+ * numpy path of fractal_noise (no fused multiply-add: built with
+ * -ffp-contract=off):
+ *   total += amplitude[k] * (top * (1 - ty) + bottom * ty)   per octave
+ *   total /= amplitude_sum, then (total - lo) / (hi - lo)
+ * with lo/hi the field's min/max, or zeros when hi - lo < 1e-12.
+ * Octave k's lattice starts at lattices + offsets[k] with cols[k] values
+ * per row; its pixel geometry is y0/ty at k * height (each pixel row's
+ * upper lattice row and Hermite weight) and x0/tx at k * width (each
+ * column's left lattice column and weight).  Pixel rows sharing a
+ * lattice row pair share its two horizontal blends, computed once into
+ * `scratch` (2 * width doubles).  Rounding is monotonic, so the min/max
+ * of total / amplitude_sum are the min/max of total, divided: one pass
+ * finds them and one more divides and normalizes. */
+void fractal_field(const double *lattices, const int64_t *offsets,
+                   const int64_t *cols, const int64_t *y0, const double *ty,
+                   const int64_t *x0, const double *tx,
+                   const double *amplitudes, int64_t octaves,
+                   double amplitude_sum, int64_t height, int64_t width,
+                   double *scratch, double *out) {
+    int64_t n = height * width;
+    for (int64_t i = 0; i < n; i++) out[i] = 0.0;
+    for (int64_t k = 0; k < octaves; k++) {
+        const double *lattice = lattices + offsets[k];
+        int64_t stride = cols[k];
+        const int64_t *rows = y0 + k * height;
+        const double *wys = ty + k * height;
+        const int64_t *lefts = x0 + k * width;
+        const double *wxs = tx + k * width;
+        double *top = scratch, *bottom = scratch + width;
+        int64_t upper = -1;
+        for (int64_t y = 0; y < height; y++) {
+            int64_t r = rows[y];
+            if (r != upper) {
+                if (upper >= 0 && r == upper + 1) {
+                    double *swap = top;
+                    top = bottom;
+                    bottom = swap;
+                } else {
+                    blend_lattice_row(lattice + r * stride, lefts, wxs,
+                                      width, top);
+                }
+                blend_lattice_row(lattice + (r + 1) * stride, lefts, wxs,
+                                  width, bottom);
+                upper = r;
+            }
+            add_octave_row(out + y * width, top, bottom, wys[y],
+                           amplitudes[k], width);
         }
     }
+    double lo, hi;
+    value_range(out, n, &lo, &hi);
+    lo = lo / amplitude_sum;
+    hi = hi / amplitude_sum;
+    double span = hi - lo;
+    if (span < 1e-12) {
+        for (int64_t i = 0; i < n; i++) out[i] = 0.0;
+        return;
+    }
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES)
+        for (int j = 0; j < LANES; j++)
+            out[i + j] = normalized(out[i + j], amplitude_sum, lo, span);
+    for (; i < n; i++) out[i] = normalized(out[i], amplitude_sum, lo, span);
+}
+
+/* numpy's clip to [0, 1]: min(max(v, 0), 1), each bound winning ties. */
+static inline double clip_unit(double v) {
+    v = v > 0.0 ? v : 0.0;
+    return v < 1.0 ? v : 1.0;
+}
+
+/* One pixel of a band: illumination, the cloud blend and the noise add,
+ * clipped.  A zero alpha or noise leaves the pixel as it was: v is never
+ * -0.0, so v * (1 - 0) + c * 0 and v + 0.0 are v. */
+static inline double observed(double surface, double gain, double offset,
+                              double alpha, double cloud_value,
+                              double noise) {
+    double v = clip_unit(surface * gain + offset);
+    v = v * (1.0 - alpha) + cloud_value * alpha;
+    return clip_unit(v + noise);
+}
+
+/* render_band's loop, inlined into one copy per combination of present
+ * arrays so that every copy vectorizes without a branch per pixel. */
+static inline __attribute__((always_inline)) void render_pixels_of(
+    double *restrict pixels, int64_t n, double gain, double offset,
+    const double *restrict alpha, double cloud_value,
+    const double *restrict noise) {
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES)
+        for (int j = 0; j < LANES; j++)
+            pixels[i + j] = observed(pixels[i + j], gain, offset,
+                                     alpha ? alpha[i + j] : 0.0,
+                                     cloud_value,
+                                     noise ? noise[i + j] : 0.0);
+    for (; i < n; i++)
+        pixels[i] = observed(pixels[i], gain, offset,
+                             alpha ? alpha[i] : 0.0, cloud_value,
+                             noise ? noise[i] : 0.0);
+}
+
+/* One band of a capture in one pass, in place over the ground truth in
+ * `pixels`, operation for operation the numpy path of render_pixels:
+ *   v = clip(surface * gain + offset)                illumination
+ *   v = v * (1 - alpha) + cloud_value * alpha        cloud composite
+ *   pixel = clip(v + noise)                          sensor noise
+ * `alpha` (zero off the cloud mask) is NULL for a cloud-free capture and
+ * `noise` NULL for a noise-free one; neither overlaps `pixels`. */
+void render_band(double *restrict pixels, int64_t n, double gain,
+                 double offset, const double *restrict alpha,
+                 double cloud_value, const double *restrict noise) {
+    if (alpha && noise)
+        render_pixels_of(pixels, n, gain, offset, alpha, cloud_value, noise);
+    else if (alpha)
+        render_pixels_of(pixels, n, gain, offset, alpha, cloud_value, NULL);
+    else if (noise)
+        render_pixels_of(pixels, n, gain, offset, NULL, cloud_value, noise);
+    else
+        render_pixels_of(pixels, n, gain, offset, NULL, cloud_value, NULL);
 }
 """
 
@@ -968,6 +1145,11 @@ def _check_tile_buffers(
         )
 
 
+def _address(array: "np.ndarray | None") -> ctypes.c_void_p:
+    """A buffer's data address for a kernel argument (NULL for None)."""
+    return ctypes.c_void_p(None if array is None else array.ctypes.data)
+
+
 class CompiledKernels:
     """numpy-facing wrappers over the compiled kernel library."""
 
@@ -992,7 +1174,8 @@ class CompiledKernels:
             "rc_plane_walk_bits",
             "rc_dequantize",
             "rc_dequantize_multi",
-            "noise_bilerp",
+            "fractal_field",
+            "render_band",
         ):
             getattr(lib, name).restype = None
 
@@ -1331,36 +1514,116 @@ class CompiledKernels:
             off += block.size
         return views
 
-    # -- procedural noise ----------------------------------------------
-    def noise_bilerp(
+    # -- imagery -------------------------------------------------------
+    def fractal_field(
         self,
-        lattice: np.ndarray,
-        stride: int,
-        flat00: np.ndarray,
-        ty: np.ndarray,
-        tx: np.ndarray,
+        lattices: np.ndarray,
+        offsets: np.ndarray,
+        cols: np.ndarray,
+        rows: "tuple[np.ndarray, np.ndarray]",
+        columns: "tuple[np.ndarray, np.ndarray]",
+        amplitudes: np.ndarray,
+        amplitude_sum: float,
+        shape: "tuple[int, int]",
     ) -> np.ndarray:
-        """Bilinear lattice interpolation for one value-noise octave.
+        """One normalized fractal-noise field, every octave in one call.
 
-        ``lattice`` is the contiguous float64 lattice (raveled indexing),
-        ``flat00`` the contiguous (height, width) int64 flat index of each
-        pixel's top-left corner, ``ty``/``tx`` the contiguous per-row /
-        per-column Hermite weights.  Bit-identical to the numpy broadcast
-        blend in :func:`repro.imagery.noise.value_noise`.
+        ``lattices`` holds every octave's float64 lattice back to back,
+        octave ``k`` starting at ``offsets[k]`` with ``cols[k]`` values
+        per row.  ``rows`` is each octave's per-pixel-row upper lattice
+        row (int64) and Hermite weight (float64), back to back by
+        octave; ``columns`` likewise per pixel column.  Bit-identical to
+        the numpy path of :func:`repro.imagery.noise.fractal_noise`.
         """
-        height, width = flat00.shape
-        out = np.empty((height, width), dtype=np.float64)
-        self._lib.noise_bilerp(
-            ctypes.c_void_p(lattice.ctypes.data),
-            ctypes.c_int64(stride),
-            ctypes.c_void_p(flat00.ctypes.data),
+        height, width = shape
+        octaves = amplitudes.size
+        y0, ty = rows
+        x0, tx = columns
+        for array, dtype, size in (
+            (offsets, np.int64, octaves),
+            (cols, np.int64, octaves),
+            (y0, np.int64, octaves * height),
+            (ty, np.float64, octaves * height),
+            (x0, np.int64, octaves * width),
+            (tx, np.float64, octaves * width),
+            (amplitudes, np.float64, octaves),
+            (lattices, np.float64, lattices.size),
+        ):
+            if (
+                array.dtype != dtype
+                or array.size != size
+                or not array.flags.c_contiguous
+            ):
+                raise ValueError(
+                    "fractal_field needs contiguous field plan arrays"
+                )
+        out = np.empty(shape, dtype=np.float64)
+        scratch = np.empty(2 * width, dtype=np.float64)
+        self._lib.fractal_field(
+            ctypes.c_void_p(lattices.ctypes.data),
+            ctypes.c_void_p(offsets.ctypes.data),
+            ctypes.c_void_p(cols.ctypes.data),
+            ctypes.c_void_p(y0.ctypes.data),
             ctypes.c_void_p(ty.ctypes.data),
+            ctypes.c_void_p(x0.ctypes.data),
             ctypes.c_void_p(tx.ctypes.data),
+            ctypes.c_void_p(amplitudes.ctypes.data),
+            ctypes.c_int64(octaves),
+            ctypes.c_double(amplitude_sum),
             ctypes.c_int64(height),
             ctypes.c_int64(width),
+            ctypes.c_void_p(scratch.ctypes.data),
             ctypes.c_void_p(out.ctypes.data),
         )
         return out
+
+    def render_band(
+        self,
+        surface: np.ndarray,
+        gain: float,
+        offset: float,
+        alpha: "np.ndarray | None",
+        cloud_value: float,
+        noise: "np.ndarray | None",
+    ) -> np.ndarray:
+        """Render one band of a capture in place over ``surface``.
+
+        ``surface`` is a writable, contiguous float64 image; it comes
+        back as the observed band: illumination (``gain``, ``offset``,
+        clip), the blend towards ``cloud_value`` with weight ``alpha``
+        (zero off the cloud mask), the ``noise`` add and the final clip.
+        ``alpha`` is None for a cloud-free capture and ``noise`` None for
+        a noise-free one.  Bit-identical to the numpy path of
+        :func:`repro.imagery.sensor.render_pixels`.
+        """
+        for array in (surface, alpha, noise):
+            if array is not None and (
+                array.dtype != np.float64
+                or array.shape != surface.shape
+                or not array.flags.c_contiguous
+            ):
+                raise ValueError(
+                    "render_band needs contiguous float64 arrays shaped "
+                    f"like the surface {surface.shape}"
+                )
+        if not surface.flags.writeable or any(
+            array is not None and np.may_share_memory(array, surface)
+            for array in (alpha, noise)
+        ):
+            raise ValueError(
+                "render_band renders in place: the surface must be "
+                "writable and overlap no other input"
+            )
+        self._lib.render_band(
+            _address(surface),
+            ctypes.c_int64(surface.size),
+            ctypes.c_double(gain),
+            ctypes.c_double(offset),
+            _address(alpha),
+            ctypes.c_double(cloud_value),
+            _address(noise),
+        )
+        return surface
 
 
 def load() -> CompiledKernels | None:

@@ -63,6 +63,27 @@ def check_bands(
             )
 
 
+#: The highest bit-plane a non-negative int64 magnitude occupies.
+MAX_PLANE = 62
+
+
+def check_max_plane(max_plane: int) -> None:
+    """Refuse a top plane above :data:`MAX_PLANE`.
+
+    Shared by every plane coder's ``encode`` and ``decode``: no int64
+    magnitude has a bit above plane 62, and the compiled coder's shifts
+    are undefined in C from plane 63, so engines would disagree there.
+
+    Raises:
+        ValueError: When ``max_plane`` exceeds :data:`MAX_PLANE`.
+    """
+    if max_plane > MAX_PLANE:
+        raise ValueError(
+            f"max_plane {max_plane} exceeds {MAX_PLANE}, the top bit-plane "
+            "of an int64 magnitude"
+        )
+
+
 def check_segment_plane(plane: int, expected: int) -> None:
     """Validate one decoded segment's plane against the descending order.
 
@@ -132,6 +153,7 @@ class SubbandPlaneCoder:
         Returns:
             One :class:`PlaneSegment` per plane, most significant first.
         """
+        check_max_plane(max_plane)
         self._check_bands(bands)
         magnitudes = [np.abs(band).astype(np.int64) for band in bands]
         signs = [band < 0 for band in bands]
@@ -205,6 +227,7 @@ class SubbandPlaneCoder:
             partially-decoded magnitudes get no midpoint correction here —
             that happens at dequantization).
         """
+        check_max_plane(max_plane)
         contexts = ContextSet()
         magnitudes = [
             np.zeros(shape, dtype=np.int64) for _, _, shape in self.band_shapes

@@ -25,7 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codec import _ckernels
-from repro.codec.bitplane import PlaneSegment, check_bands, check_segment_plane
+from repro.codec.bitplane import (
+    PlaneSegment,
+    check_bands,
+    check_max_plane,
+    check_segment_plane,
+)
 from repro.codec.fastpath import VectorizedPlaneCoder
 from repro.errors import BitstreamError
 
@@ -90,6 +95,7 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
         assembly, adaptive context modelling, range coding — so no
         decision stream is ever materialized on the Python side.
         """
+        check_max_plane(max_plane)
         check_bands(self.band_shapes, bands)
         magnitudes = np.empty(self._size, dtype=np.int64)
         signs = np.empty(self._size, dtype=bool)
@@ -120,6 +126,7 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
         plane is out of sequence.  Errors keep the per-segment order: an
         overrun in a decoded segment wins over that later plane error.
         """
+        check_max_plane(max_plane)
         magnitudes = np.zeros(self._size, dtype=np.int64)
         signs = np.zeros(self._size, dtype=bool)
         kept = next(

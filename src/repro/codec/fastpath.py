@@ -38,6 +38,7 @@ from repro.codec.bitplane import (
     _neighbor_count,
     _significance_context,
     check_bands,
+    check_max_plane,
     check_segment_plane,
 )
 from repro.errors import BitstreamError
@@ -514,6 +515,7 @@ class VectorizedPlaneCoder:
         self, bands: list[np.ndarray], max_plane: int
     ) -> list[PlaneSegment]:
         """Encode all planes from ``max_plane`` down to 0 (see reference)."""
+        check_max_plane(max_plane)
         check_bands(self.band_shapes, bands)
         magnitudes = [np.abs(band).astype(np.int64) for band in bands]
         signs = [band < 0 for band in bands]
@@ -550,6 +552,7 @@ class VectorizedPlaneCoder:
         self, segments: list[PlaneSegment], max_plane: int
     ) -> list[np.ndarray]:
         """Decode a (possibly truncated) prefix of planes (see reference)."""
+        check_max_plane(max_plane)
         table = BatchContextTable(self._n_contexts)
         magnitudes = [
             np.zeros(shape, dtype=np.int64) for _, _, shape in self.band_shapes

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.tiles import TileGrid
 from repro.errors import PipelineError
+from repro.imagery import sensor
 from repro.imagery.bands import Band, BandCategory
 from repro.imagery.clouds import CloudModel
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
@@ -351,11 +352,11 @@ def _training_captures(
         illum = IlluminationModel(seed=stable_hash(seed, "cloudtrain-sun", idx))
         t_days = float(idx * 13 % 365)
         sample = clouds.sample(t_days)
-        light = illum.sample(t_days)
-        pixels = {}
-        for band in bands:
-            lit = light.apply(earth.ground_truth(band.name, t_days))
-            pixels[band.name] = clouds.render_onto(lit, band, sample)
+        # Called through the module, like the sensor's own captures, so
+        # that sim_oracle.reference_path() reaches training images too.
+        pixels = sensor.render_pixels(
+            earth, bands, t_days, sample, illum.sample(t_days)
+        )
         out.append((pixels, sample.mask))
     return out
 

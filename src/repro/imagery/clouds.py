@@ -44,6 +44,33 @@ class CloudSample:
     mask: np.ndarray
     thickness: np.ndarray
 
+    def alpha(self) -> np.ndarray:
+        """Per-pixel blend weight of the cloud top over the surface.
+
+        Even optically-thin cloud raises apparent reflectance noticeably;
+        heavy cloud saturates.  The floor keeps thin haze *detectable in
+        principle* while still being the hardest case (the paper's cheap
+        detector intentionally targets only easy heavy clouds).  The
+        weight is zero off the mask (and where thickness is zero), so
+        blending every pixel of a surface in [0, 1] leaves clear pixels
+        exactly as they were.
+        """
+        return np.where(
+            self.mask & (self.thickness > 0.0),
+            np.clip(0.6 + self.thickness, 0.0, 1.0),
+            0.0,
+        )
+
+
+def cloud_value(band: Band) -> float:
+    """The value a band reads at an opaque cloud top.
+
+    Visible/air bands see bright cloud tops; cold bands (thermal proxies)
+    see a dark "cold" value instead, which is the contrast the cheap
+    on-board detector exploits.
+    """
+    return 0.08 if band.cloud_cold else band.cloud_brightness
+
 
 class CloudModel:
     """Per-capture cloud fields for one location.
@@ -122,10 +149,12 @@ class CloudModel:
             return CloudSample(0.0, mask, thickness)
         threshold = float(np.quantile(field, 1.0 - coverage))
         mask = field >= threshold
-        thickness = np.zeros(self.shape, dtype=np.float64)
-        if mask.any():
-            span = max(1e-9, float(field.max()) - threshold)
-            thickness[mask] = np.clip((field[mask] - threshold) / span, 0.05, 1.0)
+        # The field's maximum always reaches the threshold, so the mask
+        # is never empty.
+        span = max(1e-9, float(field.max()) - threshold)
+        thickness = np.where(
+            mask, np.clip((field - threshold) / span, 0.05, 1.0), 0.0
+        )
         actual = float(mask.mean())
         return CloudSample(actual, mask, thickness)
 
@@ -134,10 +163,8 @@ class CloudModel:
     ) -> np.ndarray:
         """Composite a cloud sample onto a surface image for one band.
 
-        Visible/air bands blend towards bright cloud tops proportionally to
-        optical thickness; cold bands (thermal proxies) blend towards a dark
-        "cold" value instead, which is the contrast the cheap on-board
-        detector exploits.
+        Every band blends towards its :func:`cloud_value` in proportion
+        to the sample's :meth:`CloudSample.alpha`.
 
         Args:
             surface: Illuminated surface image in [0, 1].
@@ -149,17 +176,5 @@ class CloudModel:
         """
         if not sample.mask.any():
             return surface.copy()
-        out = surface.copy()
-        # Even optically-thin cloud raises apparent reflectance noticeably;
-        # heavy cloud saturates.  The floor keeps thin haze *detectable in
-        # principle* while still being the hardest case (the paper's cheap
-        # detector intentionally targets only easy heavy clouds).
-        alpha = np.where(
-            sample.thickness > 0.0,
-            np.clip(0.6 + 1.0 * sample.thickness, 0.0, 1.0),
-            0.0,
-        )
-        cloud_value = 0.08 if band.cloud_cold else band.cloud_brightness
-        blend = out * (1.0 - alpha) + cloud_value * alpha
-        out[sample.mask] = blend[sample.mask]
-        return out
+        alpha = sample.alpha()
+        return surface * (1.0 - alpha) + cloud_value(band) * alpha

@@ -159,7 +159,8 @@ class EarthModel:
 
     The heavy per-band static structure (class map, base reflectance, texture)
     is computed lazily and cached, so repeated captures of the same location
-    cost only the change-version query plus patch blending.
+    cost only the change-version query plus pasting cached change-cell
+    blocks.
     """
 
     def __init__(self, spec: LocationSpec, bands: tuple[Band, ...]) -> None:
@@ -177,26 +178,24 @@ class EarthModel:
         self._class_map_cache: np.ndarray | None = None
         self._elevation_cache: np.ndarray | None = None
         # Warm-state caches (see ground_truth).  Composed pre-snow surfaces
-        # are keyed by the change-version grid, rendered change patches by
-        # their seed — both pure functions of their keys.
+        # are keyed by the change-version grid, blended change-cell blocks
+        # by (band, cell, version) — both pure functions of their keys.
         self._surface_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._patch_cache: OrderedDict[int, tuple[np.ndarray, float]] = (
-            OrderedDict()
-        )
+        self._block_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._snow_texture_cache: dict[str, np.ndarray] = {}
 
     #: Bound on cached composed surfaces per model (LRU).  Consecutive
     #: captures usually share a version grid, so a handful of entries
     #: already absorbs nearly all recomposition.
     _SURFACE_CACHE_MAX = 24
-    #: Bound on cached rendered change patches per model (LRU).
-    _PATCH_CACHE_MAX = 512
+    #: Bound on cached blended change-cell blocks per model (LRU).
+    _BLOCK_CACHE_MAX = 512
 
     def __getstate__(self):
         """Pickle without warm-state caches (worker tasks start cold)."""
         state = dict(self.__dict__)
         state["_surface_cache"] = OrderedDict()
-        state["_patch_cache"] = OrderedDict()
+        state["_block_cache"] = OrderedDict()
         state["_snow_texture_cache"] = {}
         return state
 
@@ -247,12 +246,12 @@ class EarthModel:
         band = self._get_band(band_name)
         class_map = self.class_map()
         classes = self._class_list
-        base = np.zeros(self.spec.shape, dtype=np.float64)
-        texture_amp = np.zeros(self.spec.shape, dtype=np.float64)
-        for idx, terrain in enumerate(classes):
-            mask = class_map == idx
-            base[mask] = _CLASS_REFLECTANCE[terrain][band.category]
-            texture_amp[mask] = _CLASS_TEXTURE[terrain]
+        reflectance = np.array(
+            [_CLASS_REFLECTANCE[terrain][band.category] for terrain in classes]
+        )
+        amplitude = np.array([_CLASS_TEXTURE[terrain] for terrain in classes])
+        base = reflectance[class_map]
+        texture_amp = amplitude[class_map]
         texture = fractal_noise(
             self.spec.shape,
             stable_hash(self.spec.seed, "texture", band.name),
@@ -335,51 +334,60 @@ class EarthModel:
         return surface
 
     def _compose_surface(self, band: Band, versions: np.ndarray) -> np.ndarray:
-        """Base map plus every active change patch (no snow)."""
+        """Base map with every changed cell's block pasted in (no snow)."""
         surface = self.base_map(band.name).copy()
         cell = self.spec.change_cell_px
-        height, width = self.spec.shape
-        for ty, tx in zip(*np.nonzero(versions)):
-            version = int(versions[ty, tx])
-            y0, x0 = ty * cell, tx * cell
-            y1, x1 = min(y0 + cell, height), min(x0 + cell, width)
-            patch_shape = (y1 - y0, x1 - x0)
-            patch_seed = stable_hash(
-                self.spec.seed, "patch", band.name, int(ty), int(tx), version
-            )
-            patch, amplitude = self._change_patch(patch_seed, patch_shape)
-            blended = surface[y0:y1, x0:x1] + amplitude * (patch - 0.5)
-            surface[y0:y1, x0:x1] = np.clip(blended, 0.0, 1.0)
+        for ty, row in enumerate(versions.tolist()):
+            for tx, version in enumerate(row):
+                if version:
+                    block = self._cell_block(band, ty, tx, version)
+                    height, width = block.shape
+                    y0, x0 = ty * cell, tx * cell
+                    surface[y0 : y0 + height, x0 : x0 + width] = block
         return surface
 
-    def _change_patch(
-        self, patch_seed: int, patch_shape: tuple[int, int]
-    ) -> tuple[np.ndarray, float]:
-        """One rendered change patch and its blend amplitude.
+    def _cell_block(
+        self, band: Band, ty: int, tx: int, version: int
+    ) -> np.ndarray:
+        """Change cell ``(ty, tx)`` of ``band`` at content ``version`` >= 1.
 
-        Terrestrial change perturbs content around its local value
-        (harvest, construction, flooding) — it does not replace a tile
-        with unrelated imagery.  Amplitudes are chosen so a changed
-        tile's mean absolute difference (~0.03-0.08) clears the
-        paper's theta = 0.01 decisively while leaving global image
+        The base map under the cell plus the version's change patch,
+        clipped to [0, 1].  Terrestrial change perturbs content around
+        its local value (harvest, construction, flooding) — it does not
+        replace a tile with unrelated imagery.  Amplitudes are chosen so
+        a changed tile's mean absolute difference (~0.03-0.08) clears
+        the paper's theta = 0.01 decisively while leaving global image
         statistics (and thus the illumination fit) intact.
 
-        Pure function of ``(patch_seed, patch_shape)``; memoized so
-        recomposition after a new change event does not re-render every
-        older patch.
+        Cells never overlap, so the block is a pure function of ``(band,
+        ty, tx, version)``; memoized (LRU, ``_BLOCK_CACHE_MAX``) so
+        recomposition after a new change event pastes every older cell's
+        block instead of re-rendering and re-blending it.  Returned
+        blocks are read-only.
         """
-        cached = self._patch_cache.get(patch_seed)
+        key = (band.name, ty, tx, version)
+        cached = self._block_cache.get(key)
         if cached is not None:
-            self._patch_cache.move_to_end(patch_seed)
+            self._block_cache.move_to_end(key)
             return cached
-        patch = fractal_noise(patch_shape, patch_seed, octaves=3, base_cells=3)
-        rng = np.random.default_rng(patch_seed)
-        amplitude = 0.10 + 0.20 * rng.random()
-        patch.setflags(write=False)
-        self._patch_cache[patch_seed] = (patch, amplitude)
-        while len(self._patch_cache) > self._PATCH_CACHE_MAX:
-            self._patch_cache.popitem(last=False)
-        return patch, amplitude
+        cell = self.spec.change_cell_px
+        height, width = self.spec.shape
+        y0, x0 = ty * cell, tx * cell
+        y1, x1 = min(y0 + cell, height), min(x0 + cell, width)
+        patch_seed = stable_hash(
+            self.spec.seed, "patch", band.name, ty, tx, version
+        )
+        patch = fractal_noise(
+            (y1 - y0, x1 - x0), patch_seed, octaves=3, base_cells=3
+        )
+        amplitude = 0.10 + 0.20 * np.random.default_rng(patch_seed).random()
+        under = self.base_map(band.name)[y0:y1, x0:x1]
+        block = np.clip(under + amplitude * (patch - 0.5), 0.0, 1.0)
+        block.setflags(write=False)
+        self._block_cache[key] = block
+        while len(self._block_cache) > self._BLOCK_CACHE_MAX:
+            self._block_cache.popitem(last=False)
+        return block
 
     def _snow_texture(self, band_name: str) -> np.ndarray:
         """Static per-band snow texture (pure function of seeds), cached."""

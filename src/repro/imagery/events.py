@@ -21,6 +21,7 @@ per-location activity multiplier scale the same process.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,11 @@ class TileChangeModel:
     """Per-tile change history for a full location/band grid.
 
     The model vectorizes the Gamma-Poisson construction: each tile's rate is
-    drawn once (deterministically from the location seed), and event *counts*
-    up to a query time are computed directly from the seeded Poisson jump
-    structure.  The key query is :meth:`version_grid`: an integer per tile
-    that increments every time the tile's content changes.  Two times with
+    drawn once (deterministically from the location seed), and each tile
+    changes at the jump times of its own seeded Poisson stream, exactly
+    those of a :class:`ChangeEventProcess` with the tile's rate and seed.
+    The key query is :meth:`version_grid`: an integer per tile that
+    increments every time the tile's content changes.  Two times with
     equal versions show identical ground truth for that tile; differing
     versions mean the tile genuinely changed in between.
 
@@ -115,6 +117,10 @@ class TileChangeModel:
         rate_multiplier: Extra multiplier (band volatility x location
             activity).
     """
+
+    #: Jump times drawn per tile at most (the pathological-rate guard of
+    #: :meth:`ChangeEventProcess.event_count`: 6251 blocks of 16 gaps).
+    _MAX_JUMPS = 100_016
 
     def __init__(
         self,
@@ -138,6 +144,17 @@ class TileChangeModel:
         self._tile_seeds = np.random.default_rng(
             stable_hash(seed, "tile-seeds")
         ).integers(0, 2**62, size=tiles_shape)
+        # Warm state: each queried tile's gap stream and the jump times
+        # drawn from it so far (a pure function of the tile).
+        self._jumps: dict[
+            tuple[int, int], tuple[np.random.Generator, list[float]]
+        ] = {}
+
+    def __getstate__(self):
+        """Pickle without the jump-time memo (worker tasks start cold)."""
+        state = dict(self.__dict__)
+        state["_jumps"] = {}
+        return state
 
     def version_grid(self, t_days: float) -> np.ndarray:
         """Integer content-version of every tile at time ``t_days``.
@@ -151,25 +168,40 @@ class TileChangeModel:
         """
         if t_days < 0:
             raise ValueError(f"t_days must be >= 0, got {t_days}")
-        tiles_y, tiles_x = self.tiles_shape
         versions = np.zeros(self.tiles_shape, dtype=np.int64)
         if t_days == 0:
             return versions
-        # Vectorized Poisson count is NOT usable: counts at two different
-        # times must be consistent samples of one path.  Instead we exploit
-        # that a Poisson path's count at time t is determined by its seeded
-        # gap stream; tiles are independent so we loop per tile but only for
-        # tiles whose rate makes >=1 event plausible (cheap skip for the
-        # large static fraction).
+        # Counts at two different times must be consistent samples of one
+        # path, so a vectorized Poisson draw is not usable: a tile's count
+        # at time t is the number of its seeded jump times up to t.  Only
+        # tiles whose rate makes >=1 event plausible are queried (cheap
+        # skip for the large static fraction).
         plausible = self.rates * t_days > 1e-9
-        ys, xs = np.nonzero(plausible)
-        for y, x in zip(ys, xs):
-            process = ChangeEventProcess(
-                rate_per_day=float(self.rates[y, x]),
-                seed=int(self._tile_seeds[y, x]),
-            )
-            versions[y, x] = process.event_count(t_days)
+        for y, x in zip(*np.nonzero(plausible)):
+            versions[y, x] = self._events_by(int(y), int(x), t_days)
         return versions
+
+    def _events_by(self, y: int, x: int, t_days: float) -> int:
+        """Tile ``(y, x)``'s change events in ``[0, t_days]``.
+
+        Draws the tile's gaps in blocks of 16 from its seeded stream and
+        sums them sequentially, as :meth:`ChangeEventProcess.event_count`
+        does, but keeps the jump times: a later query only draws past the
+        last one, and any query is then a bisection.
+        """
+        jumps = self._jumps.get((y, x))
+        if jumps is None:
+            rng = np.random.default_rng(int(self._tile_seeds[y, x]))
+            jumps = self._jumps[(y, x)] = (rng, [])
+        rng, times = jumps
+        elapsed = times[-1] if times else 0.0
+        if elapsed <= t_days:
+            scale = 1.0 / float(self.rates[y, x])
+            while elapsed <= t_days and len(times) < self._MAX_JUMPS:
+                for gap in rng.exponential(scale, size=16).tolist():
+                    elapsed += gap
+                    times.append(elapsed)
+        return bisect.bisect_right(times, t_days)
 
     def changed_between(self, t0_days: float, t1_days: float) -> np.ndarray:
         """Boolean grid: which tiles changed in the interval ``(t0, t1]``.

@@ -9,6 +9,7 @@ interpolation, composed into fractal Brownian motion by
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,24 +41,30 @@ def _interp_geometry(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lattice indices and Hermite weights for one (shape, cells) pair.
 
-    Pure function of its arguments; memoized because imagery synthesis
-    re-renders the same shapes with thousands of different seeds.  The
-    index arrays are flat indices into the raveled ``(cells_y + 1,
-    cells_x + 1)`` lattice for the four cell corners.  Returned arrays
-    are read-only.
+    Separable: ``(y0, ty)`` give each pixel row's upper lattice row and
+    its weight, ``(x0, tx)`` each pixel column's left lattice column and
+    its weight.  Pure function of its arguments; memoized because imagery
+    synthesis re-renders the same shapes with thousands of different
+    seeds.  Returned arrays are read-only.
     """
     ys = np.linspace(0.0, cells_y, height, endpoint=False)
     xs = np.linspace(0.0, cells_x, width, endpoint=False)
     y0 = np.minimum(ys.astype(np.int64), cells_y - 1)
     x0 = np.minimum(xs.astype(np.int64), cells_x - 1)
-    ty = smoothstep((ys - y0))[:, None]
-    tx = smoothstep((xs - x0))[None, :]
-    stride = cells_x + 1
-    flat00 = y0[:, None] * stride + x0[None, :]
-    corners = (flat00, flat00 + 1, flat00 + stride, flat00 + stride + 1)
-    for array in corners + (ty, tx):
+    geometry = (y0, smoothstep(ys - y0), x0, smoothstep(xs - x0))
+    for array in geometry:
         array.setflags(write=False)
-    return corners, ty, tx
+    return geometry
+
+
+def _lattice_cells(height: int, width: int, cells: int) -> tuple[int, int]:
+    """Lattice cells along each axis for ``cells`` along the longer one."""
+    cells = max(1, int(cells))
+    longer = max(height, width)
+    return (
+        max(1, round(cells * height / longer)),
+        max(1, round(cells * width / longer)),
+    )
 
 
 def value_noise(shape: tuple[int, int], cells: int, seed: int) -> np.ndarray:
@@ -76,27 +83,94 @@ def value_noise(shape: tuple[int, int], cells: int, seed: int) -> np.ndarray:
         Array of shape ``shape`` with values in ``[0, 1]``.
     """
     height, width = shape
-    cells = max(1, int(cells))
-    longer = max(height, width)
-    cells_y = max(1, round(cells * height / longer))
-    cells_x = max(1, round(cells * width / longer))
+    cells_y, cells_x = _lattice_cells(height, width, cells)
     lattice = _lattice_values(seed, cells_y, cells_x)
-    # Flat-index gathers of the four cell corners, with the index geometry
-    # memoized per (shape, cells): the same lattice elements an open-mesh
-    # np.ix_ gather selects, without rebuilding the mesh per call.
-    corners, ty, tx = _interp_geometry(height, width, cells_y, cells_x)
-    kernels = registry.kernels()
-    if kernels is not None:
-        # One native pass: gather + Hermite blend, term-for-term the numpy
-        # expression below (bit-identical output).
-        return kernels.noise_bilerp(
-            lattice, cells_x + 1, corners[0], ty.ravel(), tx.ravel()
-        )
-    flat = lattice.ravel()
-    v00, v01, v10, v11 = (flat[c] for c in corners)
-    top = v00 * (1.0 - tx) + v01 * tx
-    bottom = v10 * (1.0 - tx) + v11 * tx
-    return top * (1.0 - ty) + bottom * ty
+    y0, ty, x0, tx = _interp_geometry(height, width, cells_y, cells_x)
+    # Each lattice row's horizontal blend once, then every pixel row's
+    # vertical blend of the two rows around it: term for term the
+    # four-corner expression top = v00 * (1 - tx) + v01 * tx (likewise
+    # bottom), out = top * (1 - ty) + bottom * ty.
+    rows = lattice[:, x0] * (1.0 - tx) + lattice[:, x0 + 1] * tx
+    ty = ty[:, None]
+    return rows[y0] * (1.0 - ty) + rows[y0 + 1] * ty
+
+
+@dataclass(frozen=True)
+class _FieldPlan:
+    """Every seed-independent part of one fractal-noise field.
+
+    Attributes:
+        cells: Each octave's lattice cells along the longer axis.
+        amplitudes: Each octave's amplitude (float64).
+        amplitude_sum: Their sum, accumulated in octave order.
+        offsets: Where each octave's lattice starts in the shared
+            lattice buffer, plus its total size last (int64).
+        cols: Each octave's lattice row length (int64).
+        rows: Each octave's ``(y0, ty)`` geometry, back to back.
+        columns: Each octave's ``(x0, tx)`` geometry, back to back.
+    """
+
+    cells: tuple[int, ...]
+    amplitudes: np.ndarray
+    amplitude_sum: float
+    offsets: np.ndarray
+    cols: np.ndarray
+    rows: tuple[np.ndarray, np.ndarray]
+    columns: tuple[np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=256)
+def _field_plan(
+    height: int,
+    width: int,
+    octaves: int,
+    base_cells: float,
+    persistence: float,
+    lacunarity: float,
+) -> _FieldPlan:
+    """The plan of a fractal field; pure function of its arguments."""
+    cells: list[int] = []
+    amplitudes: list[float] = []
+    amplitude = 1.0
+    scale = float(base_cells)
+    amplitude_sum = 0.0
+    for _ in range(octaves):
+        cells.append(int(round(scale)))
+        amplitudes.append(amplitude)
+        amplitude_sum += amplitude
+        amplitude *= persistence
+        scale *= lacunarity
+    grids = [_lattice_cells(height, width, c) for c in cells]
+    geometry = [_interp_geometry(height, width, *grid) for grid in grids]
+    sizes = [(cells_y + 1) * (cells_x + 1) for cells_y, cells_x in grids]
+    return _FieldPlan(
+        cells=tuple(cells),
+        amplitudes=np.array(amplitudes, dtype=np.float64),
+        amplitude_sum=amplitude_sum,
+        offsets=np.cumsum([0, *sizes], dtype=np.int64),
+        cols=np.array([cells_x + 1 for _, cells_x in grids], dtype=np.int64),
+        rows=tuple(
+            np.concatenate([g[k] for g in geometry]) for k in (0, 1)
+        ),
+        columns=tuple(
+            np.concatenate([g[k] for g in geometry]) for k in (2, 3)
+        ),
+    )
+
+
+def _octave_seed(seed: int, octave: int) -> int:
+    """The lattice seed of one octave of a fractal field."""
+    return (seed * 1_000_003 + octave * 7919) & 0x7FFFFFFF
+
+
+def _fused_kernels():
+    """The compiled kernels for one-pass fractal fields, or None.
+
+    The one switch between the native field and the per-octave numpy
+    sum: ``sim_oracle.reference_path()`` patches it to return None, so
+    that the numpy sum runs over the reference :func:`value_noise`.
+    """
+    return registry.kernels()
 
 
 def fractal_noise(
@@ -108,6 +182,11 @@ def fractal_noise(
     lacunarity: float = 2.0,
 ) -> np.ndarray:
     """Fractal Brownian motion: a sum of value-noise octaves.
+
+    With the compiled kernels, one native call sums every octave and
+    normalizes the field; without them, numpy sums :func:`value_noise`
+    octave by octave.  Both draw the same lattices and produce the same
+    bytes.
 
     Args:
         shape: Output ``(height, width)``.
@@ -122,17 +201,33 @@ def fractal_noise(
     """
     if octaves < 1:
         raise ValueError(f"octaves must be >= 1, got {octaves}")
+    height, width = shape
+    plan = _field_plan(
+        height, width, octaves, float(base_cells), persistence, lacunarity
+    )
+    kernels = _fused_kernels()
+    if kernels is not None:
+        offsets = plan.offsets.tolist()
+        lattices = np.empty(offsets[-1], dtype=np.float64)
+        for octave in range(octaves):
+            rng = np.random.default_rng(_octave_seed(seed, octave))
+            rng.random(out=lattices[offsets[octave] : offsets[octave + 1]])
+        return kernels.fractal_field(
+            lattices,
+            plan.offsets[:-1],
+            plan.cols,
+            plan.rows,
+            plan.columns,
+            plan.amplitudes,
+            plan.amplitude_sum,
+            (height, width),
+        )
     total = np.zeros(shape, dtype=np.float64)
-    amplitude = 1.0
-    cells = float(base_cells)
-    amplitude_sum = 0.0
-    for octave in range(octaves):
-        octave_seed = (seed * 1_000_003 + octave * 7919) & 0x7FFFFFFF
-        total += amplitude * value_noise(shape, int(round(cells)), octave_seed)
-        amplitude_sum += amplitude
-        amplitude *= persistence
-        cells *= lacunarity
-    total /= amplitude_sum
+    for octave, (cells, amplitude) in enumerate(
+        zip(plan.cells, plan.amplitudes.tolist())
+    ):
+        total += amplitude * value_noise(shape, cells, _octave_seed(seed, octave))
+    total /= plan.amplitude_sum
     lo, hi = float(total.min()), float(total.max())
     if hi - lo < 1e-12:
         return np.zeros(shape, dtype=np.float64)

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.codec import registry
 from repro.errors import ImageryError
 from repro.imagery.bands import Band
-from repro.imagery.clouds import CloudModel, CloudSample
+from repro.imagery.clouds import CloudModel, CloudSample, cloud_value
 from repro.imagery.earth_model import EarthModel
 from repro.imagery.illumination import IlluminationModel, IlluminationSample
 from repro.imagery.noise import stable_hash
@@ -284,28 +285,18 @@ class SatelliteSensor:
         return sum(array.nbytes for array in cls._capture_arrays(capture))
 
     def _render_capture(self, satellite_id: int, t_days: float) -> Capture:
-        """Synthesize the capture (the original uncached path)."""
+        """Synthesize the capture (the uncached path)."""
         cloud = self.cloud_model.sample(t_days)
         illumination = self.illumination_model.sample(t_days)
-        pixels: dict[str, np.ndarray] = {}
-        for band in self.bands:
-            surface = self.earth.ground_truth(band.name, t_days)
-            lit = illumination.apply(surface)
-            observed = self.cloud_model.render_onto(lit, band, cloud)
-            if self.noise_sigma > 0:
-                rng = np.random.default_rng(
-                    stable_hash(
-                        self.earth.spec.seed,
-                        "sensor-noise",
-                        band.name,
-                        satellite_id,
-                        round(t_days * 1e4),
-                    )
-                )
-                observed = observed + rng.normal(
-                    0.0, self.noise_sigma, size=observed.shape
-                )
-            pixels[band.name] = np.clip(observed, 0.0, 1.0)
+        pixels = render_pixels(
+            self.earth,
+            self.bands,
+            t_days,
+            cloud,
+            illumination,
+            noise_sigma=self.noise_sigma,
+            satellite_id=satellite_id,
+        )
         return Capture(
             location=self.earth.spec.name,
             satellite_id=satellite_id,
@@ -315,3 +306,63 @@ class SatelliteSensor:
             cloud=cloud,
             illumination=illumination,
         )
+
+
+def render_pixels(
+    earth: EarthModel,
+    bands: tuple[Band, ...],
+    t_days: float,
+    cloud: CloudSample,
+    illumination: IlluminationSample,
+    noise_sigma: float = 0.0,
+    satellite_id: int = 0,
+) -> dict[str, np.ndarray]:
+    """The observed pixels of every band of one capture.
+
+    Each band is the ground truth at ``t_days`` under ``illumination``
+    (gain, offset, clip to [0, 1]), with ``cloud`` composited where its
+    mask is set, plus Gaussian sensor noise of std-dev ``noise_sigma``
+    seeded per (location, band, satellite, time), clipped to [0, 1].
+    Satellite captures and cloud-detector training images both render
+    here.  A noise-free band is already in [0, 1] before the final clip,
+    so there the clip changes nothing.
+
+    With the compiled kernels each band is one native pass, rendered in
+    place over its fresh ground-truth array; without them numpy runs the
+    same operations.  The cloud blend weights are computed once per
+    capture, zero off the mask, so every pixel takes the same blend.
+    """
+    kernels = registry.kernels()
+    alpha = cloud.alpha() if cloud.mask.any() else None
+    pixels: dict[str, np.ndarray] = {}
+    for band in bands:
+        surface = earth.ground_truth(band.name, t_days)
+        noise = None
+        if noise_sigma > 0:
+            rng = np.random.default_rng(
+                stable_hash(
+                    earth.spec.seed,
+                    "sensor-noise",
+                    band.name,
+                    satellite_id,
+                    round(t_days * 1e4),
+                )
+            )
+            noise = rng.normal(0.0, noise_sigma, size=surface.shape)
+        if kernels is not None:
+            pixels[band.name] = kernels.render_band(
+                surface,
+                illumination.gain,
+                illumination.offset,
+                alpha,
+                cloud_value(band),
+                noise,
+            )
+            continue
+        observed = illumination.apply(surface)
+        if alpha is not None:
+            observed = observed * (1.0 - alpha) + cloud_value(band) * alpha
+        if noise is not None:
+            observed += noise
+        pixels[band.name] = np.clip(observed, 0.0, 1.0, out=observed)
+    return pixels

@@ -262,18 +262,39 @@ class TestTruncationOverrunParity:
         else:
             assert value == value_ref
 
+    @staticmethod
+    def _emptied(image: np.ndarray, planes) -> tuple[CodecConfig, EncodedImage]:
+        """``image`` coded by the reference engine, with the segments that
+        ``planes(tile)`` indexes emptied in every tile."""
+        config = CodecConfig(tile_size=32, base_step=1 / 64)
+        blob = ImageCodec(config, backend="reference").encode(image).to_bytes()
+        parsed = EncodedImage.from_bytes(blob)
+        for tile in parsed.tiles:
+            for index in planes(tile):
+                tile.segments[index].data = b""
+        return config, parsed
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_emptied_segments_decode_quietly(self, backend):
+        """Zero-extension decodes an emptied segment like any prefix: this
+        image's decisions stay within 64 bytes past every segment's end,
+        so each engine returns the reference reconstruction."""
+        image = fractal_noise((64, 64), seed=5, octaves=3, base_cells=4)
+        config, parsed = self._emptied(
+            image, lambda tile: range(len(tile.segments))
+        )
+        expected = ImageCodec(config, backend="reference").decode(parsed)
+        decoded = ImageCodec(config, backend=backend).decode(parsed)
+        assert np.array_equal(decoded, expected)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_far_past_end_raises_bitstream_error(self, backend):
-        """Zero-extension stops 64 bytes past the end, never runs away."""
-        image = fractal_noise((64, 64), seed=5, octaves=3, base_cells=4)
-        codec = ImageCodec(
-            CodecConfig(tile_size=32, base_step=1 / 64), backend=backend
+        """Zero-extension stops 64 bytes past the end, never runs away:
+        white noise's finest plane, emptied, needs more than that."""
+        image = np.random.default_rng(3).random((64, 64))
+        config, parsed = self._emptied(
+            image, lambda tile: [len(tile.segments) - 1]
         )
-        parsed = EncodedImage.from_bytes(codec.encode(image).to_bytes())
-        for tile in parsed.tiles:
-            for segment in tile.segments:
-                segment.data = b""
-        try:
+        codec = ImageCodec(config, backend=backend)
+        with pytest.raises(BitstreamError, match="past end"):
             codec.decode(parsed)
-        except BitstreamError as exc:
-            assert "past end" in str(exc)

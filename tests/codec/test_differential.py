@@ -351,6 +351,37 @@ class TestTileKernelEdgeCases:
         with pytest.raises(ValueError, match="below plane 0"):
             kernels.decode_tile([b"", b""], *buffers())
 
+class TestTopPlaneLimit:
+    """Plane 62 is the top bit-plane of an int64 magnitude: every engine
+    codes it identically, and every engine refuses a higher top plane
+    with the same error before coding anything."""
+
+    def test_plane_62_round_trips_under_every_engine(self):
+        band = np.array([[2**62, -(2**62)], [1, 0]], dtype=np.int64)
+        segments = assert_bitstreams_identical([band], max_plane=62)
+        assert len(segments) == 63
+        for name, coder in all_coders([band.shape]).items():
+            (decoded,) = coder.decode(coder.encode([band], 62), 62)
+            assert np.array_equal(decoded, band), name
+
+    @pytest.mark.parametrize("max_plane", [63, 64, 70])
+    def test_higher_top_planes_refused_by_every_engine(self, max_plane):
+        band = np.array([[1, -1], [0, 2]], dtype=np.int64)
+        messages = set()
+        for name, coder in all_coders([band.shape]).items():
+            for call in (
+                lambda: coder.encode([band], max_plane),
+                lambda: coder.decode([], max_plane),
+            ):
+                with pytest.raises(ValueError) as caught:
+                    call()
+                messages.add(str(caught.value))
+        assert messages == {
+            f"max_plane {max_plane} exceeds 62, the top bit-plane of an "
+            "int64 magnitude"
+        }
+
+
 @pytest.fixture(scope="module")
 def sign_heavy_segments():
     """A 64x64 band whose top plane is 4096 ones with random signs.

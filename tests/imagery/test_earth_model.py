@@ -169,13 +169,13 @@ class TestSnow:
 
 
 class TestWarmCaches:
-    """ground_truth's surface and patch caches: bounded, and invisible in
-    the values it returns."""
+    """ground_truth's surface, change-cell block and jump-time caches:
+    bounded, and invisible in the values it returns."""
 
     @staticmethod
     def _churning_model() -> EarthModel:
         # Small change cells at high activity: hundreds of distinct
-        # version grids and change patches within half a year.
+        # version grids and change-cell blocks within half a year.
         spec = LocationSpec(
             name="churn", shape=(64, 64),
             terrain_mix={TerrainClass.MOUNTAIN: 0.5, TerrainClass.CITY: 0.5},
@@ -191,14 +191,14 @@ class TestWarmCaches:
             expected = [oracle.ground_truth(band, t) for t in days]
         model = self._churning_model()
         changes = model.change_model(band)
-        surface_peak = patch_peak = 0
+        surface_peak = block_peak = 0
         for t_days, reference in zip(days, expected):
             surface = model.ground_truth(band, t_days)
             assert surface.tobytes() == reference.tobytes(), t_days
             surface_peak = max(surface_peak, len(model._surface_cache))
-            patch_peak = max(patch_peak, len(model._patch_cache))
+            block_peak = max(block_peak, len(model._block_cache))
         assert surface_peak == EarthModel._SURFACE_CACHE_MAX == 24
-        assert patch_peak == EarthModel._PATCH_CACHE_MAX == 512
+        assert block_peak == EarthModel._BLOCK_CACHE_MAX == 512
         # The walk crossed change events and snowy days.
         assert changes.changed_between(days[0], days[-1]).any()
         assert model.snow_mask(days[15]).any()
@@ -207,12 +207,14 @@ class TestWarmCaches:
         band = PLANET_BANDS[0].name
         model = self._churning_model()
         winter = model.ground_truth(band, 15.0)
-        assert model._surface_cache and model._patch_cache
+        assert model._surface_cache and model._block_cache
         assert model._snow_texture_cache
+        assert model.change_model(band)._jumps
         clone = pickle.loads(pickle.dumps(model))
         assert not clone._surface_cache
-        assert not clone._patch_cache
+        assert not clone._block_cache
         assert not clone._snow_texture_cache
+        assert not clone.change_model(band)._jumps
         assert clone.ground_truth(band, 15.0).tobytes() == winter.tobytes()
 
 

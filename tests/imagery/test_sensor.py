@@ -237,7 +237,7 @@ class TestCaptureCache:
         clone = pickle.loads(pickle.dumps(sensor))
         assert not clone._capture_cache and clone._capture_cache_bytes == 0
         assert not clone.earth._surface_cache
-        assert not clone.earth._patch_cache
+        assert not clone.earth._block_cache
         assert list(sensor._capture_cache) == [(0, 5.0)]
         assert sensor.earth._surface_cache
         for band, pixels in clone.capture(0, 5.0).pixels.items():

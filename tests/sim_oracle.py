@@ -15,9 +15,14 @@ check the production path against them:
   the per-tile rate-model loops (:func:`encode_reference`,
   :func:`tile_decompositions_reference`, :func:`payload_stats_reference`);
 * the per-band capture pipeline (:func:`process_band`);
-* the ``np.ix_`` value-noise gather (:func:`value_noise_reference`);
-* uncached imagery: ground truth, change patches and snow texture
-  (:func:`ground_truth_uncached`, :func:`change_patch_uncached`,
+* imagery synthesis: fractal noise summed octave by octave in numpy
+  over ``np.ix_`` value-noise gathers (:func:`value_noise_reference`),
+  each band of a capture rendered by separate numpy passes with
+  boolean-mask composites (:func:`render_pixels_reference`), and every
+  tile's change count replayed from its gap stream
+  (:func:`version_grid_reference`);
+* uncached imagery: ground truth, change-cell blocks and snow texture
+  (:func:`ground_truth_uncached`, :func:`cell_block_uncached`,
   :func:`snow_texture_uncached`).
 
 :func:`reference_path` swaps these in at the production seams for the
@@ -61,7 +66,10 @@ from repro.core.reference import downsample_image
 from repro.errors import ImageryError
 from repro.imagery import noise, sensor
 from repro.imagery.bands import Band
+from repro.imagery.clouds import CloudSample
 from repro.imagery.earth_model import EarthModel
+from repro.imagery.events import ChangeEventProcess, TileChangeModel
+from repro.imagery.illumination import IlluminationSample
 from repro.imagery.noise import (
     _lattice_values,
     fractal_noise,
@@ -496,7 +504,7 @@ def _process_bands_one_by_one(
 
 
 # ----------------------------------------------------------------------
-# Imagery — np.ix_ value-noise gather, uncached surfaces and textures
+# Imagery — np.ix_ value-noise gather, per-pass rendering, uncached state
 # ----------------------------------------------------------------------
 def value_noise_reference(
     shape: tuple[int, int], cells: int, seed: int
@@ -523,6 +531,78 @@ def value_noise_reference(
     return top * (1.0 - ty) + bottom * ty
 
 
+def render_pixels_reference(
+    earth: EarthModel,
+    bands: tuple[Band, ...],
+    t_days: float,
+    cloud: CloudSample,
+    illumination: IlluminationSample,
+    noise_sigma: float = 0.0,
+    satellite_id: int = 0,
+) -> dict[str, np.ndarray]:
+    """``sensor.render_pixels`` as separate numpy passes per band.
+
+    Illumination, then the cloud blend gathered and scattered through
+    the boolean mask (its weights recomputed per band), then the noise
+    add and the final clip.  A noise-free band is returned unclipped, as
+    cloud-detector training images always were.
+    """
+    pixels: dict[str, np.ndarray] = {}
+    for band in bands:
+        observed = np.clip(
+            earth.ground_truth(band.name, t_days) * illumination.gain
+            + illumination.offset,
+            0.0,
+            1.0,
+        )
+        if cloud.mask.any():
+            alpha = np.where(
+                cloud.thickness > 0.0,
+                np.clip(0.6 + 1.0 * cloud.thickness, 0.0, 1.0),
+                0.0,
+            )
+            value = 0.08 if band.cloud_cold else band.cloud_brightness
+            blend = observed * (1.0 - alpha) + value * alpha
+            observed[cloud.mask] = blend[cloud.mask]
+        if noise_sigma > 0:
+            rng = np.random.default_rng(
+                stable_hash(
+                    earth.spec.seed,
+                    "sensor-noise",
+                    band.name,
+                    satellite_id,
+                    round(t_days * 1e4),
+                )
+            )
+            observed = np.clip(
+                observed + rng.normal(0.0, noise_sigma, size=observed.shape),
+                0.0,
+                1.0,
+            )
+        pixels[band.name] = observed
+    return pixels
+
+
+def version_grid_reference(
+    model: TileChangeModel, t_days: float
+) -> np.ndarray:
+    """``TileChangeModel.version_grid`` replaying every tile's gap stream
+    from its start on every call."""
+    if t_days < 0:
+        raise ValueError(f"t_days must be >= 0, got {t_days}")
+    versions = np.zeros(model.tiles_shape, dtype=np.int64)
+    if t_days == 0:
+        return versions
+    plausible = model.rates * t_days > 1e-9
+    for y, x in zip(*np.nonzero(plausible)):
+        process = ChangeEventProcess(
+            rate_per_day=float(model.rates[y, x]),
+            seed=int(model._tile_seeds[y, x]),
+        )
+        versions[y, x] = process.event_count(t_days)
+    return versions
+
+
 def ground_truth_uncached(
     model: EarthModel, band_name: str, t_days: float
 ) -> np.ndarray:
@@ -543,14 +623,26 @@ def ground_truth_uncached(
     return surface
 
 
-def change_patch_uncached(
-    model: EarthModel, patch_seed: int, patch_shape: tuple[int, int]
-) -> tuple[np.ndarray, float]:
-    """``EarthModel._change_patch`` rendered on every call."""
-    patch = fractal_noise(patch_shape, patch_seed, octaves=3, base_cells=3)
+def cell_block_uncached(
+    model: EarthModel, band: Band, ty: int, tx: int, version: int
+) -> np.ndarray:
+    """``EarthModel._cell_block`` rendered and blended on every call."""
+    cell = model.spec.change_cell_px
+    height, width = model.spec.shape
+    y0, x0 = ty * cell, tx * cell
+    y1, x1 = min(y0 + cell, height), min(x0 + cell, width)
+    patch_seed = stable_hash(
+        model.spec.seed, "patch", band.name, ty, tx, version
+    )
+    patch = fractal_noise(
+        (y1 - y0, x1 - x0), patch_seed, octaves=3, base_cells=3
+    )
     rng = np.random.default_rng(patch_seed)
     amplitude = 0.10 + 0.20 * rng.random()
-    return patch, amplitude
+    blended = model.base_map(band.name)[y0:y1, x0:x1] + amplitude * (
+        patch - 0.5
+    )
+    return np.clip(blended, 0.0, 1.0)
 
 
 def snow_texture_uncached(model: EarthModel, band_name: str) -> np.ndarray:
@@ -584,7 +676,12 @@ _REFERENCE_SEAMS = (
     (dwt, "_synthesis_53", synthesis_53_reference),
     (dwt, "_analysis_97", analysis_97_reference),
     (dwt, "_synthesis_97", synthesis_97_reference),
+    # No fused native field: fractal noise sums its octaves in numpy
+    # through the value-noise seam.
+    (noise, "_fused_kernels", _no_fused_kernels),
     (noise, "value_noise", value_noise_reference),
+    (sensor, "render_pixels", render_pixels_reference),
+    (TileChangeModel, "version_grid", version_grid_reference),
     # A static method: the stand-in must not bind the codec instance.
     (
         ImageCodec,
@@ -601,7 +698,7 @@ _REFERENCE_SEAMS = (
     # Whole methods rather than zero cache bounds: entries a production
     # run left in a model's caches must not be read here either.
     (EarthModel, "ground_truth", ground_truth_uncached),
-    (EarthModel, "_change_patch", change_patch_uncached),
+    (EarthModel, "_cell_block", cell_block_uncached),
     (EarthModel, "_snow_texture", snow_texture_uncached),
     (sensor, "capture_cache_bytes", _no_capture_cache),
 )
@@ -615,9 +712,9 @@ def reference_path():
     the block and restored on exit, so code inside the block computes
     exactly what the original, unoptimized simulation computed: per-sample
     DWT loops, the per-depth distortion curve, per-tile rate-model loops,
-    per-band capture processing, ``np.ix_`` noise gathers and no
-    warm-state caching.  Results must be byte-identical to the production
-    path.
+    per-band capture processing, per-octave numpy noise over ``np.ix_``
+    gathers, per-pass capture rendering and no warm-state caching.
+    Results must be byte-identical to the production path.
     """
     with contextlib.ExitStack() as stack:
         for owner, name, stand_in in _REFERENCE_SEAMS:
