@@ -157,24 +157,3 @@ class CloudModel:
         )
         actual = float(mask.mean())
         return CloudSample(actual, mask, thickness)
-
-    def render_onto(
-        self, surface: np.ndarray, band: Band, sample: CloudSample
-    ) -> np.ndarray:
-        """Composite a cloud sample onto a surface image for one band.
-
-        Every band blends towards its :func:`cloud_value` in proportion
-        to the sample's :meth:`CloudSample.alpha`.
-
-        Args:
-            surface: Illuminated surface image in [0, 1].
-            band: Band being rendered.
-            sample: Cloud state from :meth:`sample`.
-
-        Returns:
-            New array with clouds composited (input is not modified).
-        """
-        if not sample.mask.any():
-            return surface.copy()
-        alpha = sample.alpha()
-        return surface * (1.0 - alpha) + cloud_value(band) * alpha

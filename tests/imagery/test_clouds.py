@@ -5,11 +5,27 @@ import pytest
 
 from repro.imagery.bands import get_band
 from repro.imagery.clouds import CloudModel, CloudSample
+from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
+from repro.imagery.illumination import IlluminationSample
+from repro.imagery.sensor import render_pixels
 
 
 @pytest.fixture(scope="module")
 def model():
     return CloudModel(seed=12, shape=(96, 96))
+
+
+@pytest.fixture(scope="module")
+def city():
+    """City ground reads between the bands' cloud tops: darker than B4's
+    bright tops, brighter than B11's cold ones."""
+    spec = LocationSpec(
+        name="city",
+        shape=(96, 96),
+        terrain_mix={TerrainClass.CITY: 1.0},
+        seed=3,
+    )
+    return EarthModel(spec, (get_band("B4"), get_band("B11")))
 
 
 class TestCoverageProcess:
@@ -64,40 +80,50 @@ class TestSampling:
 
 
 class TestRendering:
-    def test_clear_sample_is_identity(self, model, rng):
-        surface = rng.random((96, 96))
+    """Every band of a capture composites the same cloud sample
+    (``render_pixels``; noise-free, under light that leaves the surface
+    as it is)."""
+
+    @staticmethod
+    def _render(earth, sample, t_days=4.0):
+        neutral = IlluminationSample(gain=1.0, offset=0.0)
+        return render_pixels(earth, earth.bands, t_days, sample, neutral)
+
+    def test_clear_sample_is_identity(self, city):
         clear = CloudSample(
             0.0,
             np.zeros((96, 96), dtype=bool),
             np.zeros((96, 96)),
         )
-        out = model.render_onto(surface, get_band("B4"), clear)
-        assert np.array_equal(out, surface)
+        for name, out in self._render(city, clear).items():
+            assert np.array_equal(out, city.ground_truth(name, 4.0))
 
-    def test_visible_band_brightens(self, model):
-        surface = np.full((96, 96), 0.15)
+    def test_visible_band_brightens(self, model, city):
         sample = model.sample(4.0)
         if not sample.mask.any():
             pytest.skip("clear day sampled")
-        out = model.render_onto(surface, get_band("B4"), sample)
-        assert out[sample.mask].mean() > 0.15
+        out = self._render(city, sample)["B4"]
+        surface = city.ground_truth("B4", 4.0)
+        assert out[sample.mask].mean() > surface[sample.mask].mean()
 
-    def test_cold_band_darkens(self, model):
-        surface = np.full((96, 96), 0.4)
+    def test_cold_band_darkens(self, model, city):
         sample = model.sample(4.0)
         if not sample.mask.any():
             pytest.skip("clear day sampled")
-        out = model.render_onto(surface, get_band("B11"), sample)
-        assert out[sample.mask].mean() < 0.4
+        out = self._render(city, sample)["B11"]
+        surface = city.ground_truth("B11", 4.0)
+        assert out[sample.mask].mean() < surface[sample.mask].mean()
 
-    def test_clear_pixels_untouched(self, model, rng):
-        surface = rng.random((96, 96))
+    def test_clear_pixels_untouched(self, model, city):
         sample = model.sample(4.0)
-        out = model.render_onto(surface, get_band("B4"), sample)
-        assert np.array_equal(out[~sample.mask], surface[~sample.mask])
+        for name, out in self._render(city, sample).items():
+            surface = city.ground_truth(name, 4.0)
+            assert np.array_equal(out[~sample.mask], surface[~sample.mask])
 
-    def test_input_not_modified(self, model, rng):
-        surface = rng.random((96, 96))
-        copy = surface.copy()
-        model.render_onto(surface, get_band("B4"), model.sample(1.0))
-        assert np.array_equal(surface, copy)
+    def test_input_not_modified(self, model, city):
+        """Bands render over fresh ground-truth arrays, never the cached
+        surfaces they are copied from."""
+        before = {name: city.ground_truth(name, 1.0) for name in ("B4", "B11")}
+        self._render(city, model.sample(1.0), t_days=1.0)
+        for name, surface in before.items():
+            assert np.array_equal(city.ground_truth(name, 1.0), surface)

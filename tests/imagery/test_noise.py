@@ -101,30 +101,40 @@ def test_seeded_uniform_shape_and_determinism():
 
 
 class TestFastpathParity:
-    """Every value-noise implementation (the oracle's np.ix_ gathers,
-    memoized flat-index gathers, native bilerp kernel) must be
-    bit-identical — imagery feeds the codec, so a single ULP would cascade
-    into metrics."""
+    """Every fractal-noise path must be bit-identical: the native field,
+    the per-octave numpy sum over separable value noise, and the oracle's
+    per-octave sum over ``np.ix_`` gathers — imagery feeds the codec, so a
+    single ULP would cascade into metrics."""
 
     @pytest.mark.parametrize(
         "shape,cells",
         [((64, 64), 4), ((192, 192), 7), ((33, 129), 5), ((3, 3), 1)],
     )
-    def test_all_paths_bit_identical(self, shape, cells, monkeypatch):
+    def test_all_paths_bit_identical(self, shape, cells):
+        reference = value_noise_reference(shape, cells, seed=1234)
+        assert np.array_equal(reference, value_noise(shape, cells, seed=1234))
+
+    @pytest.mark.parametrize(
+        "shape,params",
+        [
+            ((96, 80), dict(octaves=5)),
+            ((256, 256), dict(octaves=5, base_cells=6)),
+            ((256, 256), dict(octaves=2, base_cells=2, persistence=0.4)),
+            ((64, 48), dict(octaves=3, base_cells=3)),
+            ((17, 5), dict(octaves=4, base_cells=9)),
+            ((1, 7), dict(octaves=1, base_cells=2)),
+            ((3, 3), dict(octaves=6, base_cells=1, lacunarity=2.5)),
+        ],
+    )
+    def test_fractal_paths_bit_identical(self, shape, params, monkeypatch):
         from repro.codec import registry
 
-        reference = value_noise_reference(shape, cells, seed=1234)
-        fast = value_noise(shape, cells, seed=1234)
-        assert np.array_equal(reference, fast)
-        # Pin the numpy gather path explicitly (kernels gated off) so the
-        # native-vs-numpy comparison is exercised even where the compiled
-        # kernels are available.
-        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
-        gathered = value_noise(shape, cells, seed=1234)
-        assert np.array_equal(reference, gathered)
-
-    def test_fractal_paths_bit_identical(self):
         with reference_path():
-            reference = fractal_noise((96, 80), seed=77, octaves=5)
-        fast = fractal_noise((96, 80), seed=77, octaves=5)
-        assert np.array_equal(reference, fast)
+            reference = fractal_noise(shape, seed=77, **params)
+        production = fractal_noise(shape, seed=77, **params)
+        assert production.tobytes() == reference.tobytes()
+        # Pin the numpy sum (kernels gated off) so the native-vs-numpy
+        # comparison runs even where the compiled kernels are available.
+        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
+        numpy_sum = fractal_noise(shape, seed=77, **params)
+        assert numpy_sum.tobytes() == reference.tobytes()

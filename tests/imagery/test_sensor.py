@@ -6,11 +6,15 @@ import weakref
 import numpy as np
 import pytest
 
+from sim_oracle import render_pixels_reference
+
+from repro.codec import registry
 from repro.errors import ImageryError
 from repro.imagery import sensor as sensor_module
 from repro.imagery.bands import PLANET_BANDS
+from repro.imagery.clouds import CloudSample
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
-from repro.imagery.sensor import SatelliteSensor
+from repro.imagery.sensor import SatelliteSensor, render_pixels
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +27,41 @@ def sensor():
     )
     earth = EarthModel(spec, PLANET_BANDS)
     return SatelliteSensor(earth=earth, bands=PLANET_BANDS)
+
+
+class TestRenderPaths:
+    """The native band render, its numpy fallback and the oracle's
+    per-pass render agree byte for byte, cloudy or clear, with or
+    without sensor noise."""
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
+    @pytest.mark.parametrize("cloudy", [True, False])
+    def test_paths_bit_identical(self, sensor, cloudy, noise_sigma, monkeypatch):
+        t_days = next(
+            float(t) for t in range(1, 200)
+            if 0.2 < sensor.cloud_model.coverage_at(float(t)) < 0.8
+        )
+        cloud = sensor.cloud_model.sample(t_days)
+        if not cloudy:
+            clear = np.zeros(cloud.mask.shape, dtype=bool)
+            cloud = CloudSample(0.0, clear, np.zeros(clear.shape))
+        args = (
+            sensor.earth,
+            sensor.bands,
+            t_days,
+            cloud,
+            sensor.illumination_model.sample(t_days),
+        )
+        options = dict(noise_sigma=noise_sigma, satellite_id=2)
+        expected = render_pixels_reference(*args, **options)
+        production = render_pixels(*args, **options)
+        # Pin the numpy render (kernels gated off) so the native-vs-numpy
+        # comparison runs even where the compiled kernels are available.
+        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
+        numpy_render = render_pixels(*args, **options)
+        for name, pixels in expected.items():
+            assert production[name].tobytes() == pixels.tobytes(), name
+            assert numpy_render[name].tobytes() == pixels.tobytes(), name
 
 
 class TestCapture:
