@@ -202,6 +202,8 @@ def fractal_noise(
     if octaves < 1:
         raise ValueError(f"octaves must be >= 1, got {octaves}")
     height, width = shape
+    if height < 1 or width < 1:
+        raise ValueError(f"shape must be positive, got {shape}")
     plan = _field_plan(
         height, width, octaves, float(base_cells), persistence, lacunarity
     )

@@ -69,6 +69,11 @@ class TestFractalNoise:
         with pytest.raises(ValueError):
             fractal_noise((8, 8), seed=0, octaves=0)
 
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0)])
+    def test_rejects_empty_shape(self, shape):
+        with pytest.raises(ValueError, match="shape must be positive"):
+            fractal_noise(shape, seed=0)
+
     def test_octaves_add_detail(self):
         one = fractal_noise((64, 64), seed=2, octaves=1, base_cells=2)
         many = fractal_noise((64, 64), seed=2, octaves=5, base_cells=2)
