@@ -1,17 +1,21 @@
 """Microbenchmarks of the native kernels (classic pytest-benchmark style).
 
 These track the substrate's performance over time rather than reproducing a
-paper figure: the codec's transforms and entropy coders, and the imagery
-synthesis that feeds them.
+paper figure: the codec's transforms and entropy coder, and the imagery
+synthesis that feeds them.  The per-bit oracle coder
+(``tests/codec_oracle.py``) is timed alongside as the slow reference.
 """
 
 import numpy as np
 import pytest
+from codec_oracle import (
+    ORACLE_ENGINE,
+    ArithmeticDecoder,
+    ArithmeticEncoder,
+    reference_engine,
+)
 
-from repro.codec import registry
-from repro.codec.arith import ArithmeticDecoder, ArithmeticEncoder
 from repro.codec.dwt import Wavelet, forward_dwt2d, inverse_dwt2d
-from repro.codec.fastpath import BatchContextTable, BatchRangeEncoder
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.codec.ratemodel import RateModel
 from repro.imagery.bands import get_band
@@ -52,55 +56,15 @@ def test_bench_arith_encode_10k(benchmark, rng=np.random.default_rng(1)):
     assert [dec.decode(int(c)) for c in ctxs[:100]] == [int(b) for b in bits[:100]]
 
 
-def test_bench_arith_encode_many_10k(benchmark, rng=np.random.default_rng(1)):
-    """Batched range-coder API: same workload as the per-bit bench above."""
-    bits = rng.integers(0, 2, 10_000).tolist()
-    ctxs = rng.integers(0, 4, 10_000).tolist()
-
-    def encode():
-        enc = BatchRangeEncoder(BatchContextTable(4))
-        enc.encode_many(bits, ctxs)
-        return enc.finish()
-
-    data = benchmark(encode)
-    # Byte-identical to the reference encoder on the same stream.
-    ref = ArithmeticEncoder()
-    for b, c in zip(bits, ctxs):
-        ref.encode(b, c)
-    assert data == ref.finish()
-
-
 def test_bench_tile_encode_reference(benchmark, image256):
-    codec = ImageCodec(
-        CodecConfig(tile_size=64, base_step=1 / 256), backend="reference"
-    )
+    with reference_engine():
+        codec = ImageCodec(
+            CodecConfig(tile_size=64, base_step=1 / 256), backend=ORACLE_ENGINE
+        )
     tile = image256[:64, :64]
     benchmark(lambda: codec.encode(tile))
 
 
-def test_bench_tile_encode_vectorized(benchmark, image256):
-    codec = ImageCodec(
-        CodecConfig(tile_size=64, base_step=1 / 256), backend="vectorized"
-    )
-    tile = image256[:64, :64]
-    benchmark(lambda: codec.encode(tile))
-
-
-def test_bench_tile_decode_vectorized(benchmark, image256):
-    codec = ImageCodec(
-        CodecConfig(tile_size=64, base_step=1 / 256), backend="vectorized"
-    )
-    encoded = codec.encode(image256[:64, :64])
-    benchmark(lambda: codec.decode(encoded))
-
-
-needs_kernels = pytest.mark.skipif(
-    not registry.get("compiled").available(),
-    reason="compiled kernels unavailable",
-)
-
-
-@needs_kernels
 def test_bench_tile_encode_compiled(benchmark, image256):
     codec = ImageCodec(
         CodecConfig(tile_size=64, base_step=1 / 256), backend="compiled"
@@ -109,7 +73,6 @@ def test_bench_tile_encode_compiled(benchmark, image256):
     benchmark(lambda: codec.encode(tile))
 
 
-@needs_kernels
 def test_bench_tile_decode_compiled(benchmark, image256):
     codec = ImageCodec(
         CodecConfig(tile_size=64, base_step=1 / 256), backend="compiled"
@@ -132,21 +95,8 @@ def test_bench_rate_model_step_search(benchmark, image256):
     assert result.coded_bytes <= 4400
 
 
-#: Imagery synthesis runs the compiled kernels where they exist and numpy
-#: otherwise; each benchmark below times both paths.
-IMAGERY_PATHS = [pytest.param("compiled", marks=needs_kernels), "numpy"]
-
-
-def _select_imagery_path(path, monkeypatch):
-    if path == "numpy":  # a pure-Python engine switches the kernels off
-        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
-    assert (registry.kernels() is not None) == (path == "compiled")
-
-
-@pytest.mark.parametrize("path", IMAGERY_PATHS)
-def test_bench_fractal_field_256(benchmark, image256, path, monkeypatch):
+def test_bench_fractal_field_256(benchmark, image256):
     """One 256x256 five-octave fractal-noise field."""
-    _select_imagery_path(path, monkeypatch)
     field = benchmark(
         lambda: fractal_noise((256, 256), seed=99, octaves=5, base_cells=4)
     )
@@ -180,12 +130,8 @@ def cloudy_capture_inputs():
     )
 
 
-@pytest.mark.parametrize("path", IMAGERY_PATHS)
-def test_bench_capture_render_4band_256(
-    benchmark, cloudy_capture_inputs, path, monkeypatch
-):
+def test_bench_capture_render_4band_256(benchmark, cloudy_capture_inputs):
     """Every band of a partly cloudy capture, with sensor noise."""
-    _select_imagery_path(path, monkeypatch)
     pixels = benchmark(
         lambda: render_pixels(*cloudy_capture_inputs, noise_sigma=0.002)
     )

@@ -2,7 +2,7 @@
 
 Companion to ``test_codec_kernels.py``: where that file times the entropy
 coder backends, this one times the production *simulation* path —
-vectorized DWT lifting, the batched tile pipeline in the rate model, and
+the compiled kernels, the batched tile pipeline in the rate model, and
 the warm-state scenario caches — against the reference implementations
 (``tests/sim_oracle.py``, run through ``reference_path()``), on the
 paper's Figure-13 timeseries scenario (3 policies over one location's
@@ -13,9 +13,11 @@ Besides recording timings it is a regression gate twice over:
 * the fast and reference sweeps must produce **byte-identical** RunResult
   metrics (the fast path is a pure performance change);
 * the measured end-to-end speedup must not regress by more than 15 %
-  against the committed baseline in ``results/fig13_runtime.txt``
-  (speedup is a same-machine ratio, so the gate is portable across
-  hardware).
+  against the baseline :data:`_BASELINE_SPEEDUP` (speedup is a
+  same-machine ratio, so the gate is portable across hardware).  The
+  baseline is a constant, not read back from ``results/fig13_runtime.txt``:
+  this test rewrites that file, so a floor read from it would follow
+  whatever the previous run measured.
 
 Detectors are trained (memoized) before timing: training is a one-time
 per-process cost both paths share, not part of the simulation loop.
@@ -24,12 +26,10 @@ per-process cost both paths share, not part of the simulation loop.
 from __future__ import annotations
 
 import math
-import re
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once
 from sim_oracle import reference_path
 
 from repro.analysis.scenarios import ScenarioSpec, run_scenario
@@ -41,9 +41,12 @@ from repro.core.cloud import train_ground_detector, train_onboard_detector
 from repro.core.config import EarthPlusConfig
 from repro.datasets.sentinel2 import sentinel2_dataset
 
-BASELINE_PATH = RESULTS_DIR / "fig13_runtime.txt"
+#: The end-to-end speedup the gate is relative to: the value committed in
+#: ``results/fig13_runtime.txt`` at the change that fixed the baseline
+#: (2-vCPU build host).  Re-baselining is a deliberate edit here.
+_BASELINE_SPEEDUP = 6.82
 #: Fail when the measured end-to-end speedup drops below this fraction of
-#: the committed baseline speedup (a >15 % regression).  Tighter than the
+#: the baseline speedup (a >15 % regression).  Tighter than the
 #: unconditional 3x floor whenever the committed speedup exceeds ~3.5x,
 #: so the baseline-relative gate is the binding check at the committed
 #: operating point rather than dead weight behind the absolute floor.
@@ -101,16 +104,6 @@ def _clear_warm_state(dataset) -> None:
     dataset.schedule.invalidate_order()
 
 
-def _committed_speedup() -> float | None:
-    """The end-to-end speedup recorded in the committed baseline file."""
-    if not BASELINE_PATH.exists():
-        return None
-    match = re.search(
-        r"end_to_end_speedup:\s*([0-9.]+)", BASELINE_PATH.read_text()
-    )
-    return float(match.group(1)) if match else None
-
-
 def _dwt_timings(rng) -> dict[str, float]:
     tile = rng.random((64, 64))
     stack = rng.random((10, 64, 64))
@@ -120,13 +113,13 @@ def _dwt_timings(rng) -> dict[str, float]:
 
     with reference_path():
         reference = _timed(roundtrip, repeats=20)
-    vectorized = _timed(roundtrip, repeats=20)
+    fused = _timed(roundtrip, repeats=20)
     batched = _timed(
         lambda: dwt_many(stack, 3, Wavelet.CDF97), repeats=20
     ) / stack.shape[0]
     return {
         "dwt_reference": reference,
-        "dwt_vectorized": vectorized,
+        "dwt_fused": fused,
         "dwt_batched_per_image": batched,
     }
 
@@ -152,7 +145,6 @@ def test_sim_fastpath_end_to_end(benchmark, emit, emit_json, bench_scale):
     # path caches it), so a shorter horizon would understate the scenario
     # the claim is about.
     horizon = 365.0
-    committed = _committed_speedup()  # read BEFORE emit overwrites it
 
     def experiment():
         dataset = sentinel2_dataset(
@@ -204,9 +196,9 @@ def test_sim_fastpath_end_to_end(benchmark, emit, emit_json, bench_scale):
          f"{speedup:.2f}x"],
         ["dwt 64x64 roundtrip (reference loops)",
          f"{kernels['dwt_reference'] * 1e3:.3f} ms", ""],
-        ["dwt 64x64 roundtrip (vectorized)",
-         f"{kernels['dwt_vectorized'] * 1e3:.3f} ms",
-         f"{kernels['dwt_reference'] / kernels['dwt_vectorized']:.2f}x"],
+        ["dwt 64x64 roundtrip (fused kernel)",
+         f"{kernels['dwt_fused'] * 1e3:.3f} ms",
+         f"{kernels['dwt_reference'] / kernels['dwt_fused']:.2f}x"],
         ["dwt 64x64 forward, batched x10 (per image)",
          f"{kernels['dwt_batched_per_image'] * 1e3:.3f} ms",
          f"{dwt_speedup:.2f}x"],
@@ -239,7 +231,7 @@ def test_sim_fastpath_end_to_end(benchmark, emit, emit_json, bench_scale):
             "kernel_seconds": kernels,
             "ratemodel_speedup": rm_speedup,
             "dwt_batched_speedup": dwt_speedup,
-            "committed_baseline_speedup": committed,
+            "committed_baseline_speedup": _BASELINE_SPEEDUP,
         },
     )
     # The fast path is a pure performance change: byte-identical metrics.
@@ -248,8 +240,7 @@ def test_sim_fastpath_end_to_end(benchmark, emit, emit_json, bench_scale):
     )
     # Acceptance floor: the tentpole claims >= 3x end-to-end.
     assert speedup >= 3.0, f"end-to-end speedup {speedup:.2f}x < 3x"
-    if committed is not None:
-        assert speedup >= _REGRESSION_FLOOR * committed, (
-            f"end-to-end speedup {speedup:.2f}x regressed more than 15% "
-            f"vs committed baseline {committed:.2f}x"
-        )
+    assert speedup >= _REGRESSION_FLOOR * _BASELINE_SPEEDUP, (
+        f"end-to-end speedup {speedup:.2f}x regressed more than 15% "
+        f"vs baseline {_BASELINE_SPEEDUP:.2f}x"
+    )

@@ -54,7 +54,7 @@ from repro.analysis.scenarios import (
     sweep_specs,
 )
 from repro.analysis.tables import format_rows, format_table, rows_payload
-from repro.core.config import EarthPlusConfig
+from repro.core.config import CODEC_BACKENDS, EarthPlusConfig
 from repro.datasets.planet import planet_dataset
 from repro.datasets.sentinel2 import SENTINEL2_LOCATIONS, sentinel2_dataset
 from repro.obs import metrics, trace
@@ -112,12 +112,10 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--codec",
-        choices=("model", "real", "reference", "vectorized", "compiled"),
+        choices=CODEC_BACKENDS,
         default="model",
         help="fast rate model ('model') or the full arithmetic-coded codec "
-        "on a registered engine: 'reference' (per-bit), 'vectorized' "
-        "(batched numpy), 'compiled' (native kernels), or 'real' (best "
-        "engine available) — all engines are bit-exact",
+        "on the compiled kernels ('real')",
     )
     parser.add_argument(
         "--layers", type=int, default=1,

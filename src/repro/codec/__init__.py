@@ -3,7 +3,8 @@
 The paper encodes changed tiles with an off-the-shelf JPEG-2000 encoder
 (Kakadu) using region-of-interest and layered (quality-progressive) features.
 Kakadu is proprietary and no codec binding is available offline, so this
-package implements the codec for real, in numpy:
+package implements the codec for real, in numpy and C kernels compiled on
+first use (a C compiler is required):
 
 * multilevel lifting DWT — CDF 9/7 (lossy) and LeGall 5/3 (integer,
   reversible) with symmetric extension and arbitrary (odd) sizes
@@ -11,11 +12,11 @@ package implements the codec for real, in numpy:
 * dead-zone scalar quantization with per-subband steps
   (:mod:`repro.codec.quantize`);
 * embedded bit-plane coding with previous-plane significance contexts,
-  driving an adaptive binary arithmetic (range) coder
-  (:mod:`repro.codec.bitplane`, :mod:`repro.codec.arith`), plus a
-  byte-identical vectorized fast path (:mod:`repro.codec.fastpath`) and a
-  native compiled engine (:mod:`repro.codec.compiled`), all registered
-  behind one backend registry (:mod:`repro.codec.registry`);
+  driving an adaptive binary arithmetic (range) coder, in native compiled
+  kernels (:mod:`repro.codec.bitplane`, :mod:`repro.codec.compiled`,
+  :mod:`repro.codec._ckernels`) registered behind one backend registry
+  (:mod:`repro.codec.registry`); the per-bit coder they reproduce is a
+  test oracle (``tests/codec_oracle.py``);
 * a tile/image codec with region-of-interest tile selection, post-compression
   rate-distortion truncation, and quality layers
   (:mod:`repro.codec.jpeg2000`);
@@ -35,15 +36,12 @@ from repro.codec.dwt import (
     WaveletCoeffs,
 )
 from repro.codec.quantize import QuantizerSpec, quantize_coeffs, dequantize_coeffs
-from repro.codec.arith import ArithmeticEncoder, ArithmeticDecoder, ContextModel
 from repro.codec.bitstream import BitWriter, BitReader
-from repro.codec.fastpath import VectorizedPlaneCoder
 from repro.codec.jpeg2000 import (
     ImageCodec,
     EncodedImage,
     EncodedTile,
     CodecConfig,
-    PLANE_CODER_BACKENDS,
 )
 from repro.codec.ratemodel import RateModel, RateModelResult
 
@@ -59,17 +57,12 @@ __all__ = [
     "QuantizerSpec",
     "quantize_coeffs",
     "dequantize_coeffs",
-    "ArithmeticEncoder",
-    "ArithmeticDecoder",
-    "ContextModel",
     "BitWriter",
     "BitReader",
     "ImageCodec",
     "EncodedImage",
     "EncodedTile",
     "CodecConfig",
-    "PLANE_CODER_BACKENDS",
-    "VectorizedPlaneCoder",
     "RateModel",
     "RateModelResult",
 ]

@@ -26,10 +26,8 @@ class RealCodecAdapter:
         config: Codec geometry (tile size, DWT levels).
         n_layers: Quality layers per encoded image.
         backend: Entropy-coding engine name from the backend registry
-            (``None`` resolves through the registry precedence chain —
-            explicit argument, ``$REPRO_CODEC_BACKEND``, then the
-            ``"real"`` best-available engine).  All engines are
-            bit-exact.
+            (``None`` means ``"real"``, the compiled engine).  Every
+            registered engine is bit-exact.
     """
 
     def __init__(

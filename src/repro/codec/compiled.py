@@ -1,23 +1,19 @@
-"""Compiled plane coder: native C kernels, byte-identical bitstreams.
+"""Compiled plane coder: the production entropy engine.
 
-:class:`CompiledPlaneCoder` is the ``compiled`` registry backend.  Both
-directions run one native call per tile (:mod:`repro.codec._ckernels`).
-Encode codes every plane, fusing significance / refinement pass
-assembly, the adaptive context model, and the Subbotin range coder, and
-returns each plane's codeword.  Decode is its mirror: one call takes the
-kept segments back to back, primes a fresh range decoder per segment and
-walks every band's passes.  Each band keeps a count of its significant
-neighbours, bumped once when a coefficient turns significant, so a
-significance context is one lookup in the start-of-plane state and no
-per-pass context preparation or marshalling happens in Python.  The
-kernels are exact ports, so the output is byte-identical to both the
-reference and vectorized coders at every truncation point; the
-differential, golden, and corruption harnesses enforce this for all
-registered backends.
-
-Construction requires the kernels: the registry's availability probe
-keeps this class from being instantiated on machines without a C
-toolchain (they fall back to ``vectorized``).
+:class:`CompiledPlaneCoder` is the ``compiled`` registry backend (the one
+the ``"real"`` alias names).  Both directions run one native call per
+tile (:mod:`repro.codec._ckernels`).  Encode codes every plane, fusing
+significance / refinement pass assembly, the adaptive context model, and
+the Subbotin range coder, and returns each plane's codeword.  Decode is
+its mirror: one call takes the kept segments back to back, primes a
+fresh range decoder per segment and walks every band's passes.  Each
+band keeps a count of its significant neighbours, bumped once when a
+coefficient turns significant, so a significance context is one lookup
+in the start-of-plane state and no per-pass context preparation or
+marshalling happens in Python.  The bitstreams are byte-identical to the
+per-bit oracle coder (``SubbandPlaneCoder`` in ``tests/codec_oracle.py``)
+at every truncation point; the differential, golden, and corruption
+harnesses enforce this.
 """
 
 from __future__ import annotations
@@ -31,27 +27,42 @@ from repro.codec.bitplane import (
     check_max_plane,
     check_segment_plane,
 )
-from repro.codec.fastpath import VectorizedPlaneCoder
 from repro.errors import BitstreamError
 
 _OVERRUN_MSG = "arithmetic decoder ran far past end of data"
 
+#: Context ids per band label: 3 significance buckets (0 / 1-2 / 3+
+#: significant neighbours), then 1 sign and 1 refinement context.
+_CTX_PER_BAND = 5
 
-class CompiledPlaneCoder(VectorizedPlaneCoder):
-    """Bit-identical plane coder running its inner loops in native code.
 
-    Same constructor and public API as :class:`VectorizedPlaneCoder`
-    (and therefore as the reference ``SubbandPlaneCoder``).
+class CompiledPlaneCoder:
+    """Embedded bit-plane coder running its inner loops in native code.
+
+    All subbands of a tile are coded inside each plane, in the given
+    order, so one truncation point cuts the whole tile consistently.
     """
 
     def __init__(self, band_shapes: list[tuple[str, int, tuple[int, int]]]) -> None:
-        super().__init__(band_shapes)
-        kernels = _ckernels.load()
-        if kernels is None:  # registry availability probe prevents this
-            raise BitstreamError(
-                f"compiled kernels unavailable: {_ckernels.unavailable_reason()}"
-            )
-        self._kernels = kernels
+        """Args:
+        band_shapes: ``(name, level, shape)`` per subband, in the fixed
+            coding order (coarsest first, as ``WaveletCoeffs.subbands``
+            produces them).
+
+        Raises:
+            CodecError: When the kernels cannot be built.
+        """
+        self.band_shapes = band_shapes
+        # Contexts are keyed by band label, so bands with the same label
+        # share adaptive state: each label gets one base of
+        # _CTX_PER_BAND context ids.
+        bases: dict[str, int] = {}
+        self._bases: list[int] = [
+            bases.setdefault(key, _CTX_PER_BAND * len(bases))
+            for key, _level, _shape in band_shapes
+        ]
+        self._n_contexts = _CTX_PER_BAND * len(bases)
+        self._kernels = _ckernels.load()
         # The tile kernels read the bands back to back from one flat
         # buffer per array, described by each band's shape and context
         # base; `_extents` locates each band in those buffers.
@@ -89,11 +100,23 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
     def encode(
         self, bands: list[np.ndarray], max_plane: int
     ) -> list[PlaneSegment]:
-        """Encode all planes from ``max_plane`` down to 0 (see reference).
+        """Encode all planes from ``max_plane`` down to 0.
 
         One native call does everything for every plane — plane
         assembly, adaptive context modelling, range coding — so no
         decision stream is ever materialized on the Python side.
+
+        Args:
+            bands: Quantized int arrays matching ``band_shapes`` order.
+            max_plane: Highest occupied plane (from
+                :func:`repro.codec.quantize.max_bitplane`).
+
+        Returns:
+            One :class:`PlaneSegment` per plane, most significant first.
+
+        Raises:
+            ValueError: ``max_plane`` above ``bitplane.MAX_PLANE``.
+            BitstreamError: Bands that do not match ``band_shapes``.
         """
         check_max_plane(max_plane)
         check_bands(self.band_shapes, bands)
@@ -120,11 +143,24 @@ class CompiledPlaneCoder(VectorizedPlaneCoder):
     def decode(
         self, segments: list[PlaneSegment], max_plane: int
     ) -> list[np.ndarray]:
-        """Decode a (possibly truncated) prefix of planes (see reference).
+        """Decode a (possibly truncated) prefix of planes.
 
         One native call decodes every segment before the first one whose
         plane is out of sequence.  Errors keep the per-segment order: an
         overrun in a decoded segment wins over that later plane error.
+
+        Args:
+            segments: A prefix of the encoded planes, most significant
+                first.
+            max_plane: The ``max_plane`` used at encode time.
+
+        Returns:
+            Signed integer reconstructions (missing planes read as zeros;
+            the midpoint correction happens at dequantization).
+
+        Raises:
+            BitstreamError: A segment out of plane order or below plane
+                0, or one whose decoder ran far past its end.
         """
         check_max_plane(max_plane)
         magnitudes = np.zeros(self._size, dtype=np.int64)

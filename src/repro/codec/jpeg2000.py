@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.codec import registry
-from repro.codec.bitplane import PlaneSegment, SubbandPlaneCoder
+from repro.codec.bitplane import PlaneSegment
 from repro.codec.bitstream import BitReader, BitWriter
-from repro.codec.fastpath import VectorizedPlaneCoder
 from repro.codec.dwt import Wavelet, WaveletCoeffs, forward_dwt2d, inverse_dwt2d
 from repro.codec.quantize import (
     QuantizerSpec,
@@ -39,24 +38,6 @@ from repro.codec.quantize import (
 from repro.errors import BitstreamError, CodecError, RateControlError
 
 _MAGIC = b"EPJ2"
-
-
-def _plane_coder_backends() -> dict:
-    """Backwards-compatible view of the registry (name -> coder factory).
-
-    The registry (:mod:`repro.codec.registry`) is the source of truth;
-    this module-level mapping survives for callers that used to import
-    ``PLANE_CODER_BACKENDS`` directly.
-    """
-    return {
-        name: registry.get(name).coder_factory for name in registry.names()
-    }
-
-
-#: Entropy-coding backends: all produce byte-identical bitstreams (enforced
-#: by the differential test harness).  Deprecated alias — use
-#: ``repro.codec.registry`` instead.
-PLANE_CODER_BACKENDS = _plane_coder_backends()
 
 
 def subband_shapes(
@@ -321,12 +302,10 @@ class ImageCodec:
         config: Codec parameters; defaults match the paper's setup
             (64x64 tiles, 3-level 9/7).
         backend: Entropy-coding engine name from the backend registry
-            (``"reference"``, ``"vectorized"``, ``"compiled"``, or the
-            ``"real"`` best-available alias).  ``None`` (default) resolves
-            through the registry precedence chain — explicit argument,
-            then ``$REPRO_CODEC_BACKEND``, then ``"real"``.  All
-            engines are bit-exact: identical bitstreams, identical
-            reconstructions.
+            (``"compiled"``, or ``"real"``, which names it).  ``None``
+            (default) means ``"real"``.  Every registered engine is
+            bit-exact against the per-bit oracle: identical bitstreams,
+            identical reconstructions.
     """
 
     def __init__(

@@ -14,9 +14,12 @@ treat it as the "Kakadu throughput path" of the reproduction.
 The model runs batched: all ROI tiles of an image are transformed in one
 :func:`~repro.codec.dwt.dwt_many` call, quantization and the per-bit-plane
 significance statistics operate on ``(tile, h, w)`` stacks, and the step
-search reuses its decompositions for the final encode.  Every batched
-stage performs the same elementwise arithmetic in the same accumulation
-order as the original per-tile loops (kept as the oracle in
+search reuses its decompositions for the final encode.  The top-bit
+histograms, the plane walk and the dequantize run in the compiled kernels
+(:mod:`repro.codec._ckernels`); numpy keeps the entropy matrix and the
+int32-wrap regime of absurdly fine steps, which the kernels defer to it.
+Every batched stage performs the same elementwise arithmetic in the same
+accumulation order as the original per-tile loops (kept as the oracle in
 ``tests/sim_oracle.py``), so results (byte estimates AND reconstructions)
 are bit-identical — the differential tests pin this.
 """
@@ -90,12 +93,11 @@ def _magnitude_histogram(
     — replicate the wrap exactly by deferring to the signed path.
     """
     n_tiles = band_stack.shape[0]
-    kernels = registry.kernels()
-    if kernels is not None and band_stack.dtype == np.float64 and n_tiles:
+    if band_stack.dtype == np.float64 and n_tiles:
         # Fused native path: floor/abs/divide/top-bit/bincount in one pass
         # (same float ops, exact for the integer-valued magnitudes).
         flat = np.ascontiguousarray(band_stack.reshape(n_tiles, -1))
-        counts_raw, tops = kernels.magnitude_histogram(flat, step)
+        counts_raw, tops = registry.kernels().magnitude_histogram(flat, step)
         size = flat.shape[1]
         max_top = int(tops.max())
         if size and max_top >= 31:
@@ -150,9 +152,8 @@ def _plane_walk_bits(
         ``(rows,)`` float64 estimated bits.
     """
     n_rows, n_planes = counts.shape
-    bits = np.zeros(n_rows, dtype=np.float64)
     if n_planes == 0:
-        return bits
+        return np.zeros(n_rows, dtype=np.float64)
     # n_ge[:, p] = #(topbit >= p); the significant count at plane p is
     # n_ge[:, p + 1].
     n_ge = counts[:, ::-1].cumsum(axis=1)[:, ::-1].astype(np.float64)
@@ -163,31 +164,17 @@ def _plane_walk_bits(
     n_insig_mat = sizes_f[:, None] - n_sig_mat
     safe_insig = np.where(n_insig_mat > 0, n_insig_mat, 1.0)
     entropy_mat = _binary_entropy(k_mat / safe_insig)
-    kernels = registry.kernels()
-    if kernels is not None:
-        # Native walk over the same precomputed entropy matrix (np.log2
-        # stays in numpy so transcendental rounding cannot drift); the
-        # per-plane integer statistics and the three accumulator
-        # additions replay in the exact numpy order.
-        return kernels.plane_walk_bits(
-            np.ascontiguousarray(counts, dtype=np.int64),
-            np.ascontiguousarray(tops, dtype=np.int64),
-            np.ascontiguousarray(sizes, dtype=np.int64),
-            np.ascontiguousarray(entropy_mat),
-        )
-    zero = np.zeros(n_rows, dtype=np.float64)
-    for plane in range(n_planes - 1, -1, -1):
-        # Rows whose top plane is below `plane` must contribute nothing —
-        # the scalar walk starts at each subband's own top plane.
-        active = plane <= tops
-        n_insig = n_insig_mat[:, plane]
-        contributes = active & (n_insig > 0)
-        # Same three additions, in the same order, as the scalar walk;
-        # inactive rows add exact zeros (a float no-op for bits >= 0).
-        bits += np.where(contributes, n_insig * entropy_mat[:, plane], zero)
-        bits += np.where(contributes, k_mat[:, plane], zero)
-        bits += np.where(active, 0.95 * n_sig_mat[:, plane], zero)
-    return bits
+    # The native walk runs over this precomputed entropy matrix (np.log2
+    # stays in numpy so transcendental rounding cannot drift); a row
+    # starts at its own top plane, and the per-plane integer statistics
+    # and the three accumulator additions replay in the scalar walk's
+    # order.
+    return registry.kernels().plane_walk_bits(
+        np.ascontiguousarray(counts, dtype=np.int64),
+        np.ascontiguousarray(tops, dtype=np.int64),
+        np.ascontiguousarray(sizes, dtype=np.int64),
+        np.ascontiguousarray(entropy_mat),
+    )
 
 
 @dataclass(frozen=True)
@@ -361,12 +348,10 @@ def _plan_from_entries(entries) -> tuple[list[tuple], np.ndarray]:
             stack = buffer[offset : offset + size].reshape(
                 (len(indices),) + first.shape
             )
-            # The subband views are C-ordered from the fused native
-            # transform but F-ish from the numpy lifting fallback; copying
-            # them into the C-ordered region gives every consumer
-            # (histogram kernels, quantize, per-tile slicing) contiguous
-            # rows.  A pure copy: same logical values, so every
-            # elementwise op stays bit-exact.
+            # Copying each tile's subband view into the C-ordered region
+            # gives every consumer (histogram kernels, quantize, per-tile
+            # slicing) contiguous rows.  A pure copy: same logical
+            # values, so every elementwise op stays bit-exact.
             for pos, bands in enumerate(subband_lists):
                 stack[pos] = bands[b][2]
             stacks.append(stack)
@@ -388,11 +373,14 @@ def _quantize_stack(
 def _dequantize_stack(
     band_q_stack: np.ndarray, step: float, reconstruction_offset: float = 0.5
 ) -> np.ndarray:
-    """Elementwise twin of :func:`~repro.codec.quantize.dequantize_coeffs`."""
-    kernels = registry.kernels()
-    if kernels is not None and band_q_stack.dtype == np.int32:
+    """Elementwise twin of :func:`~repro.codec.quantize.dequantize_coeffs`.
+
+    The quantizer's int32 stacks dequantize natively; any other integer
+    dtype takes the same expression in numpy.
+    """
+    if band_q_stack.dtype == np.int32:
         flat = np.ascontiguousarray(band_q_stack)
-        return kernels.dequantize(flat, step, reconstruction_offset)
+        return registry.kernels().dequantize(flat, step, reconstruction_offset)
     magnitudes = np.abs(band_q_stack).astype(np.float64)
     return np.where(
         band_q_stack != 0,
@@ -412,15 +400,12 @@ def _dequantize_blocks(
     blocks; the fused call only amortizes per-call overhead across the
     ~10 tiny subband arrays of a tile.
     """
-    kernels = registry.kernels()
-    if (
-        kernels is not None
-        and blocks
-        and all(
-            b.dtype == np.int32 and b.flags.c_contiguous for b in blocks
-        )
+    if blocks and all(
+        b.dtype == np.int32 and b.flags.c_contiguous for b in blocks
     ):
-        return kernels.dequantize_multi(blocks, steps, reconstruction_offset)
+        return registry.kernels().dequantize_multi(
+            blocks, steps, reconstruction_offset
+        )
     return [
         _dequantize_stack(block, step, reconstruction_offset)
         for block, step in zip(blocks, steps)
@@ -432,9 +417,9 @@ def _histograms_per_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-block :func:`_magnitude_histogram`s as one counts matrix.
 
-    The fallback of :func:`_payload_totals` when the one-call native
-    histogram cannot run (no toolchain, or the int32 wrap regime): same
-    rows, same order, same trimmed column count.
+    :func:`_payload_totals` in the int32 wrap regime, where the one-call
+    native histogram cannot replicate the quantizer: same rows, same
+    order, same trimmed column count.
     """
     results = [
         _magnitude_histogram(block, float(step))
@@ -462,23 +447,16 @@ def _payload_totals(batch: _DecompBatch, step: float) -> tuple[float, int]:
     if not batch.rows.size:
         return 0.0, 0
     steps = subband_steps(step, batch.weights, batch.divisors)
-    histogram = None
-    kernels = registry.kernels()
-    if kernels is not None:
-        counts, tops = kernels.magnitude_histogram_multi(
-            batch.ptrs, batch.rows, batch.sizes, steps
-        )
-        max_top = int(tops.max())
+    counts, tops = registry.kernels().magnitude_histogram_multi(
+        batch.ptrs, batch.rows, batch.sizes, steps
+    )
+    max_top = int(tops.max())
+    if max_top < 31:
+        counts = np.ascontiguousarray(counts[:, : max(max_top, 0) + 1])
+    else:
         # Top bits >= 31 wrap in the quantizer's int32 cast; that regime's
         # exact semantics live in _magnitude_histogram.
-        if max_top < 31:
-            histogram = (
-                np.ascontiguousarray(counts[:, : max(max_top, 0) + 1]),
-                tops,
-            )
-    if histogram is None:
-        histogram = _histograms_per_block(batch, steps)
-    counts, tops = histogram
+        counts, tops = _histograms_per_block(batch, steps)
     row_bits = _plane_walk_bits(counts, tops, batch.row_sizes)
     payload_bits = float(np.cumsum(row_bits[batch.order])[-1])
     planes = np.maximum.reduceat(tops[batch.order] + 1, batch.tile_starts)

@@ -179,17 +179,12 @@ def measure_encode_timings(
     repeats: int = 3,
     backends: "tuple[str, ...] | None" = None,
 ) -> dict[str, float]:
-    """Time the real codec's encode stage under each entropy backend.
+    """Time the real codec's encode and decode under each entropy backend.
 
-    The registered backends are bit-exact (differential-tested), so this
-    measures pure implementation speed of the same computation: the
-    per-bit reference coder, the vectorized numpy fast path, and the
-    native compiled kernels.
-
-    Each backend is measured with ``REPRO_CODEC_BACKEND`` pinned to it so
-    the engine-independent kernel hooks (DWT lifting, rate model) run the
-    matching implementation — the ``vectorized`` row is pure numpy even
-    on a machine where the compiled kernels are available.
+    Every registered backend is bit-exact against the per-bit oracle, so
+    this measures pure implementation speed of the same computation; the
+    DWT and quantization around the entropy coder are the same compiled
+    kernels for every backend.
 
     Args:
         image: 2-D float image in [0, 1].
@@ -197,13 +192,11 @@ def measure_encode_timings(
         base_step: Quantizer base step (fine enough to occupy many planes).
         repeats: Median-of-N repetitions.
         backends: Engine names to measure; default: every registered
-            engine that is available on this machine.
+            engine.
 
     Returns:
         ``{"encode_<backend>": s, "decode_<backend>": s}`` per backend.
     """
-    import os
-
     from repro.codec import registry
     from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 
@@ -217,24 +210,14 @@ def measure_encode_timings(
         return float(np.median(samples))
 
     if backends is None:
-        backends = tuple(
-            name for name in registry.names() if registry.get(name).available()
-        )
+        backends = registry.names()
     config = CodecConfig(tile_size=tile_size, base_step=base_step)
     timings: dict[str, float] = {}
     encoded = None
-    saved = os.environ.get(registry.ENV_BACKEND)
-    try:
-        for backend in backends:
-            os.environ[registry.ENV_BACKEND] = backend
-            codec = ImageCodec(config, backend=backend)
-            timings[f"encode_{backend}"] = timed(lambda: codec.encode(image))
-            if encoded is None:
-                encoded = codec.encode(image)
-            timings[f"decode_{backend}"] = timed(lambda: codec.decode(encoded))
-    finally:
-        if saved is None:
-            os.environ.pop(registry.ENV_BACKEND, None)
-        else:
-            os.environ[registry.ENV_BACKEND] = saved
+    for backend in backends:
+        codec = ImageCodec(config, backend=backend)
+        timings[f"encode_{backend}"] = timed(lambda: codec.encode(image))
+        if encoded is None:
+            encoded = codec.encode(image)
+        timings[f"decode_{backend}"] = timed(lambda: codec.decode(encoded))
     return timings

@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 
+#: Valid ``EarthPlusConfig.codec_backend`` (and ``--codec``) values: the
+#: calibrated rate model, or the real arithmetic-coded codec.
+CODEC_BACKENDS = ("model", "real")
+
 
 @dataclass(frozen=True)
 class DovesSpec:
@@ -117,18 +121,12 @@ class EarthPlusConfig:
         raw_bytes_per_pixel: Bytes per full-res raw pixel (12-bit sensor
             packed in 2 bytes).
         codec_backend: ``"model"`` uses the calibrated fast rate model for
-            ROI encoding (default; right for parameter sweeps); any other
-            value selects the full bit-exact arithmetic-coded codec so
-            every downlinked byte is a real bitstream byte, with the
-            entropy-coding engine resolved through the codec backend
-            registry (``repro.codec.registry``): ``"reference"`` is the
-            per-bit coder, ``"vectorized"`` the batched numpy fast path,
-            ``"compiled"`` the native-kernel engine (falls back to
-            vectorized when no C toolchain is present), and ``"real"``
-            picks the best engine available on this machine.  All engines
-            are proven byte-identical by the differential test harness,
-            so the choice never affects results — only wall time — and
-            never enters the experiment-store key.
+            ROI encoding (default; right for parameter sweeps); ``"real"``
+            selects the full bit-exact arithmetic-coded codec, so every
+            downlinked byte is a real bitstream byte, on the engine the
+            codec backend registry's ``"real"`` alias names (the compiled
+            kernels; ``repro.codec.registry``).  Those are the only two
+            values (:data:`CODEC_BACKENDS`).
     """
 
     tile_size: int = 64
@@ -182,16 +180,10 @@ class EarthPlusConfig:
             raise ConfigError(
                 "delta_reference_updates requires cache_references_onboard"
             )
-        if self.codec_backend not in (
-            "model",
-            "real",
-            "reference",
-            "vectorized",
-            "compiled",
-        ):
+        if self.codec_backend not in CODEC_BACKENDS:
             raise ConfigError(
-                f"codec_backend must be 'model', 'real', 'reference', "
-                f"'vectorized', or 'compiled', got {self.codec_backend!r}"
+                f"codec_backend must be one of {list(CODEC_BACKENDS)}, "
+                f"got {self.codec_backend!r}"
             )
 
     def reference_compression_ratio(self) -> float:

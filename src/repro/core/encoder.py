@@ -60,12 +60,9 @@ def build_rate_model(
 ):
     """The configured rate backend: fast model or real arithmetic codec.
 
-    ``codec_backend`` selects ``"model"`` (calibrated rate model) or one
-    of the registered entropy-coding engines (``"reference"``,
-    ``"vectorized"``, ``"compiled"``, or the ``"real"`` best-available
-    alias) — engine names resolve through ``repro.codec.registry`` with
-    its one precedence chain, so ``$REPRO_CODEC_BACKEND`` applies when
-    the config leaves the engine unpinned.
+    ``codec_backend`` selects ``"model"`` (calibrated rate model) or
+    ``"real"``, the arithmetic-coded codec on the engine that alias names
+    in ``repro.codec.registry``.
     """
     resolved = (
         codec_config

@@ -26,7 +26,7 @@ from repro.imagery.bands import (
     PLANET_BANDS,
     get_band,
 )
-from repro.imagery.noise import fractal_noise, value_noise, smoothstep
+from repro.imagery.noise import fractal_noise, smoothstep
 from repro.imagery.events import ChangeEventProcess, TileChangeModel
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
 from repro.imagery.illumination import IlluminationModel, IlluminationSample
@@ -40,7 +40,6 @@ __all__ = [
     "PLANET_BANDS",
     "get_band",
     "fractal_noise",
-    "value_noise",
     "smoothstep",
     "ChangeEventProcess",
     "TileChangeModel",

@@ -2,9 +2,11 @@
 
 Everything here is a pure function of an integer seed, so the whole synthetic
 Earth is reproducible: generating the same location twice yields bit-identical
-arrays.  The workhorse is seeded value noise with smooth (Hermite)
-interpolation, composed into fractal Brownian motion by
-:func:`fractal_noise`.
+arrays.  The workhorse is :func:`fractal_noise`: fractal Brownian motion, a
+sum of octaves of seeded value noise with smooth (Hermite) interpolation,
+rendered by one compiled kernel call per field (:mod:`repro.codec._ckernels`).
+Its specification, a per-octave numpy sum, is ``fractal_field_reference`` in
+``tests/sim_oracle.py``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
         Smoothed parameters, same shape as ``t``.
     """
     return t * t * (3.0 - 2.0 * t)
-
-
-def _lattice_values(seed: int, cells_y: int, cells_x: int) -> np.ndarray:
-    """Random values on a (cells_y+1, cells_x+1) integer lattice."""
-    rng = np.random.default_rng(seed)
-    return rng.random((cells_y + 1, cells_x + 1))
 
 
 @lru_cache(maxsize=256)
@@ -67,40 +63,11 @@ def _lattice_cells(height: int, width: int, cells: int) -> tuple[int, int]:
     )
 
 
-def value_noise(shape: tuple[int, int], cells: int, seed: int) -> np.ndarray:
-    """Single-octave value noise over a 2-D grid.
-
-    A coarse lattice of uniform random values is smoothly interpolated up to
-    the requested resolution.  Feature size is controlled by ``cells``: the
-    image is divided into ``cells`` lattice cells along its longer axis.
-
-    Args:
-        shape: Output ``(height, width)``.
-        cells: Number of lattice cells along the longer image axis (>= 1).
-        seed: Seed for the lattice values.
-
-    Returns:
-        Array of shape ``shape`` with values in ``[0, 1]``.
-    """
-    height, width = shape
-    cells_y, cells_x = _lattice_cells(height, width, cells)
-    lattice = _lattice_values(seed, cells_y, cells_x)
-    y0, ty, x0, tx = _interp_geometry(height, width, cells_y, cells_x)
-    # Each lattice row's horizontal blend once, then every pixel row's
-    # vertical blend of the two rows around it: term for term the
-    # four-corner expression top = v00 * (1 - tx) + v01 * tx (likewise
-    # bottom), out = top * (1 - ty) + bottom * ty.
-    rows = lattice[:, x0] * (1.0 - tx) + lattice[:, x0 + 1] * tx
-    ty = ty[:, None]
-    return rows[y0] * (1.0 - ty) + rows[y0 + 1] * ty
-
-
 @dataclass(frozen=True)
 class _FieldPlan:
     """Every seed-independent part of one fractal-noise field.
 
     Attributes:
-        cells: Each octave's lattice cells along the longer axis.
         amplitudes: Each octave's amplitude (float64).
         amplitude_sum: Their sum, accumulated in octave order.
         offsets: Where each octave's lattice starts in the shared
@@ -110,7 +77,6 @@ class _FieldPlan:
         columns: Each octave's ``(x0, tx)`` geometry, back to back.
     """
 
-    cells: tuple[int, ...]
     amplitudes: np.ndarray
     amplitude_sum: float
     offsets: np.ndarray
@@ -144,7 +110,6 @@ def _field_plan(
     geometry = [_interp_geometry(height, width, *grid) for grid in grids]
     sizes = [(cells_y + 1) * (cells_x + 1) for cells_y, cells_x in grids]
     return _FieldPlan(
-        cells=tuple(cells),
         amplitudes=np.array(amplitudes, dtype=np.float64),
         amplitude_sum=amplitude_sum,
         offsets=np.cumsum([0, *sizes], dtype=np.int64),
@@ -163,16 +128,6 @@ def _octave_seed(seed: int, octave: int) -> int:
     return (seed * 1_000_003 + octave * 7919) & 0x7FFFFFFF
 
 
-def _fused_kernels():
-    """The compiled kernels for one-pass fractal fields, or None.
-
-    The one switch between the native field and the per-octave numpy
-    sum: ``sim_oracle.reference_path()`` patches it to return None, so
-    that the numpy sum runs over the reference :func:`value_noise`.
-    """
-    return registry.kernels()
-
-
 def fractal_noise(
     shape: tuple[int, int],
     seed: int,
@@ -183,10 +138,11 @@ def fractal_noise(
 ) -> np.ndarray:
     """Fractal Brownian motion: a sum of value-noise octaves.
 
-    With the compiled kernels, one native call sums every octave and
-    normalizes the field; without them, numpy sums :func:`value_noise`
-    octave by octave.  Both draw the same lattices and produce the same
-    bytes.
+    Octave ``k`` interpolates a lattice of uniform values drawn from its
+    own sub-seed, with ``base_cells * lacunarity**k`` lattice cells
+    (rounded) along the longer image axis, and weighs it by
+    ``persistence**k``; the weighted sum is divided by the weights' sum
+    and normalized to ``[0, 1]`` (all zeros for a flat field).
 
     Args:
         shape: Output ``(height, width)``.
@@ -204,36 +160,46 @@ def fractal_noise(
     height, width = shape
     if height < 1 or width < 1:
         raise ValueError(f"shape must be positive, got {shape}")
-    plan = _field_plan(
-        height, width, octaves, float(base_cells), persistence, lacunarity
+    return _fractal_field(
+        (height, width), seed, octaves, float(base_cells), persistence,
+        lacunarity,
     )
-    kernels = _fused_kernels()
-    if kernels is not None:
-        offsets = plan.offsets.tolist()
-        lattices = np.empty(offsets[-1], dtype=np.float64)
-        for octave in range(octaves):
-            rng = np.random.default_rng(_octave_seed(seed, octave))
-            rng.random(out=lattices[offsets[octave] : offsets[octave + 1]])
-        return kernels.fractal_field(
-            lattices,
-            plan.offsets[:-1],
-            plan.cols,
-            plan.rows,
-            plan.columns,
-            plan.amplitudes,
-            plan.amplitude_sum,
-            (height, width),
-        )
-    total = np.zeros(shape, dtype=np.float64)
-    for octave, (cells, amplitude) in enumerate(
-        zip(plan.cells, plan.amplitudes.tolist())
-    ):
-        total += amplitude * value_noise(shape, cells, _octave_seed(seed, octave))
-    total /= plan.amplitude_sum
-    lo, hi = float(total.min()), float(total.max())
-    if hi - lo < 1e-12:
-        return np.zeros(shape, dtype=np.float64)
-    return (total - lo) / (hi - lo)
+
+
+def _fractal_field(
+    shape: tuple[int, int],
+    seed: int,
+    octaves: int,
+    base_cells: float,
+    persistence: float,
+    lacunarity: float,
+) -> np.ndarray:
+    """One validated fractal field: every octave in one native call.
+
+    The lattices are numpy draws, one generator per octave; the kernel
+    blends, sums and normalizes them.  Every fractal field of the program
+    is rendered here, which makes this the seam that
+    ``sim_oracle.reference_path()`` replaces with the per-octave sum.
+    """
+    height, width = shape
+    plan = _field_plan(
+        height, width, octaves, base_cells, persistence, lacunarity
+    )
+    offsets = plan.offsets.tolist()
+    lattices = np.empty(offsets[-1], dtype=np.float64)
+    for octave in range(octaves):
+        rng = np.random.default_rng(_octave_seed(seed, octave))
+        rng.random(out=lattices[offsets[octave] : offsets[octave + 1]])
+    return registry.kernels().fractal_field(
+        lattices,
+        plan.offsets[:-1],
+        plan.cols,
+        plan.rows,
+        plan.columns,
+        plan.amplitudes,
+        plan.amplitude_sum,
+        shape,
+    )
 
 
 def seeded_uniform(seed: int, *shape: int) -> np.ndarray:

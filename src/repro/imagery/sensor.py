@@ -327,10 +327,11 @@ def render_pixels(
     here.  A noise-free band is already in [0, 1] before the final clip,
     so there the clip changes nothing.
 
-    With the compiled kernels each band is one native pass, rendered in
-    place over its fresh ground-truth array; without them numpy runs the
-    same operations.  The cloud blend weights are computed once per
-    capture, zero off the mask, so every pixel takes the same blend.
+    Each band is one compiled-kernel pass (:mod:`repro.codec._ckernels`),
+    rendered in place over its fresh ground-truth array.  The cloud blend
+    weights are computed once per capture, zero off the mask, so every
+    pixel takes the same blend.  The specification, separate numpy passes
+    per band, is ``render_pixels_reference`` in ``tests/sim_oracle.py``.
     """
     kernels = registry.kernels()
     alpha = cloud.alpha() if cloud.mask.any() else None
@@ -349,20 +350,12 @@ def render_pixels(
                 )
             )
             noise = rng.normal(0.0, noise_sigma, size=surface.shape)
-        if kernels is not None:
-            pixels[band.name] = kernels.render_band(
-                surface,
-                illumination.gain,
-                illumination.offset,
-                alpha,
-                cloud_value(band),
-                noise,
-            )
-            continue
-        observed = illumination.apply(surface)
-        if alpha is not None:
-            observed = observed * (1.0 - alpha) + cloud_value(band) * alpha
-        if noise is not None:
-            observed += noise
-        pixels[band.name] = np.clip(observed, 0.0, 1.0, out=observed)
+        pixels[band.name] = kernels.render_band(
+            surface,
+            illumination.gain,
+            illumination.offset,
+            alpha,
+            cloud_value(band),
+            noise,
+        )
     return pixels

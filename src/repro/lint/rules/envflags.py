@@ -14,8 +14,9 @@ hand):
   recognized ``0/false/no``.  Every ``REPRO_*`` read must
   therefore go through the registered accessor modules
   (:data:`ACCESSOR_MODULES`) — ``repro.perf`` for booleans and counts,
-  the codec registry/toolchain and store-backend accessors for their own
-  variables — so parsing rules stay centralized.  Indirecting the
+  the kernel toolchain (``REPRO_CODEC_CC``), store-backend and capture-
+  cache accessors for their own variables — so parsing rules stay
+  centralized.  Indirecting the
   variable name through a module-level string constant does not evade
   the check.
 """
@@ -39,7 +40,6 @@ NAME = "envflags"
 #: which is the point.
 ACCESSOR_MODULES: tuple[tuple[str, ...], ...] = (
     ("repro", "perf.py"),
-    ("repro", "codec", "registry.py"),
     ("repro", "codec", "_ckernels.py"),
     ("repro", "store", "backend.py"),
     ("repro", "imagery", "sensor.py"),

@@ -16,8 +16,9 @@ instance (:func:`counters`):
 * ``DownlinkPhase`` bumps ``downlink.visits`` /
   ``downlink.delivered_bytes`` / ``downlink.layers_shed`` /
   ``downlink.deferred`` / ``downlink.dropped``;
-* the codec registry bumps ``codec.resolve.<engine>`` and
-  ``codec.fallback``.
+* the codec registry bumps ``codec.resolve.<engine>`` per resolution
+  (``compiled`` in production; a test that registers the oracle engine
+  counts ``codec.resolve.reference``).
 
 Counters follow the same algebra as every other per-worker partial in
 this codebase (``RunResult``, ``DownlinkStats``): :meth:`Counters.merge`

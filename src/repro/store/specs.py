@@ -96,10 +96,9 @@ def _config_document(config: EarthPlusConfig | None) -> dict:
     document = _jsonable(asdict(resolved))
     # Engine-only settings never change results, so they must never enter
     # the key (mirroring the shard-count exclusion): every real-codec
-    # entropy engine (reference/vectorized/compiled/real) produces byte-
-    # identical bitstreams — differential-tested — so they all collapse to
-    # the canonical "real".  A compiled run therefore warms the cache for
-    # a vectorized run and vice versa; only the model-vs-real-codec choice
+    # value collapses to the canonical "real", the value the store keys
+    # of earlier engine names (reference/vectorized/compiled, each byte-
+    # identical) already hashed as; only the model-vs-real-codec choice
     # keys (it changes byte accounting).
     if document["codec_backend"] != "model":
         document["codec_backend"] = "real"

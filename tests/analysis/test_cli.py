@@ -27,6 +27,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--policy", "magic"])
 
+    @pytest.mark.parametrize("command", ["run", "simulate", "sweep"])
+    def test_codec_takes_model_or_real(self, command):
+        for value in ("model", "real"):
+            args = build_parser().parse_args([command, "--codec", value])
+            assert args.codec == value
+
+    @pytest.mark.parametrize("value", ["vectorized", "reference", "compiled"])
+    def test_engine_codec_values_rejected_with_valid_list(
+        self, value, capsys
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--codec", value])
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{value}'" in err
+        assert "'model', 'real'" in err
+
 
 class TestCommands:
     def test_specs(self, capsys):

@@ -128,11 +128,14 @@ class TestRealBackendPipeline:
         ratio = totals["real"] / totals["model"]
         assert 0.5 < ratio < 2.0
 
-    def test_reference_and_vectorized_pipeline_identical(
+    def test_oracle_and_compiled_pipeline_identical(
         self, onboard_detector, tiny_sentinel_dataset
     ):
-        """The vectorized backend is bit-exact through the whole pipeline:
-        identical byte counts and identical PSNR, not merely 'close'."""
+        """The compiled engine is bit-exact against the per-bit oracle
+        coder through the whole pipeline: identical byte counts and
+        identical PSNR, not merely 'close'."""
+        from codec_oracle import ORACLE_ENGINE, reference_engine
+
         from repro.core.config import EarthPlusConfig
         from repro.core.encoder import EarthPlusEncoder
         from repro.core.reference import OnboardReferenceCache
@@ -145,20 +148,27 @@ class TestRealBackendPipeline:
                 break
             t += 1.7
         results = {}
-        for backend in ("reference", "vectorized"):
-            encoder = EarthPlusEncoder(
-                config=EarthPlusConfig(gamma_bpp=0.3, codec_backend=backend),
-                bands=tiny_sentinel_dataset.bands,
-                image_shape=tiny_sentinel_dataset.image_shape,
-                cloud_detector=onboard_detector,
-                cache=OnboardReferenceCache(lr_tile=8),
-            )
-            results[backend] = encoder.process_capture(capture)
-        ref, vec = results["reference"], results["vectorized"]
-        assert ref.total_bytes == vec.total_bytes
-        for band_ref, band_vec in zip(ref.bands, vec.bands):
-            assert band_ref.bytes_downlinked == band_vec.bytes_downlinked
-            assert band_ref.psnr_downloaded == band_vec.psnr_downloaded
+        with reference_engine():
+            for backend in (ORACLE_ENGINE, "compiled"):
+                config = EarthPlusConfig(gamma_bpp=0.3, codec_backend="real")
+                encoder = EarthPlusEncoder(
+                    config=config,
+                    bands=tiny_sentinel_dataset.bands,
+                    image_shape=tiny_sentinel_dataset.image_shape,
+                    cloud_detector=onboard_detector,
+                    cache=OnboardReferenceCache(lr_tile=8),
+                )
+                # "real" names the compiled engine; pin each engine on the
+                # codec the config built.
+                encoder.rate.rate_model = RealCodecAdapter(
+                    CodecConfig(tile_size=config.tile_size), backend=backend
+                )
+                results[backend] = encoder.process_capture(capture)
+        ref, fast = results[ORACLE_ENGINE], results["compiled"]
+        assert ref.total_bytes == fast.total_bytes
+        for band_ref, band_fast in zip(ref.bands, fast.bands):
+            assert band_ref.bytes_downlinked == band_fast.bytes_downlinked
+            assert band_ref.psnr_downloaded == band_fast.psnr_downloaded
             assert np.array_equal(
-                band_ref.reconstruction, band_vec.reconstruction
+                band_ref.reconstruction, band_fast.reconstruction
             )

@@ -1,10 +1,13 @@
-"""Unit and property tests for the adaptive arithmetic coder."""
+"""Unit and property tests for the oracle's adaptive arithmetic coder.
+
+The per-bit coder in ``tests/codec_oracle.py`` is the specification the
+compiled plane coder is checked against, so its own contract (round
+trips, adaptation, halving, the probability clamp) is pinned here.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.codec.arith import (
+from codec_oracle import (
     _MAX_TOTAL,
     ArithmeticDecoder,
     ArithmeticEncoder,
@@ -12,6 +15,7 @@ from repro.codec.arith import (
     ContextSet,
     clamp_probability0,
 )
+from hypothesis import given, settings, strategies as st
 
 
 class TestContextModel:

@@ -1,14 +1,16 @@
-"""Unit and property tests for the embedded bit-plane coder."""
+"""Unit and property tests for the oracle's embedded bit-plane coder.
+
+``SubbandPlaneCoder`` (``tests/codec_oracle.py``) is the per-bit
+specification of the compiled plane coder; the differential harness
+checks the two against each other.
+"""
 
 import numpy as np
 import pytest
+from codec_oracle import SubbandPlaneCoder, truncation_distortions
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.bitplane import (
-    PlaneSegment,
-    SubbandPlaneCoder,
-    truncation_distortions,
-)
+from repro.codec.bitplane import PlaneSegment
 from repro.errors import BitstreamError
 
 

@@ -9,21 +9,26 @@ other non-repro exception, and never hang or allocate absurdly.
 
 import numpy as np
 import pytest
+from codec_oracle import ArithmeticDecoder, ORACLE_ENGINE, reference_engine
 
 from repro.codec import registry
-from repro.codec.arith import ArithmeticDecoder, ContextSet
 from repro.codec.bitstream import BitReader, BitWriter
-from repro.codec.fastpath import BatchContextTable, BatchRangeDecoder
 from repro.codec.jpeg2000 import CodecConfig, EncodedImage, ImageCodec
 from repro.errors import BitstreamError, ReproError
 from repro.imagery.noise import fractal_noise
 
-#: Every registered entropy engine available on this machine — the
-#: corruption contract is engine-independent, so each engine takes the
-#: same battery (``compiled`` drops out only without a C toolchain).
-BACKENDS = tuple(
-    name for name in registry.names() if registry.get(name).available()
-)
+#: The oracle coder (``tests/codec_oracle.py``, registered as the
+#: ``reference`` engine for this module's scope) and every production
+#: engine — the corruption contract is engine-independent, so each takes
+#: the same battery, and the production engines must match the oracle's
+#: outcome byte for byte.
+BACKENDS = (ORACLE_ENGINE, *registry.names())
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _oracle_engine():
+    with reference_engine():
+        yield
 
 
 class TestArithDecoderEntryPoint:
@@ -51,37 +56,6 @@ class TestArithDecoderEntryPoint:
                     decoder.decode("ctx")
             except BitstreamError:
                 pass
-
-    def test_batched_decoder_matches_reference_on_truncated_data(self):
-        """The fast-path decoder emits the same bits, then raises the same
-        overrun error, as the reference decoder on truncated data.
-
-        Rotating over many near-fresh contexts keeps every probability near
-        1/2, so the decoders consume input fast enough to trip the
-        far-past-end guard within the loop budget.
-        """
-        n_ctx = 1024
-        data = b"\x42"
-        reference = ArithmeticDecoder(data, ContextSet())
-        batched = BatchRangeDecoder(data, BatchContextTable(n_ctx))
-        ref_error = fast_error = False
-        ref_bits: list[int] = []
-        fast_bits: list[int] = []
-        for i in range(50_000):
-            try:
-                ref_bits.append(reference.decode(i % n_ctx))
-            except BitstreamError:
-                ref_error = True
-                break
-        for i in range(50_000):
-            # One bit per call so the decoded prefix survives the raise.
-            try:
-                fast_bits.extend(batched.decode_ref_pass(1, i % n_ctx))
-            except BitstreamError:
-                fast_error = True
-                break
-        assert ref_error and fast_error
-        assert ref_bits == fast_bits
 
 
 class TestBitReaderEntryPoint:
@@ -139,7 +113,7 @@ def _decode_outcome(parsed: EncodedImage, backend: str):
 def valid_container() -> bytes:
     image = fractal_noise((64, 64), seed=31337, octaves=4, base_cells=4)
     codec = ImageCodec(
-        CodecConfig(tile_size=32, base_step=1 / 128), backend="reference"
+        CodecConfig(tile_size=32, base_step=1 / 128), backend=ORACLE_ENGINE
     )
     return codec.encode(image, n_layers=2).to_bytes()
 
@@ -198,7 +172,7 @@ class TestContainerEntryPoint:
             EncodedImage.from_bytes(valid_container[: len(valid_container) - 1])
 
     def test_corrupt_plane_segments_decode_or_raise(self, valid_container):
-        """Garbage segment payloads decode or raise exactly as the reference
+        """Garbage segment payloads decode or raise exactly as the oracle
         does under every engine: the same reconstruction, or the same
         BitstreamError."""
         for seed in (17, 18, 19):
@@ -209,7 +183,7 @@ class TestContainerEntryPoint:
                     segment.data = bytes(
                         rng.integers(0, 256, len(segment.data), dtype=np.uint8)
                     )
-            kind_ref, value_ref = _decode_outcome(parsed, "reference")
+            kind_ref, value_ref = _decode_outcome(parsed, ORACLE_ENGINE)
             if kind_ref == "ok":
                 assert np.all(np.isfinite(value_ref))
             for backend in BACKENDS:
@@ -238,9 +212,7 @@ class TestTruncationOverrunParity:
                 segment.data = segment.data[: keep(len(segment.data))]
         return parsed
 
-    @pytest.mark.parametrize(
-        "backend", [b for b in BACKENDS if b != "reference"]
-    )
+    @pytest.mark.parametrize("backend", registry.names())
     @pytest.mark.parametrize(
         "keep",
         [
@@ -254,7 +226,7 @@ class TestTruncationOverrunParity:
         self, valid_container, backend, keep
     ):
         parsed = self._truncate_segments(valid_container, keep)
-        kind_ref, value_ref = _decode_outcome(parsed, "reference")
+        kind_ref, value_ref = _decode_outcome(parsed, ORACLE_ENGINE)
         kind, value = _decode_outcome(parsed, backend)
         assert kind == kind_ref
         if kind == "ok":
@@ -264,10 +236,11 @@ class TestTruncationOverrunParity:
 
     @staticmethod
     def _emptied(image: np.ndarray, planes) -> tuple[CodecConfig, EncodedImage]:
-        """``image`` coded by the reference engine, with the segments that
+        """``image`` coded by the oracle engine, with the segments that
         ``planes(tile)`` indexes emptied in every tile."""
         config = CodecConfig(tile_size=32, base_step=1 / 64)
-        blob = ImageCodec(config, backend="reference").encode(image).to_bytes()
+        oracle = ImageCodec(config, backend=ORACLE_ENGINE)
+        blob = oracle.encode(image).to_bytes()
         parsed = EncodedImage.from_bytes(blob)
         for tile in parsed.tiles:
             for index in planes(tile):
@@ -278,12 +251,12 @@ class TestTruncationOverrunParity:
     def test_emptied_segments_decode_quietly(self, backend):
         """Zero-extension decodes an emptied segment like any prefix: this
         image's decisions stay within 64 bytes past every segment's end,
-        so each engine returns the reference reconstruction."""
+        so each engine returns the oracle's reconstruction."""
         image = fractal_noise((64, 64), seed=5, octaves=3, base_cells=4)
         config, parsed = self._emptied(
             image, lambda tile: range(len(tile.segments))
         )
-        expected = ImageCodec(config, backend="reference").decode(parsed)
+        expected = ImageCodec(config, backend=ORACLE_ENGINE).decode(parsed)
         decoded = ImageCodec(config, backend=backend).decode(parsed)
         assert np.array_equal(decoded, expected)
 

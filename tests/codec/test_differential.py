@@ -1,8 +1,10 @@
-"""Differential harness: vectorized codec fast path vs reference coder.
+"""Differential harness: the compiled plane coder vs the per-bit oracle.
 
-The vectorized backend's entire correctness story is *bit-exactness*: for any
-input, it must emit byte-identical bitstreams and byte-identical
-reconstructions at every truncation point.  These tests enforce that
+The compiled engine's entire correctness story is *bit-exactness*: for any
+input, it must emit the oracle's bitstreams byte for byte and the same
+reconstructions at every truncation point.  The oracle is
+``SubbandPlaneCoder`` in ``tests/codec_oracle.py``, registered here as the
+``reference`` engine for this module's scope.  These tests enforce that
 contract with property-style random subbands, adversarial tiles, and
 whole-image container comparisons — the same interchangeability bar Duet
 sets for its accelerated datapaths.
@@ -10,42 +12,42 @@ sets for its accelerated datapaths.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.codec.bitplane import (
-    PlaneSegment,
+from codec_oracle import (
+    ORACLE_ENGINE,
     SubbandPlaneCoder,
     _neighbor_count,
+    reference_engine,
 )
-from repro.codec.fastpath import (
-    BatchContextTable,
-    BatchRangeEncoder,
-    VectorizedPlaneCoder,
-    probability_schedule,
-)
-from repro.codec.arith import ArithmeticEncoder
-from repro.codec.jpeg2000 import CodecConfig, ImageCodec
+from hypothesis import given, settings, strategies as st
+
+from repro.codec import _ckernels, registry
+from repro.codec.bitplane import PlaneSegment
+from repro.codec.compiled import CompiledPlaneCoder
 from repro.codec.dwt import Wavelet
+from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.errors import BitstreamError
 from repro.imagery.noise import fractal_noise
 
+#: The oracle first, then every registered production engine.
+BACKENDS = (ORACLE_ENGINE, *registry.names())
 
-from repro.codec import _ckernels, registry
+#: The production engines checked against the oracle.
+FAST_BACKENDS = registry.names()
 
-#: Every available engine joins the differential harness (``compiled``
-#: drops out only on machines without a C toolchain).
-BACKENDS = tuple(
-    name for name in registry.names() if registry.get(name).available()
-)
+
+@pytest.fixture(autouse=True, scope="module")
+def _oracle_engine():
+    with reference_engine():
+        yield
 
 
 def coder_pair(shapes):
     spec = [(f"b{i}", 1, shape) for i, shape in enumerate(shapes)]
-    return SubbandPlaneCoder(spec), VectorizedPlaneCoder(spec)
+    return SubbandPlaneCoder(spec), CompiledPlaneCoder(spec)
 
 
 def all_coders(shapes, labels=None):
-    """One plane coder per available backend, reference first.
+    """One plane coder per engine, the oracle first.
 
     ``labels`` names the subbands (default ``b0, b1, ...``); repeated
     labels share adaptive contexts.
@@ -63,13 +65,13 @@ def top_plane(bands):
 
 def assert_bitstreams_identical(bands, max_plane=None, labels=None):
     """Assert byte-identical segments + identical decodes at every prefix,
-    for every registered backend against the reference coder."""
+    for every registered engine against the oracle coder."""
     coders = all_coders([b.shape for b in bands], labels)
     top = top_plane(bands) if max_plane is None else max_plane
-    ref = coders["reference"]
+    ref = coders[ORACLE_ENGINE]
     seg_ref = ref.encode(bands, top)
     for name, fast in coders.items():
-        if name == "reference":
+        if name == ORACLE_ENGINE:
             continue
         seg_fast = fast.encode(bands, top)
         assert len(seg_ref) == len(seg_fast)
@@ -267,9 +269,6 @@ class TestTileKernelEdgeCases:
         bands = [rng.integers(-60, 61, shape) for shape in shapes]
         assert_bitstreams_identical(bands, labels=labels)
 
-    @pytest.mark.skipif(
-        "compiled" not in BACKENDS, reason="compiled kernels unavailable"
-    )
     def test_neighbour_counts_track_significance(self, rng):
         """After plane 0 every nonzero coefficient is significant, and each
         position's count is its number of significant 8-neighbours, both
@@ -319,9 +318,6 @@ class TestTileKernelEdgeCases:
         assert np.array_equal(decoded_signs, signs)
         check(significant, neighbours)
 
-    @pytest.mark.skipif(
-        "compiled" not in BACKENDS, reason="compiled kernels unavailable"
-    )
     def test_tile_kernels_refuse_mismatched_buffers(self):
         kernels = _ckernels.load()
         shape = np.array([4], dtype=np.int64)
@@ -393,7 +389,7 @@ def sign_heavy_segments():
     rng = np.random.default_rng(0)
     top = 4
     band = (1 << top) * rng.choice([-1, 1], (64, 64))
-    segments = VectorizedPlaneCoder([("b0", 1, band.shape)]).encode([band], top)
+    segments = SubbandPlaneCoder([("b0", 1, band.shape)]).encode([band], top)
     cut = PlaneSegment(plane=top, data=segments[0].data[:32])
     return top, segments, cut
 
@@ -424,54 +420,16 @@ class TestDecodeErrorOrder:
             coder.decode([segments[0], segments[2]], top)
 
 
-class TestBatchedCoderApi:
-    def test_encode_many_matches_reference_encoder(self, rng):
-        """The batched (bits, contexts) API is bit-exact vs per-bit calls."""
-        n_ctx = 6
-        bits = rng.integers(0, 2, 5000).tolist()
-        ctxs = rng.integers(0, n_ctx, 5000).tolist()
-        ref_enc = ArithmeticEncoder()
-        for bit, ctx in zip(bits, ctxs):
-            ref_enc.encode(bit, ctx)
-        batch = BatchRangeEncoder(BatchContextTable(n_ctx))
-        batch.encode_many(bits, ctxs)
-        assert batch.finish() == ref_enc.finish()
-
-    def test_probability_schedule_matches_per_bit_updates(self, rng):
-        """The cumsum replay equals feeding ContextModel bit by bit."""
-        from repro.codec.arith import ContextSet
-
-        n_ctx = 4
-        bits = np.asarray(rng.integers(0, 2, 20000), dtype=np.int64)
-        ctxs = np.asarray(rng.integers(0, n_ctx, 20000), dtype=np.int64)
-        contexts = ContextSet()
-        expected = []
-        for bit, ctx in zip(bits.tolist(), ctxs.tolist()):
-            model = contexts.get(ctx)
-            expected.append(model.probability0_scaled())
-            model.update(bit)
-        table = BatchContextTable(n_ctx)
-        probs = probability_schedule(bits, ctxs, table)
-        assert probs.tolist() == expected
-        for ctx in range(n_ctx):
-            model = contexts.get(ctx)
-            assert table.count0[ctx] == model.count0
-            assert table.count1[ctx] == model.count1
-
-
 @pytest.fixture(scope="module")
 def textured_image():
     return fractal_noise((128, 128), seed=4242, octaves=5, base_cells=4)
 
 
-FAST_BACKENDS = [b for b in BACKENDS if b != "reference"]
-
-
 class TestImageCodecDifferential:
-    def codecs(self, backend="vectorized", **kwargs):
+    def codecs(self, backend, **kwargs):
         cfg = CodecConfig(tile_size=64, **kwargs)
         return (
-            ImageCodec(cfg, backend="reference"),
+            ImageCodec(cfg, backend=ORACLE_ENGINE),
             ImageCodec(cfg, backend=backend),
         )
 

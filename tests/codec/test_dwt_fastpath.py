@@ -1,7 +1,7 @@
 """DWT differential harness and golden lifting fixtures.
 
 Two layers of protection for the production transform (the fused native
-2-D kernel where a toolchain exists, else the numpy lifting):
+2-D kernel):
 
 * **Differential**: the production transform must match the per-sample
   reference loops in ``tests/sim_oracle.py`` — bit-exact for LeGall 5/3,
@@ -9,8 +9,9 @@ Two layers of protection for the production transform (the fused native
   odd/even/1-pixel/non-square shapes, random content and stacks of 1 to
   16 images, through every entry point (``forward_dwt2d``,
   ``inverse_dwt2d``, ``dwt_many``, ``idwt_many``).  The oracle's
-  ``reference_path()`` switches the fused kernel off, which
-  ``test_reference_path_bypasses_fused_kernel`` pins.
+  ``reference_path()`` replaces the transform whole, so it never reaches
+  the fused kernel, which ``test_reference_path_bypasses_fused_kernel``
+  pins.
 
 * **Golden**: checked-in fixtures pin the exact 5/3 analysis outputs and
   bit-exact roundtrips (plus 9/7 subbands) for deterministic inputs, so a
@@ -31,7 +32,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sim_oracle import reference_path
 
-from repro.codec import registry
 from repro.codec._ckernels import CompiledKernels
 from repro.codec.dwt import (
     Wavelet,
@@ -319,8 +319,6 @@ class TestBatchedTransforms:
     def test_reference_path_bypasses_fused_kernel(self, rng):
         """The oracle never reaches the fused kernel; production makes one
         call per transform."""
-        if registry.kernels() is None:
-            pytest.skip("compiled kernels unavailable")
         calls = []
 
         def counted(name):
@@ -367,14 +365,9 @@ class TestBatchedTransforms:
 
 
 class TestSubbandValidation:
-    @pytest.mark.parametrize("path", ["native", "numpy"])
-    def test_truncated_subband_rejected(self, path, monkeypatch, rng):
-        """A subband that disagrees with the geometry is a CodecError on
-        either path, before the fused kernel could read past it."""
-        if path == "numpy":
-            monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
-        elif registry.kernels() is None:
-            pytest.skip("compiled kernels unavailable")
+    def test_truncated_subband_rejected(self, rng):
+        """A subband that disagrees with the geometry is a CodecError,
+        before the fused kernel could read past it."""
         coeffs = forward_dwt2d(rng.random((64, 64)), 3)
         hl, lh, hh = coeffs.details[-1]
         coeffs.details[-1] = (hl[:, :5], lh, hh)

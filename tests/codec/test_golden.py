@@ -6,12 +6,14 @@ when the fixture was recorded.  Any change that alters the wire format —
 context modelling, range-coder arithmetic, container layout — fails these
 tests loudly instead of silently invalidating every stored bitstream.
 
-Both backends are checked against the same golden bytes, so the fixtures
-double as a frozen differential baseline.
+The oracle coder (``tests/codec_oracle.py``, registered as the
+``reference`` engine for this module's scope) and every production engine
+are checked against the same golden bytes, so the fixtures double as a
+frozen differential baseline.  The fixtures are written by the oracle.
 
 Regenerate (only when a wire-format change is intentional) with::
 
-    PYTHONPATH=src python tests/codec/test_golden.py --regen
+    PYTHONPATH=src:tests python tests/codec/test_golden.py --regen
 """
 
 import json
@@ -19,19 +21,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from codec_oracle import ORACLE_ENGINE, SubbandPlaneCoder, reference_engine
 
 from repro.codec import registry
-from repro.codec.bitplane import SubbandPlaneCoder
-from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.codec.dwt import Wavelet
+from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: Every available engine decodes/encodes against the same golden bytes —
-#: the fixtures double as a frozen differential baseline for all of them.
-BACKENDS = tuple(
-    name for name in registry.names() if registry.get(name).available()
-)
+#: The oracle and every production engine encode/decode against the same
+#: golden bytes — the fixtures double as a frozen differential baseline.
+BACKENDS = (ORACLE_ENGINE, *registry.names())
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _oracle_engine():
+    with reference_engine():
+        yield
 
 
 def _tile_cases() -> dict[str, tuple[list, list[np.ndarray], int]]:
@@ -111,7 +117,7 @@ def _tile_fixture_payload(name, shapes, bands, max_plane) -> dict:
 
 def _image_fixture_payload() -> dict:
     config, image = _image_case()
-    codec = ImageCodec(config, backend="reference")
+    codec = ImageCodec(config, backend=ORACLE_ENGINE)
     encoded = codec.encode(image, n_layers=2)
     return {
         "name": "image_container",
@@ -121,7 +127,7 @@ def _image_fixture_payload() -> dict:
 
 def _budgeted_fixture_payload() -> dict:
     config, image, target_bytes, n_layers = _budgeted_case()
-    codec = ImageCodec(config, backend="reference")
+    codec = ImageCodec(config, backend=ORACLE_ENGINE)
     encoded = codec.encode(image, target_bytes=target_bytes, n_layers=n_layers)
     return {
         "name": "budgeted_container",
@@ -138,7 +144,9 @@ def regenerate() -> None:
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {path}")
-    for payload in (_image_fixture_payload(), _budgeted_fixture_payload()):
+    with reference_engine():
+        payloads = (_image_fixture_payload(), _budgeted_fixture_payload())
+    for payload in payloads:
         path = GOLDEN_DIR / f"{payload['name']}.json"
         path.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {path}")
@@ -148,7 +156,7 @@ def _load(name: str) -> dict:
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), (
         f"golden fixture {path} missing; regenerate with "
-        "PYTHONPATH=src python tests/codec/test_golden.py --regen"
+        "PYTHONPATH=src:tests python tests/codec/test_golden.py --regen"
     )
     return json.loads(path.read_text())
 

@@ -11,7 +11,7 @@ from sim_oracle import (
     tile_decompositions_reference,
 )
 
-from repro.codec import ratemodel, registry
+from repro.codec import ratemodel
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.codec.metrics import psnr
 from repro.codec.ratemodel import RateModel
@@ -186,22 +186,6 @@ class TestBatchedEstimate:
         # numpy's int32 wrap quirk (np.abs leaves INT32_MIN negative).
         assert np.array_equal(ref.reconstruction, fast.reconstruction)
 
-    def test_fused_payload_rows_match_per_block(self, rng, monkeypatch):
-        """On one prepared batch, the one-call native histogram path and
-        the per-block numpy fallback pick the same step, the same bytes
-        and the same reconstruction."""
-        if registry.kernels() is None:
-            pytest.skip("compiled kernels unavailable")
-        model = RateModel(CodecConfig(tile_size=64))
-        image = rng.random((160, 96))
-        batch = model.prepare(image)
-        fused = model.find_step_for_bytes(image, 3000, decompositions=batch)
-        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")  # kernels off
-        plain = model.find_step_for_bytes(image, 3000, decompositions=batch)
-        assert fused.coded_bytes == plain.coded_bytes
-        assert fused.base_step == plain.base_step
-        assert np.array_equal(fused.reconstruction, plain.reconstruction)
-
 
 def _reference_estimate(model, decomps, step):
     """``estimate_with_stats`` on the per-tile oracle loops."""
@@ -273,21 +257,6 @@ class TestEstimateLayout:
                 model, model.prepare(image), (1e-9,)
             )
         assert spy.call_count == 1
-
-    def test_backend_switch_between_estimates(self, rng, model, monkeypatch):
-        """The kernel handle is read per estimate, never cached on the
-        batch: after the switch the same batch takes the numpy path."""
-        image = rng.random((160, 96))
-        batch = model.prepare(image)
-        spy = mock.Mock(wraps=ratemodel._histograms_per_block)
-        monkeypatch.setattr(ratemodel, "_histograms_per_block", spy)
-        first = model.estimate_with_stats(batch, 1 / 512)
-        numpy_calls = spy.call_count
-        assert numpy_calls == (0 if registry.kernels() else 1)
-        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
-        second = model.estimate_with_stats(batch, 1 / 512)
-        assert spy.call_count == numpy_calls + 1
-        assert first == second == _reference_estimate(model, batch, 1 / 512)
 
     @pytest.mark.parametrize("step", [0.0, -1 / 512])
     @pytest.mark.parametrize("roi_tiles", [0, 4])

@@ -1,76 +1,89 @@
-"""Backend registry: resolution precedence, aliasing, fallback, kernels gate.
-
-Also the compiled-kernel build itself: concurrent builders of one library
-must each compile a private copy of the source.
+"""Backend registry: resolution precedence, the one production engine,
+and the compiled-kernel build.
 
 The registry is the single resolution path for every layer that names an
 entropy engine (``ImageCodec``, the adapter, the encoder stack, the CLI),
-so its precedence chain — explicit > config > ``$REPRO_CODEC_BACKEND`` >
-default — and its graceful no-toolchain fallback are pinned here.
+so its precedence chain — explicit > config > default — is pinned here,
+with the per-bit oracle registered for a scope as a second engine.
+
+The kernels are required: without a C compiler the first kernel use
+raises one ``CodecError`` naming every compiler tried, while ``import
+repro`` and ``repro --help`` build nothing.  A failed build carries the
+compiler's stderr, and concurrent builders of one library must each
+compile a private copy of the source.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from codec_oracle import ORACLE_ENGINE, reference_engine
 
 from repro.codec import _ckernels, registry
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.errors import CodecError
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(registry.ENV_BACKEND, raising=False)
-    registry.reset_fallback_warnings()
-
-
 class TestResolution:
-    def test_builtins_registered_in_speed_order(self):
-        assert registry.names() == ("reference", "vectorized", "compiled")
+    def test_compiled_is_the_only_builtin(self):
+        assert registry.names() == ("compiled",)
 
-    def test_default_is_best_available(self):
-        assert registry.resolve_name() == registry.best_available().name
-        assert ImageCodec().backend == registry.best_available().name
+    def test_default_is_compiled(self):
+        assert registry.resolve_name() == "compiled"
+        assert ImageCodec().backend == "compiled"
 
-    def test_explicit_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_BACKEND, "reference")
-        assert (
-            registry.resolve_name(
-                explicit="vectorized", config_backend="reference"
+    def test_explicit_beats_everything(self):
+        with reference_engine():
+            assert (
+                registry.resolve_name(
+                    explicit=ORACLE_ENGINE, config_backend="real"
+                )
+                == ORACLE_ENGINE
             )
-            == "vectorized"
-        )
 
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_BACKEND, "reference")
-        assert registry.resolve_name(config_backend="vectorized") == "vectorized"
+    def test_config_beats_default(self):
+        with reference_engine():
+            assert (
+                registry.resolve_name(config_backend=ORACLE_ENGINE)
+                == ORACLE_ENGINE
+            )
+            assert (
+                registry.resolve_name(
+                    config_backend="real", default=ORACLE_ENGINE
+                )
+                == "compiled"
+            )
 
-    def test_env_beats_default_and_is_read_at_call_time(self, monkeypatch):
-        assert registry.resolve_name() == registry.best_available().name
-        monkeypatch.setenv(registry.ENV_BACKEND, "reference")
-        assert registry.resolve_name() == "reference"
-        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
-        assert registry.resolve_name() == "vectorized"
+    def test_real_alias_names_compiled(self):
+        """"real" names the compiled engine, never a registered oracle."""
+        assert registry.resolve_name(explicit="real") == "compiled"
+        with reference_engine():
+            assert registry.resolve_name(explicit="real") == "compiled"
+            assert registry.resolve_name() == "compiled"
 
-    def test_real_alias_is_best_available(self):
-        best = registry.best_available()
-        assert registry.resolve_name(explicit="real") == best.name
-        if registry.get("compiled").available():
-            assert best.name == "compiled"
-        else:
-            assert best.name == "vectorized"
+    def test_oracle_registration_is_scoped(self):
+        with reference_engine():
+            assert registry.names() == ("compiled", ORACLE_ENGINE)
+        assert registry.names() == ("compiled",)
+        with pytest.raises(CodecError, match="backend must be one of"):
+            registry.get(ORACLE_ENGINE)
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(CodecError, match="backend must be one of"):
             registry.get("turbo")
         with pytest.raises(CodecError, match="turbo"):
             registry.resolve(explicit="turbo")
+        for retired in ("reference", "vectorized"):
+            with pytest.raises(CodecError, match=r"\['compiled'\]"):
+                registry.resolve(explicit=retired)
 
     def test_real_is_a_reserved_name(self):
         with pytest.raises(CodecError, match="reserved"):
@@ -82,75 +95,100 @@ class TestResolution:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(CodecError, match="already registered"):
-            registry.register(registry.get("vectorized"))
+            registry.register(registry.get("compiled"))
+
+    def test_kernels_is_the_cached_load(self):
+        assert registry.kernels() is _ckernels.load()
+        assert registry.kernels() is registry.kernels()
 
 
-class TestCapabilityFlags:
-    def test_flags(self):
-        assert not registry.get("reference").batched
-        assert registry.get("vectorized").batched
-        compiled = registry.get("compiled")
-        assert compiled.batched and compiled.compiled
-
-    def test_availability_probe_reference_and_vectorized_always_usable(self):
-        assert registry.get("reference").available()
-        assert registry.get("vectorized").available()
+#: Compiler names that are on no PATH.
+_MISSING = ("no-such-cc-1", "no-such-gcc-2", "no-such-clang-3")
 
 
-class TestNoToolchainFallback:
-    """REPRO_CODEC_CC= (empty) simulates a machine without a compiler."""
+class TestMissingCompiler:
+    """Without a compiler, the first kernel use raises one CodecError
+    naming every compiler tried; nothing is cached, so each use raises."""
 
     @pytest.fixture(autouse=True)
-    def _no_toolchain(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEC_CC", "")
-        _ckernels.reset_for_tests()
-        registry.reset_fallback_warnings()
+    def _no_compiler(self, monkeypatch):
+        monkeypatch.setattr(_ckernels, "_COMPILERS", _MISSING)
+        monkeypatch.delenv(_ckernels._ENV_CC, raising=False)
+        _ckernels.load.cache_clear()
         yield
-        _ckernels.reset_for_tests()
+        _ckernels.load.cache_clear()
 
-    def test_compiled_reports_unavailable(self):
-        assert not registry.get("compiled").available()
-        assert "REPRO_CODEC_CC" in _ckernels.unavailable_reason()
+    def test_first_kernel_use_names_each_compiler(self):
+        with pytest.raises(CodecError) as caught:
+            registry.kernels()
+        for name in _MISSING:
+            assert name in str(caught.value)
+        assert _ckernels._ENV_CC in str(caught.value)
+        with pytest.raises(CodecError):
+            registry.kernels()
 
-    def test_resolve_warns_once_and_falls_back_to_vectorized(self):
-        with pytest.warns(RuntimeWarning, match="falling back to 'vectorized'"):
-            resolved = registry.resolve(explicit="compiled")
-        assert resolved.name == "vectorized"
-        # Second resolve is silent (warn-once) but still falls back.
-        assert registry.resolve(explicit="compiled").name == "vectorized"
+    def test_empty_override_reads_like_unset(self, monkeypatch):
+        monkeypatch.setenv(_ckernels._ENV_CC, "  ")
+        with pytest.raises(CodecError, match=", ".join(_MISSING)):
+            registry.kernels()
 
-    def test_real_alias_degrades_to_vectorized(self):
-        assert registry.resolve_name(explicit="real") == "vectorized"
+    def test_override_is_the_only_compiler_tried(self, monkeypatch):
+        monkeypatch.setenv(_ckernels._ENV_CC, "no-such-override-cc")
+        with pytest.raises(CodecError) as caught:
+            registry.kernels()
+        assert "tried no-such-override-cc)" in str(caught.value)
+        assert _MISSING[0] not in str(caught.value)
 
-    def test_codec_still_produces_identical_bitstreams(self):
-        rng = np.random.default_rng(11)
-        image = rng.random((64, 64))
-        config = CodecConfig(tile_size=32, base_step=1 / 128)
-        with pytest.warns(RuntimeWarning):
-            fallback = ImageCodec(config, backend="compiled")
-        assert fallback.backend == "vectorized"
-        reference = ImageCodec(config, backend="vectorized")
-        assert (
-            fallback.encode(image).to_bytes()
-            == reference.encode(image).to_bytes()
-        )
-
-    def test_kernels_gate_closed(self):
-        assert registry.kernels() is None
+    def test_codec_use_raises(self):
+        codec = ImageCodec(CodecConfig(tile_size=32))
+        with pytest.raises(CodecError, match="need a C compiler"):
+            codec.encode(np.zeros((32, 32)))
 
 
-class TestKernelsGate:
-    def test_env_pinning_pure_python_disables_kernels(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_BACKEND, "vectorized")
-        assert not registry.kernels_enabled()
-        monkeypatch.setenv(registry.ENV_BACKEND, "reference")
-        assert not registry.kernels_enabled()
+#: Run in a fresh interpreter: with no compiler, importing the program and
+#: printing the CLI help must succeed, and the first kernel use must fail.
+_NO_COMPILER_SCRIPT = """
+import contextlib, io
+from repro.codec import _ckernels
+_ckernels._COMPILERS = {missing!r}
+import repro
+import repro.cli
+from repro.codec import registry
+from repro.errors import CodecError
 
-    def test_gate_matches_library_availability(self):
-        if _ckernels.load() is None:
-            assert registry.kernels() is None
-        else:
-            assert registry.kernels() is _ckernels.load()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        repro.cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code in (0, None), exc.code
+assert "usage" in out.getvalue(), out.getvalue()
+try:
+    registry.kernels()
+except CodecError as exc:
+    print("kernels:", exc)
+else:
+    raise SystemExit("the kernels loaded without a compiler")
+"""
+
+
+def test_import_and_help_need_no_compiler():
+    env = {k: v for k, v in os.environ.items() if k != _ckernels._ENV_CC}
+    src = str(Path(_ckernels.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_COMPILER_SCRIPT.format(missing=_MISSING)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("kernels:") == 1
+    for name in _MISSING:
+        assert name in done.stdout
 
 
 #: Stand-in compiler for the concurrent-build test.  The first
@@ -218,7 +256,7 @@ class TestKernelBuild:
         monkeypatch.setenv("FAKE_CC_STATE", str(state))
         monkeypatch.setenv(
             "FAKE_CC_SHA",
-            hashlib.sha256(_ckernels._C_SOURCE.encode()).hexdigest(),
+            hashlib.sha256(_ckernels._SOURCE.read_bytes()).hexdigest(),
         )
         compiler = _ckernels._find_compiler()
         assert compiler == str(fake)
@@ -239,3 +277,39 @@ class TestKernelBuild:
         assert sorted(p.name for p in lib_first.parent.iterdir()) == [
             lib_first.name
         ]
+
+    def test_failed_build_carries_compiler_stderr(self, tmp_path, monkeypatch):
+        fake = tmp_path / "broken-cc"
+        fake.write_text(
+            f"#!{sys.executable}\n"
+            "import sys\n"
+            "sys.stderr.write('kernels.c:1: error: the fake compiler says no')\n"
+            "sys.exit(3)\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        with pytest.raises(CodecError) as caught:
+            _ckernels._build(str(fake))
+        assert "exited 3" in str(caught.value)
+        assert "the fake compiler says no" in str(caught.value)
+
+    def test_cache_key_hashes_source_and_flags(self, tmp_path, monkeypatch):
+        """A flag change (a sanitizer build) never reuses a library."""
+        fake = tmp_path / "fake-cc"
+        fake.write_text(
+            f"#!{sys.executable}\n"
+            "import sys\n"
+            "args = sys.argv[1:]\n"
+            "open(args[args.index('-o') + 1], 'wb').write(b'lib')\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        plain = _ckernels._build(str(fake))
+        monkeypatch.setattr(
+            _ckernels, "_CFLAGS", (*_ckernels._CFLAGS, "-fsanitize=undefined")
+        )
+        sanitized = _ckernels._build(str(fake))
+        assert plain != sanitized
+        assert sorted(p.name for p in plain.parent.iterdir()) == sorted(
+            [plain.name, sanitized.name]
+        )

@@ -7,6 +7,7 @@ assembly) so the suite stays fast while exercising real components.
 from __future__ import annotations
 
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -26,6 +27,27 @@ from repro.datasets.sentinel2 import sentinel2_dataset
 from repro.imagery.bands import get_band
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
 from repro.imagery.noise import fractal_noise
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kernel-cflags",
+        default="",
+        help="extra compiler flags for the compiled kernels, e.g. "
+        "'-fsanitize=undefined -fno-sanitize-recover=all' for a sanitizer "
+        "build (an ASan build also needs libasan in LD_PRELOAD); the flags "
+        "are part of the kernel cache key",
+    )
+
+
+def pytest_configure(config):
+    """Extend the kernel build flags before any test loads the kernels."""
+    extra = shlex.split(config.getoption("--kernel-cflags"))
+    if extra:
+        from repro.codec import _ckernels
+
+        _ckernels._CFLAGS = (*_ckernels._CFLAGS, *extra)
+        _ckernels.load.cache_clear()
 
 
 @pytest.fixture(scope="session")

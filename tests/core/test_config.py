@@ -75,11 +75,18 @@ class TestEarthPlusConfig:
         with pytest.raises(ConfigError):
             EarthPlusConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "backend", ["model", "real", "reference", "vectorized", "compiled"]
-    )
+    @pytest.mark.parametrize("backend", ["model", "real"])
     def test_codec_backends_accepted(self, backend):
         assert EarthPlusConfig(codec_backend=backend).codec_backend == backend
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized", "compiled"])
+    def test_engine_names_rejected_with_valid_values(self, backend):
+        """Engine names are not config values: only the model-vs-real
+        choice is, and the error lists it."""
+        with pytest.raises(
+            ConfigError, match=r"must be one of \['model', 'real'\]"
+        ):
+            EarthPlusConfig(codec_backend=backend)
 
     def test_delta_requires_cache(self):
         with pytest.raises(ConfigError):

@@ -317,6 +317,23 @@ class TestEnvFlagsRPR002:
         )
         assert codes(result) == []
 
+    def test_codec_registry_is_not_an_accessor(self, lint_tree):
+        """The codec registry reads no environment variable, so a new
+        REPRO_* read there is flagged like anywhere else."""
+        result = lint_tree(
+            {
+                "repro/codec/registry.py": src(
+                    """
+                    import os
+
+                    def default_engine():
+                        return os.environ.get("REPRO_CODEC_ENGINE")
+                    """
+                )
+            }
+        )
+        assert codes(result) == ["RPR002"]
+
     def test_env_write_allowed(self, lint_tree):
         result = lint_tree(
             {
@@ -325,7 +342,7 @@ class TestEnvFlagsRPR002:
                     import os
 
                     def pin():
-                        os.environ["REPRO_CODEC_BACKEND"] = "reference"
+                        os.environ["REPRO_STORE"] = "off"
                     """
                 )
             }

@@ -103,9 +103,9 @@ class TestWiring:
     def test_codec_resolve_counts(self):
         from repro.codec import registry
 
-        registry.resolve("reference")
-        registry.resolve("reference")
-        assert counters().get("codec.resolve.reference") == 2
+        registry.resolve("compiled")
+        registry.resolve("real")
+        assert counters().get("codec.resolve.compiled") == 2
 
     def test_downlink_phase_counts_visits_and_bytes(self, tiny_spec):
         from repro.analysis.scenarios import run_scenario

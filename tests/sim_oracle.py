@@ -1,14 +1,15 @@
 """Reference simulation kernels: the oracle the production path must match.
 
-The simulation has one production path (vectorized DWT lifting, the
-batched tile pipeline in the rate model and encoder, warm-state imagery
-and capture caches, native kernels where a toolchain exists).  The
-original straightforward implementations live here, outside ``src/``, so
-they can never run in production but every differential test can still
-check the production path against them:
+The simulation has one production path (the compiled kernels for the
+DWT, the rate model's histograms and imagery synthesis, the batched tile
+pipeline in the rate model and encoder, warm-state imagery and capture
+caches).  The original straightforward implementations live here,
+outside ``src/``, so they can never run in production but every
+differential test can still check the production path against them:
 
 * the per-sample DWT lifting loops (``analysis_53_reference`` & co.),
-  run axis by axis with the fused native 2-D transform switched off;
+  run axis by axis (:func:`forward_many_reference`,
+  :func:`inverse_many_reference`);
 * the per-depth distortion curve of the image codec
   (:func:`distortion_curve_reference`);
 * the scalar plane-walk entropy estimate (:func:`estimate_band_bits`) and
@@ -16,19 +17,20 @@ check the production path against them:
   :func:`tile_decompositions_reference`, :func:`payload_stats_reference`);
 * the per-band capture pipeline (:func:`process_band`);
 * imagery synthesis: fractal noise summed octave by octave in numpy
-  over ``np.ix_`` value-noise gathers (:func:`value_noise_reference`),
-  each band of a capture rendered by separate numpy passes with
-  boolean-mask composites (:func:`render_pixels_reference`), and every
-  tile's change count replayed from its gap stream
-  (:func:`version_grid_reference`);
+  (:func:`fractal_field_reference`) over ``np.ix_`` value-noise gathers
+  (:func:`value_noise_reference`), each band of a capture rendered by
+  separate numpy passes with boolean-mask composites
+  (:func:`render_pixels_reference`), and every tile's change count
+  replayed from its gap stream (:func:`version_grid_reference`);
 * uncached imagery: ground truth, change-cell blocks and snow texture
   (:func:`ground_truth_uncached`, :func:`cell_block_uncached`,
   :func:`snow_texture_uncached`).
 
-:func:`reference_path` swaps these in at the production seams for the
-duration of a ``with`` block, so a whole scenario can run on the
+:func:`reference_path` swaps these in for whole production functions
+for the duration of a ``with`` block, so a whole scenario can run on the
 reference implementations and be compared byte for byte with a
-production run.  The module is importable from ``tests/`` and
+production run.  The per-bit entropy coder has its own oracle,
+``tests/codec_oracle.py``.  The module is importable from ``tests/`` and
 ``benchmarks/`` through pytest's ``pythonpath`` setting; run scripts
 outside pytest with ``PYTHONPATH=src:tests``.
 """
@@ -42,14 +44,8 @@ import numpy as np
 
 from repro.codec import dwt
 from repro.codec.dwt import (
-    _ALPHA,
-    _BETA,
-    _DELTA,
-    _GAMMA,
-    _KAPPA,
     Wavelet,
     WaveletCoeffs,
-    _sym_index,
     forward_dwt2d,
     inverse_dwt2d,
 )
@@ -71,13 +67,34 @@ from repro.imagery.earth_model import EarthModel
 from repro.imagery.events import ChangeEventProcess, TileChangeModel
 from repro.imagery.illumination import IlluminationSample
 from repro.imagery.noise import (
-    _lattice_values,
+    _octave_seed,
     fractal_noise,
     smoothstep,
     stable_hash,
 )
 from repro.imagery.sensor import Capture
 from repro.obs import trace
+
+
+# CDF 9/7 lifting constants (ITU-T T.800 Annex F).
+_ALPHA = -1.586134342059924
+_BETA = -0.052980118572961
+_GAMMA = 0.882911075530934
+_DELTA = 0.443506852043971
+_KAPPA = 1.230174104914001
+
+
+def _sym_index(idx: int, length: int) -> int:
+    """Whole-point symmetric extension index for out-of-range ``idx``."""
+    if length == 1:
+        return 0
+    period = 2 * (length - 1)
+    idx = idx % period
+    if idx < 0:
+        idx += period
+    if idx >= length:
+        idx = period - idx
+    return idx
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +266,81 @@ def synthesis_97_reference(
     signal = np.empty((length,) + even.shape[1:], dtype=np.float64)
     signal[0::2] = even
     return signal
+
+
+# ----------------------------------------------------------------------
+# The 2-D transform, axis by axis
+# ----------------------------------------------------------------------
+def transform_axis(
+    data: np.ndarray, axis: int, wavelet: Wavelet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply 1-D analysis along ``axis`` (any number of other axes)."""
+    moved = np.moveaxis(data, axis, 0)
+    if wavelet is Wavelet.LEGALL53:
+        approx, detail = analysis_53_reference(moved)
+    else:
+        approx, detail = analysis_97_reference(moved)
+    return np.moveaxis(approx, 0, axis), np.moveaxis(detail, 0, axis)
+
+
+def inverse_axis(
+    approx: np.ndarray,
+    detail: np.ndarray,
+    axis: int,
+    length: int,
+    wavelet: Wavelet,
+) -> np.ndarray:
+    """Apply 1-D synthesis along ``axis``."""
+    approx_m = np.moveaxis(approx, axis, 0)
+    detail_m = np.moveaxis(detail, axis, 0)
+    if wavelet is Wavelet.LEGALL53:
+        merged = synthesis_53_reference(approx_m, detail_m, length)
+    else:
+        merged = synthesis_97_reference(approx_m, detail_m, length)
+    return np.moveaxis(merged, 0, axis)
+
+
+def forward_many_reference(
+    stack: np.ndarray, levels: int, wavelet: Wavelet
+) -> list[WaveletCoeffs]:
+    """``dwt._forward_many`` lifting an (N, H, W) stack level by level:
+    along H, then along W on the low rows and on the high rows."""
+    current = stack.astype(
+        np.int64 if wavelet is Wavelet.LEGALL53 else np.float64, copy=False
+    )
+    n_images, height, width = current.shape
+    detail_stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for _ in range(levels):
+        low_rows, high_rows = transform_axis(current, 1, wavelet)
+        ll, hl = transform_axis(low_rows, 2, wavelet)
+        lh, hh = transform_axis(high_rows, 2, wavelet)
+        detail_stacks.append((hl, lh, hh))
+        current = ll
+    detail_stacks.reverse()
+    return [
+        WaveletCoeffs(
+            approx=current[i],
+            details=[(hl[i], lh[i], hh[i]) for hl, lh, hh in detail_stacks],
+            shape=(height, width),
+            wavelet=wavelet,
+        )
+        for i in range(n_images)
+    ]
+
+
+def inverse_many_reference(coeffs_list: list[WaveletCoeffs]) -> np.ndarray:
+    """``dwt._inverse_many`` undoing the lifting level by level, on the
+    subbands as production packs (and checks) them."""
+    first = coeffs_list[0]
+    _, stacks = dwt._pack_subbands(coeffs_list)
+    current = stacks[-1]
+    for k in reversed(range(first.levels)):
+        hl, lh, hh = stacks[3 * k : 3 * k + 3]
+        rows, cols = hl.shape[1] + hh.shape[1], lh.shape[2] + hh.shape[2]
+        low_rows = inverse_axis(current, hl, 2, cols, first.wavelet)
+        high_rows = inverse_axis(lh, hh, 2, cols, first.wavelet)
+        current = inverse_axis(low_rows, high_rows, 1, rows, first.wavelet)
+    return current
 
 
 # ----------------------------------------------------------------------
@@ -515,7 +607,7 @@ def value_noise_reference(
     longer = max(height, width)
     cells_y = max(1, round(cells * height / longer))
     cells_x = max(1, round(cells * width / longer))
-    lattice = _lattice_values(seed, cells_y, cells_x)
+    lattice = np.random.default_rng(seed).random((cells_y + 1, cells_x + 1))
     ys = np.linspace(0.0, cells_y, height, endpoint=False)
     xs = np.linspace(0.0, cells_x, width, endpoint=False)
     y0 = np.minimum(ys.astype(np.int64), cells_y - 1)
@@ -529,6 +621,39 @@ def value_noise_reference(
     top = v00 * (1.0 - tx) + v01 * tx
     bottom = v10 * (1.0 - tx) + v11 * tx
     return top * (1.0 - ty) + bottom * ty
+
+
+def fractal_field_reference(
+    shape: tuple[int, int],
+    seed: int,
+    octaves: int,
+    base_cells: float,
+    persistence: float,
+    lacunarity: float,
+) -> np.ndarray:
+    """``noise._fractal_field`` summed octave by octave in numpy.
+
+    Octave ``k`` adds ``persistence**k`` times the value noise of its
+    sub-seed at ``round(base_cells * lacunarity**k)`` cells; the sum is
+    divided by the amplitudes' sum (accumulated in octave order) and
+    normalized to [0, 1], or zeros when the field is flat.
+    """
+    total = np.zeros(shape, dtype=np.float64)
+    amplitude = 1.0
+    scale = float(base_cells)
+    amplitude_sum = 0.0
+    for octave in range(octaves):
+        total += amplitude * value_noise_reference(
+            shape, int(round(scale)), _octave_seed(seed, octave)
+        )
+        amplitude_sum += amplitude
+        amplitude *= persistence
+        scale *= lacunarity
+    total /= amplitude_sum
+    lo, hi = float(total.min()), float(total.max())
+    if hi - lo < 1e-12:
+        return np.zeros(shape, dtype=np.float64)
+    return (total - lo) / (hi - lo)
 
 
 def render_pixels_reference(
@@ -662,24 +787,17 @@ def _no_capture_cache() -> int:
     return 0
 
 
-def _no_fused_kernels() -> None:
-    return None
-
-
-#: ``(owner, attribute, stand-in)`` for every production seam the
-#: reference path replaces.
+#: ``(owner, attribute, stand-in)`` for every production function the
+#: reference path replaces.  Each is looked up through its owner at call
+#: time by every caller, so no caller can bypass its stand-in.
 _REFERENCE_SEAMS = (
-    # No fused native transform: the 2-D DWT runs axis by axis through
-    # the four per-axis seams below.
-    (dwt, "_fused_kernels", _no_fused_kernels),
-    (dwt, "_analysis_53", analysis_53_reference),
-    (dwt, "_synthesis_53", synthesis_53_reference),
-    (dwt, "_analysis_97", analysis_97_reference),
-    (dwt, "_synthesis_97", synthesis_97_reference),
-    # No fused native field: fractal noise sums its octaves in numpy
-    # through the value-noise seam.
-    (noise, "_fused_kernels", _no_fused_kernels),
-    (noise, "value_noise", value_noise_reference),
+    # The 2-D DWT: every entry point (forward_dwt2d, dwt_many and their
+    # inverses) runs these two, so all transforms lift axis by axis.
+    (dwt, "_forward_many", forward_many_reference),
+    (dwt, "_inverse_many", inverse_many_reference),
+    # Every fractal field (terrain, clouds, change patches, snow texture)
+    # sums its octaves in numpy over np.ix_ gathers.
+    (noise, "_fractal_field", fractal_field_reference),
     (sensor, "render_pixels", render_pixels_reference),
     (TileChangeModel, "version_grid", version_grid_reference),
     # A static method: the stand-in must not bind the codec instance.
@@ -711,9 +829,11 @@ def reference_path():
     Every seam in :data:`_REFERENCE_SEAMS` is patched for the duration of
     the block and restored on exit, so code inside the block computes
     exactly what the original, unoptimized simulation computed: per-sample
-    DWT loops, the per-depth distortion curve, per-tile rate-model loops,
-    per-band capture processing, per-octave numpy noise over ``np.ix_``
-    gathers, per-pass capture rendering and no warm-state caching.
+    DWT loops run axis by axis, the per-depth distortion curve, per-tile
+    rate-model loops, per-band capture processing, per-octave numpy noise
+    over ``np.ix_`` gathers, per-pass capture rendering, the per-tile
+    change-count replay and no warm-state caching.  None of it reaches
+    the compiled kernels.
     Results must be byte-identical to the production path.
     """
     with contextlib.ExitStack() as stack:
