@@ -171,25 +171,18 @@ def _forward_many(
     bands = _layout_views(
         flat, n_images, _subband_layout(height, width, levels)
     )
-    return _split_stacks(bands, (height, width), wavelet)
-
-
-def _split_stacks(
-    stacks: list[np.ndarray], shape: tuple[int, int], wavelet: Wavelet
-) -> list[WaveletCoeffs]:
-    """One decomposition per image of subband stacks in layout order."""
-    levels = len(stacks) // 3
-    details = [
-        tuple(stacks[3 * k : 3 * k + 3]) for k in reversed(range(levels))
+    detail_stacks = [
+        (bands[3 * k], bands[3 * k + 1], bands[3 * k + 2])
+        for k in reversed(range(levels))
     ]
     return [
         WaveletCoeffs(
-            approx=stacks[-1][i],
-            details=[(hl[i], lh[i], hh[i]) for hl, lh, hh in details],
-            shape=shape,
+            approx=bands[-1][i],
+            details=[(hl[i], lh[i], hh[i]) for hl, lh, hh in detail_stacks],
+            shape=(height, width),
             wavelet=wavelet,
         )
-        for i in range(stacks[-1].shape[0])
+        for i in range(n_images)
     ]
 
 
@@ -211,12 +204,12 @@ def _pack_subbands(
     height, width = first.shape
     levels = first.levels
     reversible = first.wavelet is Wavelet.LEGALL53
+    n_images = len(coeffs_list)
     flat = np.empty(
-        len(coeffs_list) * height * width,
-        dtype=np.int64 if reversible else np.float64,
+        n_images * height * width, dtype=np.int64 if reversible else np.float64
     )
     layout = _subband_layout(height, width, levels)
-    stacks = _layout_views(flat, len(coeffs_list), layout)
+    stacks = _layout_views(flat, n_images, layout)
     for i, coeffs in enumerate(coeffs_list):
         for stack, band, (name, level, shape) in zip(
             stacks, _buffer_order(coeffs), layout

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.codec import _ckernels
+from repro.codec.compiled import CompiledPlaneCoder
 from repro.errors import CodecError
 from repro.obs.metrics import counters
 
@@ -143,16 +144,10 @@ def kernels() -> "_ckernels.CompiledKernels":
     return _ckernels.load()
 
 
-def _compiled_factory(band_shapes):
-    from repro.codec.compiled import CompiledPlaneCoder
-
-    return CompiledPlaneCoder(band_shapes)
-
-
 register(
     CodecBackend(
         name=REAL_ENGINE,
         description="native C kernels (built on first use)",
-        coder_factory=_compiled_factory,
+        coder_factory=CompiledPlaneCoder,
     )
 )

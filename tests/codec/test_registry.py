@@ -283,7 +283,7 @@ class TestKernelBuild:
         fake.write_text(
             f"#!{sys.executable}\n"
             "import sys\n"
-            "sys.stderr.write('kernels.c:1: error: the fake compiler says no')\n"
+            "sys.stderr.write('error: the fake compiler says no')\n"
             "sys.exit(3)\n"
         )
         fake.chmod(0o755)

@@ -79,7 +79,9 @@ class TestEarthPlusConfig:
     def test_codec_backends_accepted(self, backend):
         assert EarthPlusConfig(codec_backend=backend).codec_backend == backend
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized", "compiled"])
+    @pytest.mark.parametrize(
+        "backend", ["reference", "vectorized", "compiled"]
+    )
     def test_engine_names_rejected_with_valid_values(self, backend):
         """Engine names are not config values: only the model-vs-real
         choice is, and the error lists it."""
