@@ -112,35 +112,29 @@ def _build(compiler: str) -> Path:
     lib_path = cache / f"repro_ckernels_{tag}.so"
     if lib_path.exists():
         return lib_path
-    # Every builder compiles its own private copy of the hashed source
-    # into a unique temp library, then renames it into place: concurrent
+    # Every builder compiles its own private copy of the hashed source, in
+    # a private directory, then renames the library into place: concurrent
     # builders (sweep workers) never write a file another builder's
-    # compiler is reading, and os.replace is atomic.  The copy's name
-    # starts like the source's, so compiler and sanitizer reports name it.
-    src_fd, tmp_src = tempfile.mkstemp(
-        prefix=f"{_SOURCE.stem}.", suffix=".c", dir=str(cache)
-    )
-    out_fd, tmp_out = tempfile.mkstemp(suffix=".so", dir=str(cache))
-    os.close(out_fd)
-    try:
-        with os.fdopen(src_fd, "wb") as handle:
-            handle.write(source)
-        subprocess.run(
-            [compiler, *_CFLAGS, "-o", tmp_out, tmp_src, "-lm"],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
+    # compiler is reading, and os.replace is atomic.  The copy keeps the
+    # source's name, so reports name it and the library's bytes depend
+    # only on the source, the compiler and the flags.
+    with tempfile.TemporaryDirectory(dir=str(cache)) as work:
+        tmp_src = Path(work) / _SOURCE.name
+        tmp_out = Path(work) / lib_path.name
+        tmp_src.write_bytes(source)
+        try:
+            subprocess.run(
+                [compiler, *_CFLAGS, "-o", str(tmp_out), str(tmp_src), "-lm"],
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+        except subprocess.CalledProcessError as exc:
+            raise CodecError(
+                f"kernel compilation failed ({compiler} exited "
+                f"{exc.returncode}): {exc.stderr.strip()}"
+            ) from exc
         os.replace(tmp_out, lib_path)
-    except subprocess.CalledProcessError as exc:
-        raise CodecError(
-            f"kernel compilation failed ({compiler} exited "
-            f"{exc.returncode}): {exc.stderr.strip()}"
-        ) from exc
-    finally:
-        for path in (tmp_src, tmp_out):
-            if os.path.exists(path):
-                os.unlink(path)
     return lib_path
 
 

@@ -9,8 +9,9 @@ with the per-bit oracle registered for a scope as a second engine.
 The kernels are required: without a C compiler the first kernel use
 raises one ``CodecError`` naming every compiler tried, while ``import
 repro`` and ``repro --help`` build nothing.  A failed build carries the
-compiler's stderr, and concurrent builders of one library must each
-compile a private copy of the source.
+compiler's stderr, concurrent builders of one library must each compile
+a private copy of the source, and two builds of one source are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -292,6 +293,16 @@ class TestKernelBuild:
             _ckernels._build(str(fake))
         assert "exited 3" in str(caught.value)
         assert "the fake compiler says no" in str(caught.value)
+
+    def test_builds_are_reproducible(self, tmp_path, monkeypatch):
+        """Two fresh builds of one source are byte-identical libraries, so
+        a library's hash identifies the kernels it was built from."""
+        compiler = _ckernels._find_compiler()
+        libraries = []
+        for home in ("first", "second"):
+            monkeypatch.setenv("HOME", str(tmp_path / home))
+            libraries.append(_ckernels._build(compiler).read_bytes())
+        assert libraries[0] == libraries[1]
 
     def test_cache_key_hashes_source_and_flags(self, tmp_path, monkeypatch):
         """A flag change (a sanitizer build) never reuses a library."""

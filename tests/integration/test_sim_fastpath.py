@@ -1,7 +1,7 @@
 """Differential harness: the production simulation path vs the oracle.
 
-The production path (vectorized DWT, batched tile pipeline, warm-state
-caches) must be a pure performance change: every metric a simulation
+The production path (the compiled kernels, batched tile pipeline,
+warm-state caches) must be a pure performance change: every metric a simulation
 produces has to be byte-identical to a run on the reference
 implementations (:func:`sim_oracle.reference_path`).  These tests run the
 same scenarios both ways and compare
