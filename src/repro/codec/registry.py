@@ -76,9 +76,9 @@ class CodecBackend:
 _REGISTRY: "dict[str, CodecBackend]" = {}
 
 
-def register(backend: CodecBackend, replace: bool = False) -> CodecBackend:
-    """Register an engine; ``replace=True`` overrides an existing name."""
-    if not replace and backend.name in _REGISTRY:
+def register(backend: CodecBackend) -> CodecBackend:
+    """Register an engine under a new name."""
+    if backend.name in _REGISTRY:
         raise CodecError(f"codec backend {backend.name!r} already registered")
     if backend.name == REAL_ALIAS:
         raise CodecError(f"{REAL_ALIAS!r} is reserved as a virtual alias")
