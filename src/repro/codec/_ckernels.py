@@ -116,18 +116,20 @@ def _build(compiler: str) -> Path:
     # a private directory, then renames the library into place: concurrent
     # builders (sweep workers) never write a file another builder's
     # compiler is reading, and os.replace is atomic.  The copy keeps the
-    # source's name, so reports name it and the library's bytes depend
-    # only on the source, the compiler and the flags.
+    # source's name and is compiled by that relative name from inside the
+    # private directory, so reports name it and the library's bytes (a
+    # sanitizer build embeds source locations) depend only on the source,
+    # the compiler and the flags.
     with tempfile.TemporaryDirectory(dir=str(cache)) as work:
-        tmp_src = Path(work) / _SOURCE.name
         tmp_out = Path(work) / lib_path.name
-        tmp_src.write_bytes(source)
+        (Path(work) / _SOURCE.name).write_bytes(source)
         try:
             subprocess.run(
-                [compiler, *_CFLAGS, "-o", str(tmp_out), str(tmp_src), "-lm"],
+                [compiler, *_CFLAGS, "-o", tmp_out.name, _SOURCE.name, "-lm"],
                 check=True,
                 capture_output=True,
                 text=True,
+                cwd=work,
             )
         except subprocess.CalledProcessError as exc:
             raise CodecError(
