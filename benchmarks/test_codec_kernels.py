@@ -3,8 +3,11 @@
 These track the substrate's performance over time rather than reproducing a
 paper figure: the codec's transforms and entropy coder, and the imagery
 synthesis that feeds them.  The per-bit oracle coder
-(``tests/codec_oracle.py``) is timed alongside as the slow reference.
+(``tests/codec_oracle.py``) and the simulation oracle's imagery
+(``tests/sim_oracle.py``) are timed alongside as the slow references.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from codec_oracle import (
     ArithmeticEncoder,
     reference_engine,
 )
+from sim_oracle import reference_path, render_pixels_reference
 
 from repro.codec.dwt import Wavelet, forward_dwt2d, inverse_dwt2d
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
@@ -65,6 +69,15 @@ def test_bench_tile_encode_reference(benchmark, image256):
     benchmark(lambda: codec.encode(tile))
 
 
+def test_bench_tile_decode_reference(benchmark, image256):
+    with reference_engine():
+        codec = ImageCodec(
+            CodecConfig(tile_size=64, base_step=1 / 256), backend=ORACLE_ENGINE
+        )
+    encoded = codec.encode(image256[:64, :64])
+    benchmark(lambda: codec.decode(encoded))
+
+
 def test_bench_tile_encode_compiled(benchmark, image256):
     codec = ImageCodec(
         CodecConfig(tile_size=64, base_step=1 / 256), backend="compiled"
@@ -95,11 +108,19 @@ def test_bench_rate_model_step_search(benchmark, image256):
     assert result.coded_bytes <= 4400
 
 
-def test_bench_fractal_field_256(benchmark, image256):
+#: Imagery synthesis runs the compiled kernels; each benchmark below also
+#: times the oracle's numpy passes over the same inputs.
+IMAGERY_PATHS = ["compiled", "oracle"]
+
+
+@pytest.mark.parametrize("path", IMAGERY_PATHS)
+def test_bench_fractal_field_256(benchmark, image256, path):
     """One 256x256 five-octave fractal-noise field."""
-    field = benchmark(
-        lambda: fractal_noise((256, 256), seed=99, octaves=5, base_cells=4)
-    )
+    oracle = path == "oracle"
+    with reference_path() if oracle else contextlib.nullcontext():
+        field = benchmark(
+            lambda: fractal_noise((256, 256), seed=99, octaves=5, base_cells=4)
+        )
     assert np.array_equal(field, image256)
 
 
@@ -130,10 +151,14 @@ def cloudy_capture_inputs():
     )
 
 
-def test_bench_capture_render_4band_256(benchmark, cloudy_capture_inputs):
+@pytest.mark.parametrize("path", IMAGERY_PATHS)
+def test_bench_capture_render_4band_256(
+    benchmark, cloudy_capture_inputs, path
+):
     """Every band of a partly cloudy capture, with sensor noise."""
+    render = render_pixels_reference if path == "oracle" else render_pixels
     pixels = benchmark(
-        lambda: render_pixels(*cloudy_capture_inputs, noise_sigma=0.002)
+        lambda: render(*cloudy_capture_inputs, noise_sigma=0.002)
     )
     assert len(pixels) == 4
     assert all(0.0 <= band.min() and band.max() <= 1.0 for band in pixels.values())

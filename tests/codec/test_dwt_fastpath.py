@@ -23,6 +23,7 @@ Regenerate fixtures (only when the transform is intentionally changed)::
     PYTHONPATH=src:tests python tests/codec/test_dwt_fastpath.py --regen
 """
 
+import contextlib
 import math
 from pathlib import Path
 from unittest import mock
@@ -365,16 +366,20 @@ class TestBatchedTransforms:
 
 
 class TestSubbandValidation:
-    def test_truncated_subband_rejected(self, rng):
+    @pytest.mark.parametrize("path", ["native", "oracle"])
+    def test_truncated_subband_rejected(self, path, rng):
         """A subband that disagrees with the geometry is a CodecError,
-        before the fused kernel could read past it."""
+        before the fused kernel could read past it; the oracle's per-axis
+        inverse refuses it too instead of lifting a misshapen band."""
         coeffs = forward_dwt2d(rng.random((64, 64)), 3)
         hl, lh, hh = coeffs.details[-1]
         coeffs.details[-1] = (hl[:, :5], lh, hh)
-        with pytest.raises(CodecError, match="subband HL1 has shape"):
-            inverse_dwt2d(coeffs)
-        with pytest.raises(CodecError, match="subband HL1 has shape"):
-            idwt_many([coeffs, coeffs])
+        oracle = path == "oracle"
+        with reference_path() if oracle else contextlib.nullcontext():
+            with pytest.raises(CodecError, match="subband HL1 has shape"):
+                inverse_dwt2d(coeffs)
+            with pytest.raises(CodecError, match="subband HL1 has shape"):
+                idwt_many([coeffs, coeffs])
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ from codec_oracle import ORACLE_ENGINE, SubbandPlaneCoder, reference_engine
 
 from repro.codec import registry
 from repro.codec.dwt import Wavelet
-from repro.codec.jpeg2000 import CodecConfig, ImageCodec
+from repro.codec.jpeg2000 import CodecConfig, EncodedImage, ImageCodec
+from repro.codec.metrics import psnr
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -218,6 +219,42 @@ def test_budgeted_container_matches_golden(backend):
         "budgeted EncodedImage changed: the wire format or the "
         "rate-distortion allocation drifted"
     )
+
+
+#: Every quality-layer prefix of the two stored containers.
+_CONTAINER_CASES = {
+    "image_container": _image_case,
+    "budgeted_container": _budgeted_case,
+}
+_LAYER_PREFIXES = [
+    ("image_container", 1),
+    ("image_container", 2),
+    ("budgeted_container", 1),
+    ("budgeted_container", 2),
+    ("budgeted_container", 3),
+]
+
+
+@pytest.mark.parametrize("name,layers", _LAYER_PREFIXES)
+def test_golden_containers_decode(name, layers):
+    """The stored bytes, not a fresh encode, decode to one reconstruction
+    under every engine at every layer prefix, and each added layer
+    brings it closer to the source image."""
+    config, image = _CONTAINER_CASES[name]()[:2]
+    blob = bytes.fromhex(_load(name)["container_hex"])
+    encoded = EncodedImage.from_bytes(blob)
+    assert 1 <= layers <= encoded.n_layers
+    decoded = {
+        backend: ImageCodec(config, backend=backend).decode(encoded, layers)
+        for backend in BACKENDS
+    }
+    expected = decoded[ORACLE_ENGINE]
+    for backend, pixels in decoded.items():
+        assert pixels.tobytes() == expected.tobytes(), backend
+    if layers > 1:
+        oracle = ImageCodec(config, backend=ORACLE_ENGINE)
+        coarser = oracle.decode(encoded, layers - 1)
+        assert psnr(image, expected) > psnr(image, coarser)
 
 
 if __name__ == "__main__":

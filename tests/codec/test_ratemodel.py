@@ -186,6 +186,90 @@ class TestBatchedEstimate:
         # numpy's int32 wrap quirk (np.abs leaves INT32_MIN negative).
         assert np.array_equal(ref.reconstruction, fast.reconstruction)
 
+    @pytest.mark.parametrize("step", [1 / 16, 1 / 512, 1 / 4096])
+    def test_fused_payload_rows_match_per_block(self, rng, step, monkeypatch):
+        """On one prepared batch, the rows the one-call native histogram
+        hands the plane walk are the per-block histograms the int32-wrap
+        regime falls back to: same rows, same order, same trimmed width."""
+        model = RateModel(CodecConfig(tile_size=64))
+        batch = model.prepare(rng.random((160, 96)))
+        walk = mock.Mock(wraps=ratemodel._plane_walk_bits)
+        monkeypatch.setattr(ratemodel, "_plane_walk_bits", walk)
+        ratemodel._payload_totals(batch, step)
+        counts, tops, _ = walk.call_args.args
+        steps = ratemodel.subband_steps(step, batch.weights, batch.divisors)
+        per_block_counts, per_block_tops = ratemodel._histograms_per_block(
+            batch, steps
+        )
+        assert np.array_equal(tops, per_block_tops)
+        assert counts.shape == per_block_counts.shape
+        assert np.array_equal(counts, per_block_counts)
+
+
+class TestDtypeBranches:
+    """The numpy branches chosen by dtype compute what the kernels do.
+
+    The quantizer only yields C-contiguous int32 stacks and float64
+    subbands, so these branches serve other callers of the helpers; each
+    must agree with the specification the kernels implement.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_histogram_matches_signed_quantize(self, rng, dtype):
+        """Including 1e-9, where the magnitudes pass 2^31 and the
+        histogram defers to the quantizer's int32 wrap."""
+        stack = (rng.normal(0, 0.3, (5, 16, 16)) * 100).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for step in (1 / 16, 1 / 4096, 1e-9):
+                counts, tops, size = ratemodel._magnitude_histogram(
+                    stack, step
+                )
+                expected = ratemodel._topbit_histogram(
+                    ratemodel._quantize_stack(stack, step)
+                )
+                assert np.array_equal(counts, expected[0]), step
+                assert np.array_equal(tops, expected[1]), step
+                assert size == expected[2]
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_dequantize_matches_native(self, rng, dtype):
+        quantized = ratemodel._quantize_stack(
+            rng.normal(0, 0.3, (4, 16, 16)), 1 / 512
+        )
+        native = ratemodel._dequantize_stack(quantized, 1 / 512, 0.375)
+        other = ratemodel._dequantize_stack(
+            quantized.astype(dtype), 1 / 512, 0.375
+        )
+        assert other.dtype == native.dtype == np.float64
+        assert other.tobytes() == native.tobytes()
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            pytest.param(lambda block: block[:, ::2], id="non_contiguous"),
+            pytest.param(lambda block: block.astype(np.int64), id="int64"),
+            pytest.param(lambda block: block.T, id="transposed"),
+        ],
+    )
+    def test_dequantize_blocks_fallback_matches_native(self, rng, reshape):
+        """One block the fused call cannot take sends the whole tile to
+        the per-block path, which must return the fused call's values."""
+        steps = [1 / 512, 1 / 256, 1 / 128]
+        blocks = [
+            ratemodel._quantize_stack(rng.normal(0, 0.3, shape), step)
+            for shape, step in zip([(8, 8), (8, 4), (4, 8)], steps)
+        ]
+        blocks[1] = reshape(blocks[1])
+        fallback = ratemodel._dequantize_blocks(blocks, steps)
+        native = ratemodel._dequantize_blocks(
+            [np.ascontiguousarray(b, dtype=np.int32) for b in blocks], steps
+        )
+        assert len(fallback) == len(native) == len(blocks)
+        for got, want in zip(fallback, native):
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
 
 def _reference_estimate(model, decomps, step):
     """``estimate_with_stats`` on the per-tile oracle loops."""

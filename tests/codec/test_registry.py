@@ -29,8 +29,16 @@ import pytest
 from codec_oracle import ORACLE_ENGINE, reference_engine
 
 from repro.codec import _ckernels, registry
+from repro.codec.dwt import forward_dwt2d
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
+from repro.codec.ratemodel import RateModel
 from repro.errors import CodecError
+from repro.imagery.bands import PLANET_BANDS
+from repro.imagery.clouds import CloudSample
+from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
+from repro.imagery.illumination import IlluminationSample
+from repro.imagery.noise import fractal_noise
+from repro.imagery.sensor import render_pixels
 
 
 class TestResolution:
@@ -107,6 +115,34 @@ class TestResolution:
 _MISSING = ("no-such-cc-1", "no-such-gcc-2", "no-such-clang-3")
 
 
+def _render_clear_capture():
+    spec = LocationSpec(
+        name="no-cc",
+        shape=(16, 16),
+        terrain_mix={TerrainClass.FOREST: 1.0},
+        seed=1,
+    )
+    clear = np.zeros(spec.shape, dtype=bool)
+    return render_pixels(
+        EarthModel(spec, PLANET_BANDS),
+        PLANET_BANDS,
+        1.0,
+        CloudSample(0.0, clear, np.zeros(spec.shape)),
+        IlluminationSample(gain=1.0, offset=0.0),
+    )
+
+
+#: One public entry point per kernel user outside the entropy engine.
+_KERNEL_USERS = {
+    "dwt": lambda: forward_dwt2d(np.zeros((16, 16)), 2),
+    "rate_model": lambda: RateModel(CodecConfig(tile_size=16)).encode(
+        np.zeros((16, 16)), 1 / 64
+    ),
+    "noise": lambda: fractal_noise((16, 16), seed=0),
+    "render": _render_clear_capture,
+}
+
+
 class TestMissingCompiler:
     """Without a compiler, the first kernel use raises one CodecError
     naming every compiler tried; nothing is cached, so each use raises."""
@@ -144,6 +180,14 @@ class TestMissingCompiler:
         codec = ImageCodec(CodecConfig(tile_size=32))
         with pytest.raises(CodecError, match="need a C compiler"):
             codec.encode(np.zeros((32, 32)))
+
+    @pytest.mark.parametrize("user", sorted(_KERNEL_USERS))
+    def test_kernel_user_raises(self, user):
+        """No computation falls back to numpy: the transform, the rate
+        model, fractal noise and the capture render each raise the
+        error that names every compiler tried."""
+        with pytest.raises(CodecError, match=", ".join(_MISSING)):
+            _KERNEL_USERS[user]()
 
 
 #: Run in a fresh interpreter: with no compiler, importing the program and
@@ -303,6 +347,18 @@ class TestKernelBuild:
             monkeypatch.setenv("HOME", str(tmp_path / home))
             libraries.append(_ckernels._build(compiler).read_bytes())
         assert libraries[0] == libraries[1]
+
+    def test_source_compiles_warning_free(self, tmp_path, monkeypatch):
+        """``_ckernels.c`` builds under ``-Wall -Wextra -Werror``, so a
+        new warning fails here rather than hiding in a build log."""
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setattr(
+            _ckernels,
+            "_CFLAGS",
+            (*_ckernels._CFLAGS, "-Wall", "-Wextra", "-Werror"),
+        )
+        library = _ckernels._build(_ckernels._find_compiler())
+        assert library.stat().st_size > 0
 
     def test_cache_key_hashes_source_and_flags(self, tmp_path, monkeypatch):
         """A flag change (a sanitizer build) never reuses a library."""

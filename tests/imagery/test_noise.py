@@ -5,6 +5,7 @@ import pytest
 from sim_oracle import reference_path, value_noise_reference
 
 from repro.imagery.noise import (
+    _octave_seed,
     fractal_noise,
     seeded_uniform,
     smoothstep,
@@ -115,6 +116,22 @@ class TestFastpathParity:
     """The native fractal field must be bit-identical to the oracle's
     per-octave numpy sum over ``np.ix_`` gathers — imagery feeds the
     codec, so a single ULP would cascade into metrics."""
+
+    @pytest.mark.parametrize(
+        "shape,cells",
+        [((64, 64), 4), ((192, 192), 7), ((33, 129), 5), ((3, 3), 1)],
+    )
+    def test_all_paths_bit_identical(self, shape, cells):
+        """A one-octave native field is the oracle's value noise of the
+        octave's sub-seed, min-max normalized: the single-octave
+        specification holds without the octave sum in between."""
+        noise = value_noise_reference(shape, cells, _octave_seed(1234, 0))
+        lo, hi = float(noise.min()), float(noise.max())
+        expected = (noise - lo) / (hi - lo)
+        production = fractal_noise(
+            shape, seed=1234, octaves=1, base_cells=cells
+        )
+        assert production.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "shape,params",

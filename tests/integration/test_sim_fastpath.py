@@ -6,18 +6,23 @@ produces has to be byte-identical to a run on the reference
 implementations (:func:`sim_oracle.reference_path`).  These tests run the
 same scenarios both ways and compare
 :class:`~repro.core.accounting.RunResult` content exactly (no tolerances;
-NaN PSNR for dropped captures compares as equal-NaN).
+NaN PSNR for dropped captures compares as equal-NaN).  A kernel-call spy
+checks that the oracle reaches none of the kernels production runs.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from sim_oracle import reference_path
 
 from repro.analysis.scenarios import ScenarioSpec, run_scenario
+from repro.codec import registry
 from repro.codec.ratemodel import RateModel
 from repro.codec.jpeg2000 import CodecConfig
 from repro.core.config import EarthPlusConfig
@@ -29,6 +34,7 @@ from repro.core.reference import (
     quantize_reference,
 )
 from repro.core.tiles import TileGrid
+from repro.datasets.sentinel2 import sentinel2_dataset
 from repro.obs import export, trace
 
 
@@ -305,3 +311,73 @@ def test_profiler_sections(tiny_sentinel_dataset):
     assert "codec" in sections and "dwt" in sections
     assert all(row["seconds"] >= 0 for row in rows)
     assert trace.active_tracer() is None
+
+
+class _KernelSpy:
+    """Counts the calls of each compiled-kernel method that callers reach
+    through ``registry.kernels()``."""
+
+    def __init__(self, kernels) -> None:
+        self._kernels = kernels
+        self.calls: collections.Counter[str] = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._kernels, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+#: Every kernel a model-codec simulation reaches through
+#: ``registry.kernels()`` (the entropy engine loads its own handle).
+SIMULATION_KERNELS = (
+    "fractal_field",
+    "render_band",
+    "dwt_forward",
+    "dwt_inverse",
+    "magnitude_histogram_multi",
+    "plane_walk_bits",
+    "dequantize_multi",
+)
+
+
+@pytest.fixture(scope="module")
+def kernel_calls():
+    """Kernel calls of one production run of a fresh scenario (so no
+    warm state skips a kernel), then of one run on the oracle."""
+    dataset = sentinel2_dataset(
+        locations=["A"], bands=["B4"], horizon_days=45.0, image_shape=(64, 64)
+    )
+    spec = ScenarioSpec(
+        policy="earthplus",
+        dataset=dataset,
+        config=EarthPlusConfig(gamma_bpp=0.3),
+    )
+    kernels = registry.kernels()
+    calls = {}
+    for path in ("production", "oracle"):
+        spy = _KernelSpy(kernels)
+        oracle = path == "oracle"
+        with mock.patch.object(registry, "kernels", lambda: spy), (
+            reference_path() if oracle else contextlib.nullcontext()
+        ):
+            run_scenario(spec)
+        calls[path] = spy.calls
+    return calls
+
+
+def test_simulation_reaches_only_listed_kernels(kernel_calls):
+    """A kernel new to the simulation must join the list below, so that
+    the oracle is checked to replace it too."""
+    assert set(kernel_calls["production"]) == set(SIMULATION_KERNELS)
+
+
+@pytest.mark.parametrize("kernel", SIMULATION_KERNELS)
+def test_reference_path_replaces_kernel(kernel_calls, kernel):
+    """Every computation production runs in a kernel, the oracle runs in
+    its own numpy: no caller reaches a kernel around a seam."""
+    assert kernel_calls["production"][kernel] > 0
+    assert kernel_calls["oracle"][kernel] == 0
