@@ -3,10 +3,16 @@
 :class:`BitWriter` / :class:`BitReader` provide MSB-first bit packing plus
 unsigned varints, used by the codec container format
 (:mod:`repro.codec.jpeg2000`) and the Earth+ reference-update wire format
-(:mod:`repro.core.reference`).
+(:mod:`repro.core.reference`).  Boolean bitmaps (the codec's ROI, the
+reference validity mask) are packed whole with numpy
+(:meth:`BitWriter.write_bitmap`, :meth:`BitReader.read_bitmap`): the bytes
+are those of one :meth:`BitWriter.write_bit` per element followed by
+:meth:`BitWriter.align`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import BitstreamError
 
@@ -69,6 +75,18 @@ class BitWriter:
         if self._nbits != 0:
             raise BitstreamError("raw bytes must be byte-aligned; call align() first")
         self._bytes.extend(data)
+
+    def write_bitmap(self, bits: np.ndarray) -> None:
+        """Append a boolean array, one bit per element in ``ravel()`` order.
+
+        MSB-first and zero-padded to the next byte boundary: the same bytes
+        as :meth:`write_bit` for each element followed by :meth:`align`.
+        Must start byte-aligned.
+        """
+        if self._nbits != 0:
+            raise BitstreamError("bitmaps must be byte-aligned; call align() first")
+        packed = np.packbits(np.asarray(bits, dtype=bool).ravel(), bitorder="big")
+        self._bytes.extend(packed.tobytes())
 
     def align(self) -> None:
         """Zero-pad to the next byte boundary."""
@@ -148,6 +166,32 @@ class BitReader:
         out = self._data[self._byte_pos : self._byte_pos + count]
         self._byte_pos += count
         return out
+
+    def read_bitmap(self, count: int) -> np.ndarray:
+        """Read ``count`` bits written by :meth:`BitWriter.write_bitmap`.
+
+        Returns a boolean array of ``count`` elements and leaves the reader
+        on the byte boundary after the bitmap's padding.
+
+        Raises:
+            BitstreamError: If not byte-aligned, or fewer than
+                ``ceil(count / 8)`` bytes remain.
+        """
+        if self._bit_pos != 0:
+            raise BitstreamError("bitmaps must be byte-aligned; call align() first")
+        if count < 0:
+            raise BitstreamError(f"bitmap length must be >= 0, got {count}")
+        n_bytes = (count + 7) // 8
+        if self._byte_pos + n_bytes > len(self._data):
+            raise BitstreamError(
+                f"truncated bitmap: {count} bits need {n_bytes} bytes, "
+                f"{len(self._data) - self._byte_pos} remaining"
+            )
+        packed = np.frombuffer(
+            self._data, dtype=np.uint8, count=n_bytes, offset=self._byte_pos
+        )
+        self._byte_pos += n_bytes
+        return np.unpackbits(packed, count=count, bitorder="big").view(bool)
 
     def align(self) -> None:
         """Skip to the next byte boundary."""

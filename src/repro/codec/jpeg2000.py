@@ -187,11 +187,8 @@ class EncodedImage:
         writer.write_uvarint(self.config.bit_depth)
         writer.write_uvarint(self.n_layers)
         writer.write_bytes(struct.pack("<d", self.base_step))
-        roi_flat = self.roi.ravel()
-        writer.write_uvarint(roi_flat.size)
-        for bit in roi_flat:
-            writer.write_bit(int(bit))
-        writer.align()
+        writer.write_uvarint(self.roi.size)
+        writer.write_bitmap(self.roi)
         writer.write_uvarint(len(self.tiles))
         for tile in self.tiles:
             writer.write_uvarint(tile.tile_index[0])
@@ -242,11 +239,7 @@ class EncodedImage:
             raise BitstreamError("ROI bitmap size mismatch")
         if roi_size > reader.remaining_bytes() * 8:
             raise BitstreamError("truncated ROI bitmap")
-        roi = np.zeros(roi_size, dtype=bool)
-        for idx in range(roi_size):
-            roi[idx] = bool(reader.read_bit())
-        reader.align()
-        roi = roi.reshape(tiles_y, tiles_x)
+        roi = reader.read_bitmap(roi_size).reshape(tiles_y, tiles_x)
         n_tiles = reader.read_uvarint()
         metas = []
         for _ in range(n_tiles):

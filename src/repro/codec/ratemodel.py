@@ -71,7 +71,9 @@ def _topbit_histogram(
     with mantissa in [0.5, 1), so the top bit is ``exp - 1``.
     """
     n_tiles = band_q_stack.shape[0]
-    magnitude = np.abs(band_q_stack.astype(np.int64)).reshape(n_tiles, -1)
+    magnitude = np.abs(band_q_stack.astype(np.int64)).reshape(
+        n_tiles, math.prod(band_q_stack.shape[1:])
+    )
     return _histogram_from_magnitudes(magnitude.astype(np.float64))
 
 
@@ -104,9 +106,11 @@ def _magnitude_histogram(
             return _topbit_histogram(_quantize_stack(band_stack, step))
         n_bins = max(max_top, 0) + 1
         return np.ascontiguousarray(counts_raw[:, :n_bins]), tops, size
-    magnitude = np.floor(np.abs(band_stack) / step).reshape(n_tiles, -1)
+    magnitude = np.floor(np.abs(band_stack) / step).reshape(
+        n_tiles, math.prod(band_stack.shape[1:])
+    )
     counts, tops, size = _histogram_from_magnitudes(magnitude)
-    if size and int(tops.max()) >= 31:
+    if n_tiles and int(tops.max()) >= 31:
         return _topbit_histogram(_quantize_stack(band_stack, step))
     return counts, tops, size
 
@@ -120,7 +124,9 @@ def _histogram_from_magnitudes(
     topbit = exponents.astype(np.int64) - 1
     tops = topbit.max(axis=1)
     max_top = int(tops.max()) if n_tiles else -1
-    n_bins = max(max_top, 0) + 2  # bin 0 holds zeros (topbit == -1)
+    # Bin 0 holds zeros (topbit == -1).  Tiles keep plane 0's column even
+    # when all zero; an empty stack has no columns.
+    n_bins = max(max_top, 0) + 2 if n_tiles else 1
     offsets = (np.arange(n_tiles, dtype=np.int64) * n_bins)[:, None]
     counts = np.bincount(
         (topbit + 1 + offsets).ravel(), minlength=n_tiles * n_bins

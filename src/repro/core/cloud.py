@@ -19,6 +19,10 @@ classifies per tile with a precision-biased leaf rule; the ground variant
 classifies per pixel with a deeper tree.  Their precision/recall against the
 oracle masks is measured in the test suite, including the >99 % on-board
 precision property.
+
+The features average each band group with a running sum rather than
+numpy's mean over a stacked copy of the bands (float-identical; the
+stacked mean is the differential oracle in ``tests/sim_oracle.py``).
 """
 
 from __future__ import annotations
@@ -187,6 +191,21 @@ def _split_bands(bands: tuple[Band, ...]) -> tuple[list[str], list[str]]:
     return bright, cold
 
 
+def _band_mean(pixels: dict[str, np.ndarray], names: list[str]) -> np.ndarray:
+    """Mean of the named band images, without stacking them.
+
+    A running sum in band order, started from 0.0, divided by the band
+    count: numpy's axis-0 mean of the stacked bands starts from the same
+    identity and adds the same slices in the same order, so the two are
+    float-identical (a -0.0 pixel sums to 0.0 in both).
+    """
+    total = pixels[names[0]] + 0.0
+    for name in names[1:]:
+        total += pixels[name]
+    total /= len(names)
+    return total
+
+
 def cloud_features(
     pixels: dict[str, np.ndarray], bands: tuple[Band, ...]
 ) -> np.ndarray:
@@ -195,12 +214,13 @@ def cloud_features(
     Returns an (H, W, 3) stack: mean bright-band value, mean cold-band value
     (0.5 when no cold band exists), and their difference — the "heavy clouds
     are cold in InfraRed but bright in visible" signal the paper's cheap
-    detector keys on.
+    detector keys on.  Each band mean is a running sum
+    (:func:`_band_mean`), so the band images are never stacked.
     """
     bright_names, cold_names = _split_bands(bands)
-    bright = np.mean([pixels[name] for name in bright_names], axis=0)
+    bright = _band_mean(pixels, bright_names)
     if cold_names:
-        cold = np.mean([pixels[name] for name in cold_names], axis=0)
+        cold = _band_mean(pixels, cold_names)
     else:
         cold = np.full_like(bright, 0.5)
     return np.stack([bright, cold, bright - cold], axis=-1)
@@ -255,7 +275,7 @@ class CloudDetector:
             cloudy = self.tree.predict(flat, self.min_confidence).reshape(
                 block_grid.grid_shape
             )
-            return block_grid.expand(cloudy.astype(np.float64)) > 0.5
+            return block_grid.expand(cloudy)
         if self.granularity == "pixel":
             features = cloud_features(pixels, bands)
             flat = features.reshape(-1, 3)

@@ -408,10 +408,7 @@ class GroundSegment:
             for band in self.bands:
                 if not self.mosaic.has(location, band.name):
                     continue
-                reference_lr = self.mosaic.reference_lr(
-                    location, band.name, self.config.reference_downsample
-                )
-                validity = self.mosaic.reference_validity_lr(
+                reference_lr, validity = self.mosaic.low_res_reference(
                     location, band.name, self.config.reference_downsample
                 )
                 update = cache.build_update(

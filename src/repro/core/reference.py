@@ -16,6 +16,13 @@ Three cooperating pieces implement §4.3's uplink-saving machinery:
 
 Invariant (property-tested): applying a delta update to the cached reference
 produces exactly the full new reference.
+
+Each piece works in whole-array passes: a block mean reshapes the image
+in place unless a side is ragged, the mosaic's low-res reference and its
+validity come from one block count of the filled mask, the changed delta
+tiles from one comparison over the whole low-res image, and the validity
+bitmap is packed with numpy.  The per-element implementations they
+replaced are the differential oracle in ``tests/sim_oracle.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,57 @@ import numpy as np
 from repro.core.tiles import TileGrid
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.errors import ReferenceError_
+
+
+def _edge_blocks(array: np.ndarray, ratio: int) -> np.ndarray:
+    """The last two axes of ``array`` as float64 ``ratio`` x ``ratio`` blocks.
+
+    Returns a ``(..., ceil(H/ratio), ratio, ceil(W/ratio), ratio)`` array.
+    Ragged sides are edge-padded to whole blocks, which makes a float64
+    copy.  A C-contiguous float64 array that divides into whole blocks is
+    reshaped without a copy: the padded copy would hold the same values
+    in the same memory order, so block means reduce identically.
+    """
+    *lead, height, width = array.shape
+    out_h = (height + ratio - 1) // ratio
+    out_w = (width + ratio - 1) // ratio
+    pad_h = out_h * ratio - height
+    pad_w = out_w * ratio - width
+    if (
+        pad_h
+        or pad_w
+        or array.dtype != np.float64
+        or not array.flags.c_contiguous
+    ):
+        array = np.pad(
+            array.astype(np.float64),
+            [(0, 0)] * len(lead) + [(0, pad_h), (0, pad_w)],
+            mode="edge",
+        )
+    return array.reshape(*lead, out_h, ratio, out_w, ratio)
+
+
+def _block_fraction(mask: np.ndarray, ratio: int) -> np.ndarray:
+    """Per-block fraction of True pixels in a 2-D boolean mask.
+
+    Equal to :func:`downsample_image` of the mask as 0.0/1.0 floats over
+    the same edge-padded blocks: a float sum of zeros and ones is exactly
+    the block's count in any order, so the counts are summed as integers
+    (block rows first, then along each row) and divided by the same
+    ``ratio * ratio``.
+    """
+    height, width = mask.shape
+    out_h = (height + ratio - 1) // ratio
+    out_w = (width + ratio - 1) // ratio
+    pad_h = out_h * ratio - height
+    pad_w = out_w * ratio - width
+    if pad_h or pad_w:
+        mask = np.pad(mask, ((0, pad_h), (0, pad_w)), mode="edge")
+    row_counts = np.add.reduce(
+        mask.reshape(out_h, ratio, out_w * ratio), axis=1, dtype=np.int64
+    )
+    counts = np.add.reduce(row_counts.reshape(out_h, out_w, ratio), axis=2)
+    return counts / (ratio * ratio)
 
 
 def downsample_image(image: np.ndarray, ratio: int) -> np.ndarray:
@@ -45,14 +103,7 @@ def downsample_image(image: np.ndarray, ratio: int) -> np.ndarray:
         raise ReferenceError_(f"ratio must be >= 1, got {ratio}")
     if ratio == 1:
         return image.astype(np.float64).copy()
-    height, width = image.shape
-    out_h = (height + ratio - 1) // ratio
-    out_w = (width + ratio - 1) // ratio
-    pad_h = out_h * ratio - height
-    pad_w = out_w * ratio - width
-    padded = np.pad(image.astype(np.float64), ((0, pad_h), (0, pad_w)), mode="edge")
-    blocks = padded.reshape(out_h, ratio, out_w, ratio)
-    return blocks.mean(axis=(1, 3))
+    return _edge_blocks(image, ratio).mean(axis=(1, 3))
 
 
 def downsample_many(stack: np.ndarray, ratio: int) -> np.ndarray:
@@ -77,18 +128,7 @@ def downsample_many(stack: np.ndarray, ratio: int) -> np.ndarray:
         )
     if ratio == 1:
         return stack.astype(np.float64).copy()
-    n_images, height, width = stack.shape
-    out_h = (height + ratio - 1) // ratio
-    out_w = (width + ratio - 1) // ratio
-    pad_h = out_h * ratio - height
-    pad_w = out_w * ratio - width
-    padded = np.pad(
-        stack.astype(np.float64),
-        ((0, 0), (0, pad_h), (0, pad_w)),
-        mode="edge",
-    )
-    blocks = padded.reshape(n_images, out_h, ratio, out_w, ratio)
-    return blocks.mean(axis=(2, 4))
+    return _edge_blocks(stack, ratio).mean(axis=(2, 4))
 
 
 def upsample_image(
@@ -173,9 +213,7 @@ class ReferenceUpdate:
             writer.write_uvarint(0)
         else:
             writer.write_uvarint(1)
-            for bit in self.validity.ravel():
-                writer.write_bit(int(bit))
-            writer.align()
+            writer.write_bitmap(self.validity)
         writer.write_bytes(self.payload.astype(np.uint8).tobytes())
         return writer.getvalue()
 
@@ -195,11 +233,9 @@ class ReferenceUpdate:
         ]
         validity = None
         if reader.read_uvarint():
-            bits = np.zeros(lr_shape[0] * lr_shape[1], dtype=bool)
-            for idx in range(bits.size):
-                bits[idx] = bool(reader.read_bit())
-            reader.align()
-            validity = bits.reshape(lr_shape)
+            validity = reader.read_bitmap(lr_shape[0] * lr_shape[1]).reshape(
+                lr_shape
+            )
         payload = np.frombuffer(
             reader.read_bytes(reader.remaining_bytes()), dtype=np.uint8
         )
@@ -391,19 +427,9 @@ class OnboardReferenceCache:
         cached = self._store[key]
         if cached.stored.shape != stored_new.shape:
             return full_update()
-        tile = self.lr_tile
-        lr_h, lr_w = stored_new.shape
-        indices: list[tuple[int, int]] = []
-        chunks: list[np.ndarray] = []
-        for ty in range((lr_h + tile - 1) // tile):
-            for tx in range((lr_w + tile - 1) // tile):
-                y0, x0 = ty * tile, tx * tile
-                y1, x1 = min(y0 + tile, lr_h), min(x0 + tile, lr_w)
-                old_block = cached.stored[y0:y1, x0:x1].astype(np.int16)
-                new_block = stored_new[y0:y1, x0:x1].astype(np.int16)
-                if np.abs(new_block - old_block).max() > tolerance:
-                    indices.append((ty, tx))
-                    chunks.append(stored_new[y0:y1, x0:x1].ravel())
+        indices, payload = self._delta_tiles(
+            cached.stored, stored_new, tolerance
+        )
         if not indices and np.array_equal(cached.validity, new_validity):
             return None
         return ReferenceUpdate(
@@ -413,14 +439,43 @@ class OnboardReferenceCache:
             full=False,
             lr_shape=stored_new.shape,
             tile_indices=indices,
-            payload=(
-                np.concatenate(chunks)
-                if chunks
-                else np.empty(0, dtype=np.uint8)
-            ),
-            lr_tile=tile,
+            payload=payload,
+            lr_tile=self.lr_tile,
             validity=new_validity,
         )
+
+    def _delta_tiles(
+        self, stored_old: np.ndarray, stored_new: np.ndarray, tolerance: int
+    ) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Low-res tiles that differ by more than ``tolerance``, and their
+        pixels.
+
+        One comparison over the whole image: the absolute difference is
+        zero-padded to whole tiles (a pad never exceeds a real pixel's
+        difference) and reduced to each tile's maximum.  Returns the
+        changed tiles' ``(ty, tx)`` in row-major order and the
+        concatenation of their row-major pixels, ragged edge tiles at
+        their true extent.
+        """
+        tile = self.lr_tile
+        lr_h, lr_w = stored_new.shape
+        tiles_y = (lr_h + tile - 1) // tile
+        tiles_x = (lr_w + tile - 1) // tile
+        diff = np.zeros((tiles_y * tile, tiles_x * tile), dtype=np.int16)
+        np.subtract(
+            stored_new, stored_old, out=diff[:lr_h, :lr_w], dtype=np.int16
+        )
+        np.abs(diff, out=diff)
+        tile_max = diff.reshape(tiles_y, tile, tiles_x, tile).max(axis=(1, 3))
+        changed = np.nonzero(tile_max > tolerance)
+        indices = [(int(ty), int(tx)) for ty, tx in zip(*changed)]
+        if not indices:
+            return indices, np.empty(0, dtype=np.uint8)
+        blocks = [
+            stored_new[ty * tile : (ty + 1) * tile, tx * tile : (tx + 1) * tile]
+            for ty, tx in indices
+        ]
+        return indices, np.concatenate([block.ravel() for block in blocks])
 
 
 class GroundMosaic:
@@ -513,27 +568,27 @@ class GroundMosaic:
             raise ReferenceError_(f"no mosaic content for {location}/{band}")
         return mask
 
-    def reference_lr(
+    def low_res_reference(
         self, location: str, band: str, downsample: int
-    ) -> np.ndarray:
-        """The mosaic downsampled to reference resolution.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The mosaic downsampled to reference resolution, and its validity.
 
         Each low-res pixel averages only *filled* mosaic pixels (never-seen
-        pixels carry no information); completely-unfilled blocks are zero
-        and are flagged by :meth:`reference_validity_lr`.
+        pixels carry no information).  A low-res pixel is valid where its
+        block has any filled content; completely-unfilled blocks are zero
+        and invalid.  One block count of the filled mask weighs both.
+        Never-filled pixels still hold the 0.0 the image was created
+        with, so the image's block means are those of its filled pixels
+        alone, over the whole block.
+
+        Returns:
+            ``(reference, validity)``: float64 and bool low-res arrays.
         """
         image = self.image(location, band)
         filled = self.filled_mask(location, band)
-        weighted = downsample_image(np.where(filled, image, 0.0), downsample)
-        weight = downsample_image(filled.astype(np.float64), downsample)
-        out = np.zeros_like(weighted)
-        nonzero = weight > 1e-9
-        out[nonzero] = weighted[nonzero] / weight[nonzero]
-        return out
-
-    def reference_validity_lr(
-        self, location: str, band: str, downsample: int
-    ) -> np.ndarray:
-        """Low-res validity: True where the block has any filled content."""
-        filled = self.filled_mask(location, band)
-        return downsample_image(filled.astype(np.float64), downsample) > 1e-9
+        weighted = downsample_image(image, downsample)
+        weight = _block_fraction(filled, downsample)
+        validity = weight > 1e-9
+        reference = np.zeros_like(weighted)
+        np.divide(weighted, weight, out=reference, where=validity)
+        return reference, validity

@@ -92,7 +92,9 @@ class TileGrid:
             float64 array of shape ``grid_shape``.
         """
         self._check_image(image)
-        return self._reduce(image.astype(np.float64), np.mean)
+        if image.dtype != np.float64 or not image.flags.c_contiguous:
+            image = image.astype(np.float64)
+        return self._reduce(image, np.mean)
 
     def reduce_max(self, image: np.ndarray) -> np.ndarray:
         """Per-tile maximum of a pixel map."""

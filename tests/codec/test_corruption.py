@@ -166,6 +166,27 @@ class TestContainerEntryPoint:
             with pytest.raises(BitstreamError):
                 EncodedImage.from_bytes(blob)
 
+    def test_cut_inside_roi_bitmap_raises(self):
+        """The ROI bitmap (45 tiles: 5 full bytes and a padded sixth) is
+        read whole; a cut anywhere inside it raises with the container's
+        own message, and the full bitmap reads back bit for bit."""
+        codec = ImageCodec(
+            CodecConfig(tile_size=8, levels=1, base_step=1 / 64),
+            backend=ORACLE_ENGINE,
+        )
+        roi = np.arange(45).reshape(5, 9) % 3 != 1
+        encoded = codec.encode(
+            np.random.default_rng(5).random((40, 72)), roi=roi
+        )
+        data = encoded.to_bytes()
+        assert np.array_equal(EncodedImage.from_bytes(data).roi, roi)
+        # Magic, seven single-byte uvarints and the 8-byte base step
+        # precede the ROI size (one byte, 45), then come the 6 ROI bytes.
+        assert data[19] == 45
+        for cut in range(20, 26):
+            with pytest.raises(BitstreamError, match="truncated ROI bitmap"):
+                EncodedImage.from_bytes(data[:cut])
+
     def test_truncated_payload_rejected_not_garbled(self, valid_container):
         """Cutting inside the payload area must raise, not mis-decode."""
         with pytest.raises(BitstreamError):

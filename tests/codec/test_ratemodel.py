@@ -232,6 +232,22 @@ class TestDtypeBranches:
                 assert np.array_equal(tops, expected[1]), step
                 assert size == expected[2]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_stack_histogram(self, dtype):
+        """A stack of zero tiles has no planes on either branch: (0, 0)
+        counts and empty tops, as the signed path reports them."""
+        stack = np.zeros((0, 4, 4), dtype=dtype)
+        counts, tops, size = ratemodel._magnitude_histogram(stack, 1 / 16)
+        assert counts.shape == (0, 0)
+        assert tops.shape == (0,)
+        assert size == 16
+        signed = ratemodel._topbit_histogram(
+            ratemodel._quantize_stack(stack, 1 / 16)
+        )
+        assert signed[0].shape == (0, 0)
+        assert signed[1].shape == (0,)
+        assert signed[2] == 16
+
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     def test_dequantize_matches_native(self, rng, dtype):
         quantized = ratemodel._quantize_stack(

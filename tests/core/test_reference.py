@@ -240,8 +240,7 @@ class TestGroundMosaic:
         valid = np.zeros((64, 64), dtype=bool)
         valid[:, :32] = True
         mosaic.ingest_tiles("L", "B", 1.0, image, np.ones((2, 2), dtype=bool), valid)
-        lr = mosaic.reference_lr("L", "B", 32)
-        validity = mosaic.reference_validity_lr("L", "B", 32)
+        lr, validity = mosaic.low_res_reference("L", "B", 32)
         assert lr[0, 0] == pytest.approx(0.8)  # left half filled
         assert validity[0, 0] and validity[0, 1] is not None
         # Right half has no filled pixels at all -> invalid.

@@ -79,13 +79,33 @@ def _identical(a, b) -> bool:
     return a == b
 
 
-@pytest.mark.parametrize("policy", ["earthplus", "kodan"])
-def test_scenario_byte_identical(tiny_sentinel_dataset, policy):
+#: Scenario cases: (policy, dataset fixture, config, uplink bytes).
+#: The starved uplink (as in test_end_to_end's starved-uplink test) skips
+#: every update and the tight one some of them, so ``n_bytes`` decides
+#: what is uplinked; the synced Planet case runs the epoch journal and
+#: ``GroundSegment.apply_ingests``.
+SCENARIO_CASES = {
+    "earthplus": ("earthplus", "tiny_sentinel_dataset", {}, None),
+    "kodan": ("kodan", "tiny_sentinel_dataset", {}, None),
+    "earthplus-starved-uplink": (
+        "earthplus", "tiny_sentinel_dataset", {}, 15,
+    ),
+    "earthplus-tight-uplink": ("earthplus", "tiny_sentinel_dataset", {}, 40),
+    "planet-synced": (
+        "earthplus", "tiny_planet_dataset", {"ground_sync_days": 2.0}, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(SCENARIO_CASES))
+def test_scenario_byte_identical(request, policy):
     """A full scenario run produces byte-identical RunResult either way."""
+    policy_name, dataset, config, uplink = SCENARIO_CASES[policy]
     spec = ScenarioSpec(
-        policy=policy,
-        dataset=tiny_sentinel_dataset,
-        config=EarthPlusConfig(gamma_bpp=0.3),
+        policy=policy_name,
+        dataset=request.getfixturevalue(dataset),
+        config=EarthPlusConfig(gamma_bpp=0.3, **config),
+        uplink_bytes_per_contact=uplink,
     )
     with reference_path():
         reference = _run_snapshot(run_scenario(spec))

@@ -24,7 +24,15 @@ differential test can still check the production path against them:
   replayed from its gap stream (:func:`version_grid_reference`);
 * uncached imagery: ground truth, change-cell blocks and snow texture
   (:func:`ground_truth_uncached`, :func:`cell_block_uncached`,
-  :func:`snow_texture_uncached`).
+  :func:`snow_texture_uncached`);
+* the ground segment's per-element passes: block means over an
+  edge-padded float64 copy (:func:`edge_blocks_reference`), the mosaic's
+  reference and validity each downsampling the filled mask
+  (:func:`low_res_reference_two_pass`), the tile-by-tile delta comparison
+  (:func:`delta_tiles_per_tile`), bitmaps written and read one bit at a
+  time (:func:`write_bitmap_per_bit`, :func:`read_bitmap_per_bit`), and
+  cloud features whose band means average a stacked copy of the bands
+  (:func:`cloud_features_reference`).
 
 :func:`reference_path` swaps these in for whole production functions
 for the duration of a ``with`` block, so a whole scenario can run on the
@@ -43,6 +51,7 @@ from unittest import mock
 import numpy as np
 
 from repro.codec import dwt
+from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.dwt import (
     Wavelet,
     WaveletCoeffs,
@@ -56,9 +65,14 @@ from repro.codec.quantize import (
     quantize_coeffs,
 )
 from repro.codec.ratemodel import RateModel, RateModelResult, _binary_entropy
+from repro.core import cloud, reference
 from repro.core.change_detection import ChangeDetectionResult, detect_changes
 from repro.core.encoder import BandEncodeResult, EarthPlusEncoder
-from repro.core.reference import downsample_image
+from repro.core.reference import (
+    GroundMosaic,
+    OnboardReferenceCache,
+    downsample_image,
+)
 from repro.errors import ImageryError
 from repro.imagery import noise, sensor
 from repro.imagery.bands import Band
@@ -781,6 +795,105 @@ def snow_texture_uncached(model: EarthModel, band_name: str) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Ground segment — per-element passes
+# ----------------------------------------------------------------------
+def edge_blocks_reference(array: np.ndarray, ratio: int) -> np.ndarray:
+    """``reference._edge_blocks`` always casting and edge-padding a copy."""
+    *lead, height, width = array.shape
+    out_h = (height + ratio - 1) // ratio
+    out_w = (width + ratio - 1) // ratio
+    padded = np.pad(
+        array.astype(np.float64),
+        [(0, 0)] * len(lead)
+        + [(0, out_h * ratio - height), (0, out_w * ratio - width)],
+        mode="edge",
+    )
+    return padded.reshape(*lead, out_h, ratio, out_w, ratio)
+
+
+def low_res_reference_two_pass(
+    mosaic: GroundMosaic, location: str, band: str, downsample: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``GroundMosaic.low_res_reference`` as two methods, each
+    downsampling the filled mask: the filled-only block average (zero
+    where nothing is filled), then the validity of every block with any
+    filled content."""
+    image = mosaic.image(location, band)
+    filled = mosaic.filled_mask(location, band)
+    weighted = downsample_image(np.where(filled, image, 0.0), downsample)
+    weight = downsample_image(filled.astype(np.float64), downsample)
+    out = np.zeros_like(weighted)
+    nonzero = weight > 1e-9
+    out[nonzero] = weighted[nonzero] / weight[nonzero]
+    validity = downsample_image(filled.astype(np.float64), downsample) > 1e-9
+    return out, validity
+
+
+def delta_tiles_per_tile(
+    cache: OnboardReferenceCache,
+    stored_old: np.ndarray,
+    stored_new: np.ndarray,
+    tolerance: int,
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """``OnboardReferenceCache._delta_tiles`` comparing one low-res tile
+    at a time in row-major order."""
+    tile = cache.lr_tile
+    lr_h, lr_w = stored_new.shape
+    indices: list[tuple[int, int]] = []
+    chunks: list[np.ndarray] = []
+    for ty in range((lr_h + tile - 1) // tile):
+        for tx in range((lr_w + tile - 1) // tile):
+            y0, x0 = ty * tile, tx * tile
+            y1, x1 = min(y0 + tile, lr_h), min(x0 + tile, lr_w)
+            old_block = stored_old[y0:y1, x0:x1].astype(np.int16)
+            new_block = stored_new[y0:y1, x0:x1].astype(np.int16)
+            if np.abs(new_block - old_block).max() > tolerance:
+                indices.append((ty, tx))
+                chunks.append(stored_new[y0:y1, x0:x1].ravel())
+    payload = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
+    return indices, payload
+
+
+def write_bitmap_per_bit(writer: BitWriter, bits: np.ndarray) -> None:
+    """``BitWriter.write_bitmap`` as one ``write_bit`` per element, then
+    ``align``."""
+    for bit in bits.ravel():
+        writer.write_bit(int(bit))
+    writer.align()
+
+
+def read_bitmap_per_bit(reader: BitReader, count: int) -> np.ndarray:
+    """``BitReader.read_bitmap`` as one ``read_bit`` per element, then
+    ``align``."""
+    bits = np.zeros(count, dtype=bool)
+    for idx in range(count):
+        bits[idx] = bool(reader.read_bit())
+    reader.align()
+    return bits
+
+
+def band_mean_reference(
+    pixels: dict[str, np.ndarray], names: list[str]
+) -> np.ndarray:
+    """``cloud._band_mean`` as numpy's mean over the stacked bands."""
+    return np.mean([pixels[name] for name in names], axis=0)
+
+
+def cloud_features_reference(
+    pixels: dict[str, np.ndarray], bands: tuple[Band, ...]
+) -> np.ndarray:
+    """``cloud.cloud_features`` averaging each band group with numpy's
+    mean over a stacked copy of its bands."""
+    bright_names, cold_names = cloud._split_bands(bands)
+    bright = band_mean_reference(pixels, bright_names)
+    if cold_names:
+        cold = band_mean_reference(pixels, cold_names)
+    else:
+        cold = np.full_like(bright, 0.5)
+    return np.stack([bright, cold, bright - cold], axis=-1)
+
+
+# ----------------------------------------------------------------------
 # The whole reference path
 # ----------------------------------------------------------------------
 def _no_capture_cache() -> int:
@@ -819,6 +932,15 @@ _REFERENCE_SEAMS = (
     (EarthModel, "_cell_block", cell_block_uncached),
     (EarthModel, "_snow_texture", snow_texture_uncached),
     (sensor, "capture_cache_bytes", _no_capture_cache),
+    # The ground segment: every downsample (mosaic, encoder, figures)
+    # reduces a padded copy; the uplink and codec containers serialize
+    # their bitmaps bit by bit.
+    (reference, "_edge_blocks", edge_blocks_reference),
+    (GroundMosaic, "low_res_reference", low_res_reference_two_pass),
+    (OnboardReferenceCache, "_delta_tiles", delta_tiles_per_tile),
+    (BitWriter, "write_bitmap", write_bitmap_per_bit),
+    (BitReader, "read_bitmap", read_bitmap_per_bit),
+    (cloud, "cloud_features", cloud_features_reference),
 )
 
 
@@ -832,8 +954,8 @@ def reference_path():
     DWT loops run axis by axis, the per-depth distortion curve, per-tile
     rate-model loops, per-band capture processing, per-octave numpy noise
     over ``np.ix_`` gathers, per-pass capture rendering, the per-tile
-    change-count replay and no warm-state caching.  None of it reaches
-    the compiled kernels.
+    change-count replay, no warm-state caching, and the ground segment's
+    per-element passes.  None of it reaches the compiled kernels.
     Results must be byte-identical to the production path.
     """
     with contextlib.ExitStack() as stack:
