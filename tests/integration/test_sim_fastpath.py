@@ -97,12 +97,12 @@ SCENARIO_CASES = {
 }
 
 
-@pytest.mark.parametrize("policy", sorted(SCENARIO_CASES))
-def test_scenario_byte_identical(request, policy):
+@pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+def test_scenario_byte_identical(request, case):
     """A full scenario run produces byte-identical RunResult either way."""
-    policy_name, dataset, config, uplink = SCENARIO_CASES[policy]
+    policy, dataset, config, uplink = SCENARIO_CASES[case]
     spec = ScenarioSpec(
-        policy=policy_name,
+        policy=policy,
         dataset=request.getfixturevalue(dataset),
         config=EarthPlusConfig(gamma_bpp=0.3, **config),
         uplink_bytes_per_contact=uplink,
