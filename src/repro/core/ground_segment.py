@@ -268,7 +268,7 @@ class GroundSegment:
             # Quality is scored over the usable (non-cloud) content: pixels
             # the on-board pipeline zeroed as cloud are excluded, as are
             # whole tiles removed as cloudy.
-            valid = ~self.grid.expand(cloud_tiles.astype(np.float64)).astype(bool)
+            valid = ~self.grid.expand(cloud_tiles)
             if band_result.cloudy_pixels is not None:
                 valid &= ~band_result.cloudy_pixels
             if valid.any():
@@ -360,7 +360,7 @@ class GroundSegment:
         else:
             estimate = np.zeros(self.image_shape, dtype=np.float64)
         if downloaded.any():
-            mask = self.grid.expand(downloaded.astype(np.float64)).astype(bool)
+            mask = self.grid.expand(downloaded)
             estimate = np.where(mask, band_result.reconstruction, estimate)
         return estimate
 
