@@ -320,28 +320,15 @@ def _shard_failure(
     )
 
 
-def _shardable_buckets(
-    spec: ScenarioSpec, shards: int
-) -> tuple[SyntheticDataset | None, list[list[int]] | None]:
-    """Partition a spec's satellites for sharding.
+def _require_epoch_sync(spec: ScenarioSpec) -> None:
+    """Refuse to shard a spec whose config has no ``ground_sync_days``.
 
-    The gatekeeper both sharded entry points (:func:`run_scenario_sharded`
-    and the sweep scheduler's planner) share: it validates that the spec
-    is epoch-synchronized, builds (or cache-hits) the dataset, and
-    partitions its satellites.
-
-    Returns:
-        ``(dataset, buckets)``.  ``buckets`` is None when the scenario
-        should run whole — one shard was requested or the partition
-        collapsed to a single bucket; the built dataset rides along so
-        that fallback needn't build it again.
+    The sweep scheduler checks every spec of a sweep that asks for
+    shards, whether or not its plan splits that spec.
 
     Raises:
-        ConfigError: ``shards > 1`` against a spec whose config has no
-            ``ground_sync_days`` cadence.
+        ConfigError: The spec's config has no sync cadence.
     """
-    if shards <= 1:
-        return None, None
     config = spec.config if spec.config is not None else EarthPlusConfig()
     if config.ground_sync_days <= 0:
         raise ConfigError(
@@ -349,6 +336,18 @@ def _shardable_buckets(
             "set config.ground_sync_days > 0 (e.g. 1.0). The sync cadence "
             "is part of the scenario's semantics; the shard count is not."
         )
+
+
+def _shardable_buckets(
+    spec: ScenarioSpec, shards: int
+) -> tuple[SyntheticDataset, list[list[int]] | None]:
+    """Build (or cache-hit) a spec's dataset and partition its satellites.
+
+    Returns:
+        ``(dataset, buckets)``.  ``buckets`` is None when the partition
+        collapsed to a single bucket and the scenario should run whole;
+        the built dataset rides along so that run needn't build it again.
+    """
     dataset = (
         spec.dataset.build()
         if isinstance(spec.dataset, DatasetSpec)
@@ -436,11 +435,13 @@ def run_scenarios(
     The two parallelism axes compose: ``max_workers`` sizes one
     persistent worker pool (see
     :class:`~repro.analysis.scheduler.SweepScheduler`) and ``shards``
-    splits each epoch-synchronized scenario into that many shard tasks
-    over the *same* pool, so a 12-spec x 4-shard sweep keeps every
-    worker busy — each worker hosts shard tasks of two scenarios and
-    runs one while the other waits at its epoch barrier.  When only
-    sharding is requested the pool is sized to the shard count.
+    splits scenarios into shard tasks over the *same* pool, but only
+    when the batch has fewer specs than workers: each spec then takes
+    ``min(shards, workers // len(specs))`` shard tasks.  A batch with
+    at least as many specs as workers runs every spec whole, one task
+    per worker at a time, which keeps every worker busy without epoch
+    barriers.  When only sharding is requested the pool is sized to the
+    shard count.
 
     Prefer :class:`DatasetSpec` over a prebuilt dataset for batches: specs
     hit the per-process dataset cache, so every scenario a worker runs
@@ -459,10 +460,12 @@ def run_scenarios(
             order) with ``(spec_index, spec, result)``.  The experiment
             store persists results through this hook, so everything that
             finished before a failure survives the batch.
-        shards: When > 1, additionally split each scenario into this
-            many shard tasks (requires ``config.ground_sync_days > 0``;
-            see :func:`run_scenario_sharded` for the single-scenario
-            entry point).  None reads ``REPRO_SIM_SHARDS`` (default 1).
+        shards: When > 1, split each scenario into up to this many
+            shard tasks if the batch has fewer specs than workers
+            (every spec must set ``config.ground_sync_days > 0`` either
+            way; see :func:`run_scenario_sharded` for the
+            single-scenario entry point).  None reads
+            ``REPRO_SIM_SHARDS`` (default 1).
         progress: Optional :class:`~repro.obs.progress.SweepProgress`
             (or duck-type) receiving task/spec completion callbacks.
             Display-only; results are byte-invariant to it.

@@ -8,24 +8,22 @@ idling every other core while one scenario's shards waited at its
 ``ground_sync_days`` epoch barriers).
 
 :class:`SweepScheduler` replaces both with one substrate: a sweep
-becomes a DAG of **spec-tasks** (run a whole scenario) and **shard-tasks**
-(run one satellite bucket of a scenario, exchanging epoch journals
-through the scheduler), executed by a single set of long-lived forked
-workers spawned once per sweep.  Each worker keeps its warm per-process
-state (dataset cache, capture/surface caches, memoized visit ordering)
-across every task it runs.
+becomes a list of **spec-tasks** (run a whole scenario) and
+**shard-tasks** (run one satellite bucket of a scenario, exchanging
+epoch journals through the driver), executed by a single set of
+long-lived forked workers spawned once per sweep.  Each worker keeps its
+warm per-process state (dataset cache, capture/surface caches, memoized
+visit ordering) across every task it runs.
 
-A worker hosts up to :data:`MAX_RESIDENT` shard tasks at once and runs
-whichever can proceed: while one waits at its epoch barrier for the rest
-of its gang, the worker runs the other's next epoch.  The driver admits
-a gang when that many workers each have a free slot and no spec task;
-it picks the least-loaded of them (ties to the lower id) and gives the
-tasks to the chosen workers in ascending id order.  So a gang as large
-as the pool runs shard *i* on worker *i* — and shard *i* of every spec
-over a dataset covers the same satellites, so that worker already holds
-their captures — while a smaller gang takes idle workers before it
-stacks on busy ones.  A spec task runs to completion and needs a worker
-with nothing resident, so it never holds a gang member up.
+The plan shards only a sweep that would otherwise leave workers idle.
+With fewer specs than workers, each spec splits into
+``min(shards_per_scenario, workers // len(specs))`` shard tasks, so
+every task of a sharded plan has a worker of its own from the start;
+with at least as many specs as workers, every spec is one spec task.
+Spec tasks keep every worker busy, whereas a gang's members idle at each
+epoch barrier until its slowest member arrives.  Each worker runs one
+task at a time, and the driver gives pending tasks to idle workers in
+plan order.
 
 Scheduling topology never changes bytes.  The scheduler only decides
 *when* work runs, never *what* merges: shard partials fold with the
@@ -39,31 +37,19 @@ epoch-synchronized loop sorts its own journal, and spec-tasks are plain
 pickle-byte-identical to running every spec sequentially
 (differential-tested in ``tests/integration/test_sweep_scheduler.py``).
 
-Backpressure is structural: a worker holds at most :data:`MAX_RESIDENT`
-shard tasks or one spec task, so at most ``MAX_RESIDENT * workers``
-tasks are in flight.  The bound is deadlock-free: every member of an
-admitted gang is resident on its own worker until the gang ends; a
-worker runs its runnable tasks in the order they became runnable and
-blocks on its inbox only when every task it hosts waits at a barrier;
-and each run between two barriers (a *slice*) ends.  So every member of
-a gang reaches each barrier, the driver merges that epoch, and the
-members can run again; the driver itself never blocks on a worker.
-Journal exchange rides the shared result queue as :class:`Epoch`
-records keyed by task and epoch; each member's merged journal returns
-as a :class:`Merged` record on the per-worker pipe that also carries the
-worker's tasks, through that worker's :class:`_Outbox` feeder thread (a
-merged journal can be megabytes, more than the pipe's buffer, and a
-plain send would wait until the worker finished its current slice).
+The driver sends only to a worker blocked in ``recv``: an idle worker
+gets its next task, and a shard task waiting at its barrier gets its
+gang's merged journal.  So a plain blocking send never waits on a busy
+worker, and a send that finds the worker's end closed raises the
+dead-worker :class:`~repro.errors.ScenarioError`.
 
 The scheduler reports through the global counters
 (:mod:`repro.obs.metrics`), bumping each ``sched.*`` counter where its
 event happens: ``sched.spawns`` per worker spawned; ``sched.tasks_run``
-and ``sched.spec_tasks``/``sched.shard_tasks`` as a task is dispatched,
-``sched.tasks_stolen`` when dispatch places a shard task off the worker
-that last ran the same shard of its dataset; ``sched.worker_cpu_s`` (per
-finished task) and ``sched.barrier_idle_s`` (while a worker is blocked
-with every resident task at a barrier) in the worker, whose deltas ship
-home with its next finished task.  ``repro sweep --profile`` prints the
+and ``sched.spec_tasks``/``sched.shard_tasks`` as a task is dispatched;
+``sched.worker_cpu_s`` (per finished task) and ``sched.barrier_idle_s``
+(while a shard task waits at its barrier) in the worker, whose deltas
+ship home with the task's ``Done``.  ``repro sweep --profile`` prints the
 command's ``sched.*`` deltas.  A failed sweep keeps its counters up to
 the failure; only the worker-side deltas not yet shipped are lost.
 """
@@ -73,12 +59,11 @@ from __future__ import annotations
 import collections
 import multiprocessing
 import queue as queue_mod
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.reduction import ForkingPickler
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 from repro.core.accounting import RunResult
 from repro.core.sharding import canonical_ingests, canonical_marks
@@ -87,18 +72,13 @@ from repro.obs import metrics, trace
 
 __all__ = ["SweepScheduler"]
 
-#: Shard tasks one worker hosts at once: one runs while the other waits
-#: at its barrier.  Each resident task holds a whole simulator, so a
-#: worker's memory grows with this bound.
-MAX_RESIDENT = 2
-
 
 @dataclass(frozen=True)
 class _Task:
     """One unit of worker-pool work (a whole scenario or one shard of one).
 
     Attributes:
-        task_id: Unique id within one scheduler run.
+        task_id: The task's position in the plan.
         kind: ``"spec"`` (run the whole scenario) or ``"shard"``.
         spec_index: Position of the scenario in the sweep's spec list.
         spec: The scenario description (picklable by contract).
@@ -119,17 +99,11 @@ class _Task:
     satellite_ids: tuple[int, ...] = ()
     trace: bool = False
 
-    @property
-    def slots(self) -> int:
-        """Worker slots the task takes: a spec task takes them all."""
-        return MAX_RESIDENT if self.kind == "spec" else 1
-
 
 @dataclass(frozen=True)
 class Merged:
     """Driver to worker: a gang's merged, canonically sorted journal."""
 
-    task_id: int
     ingests: list
     marks: list
 
@@ -149,10 +123,10 @@ class Epoch:
 class Done:
     """Worker to driver: a finished task, plus the worker's telemetry.
 
-    ``cpu_seconds`` is the process CPU time of the task's slices.
-    ``spans``/``spans_dropped`` (None/0 untraced) and ``counter_delta``
-    hold everything the worker recorded since its previous ``Done``,
-    whichever task recorded it, so each span and increment ships once.
+    ``cpu_seconds`` is the process CPU time of the task's run (its
+    epochs, for a shard task).  ``spans``/``spans_dropped`` (None/0
+    untraced) and ``counter_delta`` hold everything the worker recorded
+    since its previous ``Done``, so each span and increment ships once.
     """
 
     worker_id: int
@@ -173,48 +147,56 @@ class Failed:
     detail: str
 
 
-@dataclass
-class _Resident:
-    """Worker-side state of one hosted task."""
+def _run_shard(
+    worker_id: int, task: _Task, conn, result_queue
+) -> tuple[RunResult, float]:
+    """Run one shard task's epoch loop; its partial and its epochs' CPU.
 
-    task: _Task
-    #: The shard task's epoch loop, built at its first slice.
-    steps: Generator | None = None
-    #: What to resume ``steps`` with: the merged journal, None at first.
-    merged: tuple | None = None
-    #: The barrier the task last reached (attribution on resume).
-    epoch: int | None = None
-    cpu_seconds: float = 0.0
+    Each epoch is ``steps.send(merged)`` (one ``shard_task`` span), an
+    :class:`Epoch` up the result queue, then a ``recv`` of the gang's
+    :class:`Merged` journal (a ``barrier_wait`` span and
+    ``sched.barrier_idle_s``).  CPU is measured around the epochs only,
+    not simulator construction or barrier waits.
+    """
+    from repro.analysis import scenarios
+
+    steps = scenarios.build_simulator(task.spec).run_synced(task.satellite_ids)
+    merged = None
+    cpu_seconds = 0.0
+    while True:
+        cpu_started = time.process_time()
+        try:
+            with trace.span("shard_task"):
+                epoch, ingests, marks = steps.send(merged)
+        except StopIteration as stop:
+            return stop.value, cpu_seconds + time.process_time() - cpu_started
+        cpu_seconds += time.process_time() - cpu_started
+        result_queue.put(Epoch(worker_id, task.task_id, epoch, ingests, marks))
+        waited = time.perf_counter()
+        with trace.span("barrier_wait"):
+            message = conn.recv()
+        metrics.counters().inc(
+            "sched.barrier_idle_s", time.perf_counter() - waited
+        )
+        merged = (message.ingests, message.marks)
 
 
 def _pool_worker(worker_id: int, conn, result_queue) -> None:
-    """One long-lived pool worker: host tasks until the ``None`` sentinel.
+    """One long-lived pool worker: run tasks until the ``None`` sentinel.
 
     Protocol (worker side).  The driver writes three kinds of message
     down this worker's own duplex pipe ``conn``: a :class:`_Task` to
-    host, a :class:`Merged` journal for a task waiting at its barrier,
-    and finally the ``None`` sentinel.  Everything else goes up the
-    shared ``result_queue``: an :class:`Epoch` whenever a shard task
-    reaches a barrier, then :class:`Done` or :class:`Failed` once per
-    task.  The driver chose the worker, so it knows which tasks a worker
-    hosts (and which ones a dead worker hosted) without an
-    acknowledgement.
+    run when the worker is idle, a :class:`Merged` journal when its
+    shard task waits at a barrier, and finally the ``None`` sentinel.
+    Everything else goes up the shared ``result_queue``: an
+    :class:`Epoch` whenever a shard task reaches a barrier, then
+    :class:`Done` or :class:`Failed` once per task.  The driver chose
+    the worker, so it knows which task a worker runs (and which one a
+    dead worker ran) without an acknowledgement.
 
-    The worker hosts up to :data:`MAX_RESIDENT` shard tasks (the
-    backpressure bound).  Between slices it takes every message already
-    waiting, then runs one slice of the task that became runnable first;
-    it blocks on ``conn`` only when every resident task waits at a
-    barrier (recorded as a ``barrier_wait`` span and
-    ``sched.barrier_idle_s``) or when it hosts nothing.  The driver
-    admits a gang only when each member gets a slot on its own worker,
-    so every member is resident here or elsewhere; since no worker
-    blocks while a task it hosts can run, each barrier is reached by
-    the whole gang and resolves, and the bound cannot deadlock.  A spec
-    task runs to completion in one slice; the driver sends one only to
-    a worker with nothing resident.  Each slice
-    records one ``shard_task`` (or ``spec_task``) span, with worker,
-    scenario, shard and epoch attribution restored at every resume, so
-    the spans on a worker's track are disjoint or nested.
+    A task's spans carry its worker, scenario and shard attribution (and
+    the epoch, which the simulator's epoch loop sets), so the spans on a
+    worker's track are disjoint or nested.
 
     Warm per-process caches (datasets, captures, noise geometry) persist
     across tasks — that is the point of the pool — and never change
@@ -230,14 +212,36 @@ def _pool_worker(worker_id: int, conn, result_queue) -> None:
     trace.disable_tracer()
     trace.reset_context()
     shipped = metrics.counters().snapshot()
-    resident: dict[int, _Resident] = {}
-    ready: collections.deque[_Resident] = collections.deque()
-
-    def finish(slot: _Resident, result: RunResult) -> None:
-        nonlocal shipped
-        del resident[slot.task.task_id]
+    while True:
+        task = conn.recv()
+        if task is None:
+            conn.close()
+            return
+        if task.trace and trace.active_tracer() is None:
+            trace.enable_tracer()
+        trace.reset_context()
+        trace.set_context(
+            worker=worker_id,
+            scenario=task.spec.resolved_label(),
+            shard=task.shard_index if task.kind == "shard" else None,
+        )
+        try:
+            if task.kind == "shard":
+                result, cpu_seconds = _run_shard(
+                    worker_id, task, conn, result_queue
+                )
+            else:
+                cpu_started = time.process_time()
+                with trace.span("spec_task"):
+                    result = scenarios.run_scenario(task.spec)
+                cpu_seconds = time.process_time() - cpu_started
+        except Exception:
+            result_queue.put(
+                Failed(worker_id, task.task_id, traceback.format_exc())
+            )
+            continue
         bag = metrics.counters()
-        bag.inc("sched.worker_cpu_s", slot.cpu_seconds)
+        bag.inc("sched.worker_cpu_s", cpu_seconds)
         spans = None
         spans_dropped = 0
         tracer = trace.active_tracer()
@@ -250,148 +254,14 @@ def _pool_worker(worker_id: int, conn, result_queue) -> None:
         result_queue.put(
             Done(
                 worker_id,
-                slot.task.task_id,
+                task.task_id,
                 result,
-                slot.cpu_seconds,
+                cpu_seconds,
                 spans,
                 spans_dropped,
                 counter_delta,
             )
         )
-
-    def run_slice(slot: _Resident) -> None:
-        task = slot.task
-        shard = task.kind == "shard"
-        trace.reset_context()
-        trace.set_context(
-            worker=worker_id,
-            scenario=task.spec.resolved_label(),
-            shard=task.shard_index if shard else None,
-            epoch=slot.epoch,
-        )
-        if shard and slot.steps is None:
-            # CPU is measured around the slices only (not simulator
-            # construction), so critical-path projections stay
-            # comparable with the legacy shard workers.
-            simulator = scenarios.build_simulator(task.spec)
-            slot.steps = simulator.run_synced(task.satellite_ids)
-        cpu_started = time.process_time()
-        if not shard:
-            with trace.span("spec_task"):
-                result = scenarios.run_scenario(task.spec)
-        else:
-            with trace.span("shard_task"):
-                try:
-                    slot.epoch, ingests, marks = slot.steps.send(slot.merged)
-                except StopIteration as stop:
-                    result = stop.value
-                else:
-                    result = None
-        slot.cpu_seconds += time.process_time() - cpu_started
-        if result is not None:
-            finish(slot, result)
-            return
-        slot.merged = None
-        result_queue.put(
-            Epoch(worker_id, task.task_id, slot.epoch, ingests, marks)
-        )
-
-    while True:
-        while not ready or conn.poll():
-            if ready or not resident:
-                message = conn.recv()
-            else:
-                # Every resident task waits at its barrier: the only time
-                # this worker idles while it hosts work.
-                trace.reset_context()
-                trace.set_context(worker=worker_id)
-                waited = time.perf_counter()
-                with trace.span("barrier_wait"):
-                    message = conn.recv()
-                metrics.counters().inc(
-                    "sched.barrier_idle_s", time.perf_counter() - waited
-                )
-            if message is None:
-                conn.close()
-                return
-            if isinstance(message, Merged):
-                slot = resident[message.task_id]
-                slot.merged = (message.ingests, message.marks)
-            else:
-                if message.trace and trace.active_tracer() is None:
-                    trace.enable_tracer()
-                slot = resident[message.task_id] = _Resident(message)
-            ready.append(slot)
-        slot = ready.popleft()
-        try:
-            run_slice(slot)
-        except Exception:
-            resident.pop(slot.task.task_id, None)
-            result_queue.put(
-                Failed(worker_id, slot.task.task_id, traceback.format_exc())
-            )
-
-
-class _Outbox:
-    """The driver's sending end of one worker pipe, fed by its own thread.
-
-    The driver must never block on a busy worker: a merged journal can
-    be megabytes, more than the pipe's buffer holds, so a plain
-    ``send`` would wait until the worker finishes its current slice and
-    reads.  :meth:`put` pickles the payload in the caller's thread and
-    queues the bytes, and one thread writes them in order; the worker's
-    ``recv`` unpickles them as usual.  (Pickled on the feeder thread
-    instead, the journals cost the driver about 0.1 s more system CPU
-    per sweep of perfbench's constellation specs on a 2-vCPU host.)  A
-    write that fails (the worker is gone and its end closed) ends the
-    thread and stays in :attr:`error`; later payloads are dropped.
-    """
-
-    _STOP = object()
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self.error: OSError | None = None
-        self._queue: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
-        self._thread = threading.Thread(target=self._feed, daemon=True)
-        self._thread.start()
-
-    def _feed(self) -> None:
-        while True:
-            payload = self._queue.get()
-            if payload is self._STOP:
-                return
-            try:
-                self.conn.send_bytes(payload)
-            except OSError as exc:
-                self.error = exc
-                return
-
-    def put(self, payload) -> None:
-        self._queue.put(ForkingPickler.dumps(payload))
-
-    def close(self, timeout: float | None = None) -> None:
-        """Send everything queued so far, then end the thread."""
-        self._queue.put(self._STOP)
-        self._thread.join(timeout)
-
-
-@dataclass
-class _Unit:
-    """One schedulable unit: a single spec task or a gang of shard tasks.
-
-    ``dataset`` is the spec's dataset when planning already built it (a
-    shard partition that collapsed to one bucket), so an in-process run
-    reuses it instead of building it again.  Driver-side only: tasks,
-    not units, travel to workers.
-    """
-
-    tasks: list
-    dataset: object = None
-
-    @property
-    def size(self) -> int:
-        return len(self.tasks)
 
 
 @dataclass
@@ -410,10 +280,12 @@ class SweepScheduler:
 
     Args:
         workers: Pool size (worker processes spawned once per sweep).
-        shards_per_scenario: Shard each eligible scenario (one whose
-            config sets ``ground_sync_days > 0``) across this many
-            shard tasks, clamped to the pool size.  ``1`` runs every
-            scenario as a single spec task.
+        shards_per_scenario: Shard each scenario (every one must set
+            ``ground_sync_days > 0``) across up to this many shard
+            tasks, when the sweep has fewer specs than workers: each
+            spec then takes ``min(shards_per_scenario, workers //
+            len(specs))``.  ``1`` runs every scenario as a single spec
+            task.
     """
 
     def __init__(
@@ -431,85 +303,65 @@ class SweepScheduler:
         self.shards_per_scenario = shards_per_scenario
 
     # -- planning ------------------------------------------------------
-    def _plan(self, specs: Sequence) -> tuple[list[_Unit], dict[int, object]]:
-        """Turn specs into schedulable units (shard gangs first).
+    def _plan(self, specs: Sequence) -> tuple[list[_Task], dict[int, object]]:
+        """Turn specs into tasks, in spec order (a spec's shards in order).
 
-        Shard gangs are ordered ahead of spec tasks so gangs claim worker
-        slots early (a second gang fills the time the first waits at its
-        barriers) and spec tasks take the workers left empty; dispatch
-        is first-fit over this order.  Ordering is pure
-        scheduling policy — results are position-keyed and
-        byte-invariant to it.
+        Shards only when the sweep has fewer specs than workers, so a
+        sharded plan never has more tasks than workers.  Results are
+        position-keyed, so the plan's order never changes a byte.
 
         Returns:
-            The unit list and a ``spec_index -> dataset affinity key``
-            map (for the ``sched.tasks_stolen`` counter).
+            The task list (``task_id`` is the position in it) and a
+            ``spec_index -> dataset`` map of the datasets planning built
+            to partition satellites, so a spec whose partition collapsed
+            to one bucket reuses its dataset when it runs in-process.
         """
         from repro.analysis.scenarios import (
-            DatasetSpec,
             _batch_error,
+            _require_epoch_sync,
             _shardable_buckets,
         )
 
-        groups: list[_Unit] = []
-        singles: list[_Unit] = []
-        affinity_keys: dict[int, object] = {}
+        shards = 1
+        if len(specs) < self.workers:
+            shards = min(self.shards_per_scenario, self.workers // len(specs))
+        tasks: list[_Task] = []
+        datasets: dict[int, object] = {}
         # Tracing follows the ambient tracer: when the driver has one
         # (``--trace`` or ``--profile``), every task records and ships
         # spans — no parameter threading through the runner layers.
         traced = trace.active_tracer() is not None
-        task_id = 0
         for index, spec in enumerate(specs):
-            affinity_keys[index] = (
-                spec.dataset
-                if isinstance(spec.dataset, DatasetSpec)
-                else id(spec.dataset)
-            )
-            dataset = buckets = None
             if self.shards_per_scenario > 1:
+                # Whether or not this plan splits the spec: sharding is
+                # engine configuration and must never change semantics.
+                _require_epoch_sync(spec)
+            buckets = None
+            if shards > 1:
                 try:
-                    dataset, buckets = _shardable_buckets(
-                        spec, min(self.shards_per_scenario, self.workers)
-                    )
+                    datasets[index], buckets = _shardable_buckets(spec, shards)
                 except ConfigError:
-                    # Spec semantics (e.g. sharding without an epoch
-                    # cadence) — not a batch execution failure.
-                    raise
+                    raise  # spec semantics, not a batch execution failure
                 except Exception as exc:
                     raise _batch_error(spec, index, exc) from exc
-            if buckets is not None:
-                tasks = [
-                    _Task(
-                        task_id=task_id + shard_index,
-                        kind="shard",
-                        spec_index=index,
-                        spec=spec,
-                        shard_index=shard_index,
-                        shard_count=len(buckets),
-                        satellite_ids=tuple(bucket),
-                        trace=traced,
-                    )
-                    for shard_index, bucket in enumerate(buckets)
-                ]
-                task_id += len(buckets)
-                groups.append(_Unit(tasks=tasks))
-            else:
-                singles.append(
-                    _Unit(
-                        tasks=[
-                            _Task(
-                                task_id=task_id,
-                                kind="spec",
-                                spec_index=index,
-                                spec=spec,
-                                trace=traced,
-                            )
-                        ],
-                        dataset=dataset,
-                    )
+            if buckets is None:
+                tasks.append(_Task(len(tasks), "spec", index, spec, trace=traced))
+                continue
+            first = len(tasks)
+            tasks.extend(
+                _Task(
+                    task_id=first + shard_index,
+                    kind="shard",
+                    spec_index=index,
+                    spec=spec,
+                    shard_index=shard_index,
+                    shard_count=len(buckets),
+                    satellite_ids=tuple(bucket),
+                    trace=traced,
                 )
-                task_id += 1
-        return groups + singles, affinity_keys
+                for shard_index, bucket in enumerate(buckets)
+            )
+        return tasks, datasets
 
     # -- failure wrapping ----------------------------------------------
     @staticmethod
@@ -546,7 +398,7 @@ class SweepScheduler:
                 called as each *scenario* completes (completion order).
             task_sink: Per-task hook ``(task, cpu_seconds)`` called as
                 each task completes; ``cpu_seconds`` is the process CPU
-                time of the task's run (summed over its slices, so
+                time of the task's run (summed over its epochs, so
                 barrier waits are not in it).
             progress: Optional :class:`~repro.obs.progress.SweepProgress`
                 (or duck-type) receiving ``task_started``/``task_finished``
@@ -558,9 +410,10 @@ class SweepScheduler:
 
         Raises:
             ConfigError: ``shards_per_scenario > 1`` against a spec
-                without ``ground_sync_days`` (sharding is engine-only
-                and must never change semantics, so the epoch journal is
-                required, exactly as in the per-scenario sharded runner).
+                without ``ground_sync_days``, whether or not the plan
+                shards it (sharding is engine-only and must never change
+                semantics, so the epoch journal is required, exactly as
+                in the per-scenario sharded runner).
             ScenarioError: A task failed or its worker died; the message
                 names the scenario label (and shard index for shard
                 tasks) with the worker's traceback inline.
@@ -568,26 +421,21 @@ class SweepScheduler:
         specs = list(specs)
         if not specs:
             return []
-        units, affinity_keys = self._plan(specs)
+        tasks, datasets = self._plan(specs)
         results: list[RunResult | None] = [None] * len(specs)
-        pool_size = min(self.workers, sum(unit.size for unit in units))
+        pool_size = min(self.workers, len(tasks))
         if pool_size == 1:
-            self._run_inline(units, results, on_result, task_sink, progress)
+            self._run_inline(
+                tasks, datasets, results, on_result, task_sink, progress
+            )
         else:
             self._run_pooled(
-                pool_size,
-                specs,
-                units,
-                affinity_keys,
-                results,
-                on_result,
-                task_sink,
-                progress,
+                pool_size, specs, tasks, results, on_result, task_sink, progress
             )
         return results  # type: ignore[return-value]
 
     @staticmethod
-    def _count_start(task: _Task, stolen: bool = False) -> None:
+    def _count_start(task: _Task) -> None:
         """Bump the per-task ``sched.*`` counters as ``task`` is dispatched."""
         bag = metrics.counters()
         bag.inc("sched.tasks_run")
@@ -595,13 +443,11 @@ class SweepScheduler:
             bag.inc("sched.shard_tasks")
         else:
             bag.inc("sched.spec_tasks")
-        if stolen:
-            bag.inc("sched.tasks_stolen")
 
     def _run_inline(
-        self, units, results, on_result, task_sink, progress
+        self, tasks, datasets, results, on_result, task_sink, progress
     ) -> None:
-        """Run a plan without gangs in this process, in plan order.
+        """Run a plan without shard tasks in this process, in plan order.
 
         In-process execution is the byte-identity reference.  Spans
         record straight into the driver's own tracer here, so only
@@ -609,8 +455,7 @@ class SweepScheduler:
         """
         from repro.analysis import scenarios
 
-        for unit in units:
-            (task,) = unit.tasks
+        for task in tasks:
             assert task.kind == "spec", "in-process plans have no gangs"
             if progress is not None:
                 progress.task_started()
@@ -620,7 +465,7 @@ class SweepScheduler:
                     cpu_started = time.process_time()
                     with trace.span("spec_task"):
                         result = scenarios.run_scenario(
-                            task.spec, dataset=unit.dataset
+                            task.spec, dataset=datasets.get(task.spec_index)
                         )
                     cpu_seconds = time.process_time() - cpu_started
             except ScenarioError:
@@ -637,17 +482,8 @@ class SweepScheduler:
             if on_result is not None:
                 on_result(task.spec_index, task.spec, result)
 
-
     def _run_pooled(
-        self,
-        pool_size,
-        specs,
-        units,
-        affinity_keys,
-        results,
-        on_result,
-        task_sink,
-        progress,
+        self, pool_size, specs, tasks, results, on_result, task_sink, progress
     ) -> None:
         """The driver event loop over one persistent worker pool."""
         context = multiprocessing.get_context(
@@ -670,28 +506,17 @@ class SweepScheduler:
             child_conn.close()
             processes.append(process)
             conns.append(parent_conn)
-        # Feeder threads start after the last fork: no worker is forked
-        # from a threaded driver.
-        outboxes = [_Outbox(conn) for conn in conns]
 
-        tasks_by_id = {
-            task.task_id: task for unit in units for task in unit.tasks
-        }
-        pending_units = list(units)
+        pending = collections.deque(tasks)
         groups: dict[int, _GroupState] = {
-            unit.tasks[0].spec_index: _GroupState(size=unit.size)
-            for unit in units
-            if unit.tasks[0].kind == "shard"
+            task.spec_index: _GroupState(size=task.shard_count)
+            for task in tasks
+            if task.kind == "shard"
         }
-        #: worker_id -> ids of the tasks it hosts, in admission order
-        resident: list[list[int]] = [[] for _ in range(pool_size)]
-        #: (dataset key, shard index) -> worker that last ran that shard
-        last_worker: dict[tuple, int] = {}
+        #: worker_id -> the task it runs (None while idle)
+        running: list[_Task | None] = [None] * pool_size
         completed = 0
         failed = False
-
-        def load(worker_id: int) -> int:
-            return sum(tasks_by_id[t].slots for t in resident[worker_id])
 
         def worker_died(worker_id: int) -> ScenarioError:
             process = processes[worker_id]
@@ -700,61 +525,33 @@ class SweepScheduler:
                 f"worker died without a result "
                 f"(exit code {process.exitcode})"
             )
-            if not resident[worker_id]:
+            task = running[worker_id]
+            if task is None:
                 return ScenarioError(f"sweep worker {worker_id} {detail}")
-            first, *others = (tasks_by_id[t] for t in resident[worker_id])
-            if others:
-                detail += "; it also hosted " + ", ".join(
-                    f"scenario {task.spec.resolved_label()!r} shard "
-                    f"{task.shard_index} of {task.shard_count}"
-                    for task in others
-                )
-            return self._task_failure(first, detail)
+            return self._task_failure(task, detail)
 
-        def send(worker_id: int, payload) -> None:
-            outbox = outboxes[worker_id]
-            if outbox.error is not None:  # the worker is gone
-                raise worker_died(worker_id) from outbox.error
-            outbox.put(payload)
+        def send(worker_id: int, payload: bytes) -> None:
+            # The worker is blocked in ``recv`` (idle, or at a barrier),
+            # so a plain send never waits on a busy worker.
+            try:
+                conns[worker_id].send_bytes(payload)
+            except OSError as exc:  # the worker is gone
+                raise worker_died(worker_id) from exc
 
         def dispatch() -> None:
-            # First-fit over the pending units (gangs first).  A unit
-            # goes out only when each of its tasks finds a distinct
-            # worker with room (a spec task needs an empty worker); it
-            # takes the least-loaded such workers, ties to the lower id,
-            # in ascending id order.  Every gang member is resident from
-            # here to its end, which keeps the barrier rendezvous
-            # deadlock-free.
-            index = 0
-            while index < len(pending_units):
-                unit = pending_units[index]
-                need = unit.tasks[0].slots
-                room = [
-                    worker_id
-                    for worker_id in range(pool_size)
-                    if load(worker_id) + need <= MAX_RESIDENT
-                ]
-                if unit.size > len(room):
-                    index += 1
-                    continue
-                del pending_units[index]
-                chosen = sorted(
-                    sorted(room, key=lambda w: (load(w), w))[: unit.size]
-                )
-                for task, worker_id in zip(unit.tasks, chosen):
-                    resident[worker_id].append(task.task_id)
-                    stolen = False
-                    if task.kind == "shard":
-                        key = (
-                            affinity_keys[task.spec_index],
-                            task.shard_index,
-                        )
-                        stolen = last_worker.get(key, worker_id) != worker_id
-                        last_worker[key] = worker_id
+            # Idle workers take pending tasks in plan order.  A sharded
+            # plan has no more tasks than workers, so every member of a
+            # gang starts at once and the barrier rendezvous cannot
+            # deadlock.
+            for worker_id in range(pool_size):
+                if not pending:
+                    return
+                if running[worker_id] is None:
+                    task = running[worker_id] = pending.popleft()
                     if progress is not None:
                         progress.task_started()
-                    self._count_start(task, stolen=stolen)
-                    send(worker_id, task)
+                    self._count_start(task)
+                    send(worker_id, ForkingPickler.dumps(task))
 
         def deliver(spec_index: int, result: RunResult) -> None:
             nonlocal completed
@@ -779,15 +576,13 @@ class SweepScheduler:
                 marks = canonical_marks(
                     [entry for member in posted for entry in member.marks]
                 )
+                payload = ForkingPickler.dumps(Merged(ingests, marks))
                 for member in posted:
-                    send(
-                        member.worker_id,
-                        Merged(member.task_id, ingests, marks),
-                    )
+                    send(member.worker_id, payload)
 
         def task_done(message: Done) -> None:
-            task = tasks_by_id[message.task_id]
-            resident[message.worker_id].remove(task.task_id)
+            task = tasks[message.task_id]
+            running[message.worker_id] = None
             if progress is not None:
                 progress.task_finished()
             if message.spans:
@@ -824,7 +619,7 @@ class SweepScheduler:
                             raise worker_died(worker_id)
                     continue
                 if isinstance(message, Epoch):
-                    task = tasks_by_id[message.task_id]
+                    task = tasks[message.task_id]
                     group = groups[task.spec_index]
                     buffer = group.epoch_buffer.setdefault(message.epoch, {})
                     buffer[task.shard_index] = message
@@ -840,14 +635,11 @@ class SweepScheduler:
                     dispatch()
                 else:  # Failed
                     raise self._task_failure(
-                        tasks_by_id[message.task_id], message.detail
+                        tasks[message.task_id], message.detail
                     )
+            sentinel = ForkingPickler.dumps(None)
             for worker_id in range(pool_size):
-                send(worker_id, None)
-            for worker_id, outbox in enumerate(outboxes):
-                outbox.close()
-                if outbox.error is not None:
-                    raise worker_died(worker_id) from outbox.error
+                send(worker_id, sentinel)
         except BaseException:
             failed = True
             raise
@@ -856,8 +648,7 @@ class SweepScheduler:
                 # Workers may be blocked at an epoch barrier that will
                 # never resolve; a clean drain is impossible.  Terminate
                 # before closing the pipes, so no worker wakes to an
-                # end-of-file on its pipe; a feeder thread still sending
-                # then fails and ends.
+                # end-of-file on its pipe.
                 for process in processes:
                     process.terminate()
                 for process in processes:
@@ -865,8 +656,6 @@ class SweepScheduler:
                     if process.is_alive():
                         process.kill()
                         process.join()
-                for outbox in outboxes:
-                    outbox.close(timeout=5.0)
             else:
                 for process in processes:
                     process.join(timeout=10.0)

@@ -19,8 +19,9 @@ Usage::
 ``simulate`` and ``sweep`` are the scenario-layer interface: every run is a
 declarative :class:`~repro.analysis.scenarios.ScenarioSpec`, sweeps execute
 over one persistent worker pool (``--workers`` sizes it; add
-``--shards-per-scenario`` to also split each epoch-synchronized scenario
-across shard tasks on the same pool), and results print as an aligned
+``--shards-per-scenario`` to split epoch-synchronized scenarios across
+shard tasks on the same pool when a sweep has fewer scenarios than
+workers), and results print as an aligned
 table, csv, or json (``--format``).  All options have small laptop-friendly
 defaults.
 
@@ -128,10 +129,13 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", "--shards-per-scenario", dest="shards",
         type=int, default=None,
-        help="shard each scenario's satellites across N shard tasks "
-        "(default: REPRO_SIM_SHARDS or 1). Requires --sync-days > 0; "
-        "results are byte-identical to a sequential run. Composes with "
-        "--workers: both axes share one worker pool",
+        help="shard each scenario's satellites across up to N shard tasks "
+        "(default: REPRO_SIM_SHARDS or 1). Sharding applies only when a "
+        "sweep has fewer scenarios than workers: each scenario then takes "
+        "min(N, workers // scenarios) shards, so a lone scenario always "
+        "shards. Requires --sync-days > 0; results are byte-identical to "
+        "a sequential run. Composes with --workers: both axes share one "
+        "worker pool",
     )
     parser.add_argument(
         "--sync-days", type=float, default=0.0,
@@ -895,8 +899,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--workers", type=int, default=None,
         help="worker-pool size (default: REPRO_SIM_WORKERS or 1, i.e. "
-        "in-process). Workers spawn once per sweep and run both whole "
-        "scenarios and scenario shards (--shards-per-scenario)",
+        "in-process). Workers spawn once per sweep and run one task at "
+        "a time: a whole scenario, or a scenario shard "
+        "(--shards-per-scenario) when there are fewer scenarios than "
+        "workers",
     )
     sweep_parser.add_argument(
         "--uplink-bytes", type=int, default=None,
@@ -918,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="print a merged timing breakdown summarized from the sweep's "
         "trace and, for pooled sweeps, the sweep scheduler's counters "
-        "(worker spawns, tasks run/stolen, worker CPU, barrier-idle "
+        "(worker spawns, tasks run, worker CPU, barrier-idle "
         "seconds) after the results",
     )
     _add_shard_args(sweep_parser)

@@ -241,8 +241,9 @@ class ConstellationSimulator:
         run's ground segment — and expects to be resumed (``send``) with
         the ``(ingests, marks)`` to apply, already in canonical order.
         It returns the :class:`RunResult` (``StopIteration.value``).
-        Only the caller decides *when* each epoch runs, so a worker can
-        hold several of these loops and run whichever can proceed.
+        Only the caller decides what answers each barrier: :meth:`run`
+        sorts the loop's own journal, and a shard task of the sweep
+        scheduler waits for its gang's merged one.
 
         Args:
             satellite_ids: Simulate only these satellites' visits (one

@@ -10,7 +10,7 @@ Three small facilities every layer of the stack reports through:
     instrumented unconditionally.
 ``repro.obs.metrics``
     Named monotonic counters with a monoid ``merge()`` — the store
-    (hit/miss/eviction/bytes), the sweep scheduler (steals/spawns/
+    (hit/miss/eviction/bytes), the sweep scheduler (spawns/tasks/
     barrier idle), the downlink phase (shed/defer/drop), and the codec
     registry all count through one process-global instance; worker
     deltas ship back over the scheduler protocol and merge associatively.

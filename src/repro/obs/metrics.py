@@ -7,12 +7,9 @@ instance (:func:`counters`):
   ``store.put_bytes`` / ``store.evict``;
 * the sweep scheduler bumps ``sched.spawns`` (per worker spawned),
   ``sched.tasks_run`` / ``sched.spec_tasks`` / ``sched.shard_tasks``
-  (per task dispatched), ``sched.tasks_stolen`` (per shard task
-  dispatched off the worker that last ran the same shard of its
-  dataset), and
-  ``sched.worker_cpu_s`` (per finished task) / ``sched.barrier_idle_s``
-  (while a worker is blocked with every task it hosts at an epoch
-  barrier) in the process that ran the work;
+  (per task dispatched), and ``sched.worker_cpu_s`` (per finished
+  task) / ``sched.barrier_idle_s`` (while a shard task waits at an
+  epoch barrier) in the process that ran the work;
 * ``DownlinkPhase`` bumps ``downlink.visits`` /
   ``downlink.delivered_bytes`` / ``downlink.layers_shed`` /
   ``downlink.deferred`` / ``downlink.dropped``;

@@ -78,10 +78,9 @@ class TestShardedEqualsSequential:
         "spec", [FIG13_SPEC, FIG20_SPEC], ids=["fig13", "fig20"]
     )
     def test_shard_loops_stepped_in_one_process(self, spec):
-        # A pool worker holds shard loops of several gangs and steps
-        # whichever can run.  Stepping both shards' loops in one process,
-        # epoch by epoch, answering each barrier with the driver's merge,
-        # still equals the sequential run.
+        # The epoch protocol without processes: stepping both shards'
+        # loops in one process, epoch by epoch, answering each barrier
+        # with the driver's merge, still equals the sequential run.
         buckets = spec.dataset.build().schedule.partition_satellites(2)
         loops = [build_simulator(spec).run_synced(b) for b in buckets]
         posted = [next(loop) for loop in loops]
@@ -160,10 +159,11 @@ class TestShardingGuards:
 
     def test_joint_axes_compose(self):
         # The axes used to be mutually exclusive; the sweep scheduler
-        # runs both over one pool, byte-identically to sequential.
+        # runs both over one pool (two specs on four workers: two 2-shard
+        # gangs), byte-identically to sequential.
         sequential = run_scenarios([FIG13_SPEC, FIG20_SPEC])
         joint = run_scenarios(
-            [FIG13_SPEC, FIG20_SPEC], max_workers=2, shards=2
+            [FIG13_SPEC, FIG20_SPEC], max_workers=4, shards=2
         )
         for a, b in zip(sequential, joint):
             assert pickle.dumps(a) == pickle.dumps(b)

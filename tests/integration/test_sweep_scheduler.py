@@ -5,7 +5,9 @@ topology (pool size, shards per scenario, which worker runs what, in
 what order) is engine configuration, never semantics.  A joint
 ``workers=N, shards=M`` sweep over one persistent pool must be
 pickle-byte-identical to running every spec sequentially — and to the
-per-scenario sharded runner — on both figure archetypes.  Failure
+per-scenario sharded runner — on both figure archetypes.  The plan
+shards only a sweep with fewer specs than workers, giving each spec
+``min(shards, workers // len(specs))`` shard tasks.  Failure
 attribution must survive the move from per-scenario pipes to the shared
 pool: a crashing task still names its scenario label (and shard index),
 and a *dying worker process* is detected and attributed rather than
@@ -17,7 +19,6 @@ may leave a child process behind.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -47,9 +48,8 @@ fork_only = pytest.mark.skipif(
     reason="worker-death injection relies on fork inheriting monkeypatches",
 )
 
-#: A small mixed sweep: both figure archetypes plus policy/seed variants
-#: over the same dataset — enough shape for gangs and singles to
-#: interleave on one pool.
+#: A small sweep: both figure archetypes plus policy/seed variants over
+#: the same dataset, every one epoch-synchronized so it can shard.
 SWEEP_SPECS = [
     FIG13_SPEC,
     FIG20_SPEC,
@@ -68,8 +68,7 @@ SWEEP_SPECS = [
 ]
 
 
-#: Three gammas over one 4-satellite Planet dataset: shard i of every
-#: spec covers the same two satellites.
+#: Two gammas over one 4-satellite Planet dataset.
 PLANET_DATASET = DatasetSpec.of(
     "planet",
     n_satellites=4,
@@ -85,7 +84,7 @@ PLANET_SPECS = [
         seed=1,
         label=f"g{gamma:g}",
     )
-    for gamma in (0.2, 0.3, 0.4)
+    for gamma in (0.2, 0.3)
 ]
 
 
@@ -97,19 +96,6 @@ def _traced_run(scheduler: SweepScheduler, specs, **kwargs):
     finally:
         trace.disable_tracer()
     return results, tracer.spans()
-
-
-def _task_workers(scheduler: SweepScheduler, specs, kind: str) -> dict:
-    """Run a traced sweep; the workers its ``kind`` spans ran on, by shard.
-
-    Spec-task spans carry no shard, so they collect under ``None``.
-    """
-    _results, spans = _traced_run(scheduler, specs)
-    placement: dict = {}
-    for name, _begin, _end, attrs in spans:
-        if name == kind:
-            placement.setdefault(attrs.get("shard"), set()).add(attrs["worker"])
-    return placement
 
 
 def _worker_tracks(spans) -> dict:
@@ -135,12 +121,6 @@ def _crossing_spans(track) -> list:
             crossings.append((open_spans[-1], span))
         open_spans.append(span)
     return crossings
-
-
-def _interleaves(labels) -> bool:
-    """Whether a label sequence returns to a label after leaving it."""
-    runs = [label for label, _run in itertools.groupby(labels)]
-    return len(runs) > len(set(runs))
 
 
 @contextlib.contextmanager
@@ -183,7 +163,10 @@ class TestJointModeByteIdentity:
         sequential = [
             pickle.dumps(run_scenario(spec)) for spec in SWEEP_SPECS
         ]
-        joint = run_scenarios(SWEEP_SPECS, max_workers=3, shards=2)
+        # Fewer specs than workers: every spec runs as a 2-shard gang.
+        with _sched_counters() as sched:
+            joint = run_scenarios(SWEEP_SPECS, max_workers=8, shards=2)
+        assert sched["sched.shard_tasks"] == 2 * len(SWEEP_SPECS)
         for index, result in enumerate(joint):
             assert pickle.dumps(result) == sequential[index], (
                 f"joint mode diverged from sequential on spec {index}"
@@ -227,11 +210,11 @@ class TestJointModeByteIdentity:
 class TestSchedulerCounters:
     def test_one_spawn_set_per_sweep(self):
         with _no_surviving_children(), _sched_counters() as sched:
-            run_scenarios(SWEEP_SPECS, max_workers=2, shards=2)
-        # The headline invariant: workers spawn once per sweep, not once
-        # per scenario x shard (which would be len(SWEEP_SPECS) * 2).
-        assert sched["sched.spawns"] == 2
-        assert sched["sched.shard_tasks"] == 2 * len(SWEEP_SPECS)
+            run_scenarios(SWEEP_SPECS[:2], max_workers=4, shards=2)
+        # Both gangs share one spawn set, forked once for the sweep: one
+        # worker per shard task, each running its task from the start.
+        assert sched["sched.spawns"] == 4
+        assert sched["sched.shard_tasks"] == 4
         assert "sched.spec_tasks" not in sched
         assert sched["sched.tasks_run"] == sched["sched.shard_tasks"]
         assert sched["sched.worker_cpu_s"] > 0.0
@@ -266,7 +249,7 @@ class TestFailureAttribution:
             ScenarioError, match=r"'broken-uplink'.*shard \d+ of 2"
         ):
             run_scenarios(
-                [FIG13_SPEC, _broken_spec()], max_workers=2, shards=2
+                [FIG13_SPEC, _broken_spec()], max_workers=4, shards=2
             )
 
     def test_spec_crash_names_label(self):
@@ -320,39 +303,6 @@ class TestDeadWorkerSends:
                 run_scenarios(
                     SWEEP_SPECS[:3], max_workers=2, on_result=kill_pool
                 )
-
-
-class TestShardAffineDispatch:
-    def test_gangs_over_one_dataset_steal_nothing(self):
-        # A gang as large as the pool starts on an idle pool, so shard i
-        # lands on worker i, the worker that ran shard i before.
-        with _sched_counters() as sched:
-            results = run_scenarios(PLANET_SPECS, max_workers=2, shards=2)
-        assert sched["sched.shard_tasks"] == 6
-        assert sched.get("sched.tasks_stolen", 0) == 0
-        for spec, result in zip(PLANET_SPECS, results):
-            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
-
-    def test_each_shard_runs_on_one_worker(self):
-        placement = _task_workers(
-            SweepScheduler(workers=2, shards_per_scenario=2),
-            PLANET_SPECS,
-            "shard_task",
-        )
-        assert sorted(placement) == [0, 1]
-        assert all(len(workers) == 1 for workers in placement.values())
-        assert placement[0] != placement[1]
-
-    def test_spec_tasks_still_use_both_workers(self):
-        # Same-dataset spec tasks spread over the idle pool instead of
-        # queueing behind one worker; having no shard, none is stolen.
-        with _sched_counters() as sched:
-            placement = _task_workers(
-                SweepScheduler(workers=2), PLANET_SPECS, "spec_task"
-            )
-        assert placement == {None: {0, 1}}
-        assert sched["sched.spec_tasks"] == 3
-        assert sched.get("sched.tasks_stolen", 0) == 0
 
 
 class TestSchedulerDirect:
@@ -415,62 +365,10 @@ class TestDatasetThreading:
         )
 
 
-class TestBarrierOverlap:
-    def test_gangs_and_singles_share_one_pool(self):
-        # A shard gang (epoch barriers) and independent spec tasks in one
-        # sweep on a pool big enough to run them concurrently: the
-        # barrier must only synchronize the gang, never the whole pool,
-        # and all results stay byte-identical.
-        specs = [
-            FIG13_SPEC,
-            ScenarioSpec(
-                policy="naive",
-                dataset=FIG13_DATASET,
-                config=EarthPlusConfig(gamma_bpp=0.3),  # not shardable...
-                seed=5,
-            ),
-        ]
-        # ...but shards only apply to epoch-synchronized specs when
-        # requested per-scenario; request workers-only plus a directly
-        # scheduled mixed plan instead.
-        scheduler = SweepScheduler(workers=3, shards_per_scenario=2)
-        with pytest.raises(ConfigError):
-            # A non-synchronized spec cannot ride a sharded sweep; the
-            # guard fires at plan time, before any worker spawns.
-            scheduler.run(specs)
-        sync_specs = [FIG13_SPEC, SWEEP_SPECS[2]]
-        with _sched_counters() as sched:
-            results = SweepScheduler(
-                workers=3, shards_per_scenario=2
-            ).run(sync_specs)
-        assert sched["sched.shard_tasks"] == 4
-        for spec, result in zip(sync_specs, results):
-            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
-
-
-#: One satellite: in a sharded sweep the partition collapses to one
-#: bucket, so these specs stay whole spec tasks beside the gangs.
-SOLO_DATASET = DatasetSpec.of(
-    "planet",
-    n_satellites=1,
-    image_shape=(48, 48),
-    horizon_days=12.0,
-    seed=19,
-)
-SOLO_SPECS = [
-    ScenarioSpec(
-        policy="earthplus",
-        dataset=SOLO_DATASET,
-        config=EarthPlusConfig(gamma_bpp=0.3, ground_sync_days=3.0),
-        seed=seed,
-        label=f"solo/s{seed}",
-    )
-    for seed in (1, 2)
-]
 
 
 def _shard_tasks(spans) -> dict:
-    """(scenario, shard) -> the workers its ``shard_task`` slices ran on."""
+    """(scenario, shard) -> the workers its ``shard_task`` spans ran on."""
     placement: dict = {}
     for name, _begin, _end, attrs in spans:
         if name == "shard_task":
@@ -479,157 +377,107 @@ def _shard_tasks(spans) -> dict:
     return placement
 
 
-class TestResidentGangs:
-    def test_two_gangs_interleave_on_one_worker(self):
-        # Three gangs as large as the pool: two are resident at once, so
-        # a worker runs one gang's epoch while its other task waits at a
-        # barrier.  Shard i still runs on worker i, and bytes never move.
-        with _sched_counters() as sched:
+def _assert_sequential(specs, results) -> None:
+    for spec, result in zip(specs, results):
+        assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+
+
+class TestPlanRule:
+    def test_specs_fill_the_pool_without_shards(self):
+        # As many specs as workers or more: no worker would sit idle, so
+        # every spec runs whole, one task per worker at a time.
+        with _no_surviving_children(), _sched_counters() as sched:
+            results = run_scenarios(SWEEP_SPECS, max_workers=2, shards=2)
+        assert sched["sched.spec_tasks"] == 4
+        assert "sched.shard_tasks" not in sched
+        assert sched["sched.spawns"] == 2
+        _assert_sequential(SWEEP_SPECS, results)
+
+    def test_lone_spec_shards_across_idle_workers(self):
+        # One spec on four workers: it splits into the shards asked for,
+        # and the pool is sized to those shard tasks.
+        sunk: list = []
+        with _no_surviving_children(), _sched_counters() as sched:
             results, spans = _traced_run(
-                SweepScheduler(workers=2, shards_per_scenario=2),
-                PLANET_SPECS,
+                SweepScheduler(workers=4, shards_per_scenario=2),
+                [FIG13_SPEC],
+                task_sink=lambda task, cpu: sunk.append((task, cpu)),
             )
-        assert sched["sched.shard_tasks"] == 6
-        assert sched.get("sched.tasks_stolen", 0) == 0
-        for spec, result in zip(PLANET_SPECS, results):
-            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
-        assert _shard_tasks(spans) == {
-            (spec.label, shard): {shard}
-            for spec in PLANET_SPECS
-            for shard in (0, 1)
-        }
-        assert any(
-            _interleaves(
-                attrs["scenario"]
-                for name, _begin, _end, attrs in track
-                if name == "shard_task"
-            )
-            for track in _worker_tracks(spans).values()
+        assert sched["sched.shard_tasks"] == len(sunk) == 2
+        assert sched["sched.spawns"] == 2
+        assert "sched.spec_tasks" not in sched
+        _assert_sequential([FIG13_SPEC], results)
+        # Telemetry ships with each finished task, so every epoch's CPU
+        # is counted once, and barrier waits are not in it.
+        assert all(task.kind == "shard" and cpu > 0 for task, cpu in sunk)
+        assert sched["sched.worker_cpu_s"] == pytest.approx(
+            sum(cpu for _task, cpu in sunk)
         )
-
-    def test_small_gangs_take_idle_workers_first(self):
-        # Two 2-shard gangs on a 4-worker pool: the second gang goes to
-        # the two idle workers, not onto the first gang's workers.
-        results, spans = _traced_run(
-            SweepScheduler(workers=4, shards_per_scenario=2),
-            PLANET_SPECS[:2],
-        )
-        placement = _shard_tasks(spans)
-        assert len(placement) == 4
-        assert all(len(workers) == 1 for workers in placement.values())
-        assert set.union(*placement.values()) == {0, 1, 2, 3}
-        for spec, result in zip(PLANET_SPECS, results):
-            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
-
-    def test_spec_tasks_never_join_resident_shard_tasks(self):
-        # Gangs plus whole spec tasks on 3 workers.  The gangs fill both
-        # slots of every worker; the short one ends first, leaving a
-        # free slot beside a longer gang's shard on two workers.  A spec
-        # task must not take it: it starts only on a worker that hosts
-        # nothing, so it never runs inside a shard task's lifetime
-        # (first slice to last) on its worker.
-        short = ScenarioSpec(
-            policy="earthplus",
-            dataset=DatasetSpec.of(
-                "planet",
-                n_satellites=4,
-                image_shape=(48, 48),
-                horizon_days=6.0,
-                seed=19,
-            ),
-            config=EarthPlusConfig(gamma_bpp=0.3, ground_sync_days=3.0),
-            seed=1,
-            label="short",
-        )
-        specs = [short, *PLANET_SPECS[:2], *SOLO_SPECS]
-        with _sched_counters() as sched:
-            results, spans = _traced_run(
-                SweepScheduler(workers=3, shards_per_scenario=2), specs
-            )
-        assert sched["sched.shard_tasks"] == 6
-        assert sched["sched.spec_tasks"] == 2
-        for spec, result in zip(specs, results):
-            assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
-        ran_specs = 0
-        for worker, track in _worker_tracks(spans).items():
-            lifetimes: dict = {}
-            for name, begin, end, attrs in track:
-                if name == "shard_task":
-                    key = (attrs["scenario"], attrs["shard"])
-                    first, last = lifetimes.get(key, (begin, end))
-                    lifetimes[key] = (min(first, begin), max(last, end))
-            for name, begin, end, attrs in track:
-                if name != "spec_task":
-                    continue
-                ran_specs += 1
-                for key, (first, last) in lifetimes.items():
-                    assert end <= first or begin >= last, (
-                        f"spec task {attrs['scenario']!r} ran on worker "
-                        f"{worker} while shard task {key} was resident"
-                    )
-        assert ran_specs == 2
-
-
-class TestInterleavedTelemetry:
-    def test_worker_tracks_are_disjoint_or_nested(self):
-        # Each slice is its own span with its task's attribution, and a
-        # barrier wait is recorded only while nothing can run, so no two
-        # spans on a worker's track partly overlap.
-        with _sched_counters() as sched:
-            _results, spans = _traced_run(
-                SweepScheduler(workers=2, shards_per_scenario=2),
-                PLANET_SPECS,
-            )
-        tracks = _worker_tracks(spans)
-        assert sorted(tracks) == [0, 1]
-        for worker, track in tracks.items():
-            assert _crossing_spans(track) == [], f"worker {worker}"
-            slices = [s for s in track if s[0] == "shard_task"]
-            for name, begin, end, _attrs in track:
-                if name == "barrier_wait":
-                    assert not any(
-                        s[1] <= begin and end <= s[2] for s in slices
-                    ), f"worker {worker} waited inside a slice"
         waits = [end - begin for name, begin, end, _ in spans
                  if name == "barrier_wait"]
         assert waits
         assert sched["sched.barrier_idle_s"] == pytest.approx(
             sum(waits), rel=0.05, abs=0.01
         )
-        # Attribution is restored at every resume: each task applies
-        # every epoch's merged journal once, under its own labels.
-        synced: dict = {}
-        for name, _begin, _end, attrs in spans:
-            if name == "sync":
-                key = (attrs["scenario"], attrs["shard"], attrs["worker"])
-                synced.setdefault(key, []).append(attrs["epoch"])
-        assert sorted(synced) == sorted(
-            (spec.label, shard, shard)
-            for spec in PLANET_SPECS
-            for shard in (0, 1)
-        )
-        epochs = sorted(next(iter(synced.values())))
-        assert len(set(epochs)) == len(epochs) > 1
-        assert all(sorted(e) == epochs for e in synced.values())
+        # One task per worker: its spans are disjoint or nested, and
+        # each shard runs on a worker of its own.
+        tracks = _worker_tracks(spans)
+        assert sorted(tracks) == [0, 1]
+        for worker, track in tracks.items():
+            assert _crossing_spans(track) == [], f"worker {worker}"
+        placement = _shard_tasks(spans)
+        assert sorted(map(sorted, placement.values())) == [[0], [1]]
 
-    def test_cpu_counters_match_task_sink(self):
-        # Telemetry ships with each finished task, so every slice's CPU
-        # and every counter increment is counted exactly once.
-        sunk: list = []
+    def test_two_gangs_run_at_once(self):
+        # Two specs on four workers asking for four shards each: each
+        # takes half the pool, so two 2-shard gangs run side by side,
+        # every task dispatched before any finishes.
+        events: list[str] = []
+
+        class Recorder:
+            def task_started(self):
+                events.append("start")
+
+            def task_finished(self):
+                events.append("finish")
+
+            def spec_done(self):
+                events.append("spec")
+
         with _sched_counters() as sched:
-            _traced_run(
-                SweepScheduler(workers=2, shards_per_scenario=2),
+            results, spans = _traced_run(
+                SweepScheduler(workers=4, shards_per_scenario=4),
                 PLANET_SPECS,
-                task_sink=lambda task, cpu: sunk.append((task, cpu)),
+                progress=Recorder(),
             )
-        assert sched["sched.shard_tasks"] == len(sunk) == 6
-        assert all(task.kind == "shard" and cpu > 0 for task, cpu in sunk)
-        assert sched["sched.worker_cpu_s"] == pytest.approx(
-            sum(cpu for _task, cpu in sunk)
+        assert sched["sched.shard_tasks"] == 4
+        assert sched["sched.spawns"] == 4
+        assert events[:5] == ["start"] * 4 + ["finish"]
+        _assert_sequential(PLANET_SPECS, results)
+        placement = _shard_tasks(spans)
+        assert sorted(placement) == [
+            (spec.label, shard) for spec in PLANET_SPECS for shard in (0, 1)
+        ]
+        assert all(len(workers) == 1 for workers in placement.values())
+        assert set.union(*placement.values()) == {0, 1, 2, 3}
+
+    def test_unsynced_spec_refused_when_the_plan_would_not_shard(self):
+        # Two specs on two workers would run whole, but a sweep that asks
+        # for shards still refuses a spec without a sync cadence, before
+        # any worker spawns.
+        no_sync = ScenarioSpec(
+            policy="earthplus",
+            dataset=FIG13_DATASET,
+            config=EarthPlusConfig(gamma_bpp=0.3),
+            seed=1,
         )
+        with _sched_counters() as sched:
+            with pytest.raises(ConfigError, match="ground_sync_days"):
+                run_scenarios([FIG13_SPEC, no_sync], max_workers=2, shards=2)
+        assert "sched.spawns" not in sched
 
 
-#: A gang of its own over the Planet dataset, for fault injection.
+#: A lone gang over the Planet dataset, for fault injection.
 FAULTY_SPEC = ScenarioSpec(
     policy="earthplus",
     dataset=PLANET_DATASET,
@@ -642,8 +490,7 @@ FAULTY_SPEC = ScenarioSpec(
 def _fault_in_second_epoch(monkeypatch, action) -> None:
     """Run ``action`` in FAULTY_SPEC's first visit after its first epoch.
 
-    Fork inherits the patch.  By then the other gang's shard task has
-    been resident on the same worker since the sweep started.
+    Fork inherits the patch, so it fires inside the shard workers.
     """
     original = ConstellationSimulator._simulate_visit
 
@@ -657,11 +504,22 @@ def _fault_in_second_epoch(monkeypatch, action) -> None:
     monkeypatch.setattr(ConstellationSimulator, "_simulate_visit", faulty)
 
 
-class TestCoResidentFailures:
+class TestLoneGangFailures:
     @fork_only
-    def test_raising_shard_is_named_beside_a_resident_gang(
-        self, monkeypatch
-    ):
+    def test_worker_killed_after_first_epoch(self, monkeypatch):
+        _fault_in_second_epoch(monkeypatch, lambda: os._exit(3))
+        started = time.monotonic()
+        with _no_surviving_children():
+            with pytest.raises(
+                ScenarioError,
+                match=r"'faulty' failed in shard \d of 2: "
+                r"worker died without a result",
+            ):
+                run_scenarios([FAULTY_SPEC], max_workers=2, shards=2)
+        assert time.monotonic() - started < 60.0
+
+    @fork_only
+    def test_raising_shard_is_named(self, monkeypatch):
         def raise_fault():
             raise RuntimeError("injected shard fault")
 
@@ -670,24 +528,5 @@ class TestCoResidentFailures:
             with pytest.raises(
                 ScenarioError, match=r"'faulty' failed in shard \d of 2"
             ) as caught:
-                run_scenarios(
-                    [PLANET_SPECS[0], FAULTY_SPEC], max_workers=2, shards=2
-                )
+                run_scenarios([FAULTY_SPEC], max_workers=2, shards=2)
         assert "injected shard fault" in str(caught.value)
-
-    @fork_only
-    def test_worker_killed_hosting_two_shard_tasks(self, monkeypatch):
-        _fault_in_second_epoch(monkeypatch, lambda: os._exit(3))
-        started = time.monotonic()
-        with _no_surviving_children():
-            with pytest.raises(
-                ScenarioError, match="died without a result"
-            ) as caught:
-                run_scenarios(
-                    [PLANET_SPECS[0], FAULTY_SPEC], max_workers=2, shards=2
-                )
-        assert time.monotonic() - started < 60.0
-        # The dead worker hosted a shard of each gang; both are named.
-        message = str(caught.value)
-        assert "also hosted" in message
-        assert "'faulty'" in message and f"'{PLANET_SPECS[0].label}'" in message
