@@ -1,15 +1,12 @@
-"""Figure 21: the unified sweep scheduler's throughput claim, measured.
+"""Figure 21: the sweep scheduler's throughput, measured as wall time.
 
-One persistent pool runs a 12-spec x 4-shard fig19-style sweep as a
-single task DAG.  The committed numbers carry the two invariants the
-scheduler exists for: workers spawn once per *sweep* (the legacy sharded
-path forked ``n_specs x shards`` processes), and the joint schedule's
-critical path beats the better of the two exclusive legacy modes
-(``max_workers``-only, which cannot split a scenario; ``shards``-only,
-which runs scenarios serially) by >= 2x.  On a host with fewer cores
-than workers the wall numbers are timesliced artifacts; the projections
-(CPU-seconds critical paths) are the meaningful ones — see
-``fig21_sweep_throughput``'s docstring for their derivation.
+One persistent pool runs a 12-spec fig19-style sweep; with at least as
+many specs as workers the plan runs every spec as one spec task, so the
+pool's four workers stay busy without shard gangs.  The gate is the
+measured wall time of that pooled sweep against the in-process
+sequential pass over the same warm datasets: each side is the median of
+interleaved repeats.  Workers spawn once per *sweep*, every spec runs as
+one task, and every result stays byte-identical to sequential.
 """
 
 from conftest import run_once
@@ -17,9 +14,10 @@ from conftest import run_once
 from repro.analysis import figures as F
 from repro.analysis.tables import format_table
 
-#: Floor for the joint schedule's critical-path advantage over the
-#: better exclusive mode, well under the ~2.7x a healthy build records.
-GATE_PROJECTION = 2.0
+#: Floor for sequential wall / pooled wall on a host with >= 2 cores.
+#: Four spec tasks over two cores read 1.57x (median of 3) on a 2-vCPU
+#: host; the 4x4 shard gangs this schedule replaced read 1.13x there.
+GATE_SPEEDUP = 1.25
 
 
 def test_fig21_sweep_throughput(benchmark, emit, emit_json, bench_scale):
@@ -35,55 +33,47 @@ def test_fig21_sweep_throughput(benchmark, emit, emit_json, bench_scale):
     )
     rows = result["rows"]
     summary = result["summary"]
+    walls = ", ".join(f"{wall:.2f}" for wall in summary["pooled_walls_s"])
+    sequential_walls = ", ".join(
+        f"{wall:.2f}" for wall in summary["sequential_walls_s"]
+    )
     emit(
         "fig21_sweep_throughput",
         format_table(
-            [
-                "scenario", "satellites", "sequential CPU s",
-                "shard tasks", "max shard CPU s", "identical",
-            ],
+            ["scenario", "satellites", "sequential s", "identical"],
             [
                 [
                     r["scenario"],
                     str(r["satellites"]),
-                    f"{r['sequential_cpu_s']:.3f}",
-                    str(r["shard_tasks"]),
-                    f"{r['max_shard_cpu_s']:.3f}",
+                    f"{r['sequential_s']:.3f}",
                     "yes" if r["identical"] else "NO",
                 ]
                 for r in rows
             ],
             title=(
-                f"Figure 21 - unified sweep scheduler "
-                f"({summary['n_specs']} specs x "
-                f"{summary['shards_per_scenario']} shards on "
+                f"Figure 21 - sweep scheduler "
+                f"({summary['n_specs']} specs, shards={summary['shards_per_scenario']}, "
                 f"{summary['workers']} workers, host: "
                 f"{summary['host_cores']} core"
                 f"{'' if summary['host_cores'] == 1 else 's'})"
             ),
         )
         + (
-            f"\nspawns: joint {summary['spawns_joint']} (once per sweep)"
-            f" vs legacy sharded {summary['spawns_legacy_sharded']}"
-            f" (n_specs x shards)"
-            f"\ncritical paths (CPU s): specs-only "
-            f"{summary['cp_specs_s']:.3f}, shards-only "
-            f"{summary['cp_shards_s']:.3f}, joint {summary['cp_joint_s']:.3f}"
-            f"\nprojection over best exclusive mode: "
-            f"{summary['projection_over_best_exclusive']:.2f}x"
+            f"\nspawns {summary['spawns']}, tasks {summary['tasks_run']} "
+            f"({summary['shard_tasks']} shard tasks)"
+            f"\nwall s (median of {summary['repeats']} interleaved): "
+            f"sequential {summary['sequential_wall_s']:.3f} "
+            f"[{sequential_walls}], pooled {summary['pooled_wall_s']:.3f} "
+            f"[{walls}]"
+            f"\nspeedup: {summary['speedup']:.2f}x"
         ),
     )
     emit_json("sweep", summary)
     # Scheduling topology must never change a byte, on any spec.
     assert summary["all_identical"], rows
     # The pool is persistent: one spawn set per sweep, not per task.
-    assert summary["spawns_joint"] == summary["workers"], summary
-    assert summary["spawns_legacy_sharded"] == (
-        summary["n_specs"] * summary["shards_per_scenario"]
-    )
-    assert summary["tasks_run"] == (
-        summary["n_specs"] * summary["shards_per_scenario"]
-    )
-    assert (
-        summary["projection_over_best_exclusive"] >= GATE_PROJECTION
-    ), summary
+    assert summary["spawns"] == summary["workers"], summary
+    # At least as many specs as workers: every spec is one spec task.
+    assert summary["tasks_run"] == summary["n_specs"], summary
+    if summary["host_cores"] >= 2:
+        assert summary["speedup"] >= GATE_SPEEDUP, summary

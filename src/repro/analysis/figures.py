@@ -1010,7 +1010,7 @@ def downlink_layer_adaptation(
 
 
 # ----------------------------------------------------------------------
-# Figure 21 — unified sweep scheduler throughput (specs x shards)
+# Figure 21 — unified sweep scheduler throughput, measured
 # ----------------------------------------------------------------------
 def fig21_sweep_throughput(
     sizes: list[int] | None = None,
@@ -1022,59 +1022,32 @@ def fig21_sweep_throughput(
     horizon_days: float = 45.0,
     ground_sync_days: float = 3.0,
     dataset_seed: int = 19,
+    repeats: int = 3,
 ) -> dict:
-    """Joint specs-x-shards scheduling vs the two exclusive legacy modes.
+    """Measured wall time of a pooled sweep against the sequential pass.
 
     Runs one fig19-style sweep (planet constellations, sizes x gammas x
-    seeds) three ways: through the unified
-    :class:`~repro.analysis.scheduler.SweepScheduler` (``workers``-sized
-    pool, every scenario split ``shards`` ways), through per-scenario
-    gang runs (`run_scenario_sharded`, the legacy ``shards``-only mode),
-    and sequentially in this process, asserting pickle-byte identity
-    per spec.  As in :func:`fig19_scaling`, each dataset is warmed once
-    untimed first: worker processes fork from this driver and inherit
-    its memoized dataset and capture caches copy-on-write, so every
-    timed number measures warm-cache simulation, not first-touch imagery
-    synthesis.
+    seeds) through the :class:`~repro.analysis.scheduler.SweepScheduler`
+    (a ``workers``-sized pool asked for ``shards`` per scenario; a sweep
+    with at least as many specs as workers runs every spec as one spec
+    task) and sequentially in this process, ``repeats`` times each,
+    interleaved (alternating which side runs first), asserting
+    pickle-byte identity per spec on every pooled run.  As in
+    :func:`fig19_scaling`, each dataset is warmed once untimed first:
+    worker processes fork from this driver and inherit its memoized
+    dataset and capture caches copy-on-write, so both sides measure
+    warm-cache simulation, not first-touch imagery synthesis.
 
-    Because the build host may have a single core, the headline numbers
-    are **critical-path projections** — the wall-clock floor each
-    scheduling mode approaches with enough cores, set by the mode's
-    inherent serialization (CPU seconds, so host timeslicing cancels
-    out):
-
-    * ``cp_specs_s`` — the ``max_workers``-only mode cannot split a
-      scenario, so its floor is the largest single-spec CPU;
-    * ``cp_shards_s`` — the ``shards``-only mode runs scenarios
-      serially, so its floor is the *sum* of per-scenario slowest-shard
-      CPUs;
-    * ``cp_joint_s`` — the unified scheduler has neither serialization:
-      its floor is the slowest single shard task.
-
-    ``projection_over_best_exclusive`` is
-    ``min(cp_specs_s, cp_shards_s) / cp_joint_s`` — how much faster the
-    joint schedule's critical path is than the better exclusive mode's.
-    Worker-spawn counts ride along: the pool spawns ``workers``
-    processes once per sweep where the legacy sharded path forked
-    ``n_specs x shards``.
-
-    All three projections are computed from ONE set of task-cost
-    measurements: per-spec sequential CPU from the sequential pass and
-    per-shard CPU from the per-scenario gang runs.  The scheduler runs
-    identical shard tasks (differential-tested byte identity), but in a
-    joint sweep *which* tasks co-run — and so how much an oversubscribed
-    host's timeslicing thrashes each one — depends on completion order
-    and varies run to run, whereas a gang's co-runners are always its
-    own members.  Measuring task costs under the deterministic schedule
-    keeps the ratio repeatable and compares scheduling structure, not
-    timeslicing luck.
+    ``speedup`` is the median sequential wall over the median pooled
+    wall.  The ``sched.*`` counters of the first pooled run ride along
+    (spawns, tasks run, worker CPU, barrier idle).
 
     Always simulates (never touches the store): timings are the payload.
     """
     import pickle
     import time
 
-    from repro.analysis.scenarios import run_scenario, run_scenario_sharded
+    from repro.analysis.scenarios import run_scenario
     from repro.analysis.scheduler import SweepScheduler
     from repro.obs import metrics
 
@@ -1105,81 +1078,76 @@ def fig21_sweep_throughput(
         for gamma in gammas
         for seed in seeds
     ]
-    host_cores = os.cpu_count() or 1
 
     # Warm each dataset once (see docstring); one spec per size suffices
     # because capture caches are keyed by dataset, not gamma/seed.
     for warm_spec in {spec.dataset: spec for spec in specs}.values():
         run_scenario(warm_spec)
 
-    # Joint mode: one persistent pool, every scenario sharded — the
-    # spawn-count/identity/wall-time measurement.
     scheduler = SweepScheduler(workers=workers, shards_per_scenario=shards)
-    counters_before = metrics.counters().snapshot()
-    joint_started = time.perf_counter()
-    joint_results = scheduler.run(specs)
-    joint_wall = time.perf_counter() - joint_started
-    joint_counters = metrics.counters().diff(counters_before)
+    pooled_walls: list[float] = []
+    sequential_walls: list[float] = []
+    spec_walls: list[list[float]] = [[] for _ in specs]
+    identical = [True] * len(specs)
+    counters = None
 
-    # Task costs (see docstring): per-shard CPU under the deterministic
-    # per-scenario gang schedule, per-spec CPU from the sequential pass
-    # (also the byte-identity oracle).
-    shard_cpu: dict[int, dict[int, float]] = {}
-    rows = []
-    sequential_wall = 0.0
-    cp_specs = 0.0
-    cp_shards = 0.0
-    cp_joint = 0.0
-    for index, spec in enumerate(specs):
-        per_shard = shard_cpu.setdefault(index, {})
-
-        def record_cpu(task, cpu_seconds: float) -> None:
-            per_shard[task.shard_index] = cpu_seconds
-
-        run_scenario_sharded(spec, shards=shards, task_sink=record_cpu)
+    def pooled() -> list:
+        nonlocal counters
+        before = metrics.counters().snapshot()
         started = time.perf_counter()
-        cpu_started = time.process_time()
-        sequential = run_scenario(spec)
-        spec_cpu = time.process_time() - cpu_started
-        sequential_wall += time.perf_counter() - started
-        slowest_shard = max(per_shard.values()) if per_shard else spec_cpu
-        cp_specs = max(cp_specs, spec_cpu)
-        cp_shards += slowest_shard
-        cp_joint = max(cp_joint, slowest_shard)
-        rows.append(
-            {
-                "scenario": spec.resolved_label(),
-                "satellites": spec.extras["satellites"],
-                "sequential_cpu_s": spec_cpu,
-                "shard_tasks": len(per_shard),
-                "max_shard_cpu_s": slowest_shard,
-                "identical": (
-                    pickle.dumps(joint_results[index])
-                    == pickle.dumps(sequential)
-                ),
-            }
-        )
-    best_exclusive = min(cp_specs, cp_shards)
+        results = scheduler.run(specs)
+        pooled_walls.append(time.perf_counter() - started)
+        if counters is None:
+            counters = metrics.counters().diff(before)
+        return results
+
+    def sequential() -> list:
+        results = []
+        for index, spec in enumerate(specs):
+            started = time.perf_counter()
+            results.append(run_scenario(spec))
+            spec_walls[index].append(time.perf_counter() - started)
+        sequential_walls.append(sum(walls[-1] for walls in spec_walls))
+        return results
+
+    for repeat in range(repeats):
+        if repeat % 2:
+            reference = sequential()
+            joint = pooled()
+        else:
+            joint = pooled()
+            reference = sequential()
+        for index, (result, expected) in enumerate(zip(joint, reference)):
+            identical[index] &= pickle.dumps(result) == pickle.dumps(expected)
+
+    rows = [
+        {
+            "scenario": spec.resolved_label(),
+            "satellites": spec.extras["satellites"],
+            "sequential_s": float(np.median(walls)),
+            "identical": same,
+        }
+        for spec, walls, same in zip(specs, spec_walls, identical)
+    ]
+    pooled_s = float(np.median(pooled_walls))
+    sequential_s = float(np.median(sequential_walls))
     summary = {
         "n_specs": len(specs),
         "shards_per_scenario": shards,
         "workers": workers,
-        "host_cores": host_cores,
-        "joint_wall_s": joint_wall,
-        "sequential_wall_s": sequential_wall,
-        "cp_specs_s": cp_specs,
-        "cp_shards_s": cp_shards,
-        "cp_joint_s": cp_joint,
-        "projection_over_best_exclusive": (
-            best_exclusive / cp_joint if cp_joint > 0 else float("nan")
-        ),
-        "spawns_joint": joint_counters.get("sched.spawns"),
-        "spawns_legacy_sharded": len(specs) * shards,
-        "tasks_run": joint_counters.get("sched.tasks_run"),
-        "tasks_stolen": joint_counters.get("sched.tasks_stolen"),
-        "barrier_idle_s": joint_counters.get("sched.barrier_idle_s"),
-        "worker_cpu_s": joint_counters.get("sched.worker_cpu_s"),
-        "all_identical": all(row["identical"] for row in rows),
+        "host_cores": os.cpu_count() or 1,
+        "repeats": repeats,
+        "pooled_wall_s": pooled_s,
+        "pooled_walls_s": pooled_walls,
+        "sequential_wall_s": sequential_s,
+        "sequential_walls_s": sequential_walls,
+        "speedup": sequential_s / pooled_s,
+        "spawns": counters.get("sched.spawns"),
+        "tasks_run": counters.get("sched.tasks_run"),
+        "shard_tasks": counters.get("sched.shard_tasks"),
+        "barrier_idle_s": counters.get("sched.barrier_idle_s"),
+        "worker_cpu_s": counters.get("sched.worker_cpu_s"),
+        "all_identical": all(identical),
     }
     return {"rows": rows, "summary": summary}
 
