@@ -322,9 +322,8 @@ class SweepScheduler:
             _shardable_buckets,
         )
 
-        shards = 1
-        if len(specs) < self.workers:
-            shards = min(self.shards_per_scenario, self.workers // len(specs))
+        # Below 2 (no shard) unless the sweep has fewer specs than workers.
+        shards = min(self.shards_per_scenario, self.workers // len(specs))
         tasks: list[_Task] = []
         datasets: dict[int, object] = {}
         # Tracing follows the ambient tracer: when the driver has one
