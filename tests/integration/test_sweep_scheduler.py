@@ -98,6 +98,19 @@ def _traced_run(scheduler: SweepScheduler, specs, **kwargs):
     return results, tracer.spans()
 
 
+def _task_workers(scheduler: SweepScheduler, specs, kind: str) -> dict:
+    """Run a traced sweep; the workers its ``kind`` spans ran on, by shard.
+
+    Spec-task spans carry no shard, so they collect under ``None``.
+    """
+    _results, spans = _traced_run(scheduler, specs)
+    placement: dict = {}
+    for name, _begin, _end, attrs in spans:
+        if name == kind:
+            placement.setdefault(attrs.get("shard"), set()).add(attrs["worker"])
+    return placement
+
+
 def _worker_tracks(spans) -> dict:
     """Worker id -> that worker's spans, ordered by begin time."""
     tracks: dict = {}
@@ -305,6 +318,33 @@ class TestDeadWorkerSends:
                 )
 
 
+class TestShardAffineDispatch:
+    """A task runs on the one worker it was dispatched to, start to end."""
+
+    def test_each_shard_runs_on_one_worker(self):
+        # Every epoch of a shard task runs on its worker: a shard never
+        # moves between workers, and no two shards share one.
+        placement = _task_workers(
+            SweepScheduler(workers=2, shards_per_scenario=2),
+            [PLANET_SPECS[0]],
+            "shard_task",
+        )
+        assert sorted(placement) == [0, 1]
+        assert all(len(workers) == 1 for workers in placement.values())
+        assert placement[0] != placement[1]
+
+    def test_spec_tasks_still_use_both_workers(self):
+        # Same-dataset spec tasks spread over the idle pool instead of
+        # queueing behind one worker.
+        with _sched_counters() as sched:
+            placement = _task_workers(
+                SweepScheduler(workers=2), PLANET_SPECS, "spec_task"
+            )
+        assert placement == {None: {0, 1}}
+        assert sched["sched.spec_tasks"] == 2
+        assert "sched.shard_tasks" not in sched
+
+
 class TestSchedulerDirect:
     def test_rejects_bad_pool_sizes(self):
         with pytest.raises(ConfigError, match="workers"):
@@ -365,6 +405,25 @@ class TestDatasetThreading:
         )
 
 
+#: One satellite: in a sharded sweep the partition collapses to one
+#: bucket, so these specs stay whole spec tasks beside the gangs.
+SOLO_DATASET = DatasetSpec.of(
+    "planet",
+    n_satellites=1,
+    image_shape=(48, 48),
+    horizon_days=12.0,
+    seed=19,
+)
+SOLO_SPECS = [
+    ScenarioSpec(
+        policy="earthplus",
+        dataset=SOLO_DATASET,
+        config=EarthPlusConfig(gamma_bpp=0.3, ground_sync_days=3.0),
+        seed=seed,
+        label=f"solo/s{seed}",
+    )
+    for seed in (1, 2)
+]
 
 
 def _shard_tasks(spans) -> dict:
@@ -428,7 +487,26 @@ class TestPlanRule:
         placement = _shard_tasks(spans)
         assert sorted(map(sorted, placement.values())) == [[0], [1]]
 
-    def test_two_gangs_run_at_once(self):
+    def test_unsynced_spec_refused_when_the_plan_would_not_shard(self):
+        # Two specs on two workers would run whole, but a sweep that asks
+        # for shards still refuses a spec without a sync cadence, before
+        # any worker spawns.
+        no_sync = ScenarioSpec(
+            policy="earthplus",
+            dataset=FIG13_DATASET,
+            config=EarthPlusConfig(gamma_bpp=0.3),
+            seed=1,
+        )
+        with _sched_counters() as sched:
+            with pytest.raises(ConfigError, match="ground_sync_days"):
+                run_scenarios([FIG13_SPEC, no_sync], max_workers=2, shards=2)
+        assert "sched.spawns" not in sched
+
+
+class TestResidentGangs:
+    """Gangs resident in one pool at once, each on workers of its own."""
+
+    def test_small_gangs_take_idle_workers_first(self):
         # Two specs on four workers asking for four shards each: each
         # takes half the pool, so two 2-shard gangs run side by side,
         # every task dispatched before any finishes.
@@ -461,23 +539,152 @@ class TestPlanRule:
         assert all(len(workers) == 1 for workers in placement.values())
         assert set.union(*placement.values()) == {0, 1, 2, 3}
 
-    def test_unsynced_spec_refused_when_the_plan_would_not_shard(self):
-        # Two specs on two workers would run whole, but a sweep that asks
-        # for shards still refuses a spec without a sync cadence, before
-        # any worker spawns.
-        no_sync = ScenarioSpec(
+    def test_spec_tasks_never_join_resident_shard_tasks(self):
+        # A short gang plus two whole spec tasks (their one-satellite
+        # partitions collapse) on a pool with a worker for every task.
+        # The short gang ends first, but a spec task starts only on a
+        # worker that hosts nothing, so it never runs inside a shard
+        # task's lifetime (first span to last) on its worker.
+        short = ScenarioSpec(
             policy="earthplus",
-            dataset=FIG13_DATASET,
-            config=EarthPlusConfig(gamma_bpp=0.3),
+            dataset=DatasetSpec.of(
+                "planet",
+                n_satellites=4,
+                image_shape=(48, 48),
+                horizon_days=6.0,
+                seed=19,
+            ),
+            config=EarthPlusConfig(gamma_bpp=0.3, ground_sync_days=3.0),
             seed=1,
+            label="short",
         )
+        specs = [short, *SOLO_SPECS]
         with _sched_counters() as sched:
-            with pytest.raises(ConfigError, match="ground_sync_days"):
-                run_scenarios([FIG13_SPEC, no_sync], max_workers=2, shards=2)
-        assert "sched.spawns" not in sched
+            results, spans = _traced_run(
+                SweepScheduler(workers=6, shards_per_scenario=2), specs
+            )
+        assert sched["sched.shard_tasks"] == 2
+        assert sched["sched.spec_tasks"] == 2
+        assert sched["sched.spawns"] == 4
+        _assert_sequential(specs, results)
+        ran_specs = 0
+        for worker, track in _worker_tracks(spans).items():
+            lifetimes: dict = {}
+            for name, begin, end, attrs in track:
+                if name == "shard_task":
+                    key = (attrs["scenario"], attrs["shard"])
+                    first, last = lifetimes.get(key, (begin, end))
+                    lifetimes[key] = (min(first, begin), max(last, end))
+            for name, begin, end, attrs in track:
+                if name != "spec_task":
+                    continue
+                ran_specs += 1
+                for key, (first, last) in lifetimes.items():
+                    assert end <= first or begin >= last, (
+                        f"spec task {attrs['scenario']!r} ran on worker "
+                        f"{worker} while shard task {key} was resident"
+                    )
+        assert ran_specs == 2
 
 
-#: A lone gang over the Planet dataset, for fault injection.
+class TestBarrierOverlap:
+    def test_gangs_and_singles_share_one_pool(self):
+        # A shard gang (epoch barriers) beside an independent spec task
+        # in one sweep: the barrier synchronizes only the gang, never the
+        # whole pool, and all results stay byte-identical.
+        specs = [PLANET_SPECS[0], SOLO_SPECS[0]]
+        with _no_surviving_children(), _sched_counters() as sched:
+            results, spans = _traced_run(
+                SweepScheduler(workers=4, shards_per_scenario=2), specs
+            )
+        assert sched["sched.shard_tasks"] == 2
+        assert sched["sched.spec_tasks"] == 1
+        assert sched["sched.spawns"] == 3
+        _assert_sequential(specs, results)
+        gang_workers = set.union(*_shard_tasks(spans).values())
+        single_workers = {
+            attrs["worker"] for name, _b, _e, attrs in spans
+            if name == "spec_task"
+        }
+        waiting_workers = {
+            attrs["worker"] for name, _b, _e, attrs in spans
+            if name == "barrier_wait"
+        }
+        assert len(gang_workers) == 2 and len(single_workers) == 1
+        assert not gang_workers & single_workers
+        assert waiting_workers == gang_workers
+
+
+class TestInterleavedTelemetry:
+    """Gangs whose epochs interleave through one driver.
+
+    Telemetry stays attributed to the task, worker and epoch that
+    produced it.
+    """
+
+    def test_worker_tracks_are_disjoint_or_nested(self):
+        # Each epoch is its own span with its task's attribution, and a
+        # barrier wait is recorded only outside them, so no two spans on
+        # a worker's track partly overlap.
+        with _sched_counters() as sched:
+            _results, spans = _traced_run(
+                SweepScheduler(workers=4, shards_per_scenario=2),
+                PLANET_SPECS,
+            )
+        tracks = _worker_tracks(spans)
+        assert sorted(tracks) == [0, 1, 2, 3]
+        for worker, track in tracks.items():
+            assert _crossing_spans(track) == [], f"worker {worker}"
+            epochs = [s for s in track if s[0] == "shard_task"]
+            for name, begin, end, _attrs in track:
+                if name == "barrier_wait":
+                    assert not any(
+                        s[1] <= begin and end <= s[2] for s in epochs
+                    ), f"worker {worker} waited inside an epoch"
+        waits = [end - begin for name, begin, end, _ in spans
+                 if name == "barrier_wait"]
+        assert waits
+        assert sched["sched.barrier_idle_s"] == pytest.approx(
+            sum(waits), rel=0.05, abs=0.01
+        )
+        # Each task applies every epoch's merged journal once, under its
+        # own labels; gangs take the pool's workers in plan order.
+        synced: dict = {}
+        for name, _begin, _end, attrs in spans:
+            if name == "sync":
+                key = (attrs["scenario"], attrs["shard"], attrs["worker"])
+                synced.setdefault(key, []).append(attrs["epoch"])
+        assert sorted(synced) == sorted(
+            (spec.label, shard, 2 * index + shard)
+            for index, spec in enumerate(PLANET_SPECS)
+            for shard in (0, 1)
+        )
+        epochs = sorted(next(iter(synced.values())))
+        assert len(set(epochs)) == len(epochs) > 1
+        assert all(sorted(e) == epochs for e in synced.values())
+
+    def test_cpu_counters_match_task_sink(self):
+        # Telemetry ships with each finished task, shard or spec, so
+        # every task's CPU and every counter increment is counted once.
+        sunk: list = []
+        with _sched_counters() as sched:
+            _traced_run(
+                SweepScheduler(workers=4, shards_per_scenario=2),
+                [PLANET_SPECS[0], SOLO_SPECS[0]],
+                task_sink=lambda task, cpu: sunk.append((task, cpu)),
+            )
+        assert sorted(task.kind for task, _cpu in sunk) == [
+            "shard", "shard", "spec"
+        ]
+        assert sched["sched.shard_tasks"] == 2
+        assert sched["sched.spec_tasks"] == 1
+        assert all(cpu > 0 for _task, cpu in sunk)
+        assert sched["sched.worker_cpu_s"] == pytest.approx(
+            sum(cpu for _task, cpu in sunk)
+        )
+
+
+#: A gang over the Planet dataset, for fault injection.
 FAULTY_SPEC = ScenarioSpec(
     policy="earthplus",
     dataset=PLANET_DATASET,
@@ -529,4 +736,25 @@ class TestLoneGangFailures:
                 ScenarioError, match=r"'faulty' failed in shard \d of 2"
             ) as caught:
                 run_scenarios([FAULTY_SPEC], max_workers=2, shards=2)
+        assert "injected shard fault" in str(caught.value)
+
+
+class TestCoResidentFailures:
+    @fork_only
+    def test_raising_shard_is_named_beside_a_resident_gang(
+        self, monkeypatch
+    ):
+        # Another gang runs beside the failing one and may be blocked at
+        # a barrier when the sweep fails: it is torn down with the pool.
+        def raise_fault():
+            raise RuntimeError("injected shard fault")
+
+        _fault_in_second_epoch(monkeypatch, raise_fault)
+        with _no_surviving_children():
+            with pytest.raises(
+                ScenarioError, match=r"'faulty' failed in shard \d of 2"
+            ) as caught:
+                run_scenarios(
+                    [PLANET_SPECS[0], FAULTY_SPEC], max_workers=4, shards=2
+                )
         assert "injected shard fault" in str(caught.value)
