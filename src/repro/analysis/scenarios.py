@@ -440,8 +440,9 @@ def run_scenarios(
     ``min(shards, workers // len(specs))`` shard tasks.  A batch with
     at least as many specs as workers runs every spec whole, one task
     per worker at a time, which keeps every worker busy without epoch
-    barriers.  When only sharding is requested the pool is sized to the
-    shard count.
+    barriers.  A lone spec sizes the pool to at least ``shards``, as
+    :func:`run_scenario_sharded` does; a batch of several specs takes
+    its pool size from ``max_workers`` alone.
 
     Prefer :class:`DatasetSpec` over a prebuilt dataset for batches: specs
     hit the per-process dataset cache, so every scenario a worker runs
@@ -493,7 +494,8 @@ def run_scenarios(
     from repro.analysis.scheduler import SweepScheduler
 
     scheduler = SweepScheduler(
-        workers=max(workers, shards), shards_per_scenario=shards
+        workers=workers if len(specs) > 1 else max(workers, shards),
+        shards_per_scenario=shards,
     )
     return scheduler.run(specs, on_result=on_result, progress=progress)
 

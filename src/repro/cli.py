@@ -132,8 +132,8 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
         help="shard each scenario's satellites across up to N shard tasks "
         "(default: REPRO_SIM_SHARDS or 1). Sharding applies only when a "
         "sweep has fewer scenarios than workers: each scenario then takes "
-        "min(N, workers // scenarios) shards, so a lone scenario always "
-        "shards. Requires --sync-days > 0; results are byte-identical to "
+        "min(N, workers // scenarios) shards. A lone scenario also sizes "
+        "the pool to at least N, so it always shards. Requires --sync-days > 0; results are byte-identical to "
         "a sequential run. Composes with --workers: both axes share one "
         "worker pool",
     )
