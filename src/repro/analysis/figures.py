@@ -1012,6 +1012,11 @@ def downlink_layer_adaptation(
 # ----------------------------------------------------------------------
 # Figure 21 — unified sweep scheduler throughput, measured
 # ----------------------------------------------------------------------
+#: Interleaved repeats of each side of the Figure 21 timing; the median
+#: of three damps one slow run on a shared host.
+_FIG21_REPEATS = 3
+
+
 def fig21_sweep_throughput(
     sizes: list[int] | None = None,
     gammas: list[float] | None = None,
@@ -1022,7 +1027,6 @@ def fig21_sweep_throughput(
     horizon_days: float = 45.0,
     ground_sync_days: float = 3.0,
     dataset_seed: int = 19,
-    repeats: int = 3,
 ) -> dict:
     """Measured wall time of a pooled sweep against the sequential pass.
 
@@ -1030,8 +1034,8 @@ def fig21_sweep_throughput(
     seeds) through the :class:`~repro.analysis.scheduler.SweepScheduler`
     (a ``workers``-sized pool asked for ``shards`` per scenario; a sweep
     with at least as many specs as workers runs every spec as one spec
-    task) and sequentially in this process, ``repeats`` times each,
-    interleaved (alternating which side runs first), asserting
+    task) and sequentially in this process, ``_FIG21_REPEATS`` times
+    each, interleaved (alternating which side runs first), asserting
     pickle-byte identity per spec on every pooled run.  As in
     :func:`fig19_scaling`, each dataset is warmed once untimed first:
     worker processes fork from this driver and inherit its memoized
@@ -1110,7 +1114,7 @@ def fig21_sweep_throughput(
         sequential_walls.append(sum(walls[-1] for walls in spec_walls))
         return results
 
-    for repeat in range(repeats):
+    for repeat in range(_FIG21_REPEATS):
         if repeat % 2:
             reference = sequential()
             joint = pooled()
@@ -1136,7 +1140,7 @@ def fig21_sweep_throughput(
         "shards_per_scenario": shards,
         "workers": workers,
         "host_cores": os.cpu_count() or 1,
-        "repeats": repeats,
+        "repeats": _FIG21_REPEATS,
         "pooled_wall_s": pooled_s,
         "pooled_walls_s": pooled_walls,
         "sequential_wall_s": sequential_s,
