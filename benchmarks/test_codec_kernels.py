@@ -8,6 +8,8 @@ synthesis that feeds them.  The per-bit oracle coder
 """
 
 import contextlib
+import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from sim_oracle import reference_path, render_pixels_reference
 from repro.codec.dwt import Wavelet, forward_dwt2d, inverse_dwt2d
 from repro.codec.jpeg2000 import CodecConfig, ImageCodec
 from repro.codec.ratemodel import RateModel
+from repro.core import cloud
 from repro.imagery.bands import get_band
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
 from repro.imagery.noise import fractal_noise
@@ -162,3 +165,70 @@ def test_bench_capture_render_4band_256(
     )
     assert len(pixels) == 4
     assert all(0.0 <= band.min() and band.max() <= 1.0 for band in pixels.values())
+
+
+#: The timeseries workload's band set.
+TIMESERIES_BANDS = tuple(get_band(name) for name in ("B2", "B3", "B4", "B8"))
+
+
+@pytest.fixture(scope="module")
+def changed_surface_inputs():
+    """A 256x256 location whose 16 change cells have all changed, and its
+    four composed bands as production renders them."""
+    spec = LocationSpec(
+        name="bench-changes",
+        shape=(256, 256),
+        terrain_mix={TerrainClass.CITY: 0.5, TerrainClass.FOREST: 0.5},
+        seed=21,
+    )
+    versions = np.arange(1, 17).reshape(4, 4)
+    model = EarthModel(spec, TIMESERIES_BANDS)
+    expected = [
+        model._compose_surface(band, versions) for band in TIMESERIES_BANDS
+    ]
+    return spec, versions, expected
+
+
+@pytest.mark.parametrize("path", IMAGERY_PATHS)
+def test_bench_compose_surface_4band_256(
+    benchmark, changed_surface_inputs, path
+):
+    """Every band of a location's surface with all its cells changed, from
+    a cold model: the base maps and every change-cell block render."""
+    spec, versions, expected = changed_surface_inputs
+
+    def compose():
+        model = EarthModel(spec, TIMESERIES_BANDS)
+        return [model._compose_surface(band, versions) for band in model.bands]
+
+    with reference_path() if path == "oracle" else contextlib.nullcontext():
+        surfaces = benchmark(compose)
+    assert all(
+        np.array_equal(surface, reference)
+        for surface, reference in zip(surfaces, expected)
+    )
+
+
+def _train_timeseries_detectors() -> str:
+    """Train both cloud detectors from scratch; digest of their trees."""
+    cloud._DETECTOR_CACHE.clear()
+    digest = hashlib.sha256()
+    for detector in (
+        cloud.train_onboard_detector(TIMESERIES_BANDS, tile_size=64),
+        cloud.train_ground_detector(TIMESERIES_BANDS),
+    ):
+        digest.update(pickle.dumps(detector.tree, protocol=4))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("path", IMAGERY_PATHS)
+def test_bench_train_detectors_timeseries(benchmark, monkeypatch, path):
+    """The on-board and ground detectors of the timeseries band set,
+    trained from their synthesized captures."""
+    monkeypatch.setattr(cloud, "_DETECTOR_CACHE", {})
+    expected = _train_timeseries_detectors()
+    with reference_path() if path == "oracle" else contextlib.nullcontext():
+        digest = benchmark.pedantic(
+            _train_timeseries_detectors, rounds=3, iterations=1
+        )
+    assert digest == expected

@@ -5,7 +5,8 @@
  * through ctypes.  Every kernel reproduces a specification kept in the
  * test oracles: the per-bit plane coder and range coder of
  * tests/codec_oracle.py, and the per-sample DWT loops, scalar plane walk,
- * per-octave value noise and per-pass band render of tests/sim_oracle.py.
+ * per-octave value noise, per-pass band render, numpy base map and
+ * per-cell change blocks of tests/sim_oracle.py.
  * Float kernels must round exactly like those numpy expressions, so the
  * library is built with -ffp-contract=off and without fast-math. */
 
@@ -853,26 +854,25 @@ static inline double normalized(double total, double amplitude_sum,
     return (total / amplitude_sum - lo) / span;
 }
 
-/* A whole fractal-noise field in one call, operation for operation the
- * oracle's per-octave numpy sum (no fused multiply-add: built with
- * -ffp-contract=off):
+/* The octave sum of a fractal-noise field, into `out`, operation for
+ * operation the oracle's per-octave numpy sum (no fused multiply-add:
+ * built with -ffp-contract=off):
  *   total += amplitude[k] * (top * (1 - ty) + bottom * ty)   per octave
- *   total /= amplitude_sum, then (total - lo) / (hi - lo)
- * with lo/hi the field's min/max, or zeros when hi - lo < 1e-12.
  * Octave k's lattice starts at lattices + offsets[k] with cols[k] values
  * per row; its pixel geometry is y0/ty at k * height (each pixel row's
  * upper lattice row and Hermite weight) and x0/tx at k * width (each
  * column's left lattice column and weight).  Pixel rows sharing a
  * lattice row pair share its two horizontal blends, computed once into
- * `scratch` (2 * width doubles).  Rounding is monotonic, so the min/max
- * of total / amplitude_sum are the min/max of total, divided: one pass
- * finds them and one more divides and normalizes. */
-void fractal_field(const double *lattices, const int64_t *offsets,
-                   const int64_t *cols, const int64_t *y0, const double *ty,
-                   const int64_t *x0, const double *tx,
-                   const double *amplitudes, int64_t octaves,
-                   double amplitude_sum, int64_t height, int64_t width,
-                   double *scratch, double *out) {
+ * `scratch` (2 * width doubles).  Returns the span hi - lo of
+ * total / amplitude_sum and sets *lo: rounding is monotonic, so the
+ * min/max of total / amplitude_sum are the min/max of total, divided. */
+static double octave_total(const double *lattices, const int64_t *offsets,
+                           const int64_t *cols, const int64_t *y0,
+                           const double *ty, const int64_t *x0,
+                           const double *tx, const double *amplitudes,
+                           int64_t octaves, double amplitude_sum,
+                           int64_t height, int64_t width, double *scratch,
+                           double *out, double *lo) {
     int64_t n = height * width;
     for (int64_t i = 0; i < n; i++) out[i] = 0.0;
     for (int64_t k = 0; k < octaves; k++) {
@@ -903,11 +903,28 @@ void fractal_field(const double *lattices, const int64_t *offsets,
                            amplitudes[k], width);
         }
     }
-    double lo, hi;
-    value_range(out, n, &lo, &hi);
-    lo = lo / amplitude_sum;
-    hi = hi / amplitude_sum;
-    double span = hi - lo;
+    double low, high;
+    value_range(out, n, &low, &high);
+    *lo = low / amplitude_sum;
+    return high / amplitude_sum - *lo;
+}
+
+/* A whole fractal-noise field in one call, operation for operation the
+ * oracle's per-octave numpy sum: the octave total (octave_total), then
+ *   total /= amplitude_sum, then (total - lo) / (hi - lo)
+ * with lo/hi the field's min/max, or zeros when hi - lo < 1e-12.  One
+ * pass finds the range and one more divides and normalizes. */
+void fractal_field(const double *lattices, const int64_t *offsets,
+                   const int64_t *cols, const int64_t *y0, const double *ty,
+                   const int64_t *x0, const double *tx,
+                   const double *amplitudes, int64_t octaves,
+                   double amplitude_sum, int64_t height, int64_t width,
+                   double *scratch, double *out) {
+    int64_t n = height * width;
+    double lo;
+    double span = octave_total(lattices, offsets, cols, y0, ty, x0, tx,
+                               amplitudes, octaves, amplitude_sum, height,
+                               width, scratch, out, &lo);
     if (span < 1e-12) {
         for (int64_t i = 0; i < n; i++) out[i] = 0.0;
         return;
@@ -974,4 +991,99 @@ void render_band(double *restrict pixels, int64_t n, double gain,
         render_pixels_of(pixels, n, gain, offset, NULL, cloud_value, noise);
     else
         render_pixels_of(pixels, n, gain, offset, NULL, cloud_value, NULL);
+}
+
+/* ------------------------------------------------------------------ */
+/* Imagery: the static base map and the change-cell blocks             */
+/* ------------------------------------------------------------------ */
+
+/* A location's base map for one band, in place over its texture field,
+ * operation for operation the oracle's numpy expression
+ * (base_map_reference):
+ *   pixel = clip(reflectance[c] + amplitude[c] * (texture - 0.5) * 2.0)
+ * with c the pixel's terrain class, an index into both tables. */
+void base_map(double *restrict pixels, const int8_t *restrict classes,
+              int64_t n, const double *reflectance,
+              const double *amplitude) {
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = classes[i];
+        pixels[i] = clip_unit(reflectance[c] +
+                              amplitude[c] * (pixels[i] - 0.5) * 2.0);
+    }
+}
+
+/* The int64 fields of one field plan and of one cell in change_blocks. */
+enum { PLAN_FIELDS = 8, CELL_FIELDS = 5 };
+
+/* One change-cell block pixel: the base map under it plus the patch
+ * amplitude times the normalized patch value less one half, clipped. */
+static inline double blended(double under, double amplitude, double patch) {
+    return clip_unit(under + amplitude * (patch - 0.5));
+}
+
+/* One row of a change-cell block, in place over its octave total: each
+ * value normalized as fractal_field does, then blended with the base-map
+ * row under it. */
+static void blend_patch_row(double *restrict row,
+                            const double *restrict under, int64_t width,
+                            double amplitude, double amplitude_sum,
+                            double lo, double span) {
+    int64_t x = 0;
+    for (; x + LANES <= width; x += LANES)
+        for (int j = 0; j < LANES; j++)
+            row[x + j] = blended(
+                under[x + j], amplitude,
+                normalized(row[x + j], amplitude_sum, lo, span));
+    for (; x < width; x++)
+        row[x] = blended(under[x], amplitude,
+                         normalized(row[x], amplitude_sum, lo, span));
+}
+
+/* Every missing change-cell block of one surface in one call.  Cell c
+ * sums the octaves of its plan's fractal field over its own lattices
+ * into its own block (octave_total), then normalizes each value as
+ * fractal_field does and blends it with the base map under the cell,
+ * operation for operation the oracle's cell_block_uncached:
+ *   block = clip(under + patch_amplitudes[c] * (patch - 0.5))
+ * `plans` holds PLAN_FIELDS int64 per plan: the field's height and width,
+ * then the addresses of its offsets, cols, y0, ty, x0 and tx arrays (laid
+ * out as fractal_field reads them).  `cells` holds CELL_FIELDS int64 per
+ * cell: its plan, the start of its lattices in `lattices`, the base-map
+ * row and column of its top-left pixel, and the address of its block
+ * (height x width doubles).  Every plan shares `octaves`, `amplitudes`
+ * and `amplitude_sum`; `scratch` holds twice the widest plan's width. */
+void change_blocks(const double *lattices, const int64_t *plans,
+                   const int64_t *cells, const double *patch_amplitudes,
+                   int64_t n_cells, const double *amplitudes,
+                   int64_t octaves, double amplitude_sum,
+                   const double *base, int64_t base_width,
+                   double *scratch) {
+    for (int64_t c = 0; c < n_cells; c++) {
+        const int64_t *cell = cells + c * CELL_FIELDS;
+        const int64_t *plan = plans + cell[0] * PLAN_FIELDS;
+        int64_t height = plan[0], width = plan[1];
+        double *block = (double *)(uintptr_t)cell[4];
+        double lo;
+        double span = octave_total(
+            lattices + cell[1], (const int64_t *)(uintptr_t)plan[2],
+            (const int64_t *)(uintptr_t)plan[3],
+            (const int64_t *)(uintptr_t)plan[4],
+            (const double *)(uintptr_t)plan[5],
+            (const int64_t *)(uintptr_t)plan[6],
+            (const double *)(uintptr_t)plan[7], amplitudes, octaves,
+            amplitude_sum, height, width, scratch, block, &lo);
+        double amplitude = patch_amplitudes[c];
+        const double *under = base + cell[2] * base_width + cell[3];
+        for (int64_t y = 0; y < height; y++) {
+            double *row = block + y * width;
+            const double *base_row = under + y * base_width;
+            if (span < 1e-12) { /* a flat patch normalizes to zeros */
+                for (int64_t x = 0; x < width; x++)
+                    row[x] = blended(base_row[x], amplitude, 0.0);
+            } else {
+                blend_patch_row(row, base_row, width, amplitude,
+                                amplitude_sum, lo, span);
+            }
+        }
+    }
 }

@@ -23,9 +23,13 @@ object and called through :mod:`ctypes`:
   and dead-zone dequantize (the entropy matrix stays in numpy —
   ``np.log2`` — so transcendental rounding cannot drift);
 * imagery synthesis, one call per field: a fractal-noise field sums every
-  octave's Hermite-blended lattice and normalizes it, and a capture band
-  is rendered (illumination, cloud composite, sensor noise, clips) in
-  one pass; the lattices and the noise stay numpy draws.
+  octave's Hermite-blended lattice and normalizes it, a location's base
+  map is its class reflectance plus texture, clipped, in one pass, every
+  change-cell block a surface composition misses (patch field, blend
+  with the base map, clip) renders in one call per composition, and a
+  capture band is rendered (illumination, cloud composite, sensor noise,
+  clips) in one pass; the lattices, patch amplitudes and noise stay
+  numpy draws.
 
 Float identity with the oracles in ``tests/`` therefore holds to the last
 ulp, and the integer kernels are exact; the differential, golden and
@@ -220,6 +224,8 @@ class CompiledKernels:
             "rc_dequantize_multi",
             "fractal_field",
             "render_band",
+            "base_map",
+            "change_blocks",
         ):
             getattr(lib, name).restype = None
 
@@ -669,6 +675,169 @@ class CompiledKernels:
             _address(noise),
         )
         return surface
+
+    def base_map(
+        self,
+        texture: np.ndarray,
+        classes: np.ndarray,
+        reflectance: np.ndarray,
+        amplitude: np.ndarray,
+    ) -> np.ndarray:
+        """A location's base map for one band, in place over ``texture``.
+
+        ``texture`` is a writable, contiguous float64 field and
+        ``classes`` the int8 terrain-class map of the same shape, each
+        class an index into the float64 ``reflectance`` and ``amplitude``
+        tables.  Every pixel becomes ``clip(reflectance[c] + amplitude[c]
+        * (texture - 0.5) * 2.0)`` in one pass.  Bit-identical to the
+        oracle's numpy gathers and passes (``base_map_reference`` in
+        ``tests/sim_oracle.py``).
+        """
+        n_classes = reflectance.size
+        for array, dtype, size in (
+            (texture, np.float64, texture.size),
+            (classes, np.int8, texture.size),
+            (reflectance, np.float64, n_classes),
+            (amplitude, np.float64, n_classes),
+        ):
+            if (
+                array.dtype != dtype
+                or array.size != size
+                or not array.flags.c_contiguous
+            ):
+                raise ValueError(
+                    "base_map needs a contiguous float64 texture, an int8 "
+                    "class map of its size and two float64 class tables"
+                )
+        if not texture.flags.writeable:
+            raise ValueError("base_map renders in place: texture is read-only")
+        if classes.size and (
+            int(classes.min()) < 0 or int(classes.max()) >= n_classes
+        ):
+            raise ValueError(f"class map indexes past {n_classes} classes")
+        self._lib.base_map(
+            _address(texture),
+            _address(classes),
+            ctypes.c_int64(texture.size),
+            _address(reflectance),
+            _address(amplitude),
+        )
+        return texture
+
+    def change_blocks(
+        self,
+        lattices: np.ndarray,
+        plans: "list",
+        cells: "list[tuple[int, int, int, int]]",
+        patch_amplitudes: np.ndarray,
+        base: np.ndarray,
+    ) -> "list[np.ndarray]":
+        """Every missing change-cell block of one surface, in one call.
+
+        ``plans`` are the distinct fractal-field plans of the batch
+        (``noise.FieldPlan``, one per cell shape), all with the same
+        octave amplitudes.  ``cells`` holds one ``(plan, start, row,
+        column)`` tuple per block: the index of its plan, the start of
+        its octave lattices in the float64 ``lattices`` buffer, and the
+        pixel of the float64 ``base`` map under its top-left corner.
+        Block ``i`` is its fractal field blended with the base map under
+        the cell, ``clip(under + patch_amplitudes[i] * (field - 0.5))``.
+        Returns one newly allocated array per block, which no other block
+        shares.  Bit-identical to the oracle's per-cell numpy render
+        (``cell_block_uncached`` in ``tests/sim_oracle.py``).
+        """
+        n_cells = len(cells)
+        if (
+            lattices.dtype != np.float64
+            or lattices.ndim != 1
+            or base.dtype != np.float64
+            or base.ndim != 2
+            or patch_amplitudes.dtype != np.float64
+            or patch_amplitudes.shape != (n_cells,)
+            or not all(
+                array.flags.c_contiguous
+                for array in (lattices, base, patch_amplitudes)
+            )
+        ):
+            raise ValueError(
+                "change_blocks needs contiguous float64 lattices, a 2-D "
+                "base map and one patch amplitude per cell"
+            )
+        if not n_cells:
+            return []
+        table = np.array(
+            [_plan_addresses(plan, plans[0]) for plan in plans],
+            dtype=np.int64,
+        )
+        sizes = [int(plan.offsets[-1]) for plan in plans]
+        rows, columns = base.shape
+        blocks: list[np.ndarray] = []
+        records: list[tuple[int, int, int, int, int]] = []
+        for kind, start, top, left in cells:
+            if not 0 <= kind < len(plans):
+                raise ValueError(f"change_blocks cell names no plan {kind}")
+            height, width = plans[kind].shape
+            if (
+                start < 0
+                or start + sizes[kind] > lattices.size
+                or top < 0
+                or top + height > rows
+                or left < 0
+                or left + width > columns
+            ):
+                raise ValueError(
+                    "change_blocks cell reaches past its lattices or the "
+                    "base map"
+                )
+            block = np.empty((height, width))
+            blocks.append(block)
+            records.append((kind, start, top, left, block.ctypes.data))
+        cell_table = np.array(records, dtype=np.int64)
+        amplitudes = plans[0].amplitudes
+        scratch = np.empty(2 * max(plan.shape[1] for plan in plans))
+        self._lib.change_blocks(
+            _address(lattices),
+            _address(table),
+            _address(cell_table),
+            _address(patch_amplitudes),
+            ctypes.c_int64(n_cells),
+            _address(amplitudes),
+            ctypes.c_int64(amplitudes.size),
+            ctypes.c_double(plans[0].amplitude_sum),
+            _address(base),
+            ctypes.c_int64(columns),
+            _address(scratch),
+        )
+        return blocks
+
+
+def _plan_addresses(plan, first) -> "tuple[int, ...]":
+    """A fractal-field plan's row of the change_blocks plan table.
+
+    Checks the arrays the kernel reads (as :meth:`fractal_field` does)
+    and that the plan shares ``first``'s octave amplitudes.
+    """
+    height, width = plan.shape
+    octaves = plan.amplitudes.size
+    arrays = (plan.offsets, plan.cols, *plan.rows, *plan.columns)
+    expected = (
+        (np.int64, octaves + 1),
+        (np.int64, octaves),
+        (np.int64, octaves * height),
+        (np.float64, octaves * height),
+        (np.int64, octaves * width),
+        (np.float64, octaves * width),
+    )
+    for array, (dtype, size) in zip(arrays, expected):
+        if (
+            array.dtype != dtype
+            or array.size != size
+            or not array.flags.c_contiguous
+        ):
+            raise ValueError("change_blocks needs contiguous field plan arrays")
+    if not np.array_equal(plan.amplitudes, first.amplitudes):
+        raise ValueError("change_blocks plans differ in octave amplitudes")
+    return (height, width, *(array.ctypes.data for array in arrays))
 
 
 @functools.lru_cache(maxsize=None)

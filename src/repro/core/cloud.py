@@ -44,6 +44,9 @@ from repro.imagery.noise import stable_hash
 # ----------------------------------------------------------------------
 # A small CART implementation (gini impurity, axis-aligned splits)
 # ----------------------------------------------------------------------
+#: Quantiles of a feature that are its candidate split thresholds.
+_SPLIT_QUANTILES = np.linspace(0.05, 0.95, 19)
+
 @dataclass
 class _TreeNode:
     feature: int = -1
@@ -105,28 +108,51 @@ class DecisionTree:
     def _best_split(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[int, float] | None:
+        """The split with the largest gini gain above 1e-9, or None.
+
+        Each feature's candidate thresholds are the unique values of its
+        5%..95% quantiles, tried in ascending order, features in column
+        order; the first candidate with the largest gain wins, and a
+        split leaving fewer than ``min_leaf`` rows on a side is never
+        taken.  Every column is sorted once: a threshold's left count is
+        a ``searchsorted`` into its sorted values and its left positive
+        count a lookup in the cumulative label count, so each candidate's
+        side fractions are the same integer ratios a mask over the rows
+        would give (the per-threshold mask loop is the oracle,
+        ``best_split_reference`` in ``tests/sim_oracle.py``).
+        """
         n, d = x.shape
         parent_gini = self._gini(float(y.mean()))
+        order = np.argsort(x, axis=0)
+        ordered = np.take_along_axis(x, order, axis=0)
+        positives = np.cumsum(y[order], axis=0)
+        candidates = np.quantile(ordered, _SPLIT_QUANTILES, axis=0)
         best_gain = 1e-9
         best: tuple[int, float] | None = None
         for feature in range(d):
-            values = x[:, feature]
-            candidates = np.quantile(values, np.linspace(0.05, 0.95, 19))
-            for threshold in np.unique(candidates):
-                mask = values <= threshold
-                n_left = int(mask.sum())
-                if n_left < self.min_leaf or n - n_left < self.min_leaf:
-                    continue
-                p_left = float(y[mask].mean())
-                p_right = float(y[~mask].mean())
-                gini = (
-                    n_left * self._gini(p_left)
-                    + (n - n_left) * self._gini(p_right)
-                ) / n
-                gain = parent_gini - gini
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (feature, float(threshold))
+            thresholds = np.unique(candidates[:, feature])
+            n_left = np.searchsorted(
+                ordered[:, feature], thresholds, side="right"
+            )
+            n_right = n - n_left
+            # An empty side has no positive fraction: never a split.
+            min_leaf = max(self.min_leaf, 1)
+            valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+            if not valid.any():
+                continue
+            n_left, n_right = n_left[valid], n_right[valid]
+            pos_left = positives[n_left - 1, feature]
+            p_left = pos_left / n_left
+            p_right = (positives[-1, feature] - pos_left) / n_right
+            gini = (
+                n_left * (2.0 * p_left * (1.0 - p_left))
+                + n_right * (2.0 * p_right * (1.0 - p_right))
+            ) / n
+            gain = parent_gini - gini
+            pick = int(np.argmax(gain))
+            if gain[pick] > best_gain:
+                best_gain = float(gain[pick])
+                best = (feature, float(thresholds[valid][pick]))
         return best
 
     @staticmethod

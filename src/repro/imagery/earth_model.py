@@ -28,10 +28,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.codec import registry
 from repro.errors import ImageryError
 from repro.imagery.bands import Band, BandCategory
 from repro.imagery.events import TileChangeModel
-from repro.imagery.noise import fractal_noise, stable_hash
+from repro.imagery.noise import (
+    FieldPlan,
+    draw_lattices,
+    field_plan,
+    fractal_noise,
+    stable_hash,
+    stable_hasher,
+)
+from repro.obs.metrics import counters
 
 
 class TerrainClass(enum.Enum):
@@ -250,15 +259,17 @@ class EarthModel:
             [_CLASS_REFLECTANCE[terrain][band.category] for terrain in classes]
         )
         amplitude = np.array([_CLASS_TEXTURE[terrain] for terrain in classes])
-        base = reflectance[class_map]
-        texture_amp = amplitude[class_map]
         texture = fractal_noise(
             self.spec.shape,
             stable_hash(self.spec.seed, "texture", band.name),
             octaves=5,
             base_cells=6,
         )
-        surface = np.clip(base + texture_amp * (texture - 0.5) * 2.0, 0.0, 1.0)
+        # clip(reflectance + amplitude * (texture - 0.5) * 2.0) per class,
+        # in one native pass over the texture.
+        surface = registry.kernels().base_map(
+            texture, class_map, reflectance, amplitude
+        )
         self._base_cache[band_name] = surface
         return surface
 
@@ -334,24 +345,10 @@ class EarthModel:
         return surface
 
     def _compose_surface(self, band: Band, versions: np.ndarray) -> np.ndarray:
-        """Base map with every changed cell's block pasted in (no snow)."""
-        surface = self.base_map(band.name).copy()
-        cell = self.spec.change_cell_px
-        for ty, row in enumerate(versions.tolist()):
-            for tx, version in enumerate(row):
-                if version:
-                    block = self._cell_block(band, ty, tx, version)
-                    height, width = block.shape
-                    y0, x0 = ty * cell, tx * cell
-                    surface[y0 : y0 + height, x0 : x0 + width] = block
-        return surface
+        """Base map with every changed cell's block pasted in (no snow).
 
-    def _cell_block(
-        self, band: Band, ty: int, tx: int, version: int
-    ) -> np.ndarray:
-        """Change cell ``(ty, tx)`` of ``band`` at content ``version`` >= 1.
-
-        The base map under the cell plus the version's change patch,
+        The block of change cell ``(ty, tx)`` at content ``version`` >= 1
+        is the base map under the cell plus the version's change patch,
         clipped to [0, 1].  Terrestrial change perturbs content around
         its local value (harvest, construction, flooding) — it does not
         replace a tile with unrelated imagery.  Amplitudes are chosen so
@@ -359,35 +356,98 @@ class EarthModel:
         the paper's theta = 0.01 decisively while leaving global image
         statistics (and thus the illumination fit) intact.
 
-        Cells never overlap, so the block is a pure function of ``(band,
-        ty, tx, version)``; memoized (LRU, ``_BLOCK_CACHE_MAX``) so
-        recomposition after a new change event pastes every older cell's
-        block instead of re-rendering and re-blending it.  Returned
-        blocks are read-only.
+        Cells never overlap, so a block is a pure function of ``(band,
+        ty, tx, version)``; blocks are memoized (LRU,
+        ``_BLOCK_CACHE_MAX``, read-only) so recomposition after a new
+        change event pastes every older cell's block instead of
+        re-rendering it.  The blocks missing from the cache render in
+        one native call (:meth:`_render_blocks`).
         """
-        key = (band.name, ty, tx, version)
-        cached = self._block_cache.get(key)
-        if cached is not None:
-            self._block_cache.move_to_end(key)
-            return cached
+        base = self.base_map(band.name)
+        surface = base.copy()
+        cell = self.spec.change_cell_px
+        cache = self._block_cache
+        missing: list[tuple[tuple, int, int]] = []
+        ys, xs = np.nonzero(versions)
+        for ty, tx, version in zip(
+            ys.tolist(), xs.tolist(), versions[ys, xs].tolist()
+        ):
+            key = (band.name, ty, tx, version)
+            y0, x0 = ty * cell, tx * cell
+            block = cache.get(key)
+            if block is None:
+                missing.append((key, y0, x0))
+                continue
+            cache.move_to_end(key)
+            height, width = block.shape
+            surface[y0 : y0 + height, x0 : x0 + width] = block
+        bag = counters()
+        bag.inc("cache.block.hit", len(ys) - len(missing))
+        if not missing:
+            return surface
+        bag.inc("cache.block.miss", len(missing))
+        blocks = self._render_blocks(band, base, missing)
+        for (key, y0, x0), block in zip(missing, blocks):
+            height, width = block.shape
+            surface[y0 : y0 + height, x0 : x0 + width] = block
+            block.setflags(write=False)
+            cache[key] = block
+        evicted = max(len(cache) - self._BLOCK_CACHE_MAX, 0)
+        for _ in range(evicted):
+            cache.popitem(last=False)
+        bag.inc("cache.block.evict", evicted)
+        return surface
+
+    #: Octaves and coarsest lattice cells of every change patch.
+    _PATCH_OCTAVES = 3
+    _PATCH_BASE_CELLS = 3
+
+    def _render_blocks(
+        self,
+        band: Band,
+        base: np.ndarray,
+        cells: list[tuple[tuple, int, int]],
+    ) -> list[np.ndarray]:
+        """The blocks of ``cells`` (``(key, y0, x0)`` each), rendered.
+
+        Each patch is a fractal field seeded by its key, with amplitude
+        ``0.10 + 0.20 * u`` for a uniform ``u`` drawn from a generator of
+        the same seed.  Every cell's octave lattices and then its ``u``
+        are numpy draws into one shared buffer; one native call renders
+        the patches, blends each with the base map under its cell and
+        clips it, into an array of its own.
+        """
         cell = self.spec.change_cell_px
         height, width = self.spec.shape
-        y0, x0 = ty * cell, tx * cell
-        y1, x1 = min(y0 + cell, height), min(x0 + cell, width)
-        patch_seed = stable_hash(
-            self.spec.seed, "patch", band.name, ty, tx, version
+        plans: list[FieldPlan] = []
+        plan_of: dict[tuple[int, int], int] = {}
+        rows: list[tuple[int, int, int, int]] = []
+        draws: list[int] = []
+        size = 0
+        for _, y0, x0 in cells:
+            shape = (min(cell, height - y0), min(cell, width - x0))
+            kind = plan_of.get(shape)
+            if kind is None:
+                kind = plan_of[shape] = len(plans)
+                plans.append(
+                    field_plan(
+                        *shape, self._PATCH_OCTAVES, self._PATCH_BASE_CELLS
+                    )
+                )
+            rows.append((kind, size, y0, x0))
+            size += int(plans[kind].offsets[-1])
+            draws.append(size)
+            size += 1
+        buffer = np.empty(size, dtype=np.float64)
+        patch_seed = stable_hasher(self.spec.seed, "patch")
+        for (key, _, _), (kind, start, _, _), draw in zip(cells, rows, draws):
+            seed = patch_seed(*key)
+            draw_lattices(seed, plans[kind], buffer[start:draw])
+            np.random.default_rng(seed).random(out=buffer[draw : draw + 1])
+        amplitudes = 0.10 + 0.20 * buffer[draws]
+        return registry.kernels().change_blocks(
+            buffer, plans, rows, amplitudes, base
         )
-        patch = fractal_noise(
-            (y1 - y0, x1 - x0), patch_seed, octaves=3, base_cells=3
-        )
-        amplitude = 0.10 + 0.20 * np.random.default_rng(patch_seed).random()
-        under = self.base_map(band.name)[y0:y1, x0:x1]
-        block = np.clip(under + amplitude * (patch - 0.5), 0.0, 1.0)
-        block.setflags(write=False)
-        self._block_cache[key] = block
-        while len(self._block_cache) > self._BLOCK_CACHE_MAX:
-            self._block_cache.popitem(last=False)
-        return block
 
     def _snow_texture(self, band_name: str) -> np.ndarray:
         """Static per-band snow texture (pure function of seeds), cached."""

@@ -11,6 +11,7 @@ Its specification, a per-octave numpy sum, is ``fractal_field_reference`` in
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,10 +65,11 @@ def _lattice_cells(height: int, width: int, cells: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class _FieldPlan:
+class FieldPlan:
     """Every seed-independent part of one fractal-noise field.
 
     Attributes:
+        shape: The field's ``(height, width)``.
         amplitudes: Each octave's amplitude (float64).
         amplitude_sum: Their sum, accumulated in octave order.
         offsets: Where each octave's lattice starts in the shared
@@ -77,6 +79,7 @@ class _FieldPlan:
         columns: Each octave's ``(x0, tx)`` geometry, back to back.
     """
 
+    shape: tuple[int, int]
     amplitudes: np.ndarray
     amplitude_sum: float
     offsets: np.ndarray
@@ -86,15 +89,18 @@ class _FieldPlan:
 
 
 @lru_cache(maxsize=256)
-def _field_plan(
+def field_plan(
     height: int,
     width: int,
     octaves: int,
     base_cells: float,
-    persistence: float,
-    lacunarity: float,
-) -> _FieldPlan:
-    """The plan of a fractal field; pure function of its arguments."""
+    persistence: float = 0.55,
+    lacunarity: float = 2.0,
+) -> FieldPlan:
+    """The plan of a fractal field; pure function of its arguments.
+
+    The defaults are :func:`fractal_noise`'s.
+    """
     cells: list[int] = []
     amplitudes: list[float] = []
     amplitude = 1.0
@@ -109,7 +115,8 @@ def _field_plan(
     grids = [_lattice_cells(height, width, c) for c in cells]
     geometry = [_interp_geometry(height, width, *grid) for grid in grids]
     sizes = [(cells_y + 1) * (cells_x + 1) for cells_y, cells_x in grids]
-    return _FieldPlan(
+    return FieldPlan(
+        shape=(height, width),
         amplitudes=np.array(amplitudes, dtype=np.float64),
         amplitude_sum=amplitude_sum,
         offsets=np.cumsum([0, *sizes], dtype=np.int64),
@@ -182,14 +189,11 @@ def _fractal_field(
     ``sim_oracle.reference_path()`` replaces with the per-octave sum.
     """
     height, width = shape
-    plan = _field_plan(
+    plan = field_plan(
         height, width, octaves, base_cells, persistence, lacunarity
     )
-    offsets = plan.offsets.tolist()
-    lattices = np.empty(offsets[-1], dtype=np.float64)
-    for octave in range(octaves):
-        rng = np.random.default_rng(_octave_seed(seed, octave))
-        rng.random(out=lattices[offsets[octave] : offsets[octave + 1]])
+    lattices = np.empty(plan.offsets[-1], dtype=np.float64)
+    draw_lattices(seed, plan, lattices)
     return registry.kernels().fractal_field(
         lattices,
         plan.offsets[:-1],
@@ -202,9 +206,31 @@ def _fractal_field(
     )
 
 
+def draw_lattices(seed: int, plan: FieldPlan, out: np.ndarray) -> None:
+    """Draw the octave lattices of the field ``plan`` seeded ``seed``.
+
+    Octave ``k``'s lattice comes from its own generator
+    (:func:`_octave_seed`) and lands in ``out`` at ``plan.offsets[k]``;
+    ``out`` holds ``plan.offsets[-1]`` values.
+    """
+    offsets = plan.offsets.tolist()
+    for octave in range(len(offsets) - 1):
+        rng = np.random.default_rng(_octave_seed(seed, octave))
+        rng.random(out=out[offsets[octave] : offsets[octave + 1]])
+
+
 def seeded_uniform(seed: int, *shape: int) -> np.ndarray:
     """Uniform [0, 1) samples from a derived deterministic stream."""
     return np.random.default_rng(seed).random(shape)
+
+
+def _fnv1a(acc: int, parts: tuple) -> int:
+    """FNV-1a state ``acc`` extended by the repr bytes of ``parts``."""
+    for part in parts:
+        for byte in repr(part).encode("utf-8"):
+            acc ^= byte
+            acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc
 
 
 def stable_hash(*parts: int | str) -> int:
@@ -214,9 +240,18 @@ def stable_hash(*parts: int | str) -> int:
     an explicit FNV-1a over the repr of the parts to stay reproducible across
     runs and machines.
     """
-    acc = 0xCBF29CE484222325
-    for part in parts:
-        for byte in repr(part).encode("utf-8"):
-            acc ^= byte
-            acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return acc & 0x7FFFFFFFFFFFFFFF
+    return _fnv1a(0xCBF29CE484222325, parts) & 0x7FFFFFFFFFFFFFFF
+
+
+def stable_hasher(*prefix: int | str) -> Callable[..., int]:
+    """:func:`stable_hash` with its leading parts fixed.
+
+    ``stable_hasher(*a)(*b) == stable_hash(*a, *b)``: FNV-1a reads the
+    parts in order, so the prefix is hashed once for all calls.
+    """
+    state = _fnv1a(0xCBF29CE484222325, prefix)
+
+    def hash_rest(*parts: int | str) -> int:
+        return _fnv1a(state, parts) & 0x7FFFFFFFFFFFFFFF
+
+    return hash_rest

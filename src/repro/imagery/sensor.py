@@ -27,6 +27,7 @@ from repro.imagery.earth_model import EarthModel
 from repro.imagery.illumination import IlluminationModel, IlluminationSample
 from repro.imagery.noise import stable_hash
 from repro.obs import trace
+from repro.obs.metrics import counters
 
 # (raw env string -> parsed bytes) per variable: re-parse only when the
 # variable changes, keeping the per-capture cost at one dict lookup.
@@ -104,27 +105,40 @@ def _global_capture_cache_bytes() -> int:
     )
 
 
-def _enforce_global_capture_budget() -> None:
-    """Evict oldest entries of the largest caches until under the ceiling.
+def _reclaim_capture_bytes(
+    nbytes: int = 0, inserter: "SatelliteSensor | None" = None
+) -> bool:
+    """Evict the oldest entries of the largest caches until ``nbytes``
+    more fit under the process-wide ceiling; return whether they fit.
 
-    Reclaims from whichever sensor holds the most (a hoarding sensor that
-    is no longer visited gives its share back), rather than punishing the
-    sensor that happens to be inserting.
+    Room for a capture ``inserter`` is about to cache comes from the
+    largest *other* caches (a hoarding sensor that is no longer visited
+    gives its share back), never from the inserter's own: every run over
+    a dataset scans its captures in the same time order, so the
+    inserter's oldest entries are the ones its next scan hits first.  A
+    capture that cannot fit beside the inserter's own entries evicts
+    nothing and is not admitted.  Without an inserter this shrinks the
+    caches under a ceiling lowered at run time.
     """
-    total = _global_capture_cache_bytes()
     ceiling = capture_cache_total_bytes()
-    while total > ceiling:
+    own = inserter._capture_cache_bytes if inserter is not None else 0
+    if own + nbytes > ceiling:
+        return False
+    total = _global_capture_cache_bytes()
+    while total + nbytes > ceiling:
         victim = max(
-            _CACHING_SENSORS.values(),
+            (
+                sensor
+                for sensor in _CACHING_SENSORS.values()
+                if sensor is not inserter and sensor._capture_cache
+            ),
             key=lambda sensor: sensor._capture_cache_bytes,
             default=None,
         )
-        if victim is None or not victim._capture_cache:
+        if victim is None:
             break
-        _, evicted = victim._capture_cache.popitem(last=False)
-        freed = victim._capture_nbytes(evicted)
-        victim._capture_cache_bytes -= freed
-        total -= freed
+        total -= victim._evict_oldest()
+    return total + nbytes <= ceiling
 
 
 @dataclass
@@ -229,11 +243,16 @@ class SatelliteSensor:
         Captures are deterministic in ``(satellite_id, t_days)``, so they
         are memoized; cached pixel arrays are returned read-only and
         shared between callers.  A miss is cached only if it fits in the
-        per-sensor budget (``REPRO_CAPTURE_CACHE_MB``), so cached entries
-        are never displaced by new ones: every run over a dataset scans
-        its captures in the same time order, and keeping the first ones
-        makes each repeated scan hit on them where LRU would miss on
-        every capture of a scan larger than the budget.
+        per-sensor budget (``REPRO_CAPTURE_CACHE_MB``) and, after other
+        sensors give room back, under the process-wide ceiling
+        (``REPRO_CAPTURE_CACHE_TOTAL_MB``), so cached entries are never
+        displaced by new ones of the same sensor: every run over a
+        dataset scans its captures in the same time order, and keeping
+        the first ones makes each repeated scan hit on them where LRU
+        would miss on every capture of a scan larger than the budget.
+        Each call counts a ``cache.capture.hit`` or a
+        ``cache.capture.miss`` (one per capture rendered), and each
+        eviction a ``cache.capture.evict``.
 
         Args:
             satellite_id: Observing satellite index (enters the noise seed).
@@ -244,32 +263,46 @@ class SatelliteSensor:
         """
         if t_days < 0:
             raise ImageryError(f"t_days must be >= 0, got {t_days}")
+        bag = counters()
         cache_budget = capture_cache_bytes()
         if cache_budget <= 0:
+            bag.inc("cache.capture.miss")
             with trace.span("imagery"):
                 return self._render_capture(satellite_id, t_days)
-        # A budget lowered at run time shrinks the cache first, so both
-        # budgets bound it after every call.
+        # Budgets lowered at run time shrink the caches first, so both
+        # budgets bound them after every call.
         while self._capture_cache_bytes > cache_budget:
-            _, evicted = self._capture_cache.popitem(last=False)
-            self._capture_cache_bytes -= self._capture_nbytes(evicted)
+            self._evict_oldest()
+        _reclaim_capture_bytes()
         # Raw-float key: replayed schedules pass bit-identical times, and
         # quantizing would let two nearby-but-distinct capture times
         # silently collide onto one rendered capture.
         key = (satellite_id, t_days)
         result = self._capture_cache.get(key)
-        if result is None:
-            with trace.span("imagery"):
-                result = self._render_capture(satellite_id, t_days)
-            nbytes = self._capture_nbytes(result)
-            if self._capture_cache_bytes + nbytes <= cache_budget:
-                for array in self._capture_arrays(result):
-                    array.setflags(write=False)
-                _CACHING_SENSORS[id(self)] = self
-                self._capture_cache[key] = result
-                self._capture_cache_bytes += nbytes
-        _enforce_global_capture_budget()
+        if result is not None:
+            bag.inc("cache.capture.hit")
+            return result
+        bag.inc("cache.capture.miss")
+        with trace.span("imagery"):
+            result = self._render_capture(satellite_id, t_days)
+        nbytes = self._capture_nbytes(result)
+        if self._capture_cache_bytes + nbytes <= cache_budget and (
+            _reclaim_capture_bytes(nbytes, self)
+        ):
+            for array in self._capture_arrays(result):
+                array.setflags(write=False)
+            _CACHING_SENSORS[id(self)] = self
+            self._capture_cache[key] = result
+            self._capture_cache_bytes += nbytes
         return result
+
+    def _evict_oldest(self) -> int:
+        """Evict this sensor's oldest cached capture; return its bytes."""
+        _, evicted = self._capture_cache.popitem(last=False)
+        freed = self._capture_nbytes(evicted)
+        self._capture_cache_bytes -= freed
+        counters().inc("cache.capture.evict")
+        return freed
 
     @staticmethod
     def _capture_arrays(capture: Capture) -> list[np.ndarray]:

@@ -15,7 +15,12 @@ instance (:func:`counters`):
   ``downlink.deferred`` / ``downlink.dropped``;
 * the codec registry bumps ``codec.resolve.<engine>`` per resolution
   (``compiled`` in production; a test that registers the oracle engine
-  counts ``codec.resolve.reference``).
+  counts ``codec.resolve.reference``);
+* ``SatelliteSensor.capture`` bumps ``cache.capture.hit`` /
+  ``cache.capture.miss`` (one per capture rendered) /
+  ``cache.capture.evict``, and ``EarthModel`` bumps ``cache.block.hit``
+  / ``cache.block.miss`` (one per change-cell block rendered) /
+  ``cache.block.evict``.
 
 Counters follow the same algebra as every other per-worker partial in
 this codebase (``RunResult``, ``DownlinkStats``): :meth:`Counters.merge`

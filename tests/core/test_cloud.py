@@ -3,9 +3,13 @@
 import gc
 import weakref
 
+import pickle
+
 import numpy as np
 import pytest
+from sim_oracle import best_split_reference, reference_path
 
+from repro.core import cloud
 from repro.core.cloud import (
     DecisionTree,
     _training_captures,
@@ -16,6 +20,9 @@ from repro.core.cloud import (
 )
 from repro.core.tiles import TileGrid
 from repro.errors import PipelineError
+from repro.imagery.bands import get_band
+from repro.imagery.earth_model import EarthModel
+from repro.obs.metrics import counters
 
 
 class TestDecisionTree:
@@ -101,6 +108,77 @@ class TestDecisionTree:
             DecisionTree().fit(np.zeros((3, 1)), np.zeros(4, dtype=bool))
         with pytest.raises(PipelineError):
             DecisionTree(max_depth=0)
+
+
+class TestSortedSplitSearch:
+    """``DecisionTree._best_split`` sorts each feature once; the mask per
+    candidate threshold (``best_split_reference``) is its oracle."""
+
+    @staticmethod
+    def _data(seed: int, n: int = 80) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        x = np.column_stack(
+            [
+                rng.integers(0, 4, n),  # four values: heavy ties
+                np.full(n, 0.5),  # constant: no threshold splits it
+                rng.random(n).round(1),  # ties at every tenth
+                rng.random(n),  # all distinct
+            ]
+        ).astype(np.float64)
+        y = rng.random(n) < np.where(x[:, 0] > 1, 0.7, 0.2)
+        return x, y
+
+    # The oracle averages an empty side at min_leaf 0 (a nan gain).
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("min_leaf", [0, 1, 3, 8, 39, 40, 41])
+    def test_matches_per_threshold_masks(self, seed, min_leaf):
+        # n = 80: at min_leaf 40 only an exact halving is allowed, and at
+        # 41 no split is.
+        x, y = self._data(seed)
+        tree = DecisionTree(max_depth=3, min_leaf=min_leaf)
+        split = tree._best_split(x, y)
+        assert split == best_split_reference(tree, x, y)
+        if min_leaf == 41:
+            assert split is None
+
+    def test_constant_features_never_split(self):
+        x = np.full((60, 2), 0.25)
+        y = np.arange(60) % 3 == 0
+        tree = DecisionTree(min_leaf=1)
+        assert tree._best_split(x, y) is None
+        assert best_split_reference(tree, x, y) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fitted_tree_matches_oracle(self, seed):
+        x, y = self._data(seed, n=400)
+        fitted = DecisionTree(max_depth=4, min_leaf=5).fit(x, y)
+        with reference_path():
+            oracle = DecisionTree(max_depth=4, min_leaf=5).fit(x, y)
+        assert fitted.depth() > 1
+        assert pickle.dumps(fitted) == pickle.dumps(oracle)
+
+
+def test_training_counts_one_block_miss_per_patch(monkeypatch):
+    bands = tuple(get_band(name) for name in ("B2", "B3", "B4", "B8"))
+    monkeypatch.setattr(cloud, "_DETECTOR_CACHE", {})
+    rendered: list[int] = []
+    render = EarthModel._render_blocks
+
+    def counting(model, band, base, cells):
+        rendered.append(len(cells))
+        return render(model, band, base, cells)
+
+    monkeypatch.setattr(EarthModel, "_render_blocks", counting)
+    baseline = counters().snapshot()
+    train_onboard_detector(bands, tile_size=64)
+    train_ground_detector(bands)
+    delta = counters().diff(baseline)
+    # Every training capture is a fresh location: each changed cell's
+    # block renders once and is never looked up again.
+    assert sum(rendered) == 1250
+    assert delta.get("cache.block.miss") == sum(rendered)
+    assert delta.get("cache.block.hit") == 0
 
 
 class TestCloudFeatures:

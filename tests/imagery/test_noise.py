@@ -10,6 +10,7 @@ from repro.imagery.noise import (
     seeded_uniform,
     smoothstep,
     stable_hash,
+    stable_hasher,
 )
 
 #: The single-octave value noise every fractal octave is specified by;
@@ -103,6 +104,14 @@ class TestStableHash:
     def test_non_negative_63_bit(self):
         value = stable_hash("anything", 42)
         assert 0 <= value < 2**63
+
+    @pytest.mark.parametrize(
+        "prefix, rest",
+        [((), ()), ((), ("a", 1)), ((2**62 + 7, "patch"), ("B4", 0, 3, 12)),
+         ((5,), ())],
+    )
+    def test_hasher_fixes_the_leading_parts(self, prefix, rest):
+        assert stable_hasher(*prefix)(*rest) == stable_hash(*prefix, *rest)
 
 
 def test_seeded_uniform_shape_and_determinism():

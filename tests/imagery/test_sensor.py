@@ -8,12 +8,14 @@ import pytest
 
 from sim_oracle import render_pixels_reference
 
+from repro.datasets.sentinel2 import sentinel2_dataset
 from repro.errors import ImageryError
 from repro.imagery import sensor as sensor_module
 from repro.imagery.bands import PLANET_BANDS
 from repro.imagery.clouds import CloudSample
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
 from repro.imagery.sensor import SatelliteSensor, render_pixels
+from repro.obs.metrics import counters
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +264,85 @@ class TestCaptureCache:
         assert list(hoarder._capture_cache) == [(0, 2.0), (0, 3.0)]
         assert list(inserter._capture_cache) == [(0, 1.0), (0, 2.0)]
         assert sensor_module._global_capture_cache_bytes() == 4 * nbytes
+
+    def test_lowered_ceiling_shrinks_before_serving(self, monkeypatch):
+        sensor = _small_sensor(72)
+        sample = sensor.capture(0, 1.0)
+        for t_days in (2.0, 3.0):
+            sensor.capture(0, t_days)
+        nbytes = self._budget(
+            monkeypatch, "REPRO_CAPTURE_CACHE_TOTAL_MB", 1.5, sample
+        )
+        sensor.capture(0, 3.0)
+        assert list(sensor._capture_cache) == [(0, 3.0)]
+        assert sensor_module._global_capture_cache_bytes() == nbytes
+
+    def test_total_budget_keeps_inserters_first_captures(self, monkeypatch):
+        # The ceiling must not turn a lone sensor's keep-first cache into
+        # FIFO: reclaiming its own oldest captures would evict exactly
+        # the ones each repeated time-ordered scan hits first.
+        sensor = _small_sensor(70)
+        sample = sensor.capture(0, 1.0)
+        nbytes = self._budget(
+            monkeypatch, "REPRO_CAPTURE_CACHE_TOTAL_MB", 2.5, sample
+        )
+        for t_days in (2.0, 3.0, 4.0):
+            sensor.capture(0, t_days)
+        assert list(sensor._capture_cache) == [(0, 1.0), (0, 2.0)]
+        assert sensor._capture_cache_bytes == 2 * nbytes
+        assert sensor.capture(0, 1.0) is sample
+
+    @pytest.mark.parametrize(
+        "var", ["REPRO_CAPTURE_CACHE_MB", "REPRO_CAPTURE_CACHE_TOTAL_MB"]
+    )
+    def test_repeated_scan_hits_the_first_captures(self, monkeypatch, var):
+        # Either budget at 3 MB holds the first 4 of a location's 16
+        # time-ordered captures (0.67 MB each), and a second identical
+        # scan renders only the other 12.
+        dataset = sentinel2_dataset(
+            locations=["B"],
+            bands=["B2", "B3", "B4", "B8"],
+            horizon_days=90.0,
+            image_shape=(128, 128),
+        )
+        sensor = dataset.sensors["B"]
+        visits = [
+            (visit.satellite_id, visit.t_days)
+            for visit in dataset.schedule.all_visits_sorted()
+            if visit.location == "B"
+        ]
+        assert len(visits) == 16
+        monkeypatch.setenv(var, "3")
+        for key in visits:
+            sensor.capture(*key)
+        baseline = counters().snapshot()
+        for key in visits:
+            sensor.capture(*key)
+        scan = counters().diff(baseline)
+        assert list(sensor._capture_cache) == visits[:4]
+        assert scan.get("cache.capture.hit") == 4
+        assert scan.get("cache.capture.miss") == 12
+        assert scan.get("cache.capture.evict") == 0
+
+    def test_misses_count_the_captures_rendered(self, monkeypatch):
+        sensor = _small_sensor(71)
+        rendered: list[float] = []
+        render = sensor._render_capture
+
+        def counting(satellite_id, t_days):
+            rendered.append(t_days)
+            return render(satellite_id, t_days)
+
+        monkeypatch.setattr(sensor, "_render_capture", counting)
+        baseline = counters().snapshot()
+        for t_days in (1.0, 2.0, 1.0, 3.0, 2.0):
+            sensor.capture(0, t_days)
+        monkeypatch.setenv("REPRO_CAPTURE_CACHE_MB", "0")
+        sensor.capture(0, 1.0)  # the cache is off: rendered again
+        scan = counters().diff(baseline)
+        assert rendered == [1.0, 2.0, 3.0, 1.0]
+        assert scan.get("cache.capture.miss") == len(rendered)
+        assert scan.get("cache.capture.hit") == 2
 
     def test_pickled_sensor_starts_cold(self):
         sensor = _small_sensor(66)

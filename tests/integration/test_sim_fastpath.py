@@ -355,6 +355,8 @@ class _KernelSpy:
 #: ``registry.kernels()`` (the entropy engine loads its own handle).
 SIMULATION_KERNELS = (
     "fractal_field",
+    "base_map",
+    "change_blocks",
     "render_band",
     "dwt_forward",
     "dwt_inverse",

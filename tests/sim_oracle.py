@@ -22,9 +22,14 @@ differential test can still check the production path against them:
   separate numpy passes with boolean-mask composites
   (:func:`render_pixels_reference`), and every tile's change count
   replayed from its gap stream (:func:`version_grid_reference`);
-* uncached imagery: ground truth, change-cell blocks and snow texture
-  (:func:`ground_truth_uncached`, :func:`cell_block_uncached`,
+* uncached imagery: ground truth composed by pasting one numpy
+  change-cell block at a time, each rendered on every call, over a base
+  map built from numpy class-table gathers, and snow texture
+  (:func:`ground_truth_uncached`, :func:`compose_surface_reference`,
+  :func:`cell_block_uncached`, :func:`base_map_reference`,
   :func:`snow_texture_uncached`);
+* the cloud detectors' split search, one boolean mask per candidate
+  threshold (:func:`best_split_reference`);
 * the ground segment's per-element passes: block means over an
   edge-padded float64 copy (:func:`edge_blocks_reference`), the mosaic's
   reference and validity each downsampling the filled mask
@@ -46,6 +51,7 @@ outside pytest with ``PYTHONPATH=src:tests``.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -66,6 +72,7 @@ from repro.codec.quantize import (
 )
 from repro.codec.ratemodel import RateModel, RateModelResult, _binary_entropy
 from repro.core import cloud, reference
+from repro.core.cloud import DecisionTree
 from repro.core.change_detection import ChangeDetectionResult, detect_changes
 from repro.core.encoder import BandEncodeResult, EarthPlusEncoder
 from repro.core.reference import (
@@ -77,7 +84,11 @@ from repro.errors import ImageryError
 from repro.imagery import noise, sensor
 from repro.imagery.bands import Band
 from repro.imagery.clouds import CloudSample
-from repro.imagery.earth_model import EarthModel
+from repro.imagery.earth_model import (
+    _CLASS_REFLECTANCE,
+    _CLASS_TEXTURE,
+    EarthModel,
+)
 from repro.imagery.events import ChangeEventProcess, TileChangeModel
 from repro.imagery.illumination import IlluminationSample
 from repro.imagery.noise import (
@@ -762,10 +773,28 @@ def ground_truth_uncached(
     return surface
 
 
+def compose_surface_reference(
+    model: EarthModel, band: Band, versions: np.ndarray
+) -> np.ndarray:
+    """``EarthModel._compose_surface`` pasting each changed cell's block
+    in row-major order, every block rendered on every call."""
+    surface = model.base_map(band.name).copy()
+    cell = model.spec.change_cell_px
+    for ty, row in enumerate(versions.tolist()):
+        for tx, version in enumerate(row):
+            if version:
+                block = cell_block_uncached(model, band, ty, tx, version)
+                height, width = block.shape
+                y0, x0 = ty * cell, tx * cell
+                surface[y0 : y0 + height, x0 : x0 + width] = block
+    return surface
+
+
 def cell_block_uncached(
     model: EarthModel, band: Band, ty: int, tx: int, version: int
 ) -> np.ndarray:
-    """``EarthModel._cell_block`` rendered and blended on every call."""
+    """The block of change cell ``(ty, tx)`` at ``version``: the base map
+    under the cell plus the version's change patch, clipped, in numpy."""
     cell = model.spec.change_cell_px
     height, width = model.spec.shape
     y0, x0 = ty * cell, tx * cell
@@ -782,6 +811,41 @@ def cell_block_uncached(
         patch - 0.5
     )
     return np.clip(blended, 0.0, 1.0)
+
+
+#: The oracle's own base maps, per model and band: a base map is static,
+#: and the oracle must not read the ones production left in a model.
+# repro: allow(RPR005): memo of static base maps, a pure function of (model, band), so independently-warmed copies agree
+_BASE_MAPS: "weakref.WeakKeyDictionary[EarthModel, dict[str, np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def base_map_reference(model: EarthModel, band_name: str) -> np.ndarray:
+    """``EarthModel.base_map`` as numpy gathers of the class tables and
+    separate passes, memoized per model outside the model."""
+    maps = _BASE_MAPS.setdefault(model, {})
+    if band_name not in maps:
+        band = model._get_band(band_name)
+        class_map = model.class_map()
+        classes = model._class_list
+        reflectance = np.array(
+            [_CLASS_REFLECTANCE[terrain][band.category] for terrain in classes]
+        )
+        amplitude = np.array([_CLASS_TEXTURE[terrain] for terrain in classes])
+        texture = fractal_noise(
+            model.spec.shape,
+            stable_hash(model.spec.seed, "texture", band.name),
+            octaves=5,
+            base_cells=6,
+        )
+        maps[band_name] = np.clip(
+            reflectance[class_map]
+            + amplitude[class_map] * (texture - 0.5) * 2.0,
+            0.0,
+            1.0,
+        )
+    return maps[band_name]
 
 
 def snow_texture_uncached(model: EarthModel, band_name: str) -> np.ndarray:
@@ -872,6 +936,36 @@ def read_bitmap_per_bit(reader: BitReader, count: int) -> np.ndarray:
     return bits
 
 
+def best_split_reference(
+    tree: DecisionTree, x: np.ndarray, y: np.ndarray
+) -> tuple[int, float] | None:
+    """``DecisionTree._best_split`` masking every row for every candidate
+    threshold of every feature, in order."""
+    n, d = x.shape
+    parent_gini = tree._gini(float(y.mean()))
+    best_gain = 1e-9
+    best: tuple[int, float] | None = None
+    for feature in range(d):
+        values = x[:, feature]
+        candidates = np.quantile(values, np.linspace(0.05, 0.95, 19))
+        for threshold in np.unique(candidates):
+            mask = values <= threshold
+            n_left = int(mask.sum())
+            if n_left < tree.min_leaf or n - n_left < tree.min_leaf:
+                continue
+            p_left = float(y[mask].mean())
+            p_right = float(y[~mask].mean())
+            gini = (
+                n_left * tree._gini(p_left)
+                + (n - n_left) * tree._gini(p_right)
+            ) / n
+            gain = parent_gini - gini
+            if gain > best_gain:
+                best_gain = gain
+                best = (feature, float(threshold))
+    return best
+
+
 def band_mean_reference(
     pixels: dict[str, np.ndarray], names: list[str]
 ) -> np.ndarray:
@@ -929,7 +1023,8 @@ _REFERENCE_SEAMS = (
     # Whole methods rather than zero cache bounds: entries a production
     # run left in a model's caches must not be read here either.
     (EarthModel, "ground_truth", ground_truth_uncached),
-    (EarthModel, "_cell_block", cell_block_uncached),
+    (EarthModel, "_compose_surface", compose_surface_reference),
+    (EarthModel, "base_map", base_map_reference),
     (EarthModel, "_snow_texture", snow_texture_uncached),
     (sensor, "capture_cache_bytes", _no_capture_cache),
     # The ground segment: every downsample (mosaic, encoder, figures)
@@ -941,6 +1036,7 @@ _REFERENCE_SEAMS = (
     (BitWriter, "write_bitmap", write_bitmap_per_bit),
     (BitReader, "read_bitmap", read_bitmap_per_bit),
     (cloud, "cloud_features", cloud_features_reference),
+    (DecisionTree, "_best_split", best_split_reference),
 )
 
 
@@ -953,9 +1049,10 @@ def reference_path():
     exactly what the original, unoptimized simulation computed: per-sample
     DWT loops run axis by axis, the per-depth distortion curve, per-tile
     rate-model loops, per-band capture processing, per-octave numpy noise
-    over ``np.ix_`` gathers, per-pass capture rendering, the per-tile
-    change-count replay, no warm-state caching, and the ground segment's
-    per-element passes.  None of it reaches the compiled kernels.
+    over ``np.ix_`` gathers, per-pass capture rendering, numpy base maps
+    and change-cell blocks, the per-tile change-count replay, no
+    warm-state caching, the ground segment's per-element passes and the
+    per-threshold split search.  None of it reaches the compiled kernels.
     Results must be byte-identical to the production path.
     """
     with contextlib.ExitStack() as stack:

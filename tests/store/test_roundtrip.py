@@ -12,6 +12,7 @@ Asserted here, end to end:
 
 from __future__ import annotations
 
+import os
 import pickle
 import signal
 import subprocess
@@ -98,11 +99,51 @@ class TestWarmSweep:
         assert first == second
 
 
+#: Loaded by the killed sweep's interpreter at start-up (``site`` imports
+#: ``sitecustomize`` from its ``PYTHONPATH``): after the store's second
+#: commit the process stops itself, so the kill lands at a known point.
+_STOP_AFTER_SECOND_PUT = """\
+import os
+import signal
+
+from repro.store.backend import ExperimentStore
+
+_put = ExperimentStore.put
+_puts = []
+
+
+def put(self, *args, **kwargs):
+    key = _put(self, *args, **kwargs)
+    _puts.append(key)
+    if len(_puts) == 2:
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return key
+
+
+ExperimentStore.put = put
+"""
+
+
+def _wait_for_stop(pid: int, timeout: float) -> int:
+    """Wait until child ``pid`` stops or exits; return its wait status."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        waited, status = os.waitpid(pid, os.WUNTRACED | os.WNOHANG)
+        if waited:
+            return status
+        time.sleep(0.02)
+    pytest.fail(f"sweep subprocess neither stopped nor exited in {timeout} s")
+
+
 class TestKillAndResume:
     def test_killed_sweep_resumes_only_missing(self, tmp_path):
-        """SIGKILL a real ``repro sweep`` midway; resume the identical
-        sweep in-process and verify only the missing specs simulate."""
+        """SIGKILL a real ``repro sweep`` after its second store commit;
+        resume the identical sweep in-process and verify only the missing
+        specs simulate."""
         store_root = tmp_path / "killstore"
+        hook = tmp_path / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(_STOP_AFTER_SECOND_PUT)
         argv = [
             sys.executable, "-m", "repro", "sweep",
             "--locations", "A", "--bands", "B4", "--days", "20",
@@ -111,10 +152,23 @@ class TestKillAndResume:
         ]
         proc = subprocess.Popen(
             argv,
-            env={"PYTHONPATH": _SRC_DIR, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": os.pathsep.join([str(hook), _SRC_DIR]),
+                "PATH": "/usr/bin:/bin",
+            },
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
+        try:
+            status = _wait_for_stop(proc.pid, timeout=120.0)
+            assert os.WIFSTOPPED(status), (
+                f"sweep subprocess exited (status {status}) instead of "
+                "stopping after its second store commit"
+            )
+            proc.send_signal(signal.SIGKILL)
+        finally:
+            proc.kill()
+            proc.wait()
         # The CLI sweep builds these same 8 specs (gamma defaults to 0.3).
         specs = sweep_specs(
             dataset=DatasetSpec.of(
@@ -129,24 +183,9 @@ class TestKillAndResume:
             gammas=(0.3,),
             base_config=EarthPlusConfig(codec_backend="model"),
         )
-        try:
-            deadline = time.time() + 120.0
-            store = None
-            while time.time() < deadline and proc.poll() is None:
-                if store is None and (store_root / "index.sqlite").exists():
-                    store = ExperimentStore(store_root)
-                if store is not None and store.stats()["entries"] >= 2:
-                    break
-                time.sleep(0.05)
-            proc.send_signal(signal.SIGKILL)
-        finally:
-            proc.wait()
-        if store is None:
-            pytest.fail("sweep subprocess never created the store")
+        store = ExperimentStore(store_root)
         persisted = store.stats()["entries"]
-        if persisted >= len(specs):
-            pytest.skip("sweep finished before the kill landed")
-        assert persisted >= 1, "no partial progress survived the kill"
+        assert persisted == 2, "the kill did not land after the second commit"
 
         real = scenarios.run_scenario
         resumed_labels = []
